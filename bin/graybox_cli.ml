@@ -91,6 +91,31 @@ let fault_conv =
 (* ------------------------------------------------------------------ *)
 (* Shared options                                                      *)
 
+(* Range-checked numbers: a value the libraries would reject fails at
+   parse time, with cmdliner's usage exit (124) and a message, instead
+   of as an uncaught Invalid_argument. *)
+let bounded conv ~pp ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "%s: need %s" s expect))
+    | r -> r
+  in
+  Arg.conv (parse, pp)
+
+let int_at_least lo =
+  bounded Arg.int ~pp:Format.pp_print_int ~ok:(fun v -> v >= lo)
+    ~expect:(Printf.sprintf "an integer >= %d" lo)
+
+let int_between lo hi =
+  bounded Arg.int ~pp:Format.pp_print_int
+    ~ok:(fun v -> v >= lo && v <= hi)
+    ~expect:(Printf.sprintf "an integer in %d..%d" lo hi)
+
+let positive_float =
+  bounded Arg.float ~pp:Format.pp_print_float ~ok:(fun v -> v > 0.)
+    ~expect:"a number > 0"
+
 (* Every protocol-naming subcommand resolves through the registry, so
    the accepted names, the default, and the error listing are all one
    table (see `graybox-cli protocols`).  Tme.Scenarios — linked into
@@ -111,8 +136,8 @@ let protocol_arg =
     & info [ "p"; "protocol" ] ~docv:"NAME" ~doc)
 
 let n_arg =
-  let doc = "Number of processes." in
-  Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc)
+  let doc = "Number of processes (at least 2)." in
+  Arg.(value & opt (int_at_least 2) 4 & info [ "n" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed (equal seeds replay identical executions)." in
@@ -258,14 +283,16 @@ let load_cmd =
       `Ok (if r.Tme.Load.grants = r.Tme.Load.requests then 0 else 1)
   in
   let n_arg =
-    let doc = "Number of processes." in
-    Arg.(value & opt int 100 & info [ "n" ] ~docv:"N" ~doc)
+    let doc = "Number of processes (at least 1)." in
+    Arg.(value & opt (int_at_least 1) 100 & info [ "n" ] ~docv:"N" ~doc)
   in
   let rate_arg =
     let doc =
-      "Arrival rate in requests per step across the system (default 0.2/n)."
+      "Arrival rate in requests per step across the system, above 0 \
+       (default 0.2/n)."
     in
-    Arg.(value & opt (some float) None & info [ "rate" ] ~docv:"RATE" ~doc)
+    Arg.(value & opt (some positive_float) None
+         & info [ "rate" ] ~docv:"RATE" ~doc)
   in
   let requests_arg =
     let doc =
@@ -440,14 +467,14 @@ let kstate_cmd =
 
 let synth_cmd =
   let sy_n_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt (int_at_least 2) 2
          & info [ "n" ] ~docv:"N"
              ~doc:
-               "Ring size the oracle certifies candidates at (keep small: \
-                each check is an exhaustive exploration).")
+               "Ring size the oracle certifies candidates at, at least 2 \
+                (keep small: each check is an exhaustive exploration).")
   in
   let jobs_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "j"; "jobs" ] ~docv:"JOBS"
              ~doc:
                "Pool width for fanning candidate checks.  The transcript \
@@ -623,30 +650,30 @@ let mcheck_cmd =
     Arg.(value & opt int 20 & info [ "depth" ] ~docv:"D" ~doc:"BFS depth bound.")
   in
   let mc_n_arg =
-    Arg.(value & opt int 2 & info [ "n" ] ~docv:"N"
-           ~doc:"Number of processes (keep small: exhaustive search).")
+    Arg.(value & opt (int_between 1 64) 2 & info [ "n" ] ~docv:"N"
+           ~doc:"Number of processes, 1-64 (keep small: exhaustive search).")
   in
   let jobs_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "j"; "jobs" ] ~docv:"JOBS"
              ~doc:
                "Worker domains for frontier expansion.  Every value \
                 returns identical results.")
   in
   let max_states_arg =
-    Arg.(value & opt int 200_000
+    Arg.(value & opt (int_at_least 1) 200_000
          & info [ "max-states" ] ~docv:"K"
              ~doc:"Hard bound on the visited-state set.")
   in
   let shards_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_between 1 64)) None
          & info [ "shards" ] ~docv:"S"
              ~doc:
                "Visited-set shards, 1-64 (default: min(JOBS, 64)).  Every \
                 value returns identical results.")
   in
   let mem_budget_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "mem-budget" ] ~docv:"WORDS"
              ~doc:
                "Resident visited-key budget in words; beyond it, key \

@@ -36,7 +36,7 @@ module Make (N : NODE) = struct
     fault_rng : Rng.t;
     mutable time : int;
     mutable states : N.state array;
-    mutable net : N.msg Network.t;
+    net : N.msg Network.t; (* mutable handle, updated in place *)
     crash_until : int array;
         (* per-process recovery time; crashed iff [crash_until.(p) > time] *)
     crash_lose : bool array;
@@ -93,20 +93,18 @@ module Make (N : NODE) = struct
     metrics : Metrics.t;
   }
 
-  (* The network is persistent, so a snapshot just captures the current
-     version; the channel lists materialize lazily if an analysis reads
-     them.  Recording is therefore O(n) (the states copy) per step
-     instead of O(channels). *)
+  (* The network's channel contents are persistent, so a snapshot just
+     captures the current content map; the channel lists materialize
+     lazily if an analysis reads them.  Recording is therefore O(n) (the
+     states copy) per step instead of O(channels). *)
   let record t event =
-    if t.cfg.record then begin
-      let net = t.net in
+    if t.cfg.record then
       t.rev_trace <-
         { Trace.time = t.time;
           event;
           states = Array.copy t.states;
-          channels = lazy (Network.snapshot net) }
+          channels = Network.capture t.net }
         :: t.rev_trace
-    end
 
   (* Observers get the live states array — no copy.  [Observer.step]
      documents that it must not be retained across steps. *)
@@ -167,7 +165,7 @@ module Make (N : NODE) = struct
   let set_state t p s =
     t.states.(p) <- s;
     mark_dirty t p
-  let set_network t net = t.net <- net
+
   let crashed t p = t.crash_until.(p) > t.time
 
   (* An observer joins by seeing the current state as its Init step —
@@ -206,9 +204,9 @@ module Make (N : NODE) = struct
   (* While a lose-mode crash lasts, anything queued toward the dead
      process is lost; once a window elapses the lose flag is retired so
      a later buffer-mode crash of the same process is not contaminated.
-     The drain enumerates only the nonempty inbound channels (via the
-     network's destination shard), skipping the unused self-channel
-     like the scan path's [Pid.others] walk. *)
+     The drain enumerates only the nonempty inbound channels (nothing
+     at all when none is live or staged), skipping the unused
+     self-channel like the scan path's [Pid.others] walk. *)
   let drain_inbound t p =
     if t.crash_lose.(p) then begin
       let srcs =
@@ -220,7 +218,7 @@ module Make (N : NODE) = struct
       List.iter
         (fun src ->
           lost := !lost + Network.channel_length t.net ~src ~dst:p;
-          t.net <- Network.flush_channel t.net ~src ~dst:p)
+          Network.flush_channel t.net ~src ~dst:p)
         srcs;
       if !lost > 0 then Metrics.note_dropped t.metrics !lost
     end
@@ -242,7 +240,7 @@ module Make (N : NODE) = struct
       List.iter
         (fun (dst, m) ->
           Metrics.note_send t.metrics ~label;
-          t.net <- Network.send t.net ~src ~dst m)
+          Network.send t.net ~src ~dst m)
         outbox
     else
       List.iter
@@ -261,7 +259,7 @@ module Make (N : NODE) = struct
               | None -> None
               | Some dist -> Some (Faults.draw_delay dist t.fault_rng)
             in
-            t.net <- Network.send ?delay t.net ~src ~dst m)
+            Network.send ?delay t.net ~src ~dst m)
         outbox
 
   (* Move selection without materializing the move list.  The virtual
@@ -278,8 +276,8 @@ module Make (N : NODE) = struct
      recounts all n processes (and, after a crash, all live channels)
      every step.  The indexed refresh recounts only the dirtied
      processes into the Fenwick tree and reads both totals in O(1) /
-     O(crashed); selection is then a Fenwick [select] or an [Oset]
-     [nth] — O(log n) a step instead of O(n).  Both count the same
+     O(crashed); selection is then a Fenwick [select] or the network's
+     [nth_live] — O(log n) a step instead of O(n).  Both count the same
      moves in the same order, so the draw below is mode-blind. *)
   let refresh_scan t =
     let d =
@@ -328,9 +326,8 @@ module Make (N : NODE) = struct
       t.dirty;
     Vec.clear t.dirty;
     let d =
-      (* crashed destinations' inbound shards are whole contiguous key
-         ranges of the live set, so subtracting their counts equals the
-         scan path's per-channel deliverability filter *)
+      (* subtracting crashed destinations' inbound live counts equals
+         the scan path's per-channel deliverability filter *)
       List.fold_left
         (fun d p -> d - Network.live_into t.net ~dst:p)
         (Network.live_count t.net)
@@ -385,7 +382,7 @@ module Make (N : NODE) = struct
       go 0 k
 
   let step t =
-    if t.net_faults_seen then t.net <- Network.advance t.net ~now:t.time;
+    if t.net_faults_seen then Network.advance t.net ~now:t.time;
     apply_crash_effects t;
     let d, i = refresh_moves t in
     let event : (N.state, N.msg) Trace.event =
@@ -416,8 +413,7 @@ module Make (N : NODE) = struct
           let src, dst = nth_delivery t k in
           (match Network.deliver t.net ~src ~dst with
            | None -> Trace.Stutter (* cannot happen: channel was nonempty *)
-           | Some (msg, net) ->
-             t.net <- net;
+           | Some msg ->
              Metrics.note_delivery t.metrics;
              let state', outbox =
                N.receive ~self:dst ~from:src msg t.states.(dst)
@@ -476,26 +472,23 @@ module Make (N : NODE) = struct
     (match (kind : (N.state, N.msg) Faults.kind) with
      | Drop { chan; count; only } ->
        apply_chan_fault t ~chan ~count ~only ~note:Metrics.note_dropped
-         ~f:(fun ~src ~dst ~pos -> t.net <- Network.drop_at t.net ~src ~dst ~pos)
+         ~f:(fun ~src ~dst ~pos -> Network.drop_at t.net ~src ~dst ~pos)
      | Duplicate { chan; count } ->
        apply_chan_fault t ~chan ~count ~only:None ~note:Metrics.note_duplicated
-         ~f:(fun ~src ~dst ~pos ->
-           t.net <- Network.duplicate_at t.net ~src ~dst ~pos)
+         ~f:(fun ~src ~dst ~pos -> Network.duplicate_at t.net ~src ~dst ~pos)
      | Corrupt_messages { chan; count; f } ->
        apply_chan_fault t ~chan ~count ~only:None ~note:Metrics.note_corrupted
          ~f:(fun ~src ~dst ~pos ->
-           t.net <-
-             Network.corrupt_at t.net ~src ~dst ~pos ~f:(f t.fault_rng))
+           Network.corrupt_at t.net ~src ~dst ~pos ~f:(f t.fault_rng))
      | Reorder { chan; count } ->
        apply_chan_fault t ~chan ~count ~only:None ~note:Metrics.note_reordered
-         ~f:(fun ~src ~dst ~pos ->
-           t.net <- Network.reorder_at t.net ~src ~dst ~pos)
+         ~f:(fun ~src ~dst ~pos -> Network.reorder_at t.net ~src ~dst ~pos)
      | Flush chan ->
        let flushed = ref 0 in
        List.iter
          (fun (src, dst) ->
            flushed := !flushed + Network.channel_length t.net ~src ~dst;
-           t.net <- Network.flush_channel t.net ~src ~dst)
+           Network.flush_channel t.net ~src ~dst)
          (Faults.select_chans ~n:t.cfg.n chan);
        Metrics.note_flushed t.metrics !flushed
      | Mutate_state { proc; f } ->
@@ -531,19 +524,18 @@ module Make (N : NODE) = struct
          (Faults.select_procs ~n:t.cfg.n proc)
      | Split { groups; from_t = _; until_t; mode } ->
        t.net_faults_seen <- true;
-       t.net <- Network.advance t.net ~now:t.time;
+       Network.advance t.net ~now:t.time;
        let mode =
          match mode with Faults.Lossy -> `Lossy | Faults.Buffered -> `Buffered
        in
-       let net, lost =
+       let lost =
          Network.apply_split t.net ~until:until_t ~mode
            ~pairs:(Faults.cross_pairs ~n:t.cfg.n groups)
        in
-       t.net <- net;
        if lost > 0 then Metrics.note_dropped t.metrics lost
      | Delay { chan; dist } ->
        t.net_faults_seen <- true;
-       t.net <- Network.advance t.net ~now:t.time;
+       Network.advance t.net ~now:t.time;
        List.iter
          (fun (src, dst) ->
            Hashtbl.replace t.delay_dists ((src * t.cfg.n) + dst) dist)
@@ -578,7 +570,7 @@ module Make (N : NODE) = struct
       (* staged messages become deliverable at a later step, so they
          are pending moves even though no channel is live yet *)
       if t.net_faults_seen then begin
-        t.net <- Network.advance t.net ~now:t.time;
+        Network.advance t.net ~now:t.time;
         Network.waiting_count t.net = 0
       end
       else true
@@ -587,23 +579,30 @@ module Make (N : NODE) = struct
     let d, i = refresh_moves t in
     d + i = 0
 
-  let run ?(plan = []) ~steps t =
-    let plan = ref plan in
-    for _ = 1 to steps do
+  (* [Faults.due] rebuilds the remaining plan, and window faults lower to
+     one event per step, so it runs only once the plan's earliest
+     pending time [next] has come. *)
+  let fire_due t plan next =
+    if t.time >= !next then begin
       let fired, rest = Faults.due !plan t.time in
       plan := rest;
-      List.iter (apply_fault t) fired;
+      next := Faults.first_time rest;
+      List.iter (apply_fault t) fired
+    end
+
+  let run ?(plan = []) ~steps t =
+    let next = ref (Faults.first_time plan) and plan = ref plan in
+    for _ = 1 to steps do
+      fire_due t plan next;
       ignore (step t)
     done
 
   let run_until ?(plan = []) ~max_steps ~stop t =
-    let plan = ref plan in
+    let next = ref (Faults.first_time plan) and plan = ref plan in
     let rec go remaining =
       if remaining <= 0 then None
       else begin
-        let fired, rest = Faults.due !plan t.time in
-        plan := rest;
-        List.iter (apply_fault t) fired;
+        fire_due t plan next;
         if !plan = [] && stop t then Some t.time
         else begin
           ignore (step t);

@@ -55,8 +55,8 @@ module Make (N : NODE) : sig
     record : bool;  (** keep a full trace (costs memory) *)
     indexed : bool;
         (** maintain incremental move indexes (a Fenwick tree of
-            per-process action counts and the network's rank/select
-            live set) so each step costs O(log n) instead of a full
+            per-process action counts and the network's live-channel
+            index) so each step costs O(log n) instead of a full
             O(n + channels) rescan — the default.  [false] keeps the
             original scanning scheduler; both consume the RNG
             identically, so schedules are seed-for-seed bit-identical
@@ -81,6 +81,9 @@ module Make (N : NODE) : sig
   (** [states t] is a copy; mutating it does not affect the engine. *)
 
   val network : t -> N.msg Network.t
+  (** [network t] is the engine's network itself, not a copy: read it,
+      and mutate it only through {!apply_fault}. *)
+
   val metrics : t -> Metrics.t
   val trace : t -> (N.state, N.msg) Trace.t
   (** [trace t] is the chronological trace (empty unless
@@ -121,8 +124,6 @@ module Make (N : NODE) : sig
 
   val set_state : t -> Pid.t -> N.state -> unit
   (** Direct state override — exposed for tests and custom faults. *)
-
-  val set_network : t -> N.msg Network.t -> unit
 
   val step : t -> (N.state, N.msg) Trace.event
   (** [step t] executes one scheduler move (or records [Stutter] when

@@ -54,6 +54,8 @@ let due plan t =
   let fired, rest = List.partition (fun e -> e.at <= t) plan in
   (List.map (fun e -> e.kind) fired, rest)
 
+let first_time plan = List.fold_left (fun acc e -> min acc e.at) max_int plan
+
 let last_time = function
   | [] -> -1
   | plan -> List.fold_left (fun acc e -> max acc e.at) min_int plan

@@ -113,6 +113,10 @@ val due : ('s, 'm) plan -> int -> ('s, 'm) kind list * ('s, 'm) plan
 (** [due plan t] splits off the kinds scheduled at time [<= t]
     (in schedule order) from the remainder of the plan. *)
 
+val first_time : ('s, 'm) plan -> int
+(** [first_time plan] is the earliest scheduled time, [max_int] for the
+    empty plan: {!due} fires nothing before it. *)
+
 val last_time : ('s, 'm) plan -> int
 (** [last_time plan] is the latest scheduled time, [-1] for the empty
     plan — convergence is measured from this point on. *)

@@ -1,123 +1,153 @@
 open Stdext
 module Imap = Map.Make (Int)
 
-(* Channels live in a sparse persistent map (absent key = empty
+(* Channel contents live in a sparse persistent map (absent key = empty
    channel), so memory and [create] are O(occupied channels) instead of
-   O(n^2), and incremental indexes ride along with every version: the
-   set of channels with a deliverable head in a rank/select set
-   ({!Stdext.Oset}) — so [nonempty] enumerates live channels, the
-   scheduler's delivery draw is [nth_live] in O(log n), and a
-   destination-major mirror answers per-destination shard counts
-   ([live_into]) for crash bookkeeping — plus the set of channels whose
-   head is staged for a later step ([waiting]) and the total
-   queued-message count, making [in_flight]/[is_empty] O(1).  All are
-   pure fields of the version, so persistence is preserved: an old [t]
-   still answers for its own contents.
+   O(n^2), and a trace snapshot captures the current contents by keeping
+   the map value — O(1), whatever happens to the network afterwards.
+
+   The index over those contents is ephemeral, updated in place:
+   - [live_src], a Fenwick tree over sources counting each source's
+     channels with a deliverable head, and [rows], a per-source bitset
+     of those channels' destinations.  The k-th live channel in
+     (src, dst) order is a Fenwick select for the source plus an
+     in-row select for the destination — O(log n + n/62), the
+     scheduler's delivery draw;
+   - [live_dst], the same channels counted per destination, so the
+     crash bookkeeping's inbound counts are array reads;
+   - [waiting], the channels whose head is staged for a later step;
+   - [msgs], the total queued-message count.
+   A send or a delivery therefore allocates only its queue cell and the
+   map path; the index costs a few array writes.
 
    Every message carries a ready step.  Plain sends stamp [now], so on
    fault-free runs [waiting] stays empty, heads are always ready, and
-   every operation behaves (and costs) exactly as the unstaged network
-   did.  Link delays stamp [now + delay]; a Buffered partition mask
-   restamps to the heal time.  A channel is in exactly one of [live]
-   (nonempty, head ready at [now]) or [waiting] (nonempty, head staged
-   for later); [advance] promotes waiting channels as [now] grows.
-   FIFO is per channel and readiness is monotone in queue position only
-   per send order — delivery always pops the head, so a delayed head
-   also delays everything behind it, preserving FIFO exactly. *)
+   the staging layer is invisible.  Link delays stamp [now + delay]; a
+   Buffered partition mask restamps to the heal time.  A nonempty
+   channel is in exactly one of the live index (head ready at [now]) or
+   [waiting] (head staged for later); [advance] promotes waiting
+   channels as [now] grows.  Delivery always pops the head, so a
+   delayed head also delays everything behind it, preserving FIFO
+   exactly. *)
 type 'm t = {
   n : int;
-  now : int; (* last [advance] step; readiness is judged against it *)
-  chans : ('m * int) Fqueue.t Imap.t;
+  mutable now : int; (* last [advance] step; readiness is judged against it *)
+  mutable chans : ('m * int) Fqueue.t Imap.t;
       (* (payload, ready step), keyed src * n + dst; absent = empty *)
-  live : Oset.t; (* src-major: channels whose head is deliverable now *)
-  live_dst : Oset.t;
-      (* the same channels keyed dst * n + src: contiguous key ranges
-         are destination shards, so inbound counts and enumeration are
-         rank queries instead of scans *)
-  waiting : Oset.t; (* src-major: nonempty channels, head not ready yet *)
-  msgs : int; (* total queued messages, ready or not *)
-  blocked : (int * [ `Lossy | `Buffered ]) Imap.t;
+  live_src : Fenwick.t; (* per source: channels with a deliverable head *)
+  rows : int array array;
+      (* per source: bitset over destinations of those channels, [bits]
+         to a word; [[||]] until the source first has a live channel *)
+  live_dst : int array; (* per destination: channels with a deliverable head *)
+  mutable waiting : unit Imap.t;
+      (* src-major: nonempty channels whose head is not ready yet *)
+  mutable msgs : int; (* total queued messages, ready or not *)
+  mutable blocked : (int * [ `Lossy | `Buffered ]) Imap.t;
       (* partition mask: channel index -> (heal step, mode); consulted
          on [send] and pruned lazily by [advance] *)
 }
+
+(* 62 bits a word keeps every word non-negative, so the bit tricks
+   below need no sign handling. *)
+let bits = 62
+
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
+
+(* index of the single set bit of [b] *)
+let bit_index b =
+  let i = ref 0 and b = ref b in
+  if !b land 0xFFFFFFFF = 0 then begin b := !b lsr 32; i := 32 end;
+  if !b land 0xFFFF = 0 then begin b := !b lsr 16; i := !i + 16 end;
+  if !b land 0xFF = 0 then begin b := !b lsr 8; i := !i + 8 end;
+  if !b land 0xF = 0 then begin b := !b lsr 4; i := !i + 4 end;
+  if !b land 0x3 = 0 then begin b := !b lsr 2; i := !i + 2 end;
+  if !b land 0x1 = 0 then !i + 1 else !i
 
 let idx t ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Network: pid out of range";
   (src * t.n) + dst
 
-(* dst-major mirror key of a src-major channel index *)
-let mirror t i = ((i mod t.n) * t.n) + (i / t.n)
-
 let create ~n =
   if n <= 0 then invalid_arg "Network.create: need n > 0";
   { n;
     now = 0;
     chans = Imap.empty;
-    live = Oset.empty;
-    live_dst = Oset.empty;
-    waiting = Oset.empty;
+    live_src = Fenwick.create n;
+    rows = Array.make n [||];
+    live_dst = Array.make n 0;
+    waiting = Imap.empty;
     msgs = 0;
     blocked = Imap.empty }
-
-let size t = t.n
 
 let chan t i =
   match Imap.find_opt i t.chans with Some q -> q | None -> Fqueue.empty
 
+let set_live t ~src ~dst =
+  let row =
+    match t.rows.(src) with
+    | [||] ->
+      let row = Array.make (((t.n - 1) / bits) + 1) 0 in
+      t.rows.(src) <- row;
+      row
+    | row -> row
+  in
+  let w = dst / bits in
+  row.(w) <- row.(w) lor (1 lsl (dst mod bits));
+  Fenwick.add t.live_src src 1;
+  t.live_dst.(dst) <- t.live_dst.(dst) + 1
+
+let clear_live t ~src ~dst =
+  let row = t.rows.(src) and w = dst / bits in
+  row.(w) <- row.(w) land lnot (1 lsl (dst mod bits));
+  Fenwick.add t.live_src src (-1);
+  t.live_dst.(dst) <- t.live_dst.(dst) - 1
+
+type status = Empty | Live | Waiting
+
 let status t q =
   match Fqueue.peek q with
-  | None -> `Empty
-  | Some (_, ready) -> if ready <= t.now then `Live else `Waiting
+  | None -> Empty
+  | Some (_, ready) -> if ready <= t.now then Live else Waiting
 
-let update t i q =
+(* Replace channel [i]'s queue wholesale, moving the channel between
+   the index's classes as its head demands — the fault primitives' path
+   ([send] and [deliver] take cheaper special cases). *)
+let set_chan t i q =
   let old = chan t i in
-  let olds = status t old and news = status t q in
-  let live, live_dst, waiting =
-    if olds = news then (t.live, t.live_dst, t.waiting)
-    else begin
-      let live, live_dst, waiting =
-        match olds with
-        | `Live -> (Oset.remove i t.live, Oset.remove (mirror t i) t.live_dst, t.waiting)
-        | `Waiting -> (t.live, t.live_dst, Oset.remove i t.waiting)
-        | `Empty -> (t.live, t.live_dst, t.waiting)
-      in
-      match news with
-      | `Live -> (Oset.add i live, Oset.add (mirror t i) live_dst, waiting)
-      | `Waiting -> (live, live_dst, Oset.add i waiting)
-      | `Empty -> (live, live_dst, waiting)
-    end
-  in
-  { t with
-    chans =
-      (if Fqueue.is_empty q then Imap.remove i t.chans else Imap.add i q t.chans);
-    live;
-    live_dst;
-    waiting;
-    msgs = t.msgs - Fqueue.length old + Fqueue.length q }
+  let before = status t old and after = status t q in
+  t.msgs <- t.msgs - Fqueue.length old + Fqueue.length q;
+  t.chans <-
+    (if Fqueue.is_empty q then Imap.remove i t.chans else Imap.add i q t.chans);
+  if before <> after then begin
+    let src = i / t.n and dst = i mod t.n in
+    (match before with
+     | Live -> clear_live t ~src ~dst
+     | Waiting -> t.waiting <- Imap.remove i t.waiting
+     | Empty -> ());
+    match after with
+    | Live -> set_live t ~src ~dst
+    | Waiting -> t.waiting <- Imap.add i () t.waiting
+    | Empty -> ()
+  end
 
 let advance t ~now =
-  if now <= t.now then t
-  else begin
-    let t = { t with now } in
-    let t =
-      if Imap.is_empty t.blocked then t
-      else
-        { t with
-          blocked = Imap.filter (fun _ (until, _) -> until > now) t.blocked }
-    in
-    if Oset.is_empty t.waiting then t
-    else
-      Oset.fold
-        (fun i t ->
-          match Fqueue.peek (chan t i) with
-          | Some (_, ready) when ready <= now ->
-            { t with
-              live = Oset.add i t.live;
-              live_dst = Oset.add (mirror t i) t.live_dst;
-              waiting = Oset.remove i t.waiting }
-          | _ -> t)
-        t.waiting t
+  if now > t.now then begin
+    t.now <- now;
+    if not (Imap.is_empty t.blocked) then
+      t.blocked <- Imap.filter (fun _ (until, _) -> until > now) t.blocked;
+    Imap.iter
+      (fun i () ->
+        match Fqueue.peek (chan t i) with
+        | Some (_, ready) when ready <= now ->
+          t.waiting <- Imap.remove i t.waiting;
+          set_live t ~src:(i / t.n) ~dst:(i mod t.n)
+        | _ -> ())
+      t.waiting
   end
 
 let link_status t ~src ~dst =
@@ -142,144 +172,176 @@ let send ?delay t ~src ~dst m =
       | Some (until, `Buffered) when until > t.now -> max ready until
       | _ -> ready
   in
-  update t i (Fqueue.push (m, ready) (chan t i))
+  t.msgs <- t.msgs + 1;
+  match Imap.find_opt i t.chans with
+  | Some q ->
+    (* the head, and with it the channel's class, is unchanged *)
+    t.chans <- Imap.add i (Fqueue.push (m, ready) q) t.chans
+  | None ->
+    t.chans <- Imap.add i (Fqueue.push (m, ready) Fqueue.empty) t.chans;
+    if ready <= t.now then set_live t ~src ~dst
+    else t.waiting <- Imap.add i () t.waiting
 
 let deliver t ~src ~dst =
   let i = idx t ~src ~dst in
-  match Fqueue.pop (chan t i) with
-  | Some ((m, ready), q) when ready <= t.now -> Some (m, update t i q)
+  match Option.bind (Imap.find_opt i t.chans) Fqueue.pop with
+  | Some ((m, ready), q) when ready <= t.now ->
+    (* a ready head means the channel was live *)
+    t.msgs <- t.msgs - 1;
+    if Fqueue.is_empty q then begin
+      t.chans <- Imap.remove i t.chans;
+      clear_live t ~src ~dst
+    end
+    else begin
+      t.chans <- Imap.add i q t.chans;
+      match Fqueue.peek q with
+      | Some (_, next) when next > t.now ->
+        clear_live t ~src ~dst;
+        t.waiting <- Imap.add i () t.waiting
+      | _ -> ()
+    end;
+    Some m
   | _ -> None (* empty, or head staged for a later step *)
-
-let peek t ~src ~dst = Option.map fst (Fqueue.peek (chan t (idx t ~src ~dst)))
 
 let contents t ~src ~dst =
   List.map fst (Fqueue.to_list (chan t (idx t ~src ~dst)))
 
 let channel_length t ~src ~dst = Fqueue.length (chan t (idx t ~src ~dst))
 
-(* [Oset] iterates ascending, and src-major index order is (src, dst)
-   lexicographic order — the order the scheduler has always seen. *)
-let nonempty t =
-  List.map (fun i -> (i / t.n, i mod t.n)) (Oset.elements t.live)
-
+(* Ascending sources, each with its live destinations ascending:
+   (src, dst) lexicographic order — the order the scheduler has always
+   seen. *)
 let fold_nonempty f acc t =
-  Oset.fold (fun i acc -> f acc ~src:(i / t.n) ~dst:(i mod t.n)) t.live acc
+  let acc = ref acc in
+  for src = 0 to t.n - 1 do
+    if Fenwick.get t.live_src src > 0 then begin
+      let row = t.rows.(src) in
+      for w = 0 to Array.length row - 1 do
+        let x = ref row.(w) in
+        while !x <> 0 do
+          let low = !x land - !x in
+          acc := f !acc ~src ~dst:((w * bits) + bit_index low);
+          x := !x lxor low
+        done
+      done
+    end
+  done;
+  !acc
+
+let nonempty t =
+  List.rev (fold_nonempty (fun acc ~src ~dst -> (src, dst) :: acc) [] t)
+
+let live_count t = Fenwick.total t.live_src
 
 let nth_live t k =
-  let i = Oset.nth t.live k in
-  (i / t.n, i mod t.n)
+  if k < 0 || k >= live_count t then
+    invalid_arg "Network.nth_live: rank out of range";
+  let src = Fenwick.select t.live_src k in
+  let row = t.rows.(src) in
+  let rec go w r =
+    let c = popcount row.(w) in
+    if r >= c then go (w + 1) (r - c)
+    else begin
+      let x = ref row.(w) in
+      for _ = 1 to r do
+        x := !x land (!x - 1)
+      done;
+      (w * bits) + bit_index (!x land - !x)
+    end
+  in
+  (src, go 0 (k - Fenwick.prefix t.live_src src))
 
-let live_count t = Oset.cardinal t.live
-
-let live_into t ~dst =
-  Oset.count_range t.live_dst ~lo:(dst * t.n) ~hi:((dst * t.n) + t.n)
+let live_into t ~dst = t.live_dst.(dst)
 
 (* Every nonempty channel into [dst], staged heads included — the
-   crash drain's enumeration.  Cost is O(log n + inbound live) plus the
-   (normally empty) waiting set. *)
+   crash drain's enumeration: O(1) when nothing is inbound, else one
+   bit test per source plus the (normally empty) waiting set. *)
 let fold_inbound_nonempty f acc t ~dst =
-  let acc =
-    Oset.fold_range
-      ~lo:(dst * t.n)
-      ~hi:((dst * t.n) + t.n)
-      (fun i acc -> f acc ~src:(i - (dst * t.n)))
-      t.live_dst acc
-  in
-  if Oset.is_empty t.waiting then acc
-  else
-    Oset.fold
-      (fun i acc -> if i mod t.n = dst then f acc ~src:(i / t.n) else acc)
-      t.waiting acc
+  let acc = ref acc in
+  if t.live_dst.(dst) > 0 then begin
+    let w = dst / bits and b = 1 lsl (dst mod bits) in
+    for src = 0 to t.n - 1 do
+      let row = t.rows.(src) in
+      if Array.length row > 0 && row.(w) land b <> 0 then acc := f !acc ~src
+    done
+  end;
+  Imap.fold
+    (fun i () acc -> if i mod t.n = dst then f acc ~src:(i / t.n) else acc)
+    t.waiting !acc
 
-let waiting_count t = Oset.cardinal t.waiting
+let waiting_count t = Imap.cardinal t.waiting
 
 let in_flight t = t.msgs
 
-let is_empty t = t.msgs = 0
-
 let apply_split t ~pairs ~until ~mode =
-  if until <= t.now then (t, 0)
+  if until <= t.now then 0
   else
     List.fold_left
-      (fun (t, dropped) (src, dst) ->
+      (fun dropped (src, dst) ->
         let i = idx t ~src ~dst in
         (* overlapping windows: the heal time only grows, the newest
            injection decides the mode *)
-        let blocked =
+        t.blocked <-
           Imap.update i
             (function
               | Some (u, _) -> Some (max u until, mode)
               | None -> Some (until, mode))
-            t.blocked
-        in
-        let t = { t with blocked } in
+            t.blocked;
+        let q = chan t i in
         match mode with
         | `Lossy ->
-          let lost = channel_length t ~src ~dst in
-          (update t i Fqueue.empty, dropped + lost)
+          set_chan t i Fqueue.empty;
+          dropped + Fqueue.length q
         | `Buffered ->
-          let q =
-            Fqueue.map (fun (m, ready) -> (m, max ready until)) (chan t i)
-          in
-          (update t i q, dropped))
-      (t, 0) pairs
+          set_chan t i (Fqueue.map (fun (m, ready) -> (m, max ready until)) q);
+          dropped)
+      0 pairs
 
 let drop_at t ~src ~dst ~pos =
   let i = idx t ~src ~dst in
   match Fqueue.remove_at pos (chan t i) with
-  | None -> t
-  | Some (_, q) -> update t i q
+  | None -> ()
+  | Some (_, q) -> set_chan t i q
 
 let duplicate_at t ~src ~dst ~pos =
   let i = idx t ~src ~dst in
   match Fqueue.remove_at pos (chan t i) with
-  | None -> t
-  | Some (m, q) -> update t i (Fqueue.insert_at pos m (Fqueue.insert_at pos m q))
+  | None -> ()
+  | Some (m, q) -> set_chan t i (Fqueue.insert_at pos m (Fqueue.insert_at pos m q))
 
 let corrupt_at t ~src ~dst ~pos ~f =
   let i = idx t ~src ~dst in
   match Fqueue.remove_at pos (chan t i) with
-  | None -> t
-  | Some ((m, ready), q) -> update t i (Fqueue.insert_at pos (f m, ready) q)
+  | None -> ()
+  | Some ((m, ready), q) -> set_chan t i (Fqueue.insert_at pos (f m, ready) q)
 
 let reorder_at t ~src ~dst ~pos =
   let i = idx t ~src ~dst in
   match Fqueue.remove_at pos (chan t i) with
-  | None -> t
-  | Some (m, q) -> update t i (Fqueue.push m q)
+  | None -> ()
+  | Some (m, q) -> set_chan t i (Fqueue.push m q)
 
-let flush_channel t ~src ~dst = update t (idx t ~src ~dst) Fqueue.empty
+let flush_channel t ~src ~dst = set_chan t (idx t ~src ~dst) Fqueue.empty
 
-let flush_all t =
-  { t with
-    chans = Imap.empty;
-    live = Oset.empty;
-    live_dst = Oset.empty;
-    waiting = Oset.empty;
-    msgs = 0 }
+let flush_all t = Imap.iter (fun i _ -> set_chan t i Fqueue.empty) t.chans
 
-(* [map] preserves queue lengths and ready stamps, so the indexes
-   carry over. *)
-let map f t =
-  { t with
-    chans =
-      Imap.map (Fqueue.map (fun (m, ready) -> (f m, ready))) t.chans }
-
-(* Folds and snapshots cover every queued message, staged or not —
-   live ∪ waiting is exactly the nonempty channels. *)
-let occupied t = Oset.union t.live t.waiting
-
+(* The content map holds exactly the nonempty channels, staged or not,
+   in (src, dst) order. *)
 let fold_messages f acc t =
-  Oset.fold
-    (fun i acc ->
+  Imap.fold
+    (fun i q acc ->
       let src = i / t.n and dst = i mod t.n in
-      List.fold_left
-        (fun acc (m, _) -> f acc ~src ~dst m)
-        acc
-        (Fqueue.to_list (chan t i)))
-    (occupied t) acc
+      Fqueue.fold (fun acc (m, _) -> f acc ~src ~dst m) acc q)
+    t.chans acc
 
-let snapshot t =
-  List.map
-    (fun i -> (i / t.n, i mod t.n, contents t ~src:(i / t.n) ~dst:(i mod t.n)))
-    (Oset.elements (occupied t))
+let listing n chans =
+  Imap.fold
+    (fun i q acc -> (i / n, i mod n, List.map fst (Fqueue.to_list q)) :: acc)
+    chans []
+  |> List.rev
+
+let snapshot t = listing t.n t.chans
+
+let capture t =
+  let n = t.n and chans = t.chans in
+  lazy (listing n chans)

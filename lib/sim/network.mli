@@ -1,16 +1,21 @@
 (** The interprocess network: one FIFO channel per ordered process
     pair, as demanded by the paper's Communication Spec.
 
-    The structure is persistent so that the engine can snapshot channel
-    contents into traces and so fault injection is a pure
-    transformation.  Internally channels live in a sparse map (absent
-    key = empty channel) indexed by two rank/select sets over channel
-    ids — one source-major, one destination-major — so {!create} and
-    memory are O(occupied channels) rather than O(n{^2}), {!nonempty}
-    is O(live channels), {!nth_live} and {!live_into} are O(log n),
-    and {!in_flight} is O(1).  Fault primitives (drop / duplicate /
-    corrupt / flush / split / delay) are defined here; {e when} they
-    fire is decided by {!Faults}.
+    A network is a mutable handle split in two.  The {e channel
+    contents} are a persistent sparse map of persistent queues (absent
+    key = empty channel), so {!capture} records them for a trace in
+    O(1): later sends, deliveries and faults build new versions and
+    leave a captured one intact.  The {e live-channel index} is
+    ephemeral, updated in place: a Fenwick tree over sources, a
+    per-source destination bitset and per-destination counts, so
+    {!nth_live} is O(log n + n/62), {!live_count} and {!live_into} are
+    O(1), and a send or a delivery allocates only its queue cell and
+    map path.  {!create} and memory are O(n + occupied channels), plus
+    one n/62-word bitset row per source that has had a deliverable
+    channel.  Mutating functions return [unit], so no caller can hold
+    a stale version.  Fault primitives (drop / duplicate / corrupt /
+    flush / split / delay) are defined here; {e when} they fire is
+    decided by {!Faults}.
 
     {b Delivery-ready staging.}  Every message carries a ready step.
     Undelayed sends are ready immediately, so on fault-free runs the
@@ -29,24 +34,20 @@ val create : n:int -> 'm t
 (** [create ~n] is an empty network over processes [0 .. n-1], at time
     0 with no partition mask. *)
 
-val size : 'm t -> int
-(** [size net] is the number of processes. *)
-
-val send : ?delay:int -> 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> 'm t
+val send : ?delay:int -> 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
 (** [send net ~src ~dst m] enqueues [m] at the back of channel
     [src→dst], ready [delay] steps from now (default [0]: deliverable
     immediately).  If the channel is under a [`Buffered] partition
     window, readiness is further deferred to the heal step.  Self-sends
     are allowed but unused by the protocols. *)
 
-val deliver : 'm t -> src:Pid.t -> dst:Pid.t -> ('m * 'm t) option
-(** [deliver net ~src ~dst] dequeues the head of channel [src→dst],
-    or [None] when the channel is empty {e or its head is staged for a
-    later step} — a staged head also shields everything behind it
-    (FIFO).  The scheduler never hits the staged case: it draws from
-    {!nonempty}/{!fold_nonempty}, which only surface ready heads. *)
-
-val peek : 'm t -> src:Pid.t -> dst:Pid.t -> 'm option
+val deliver : 'm t -> src:Pid.t -> dst:Pid.t -> 'm option
+(** [deliver net ~src ~dst] dequeues and returns the head of channel
+    [src→dst], or is [None] (and changes nothing) when the channel is
+    empty {e or its head is staged for a later step} — a staged head
+    also shields everything behind it (FIFO).  The scheduler never hits
+    the staged case: it draws from {!nth_live}/{!fold_nonempty}, which
+    only surface ready heads. *)
 
 val contents : 'm t -> src:Pid.t -> dst:Pid.t -> 'm list
 (** [contents net ~src ~dst] lists channel [src→dst] front-first,
@@ -54,7 +55,7 @@ val contents : 'm t -> src:Pid.t -> dst:Pid.t -> 'm list
 
 val channel_length : 'm t -> src:Pid.t -> dst:Pid.t -> int
 
-val advance : 'm t -> now:int -> 'm t
+val advance : 'm t -> now:int -> unit
 (** [advance net ~now] moves the network clock to [now]: staged
     channels whose head has become ready go live, and partition-mask
     entries whose window has elapsed are retired.  O(1) when nothing
@@ -77,27 +78,29 @@ val fold_nonempty :
   ('acc -> src:Pid.t -> dst:Pid.t -> 'acc) -> 'acc -> 'm t -> 'acc
 (** [fold_nonempty f acc net] folds over the ready channels in the
     same (src, dst) order as {!nonempty}, without materializing the
-    list — the scheduler's per-step path. *)
+    list, in O(n) plus O(n/62) per source with a ready channel.  [f]
+    must not mutate [net]. *)
 
 val nth_live : 'm t -> int -> Pid.t * Pid.t
 (** [nth_live net k] is the [k]-th ready channel in the {!nonempty}
-    order, in O(log n) — the scheduler's delivery draw.
+    order, in O(log n + n/62) — the scheduler's delivery draw.
     @raise Invalid_argument unless [0 <= k < live_count net]. *)
 
 val live_count : 'm t -> int
 (** [live_count net] is the number of ready channels, in O(1). *)
 
 val live_into : 'm t -> dst:Pid.t -> int
-(** [live_into net ~dst] counts ready channels into [dst], in
-    O(log n) — the scheduler subtracts crashed destinations' shards
-    from {!live_count} instead of rescanning. *)
+(** [live_into net ~dst] counts ready channels into [dst], in O(1) —
+    the scheduler subtracts crashed destinations' counts from
+    {!live_count} instead of rescanning. *)
 
 val fold_inbound_nonempty :
   ('acc -> src:Pid.t -> 'acc) -> 'acc -> 'm t -> dst:Pid.t -> 'acc
 (** [fold_inbound_nonempty f acc net ~dst] folds over the sources of
     every nonempty channel into [dst] — staged heads included — in
-    O(log n + inbound) when nothing is staged.  The crash drain's
-    enumeration. *)
+    ascending source order for the ready channels, then for the staged
+    ones.  O(1) when nothing is inbound, O(n) otherwise.  The crash
+    drain's enumeration; [f] must not mutate [net]. *)
 
 val waiting_count : 'm t -> int
 (** [waiting_count net] is the number of nonempty channels whose head
@@ -106,9 +109,7 @@ val waiting_count : 'm t -> int
 
 val in_flight : 'm t -> int
 (** [in_flight net] is the total number of queued messages, staged or
-    not. *)
-
-val is_empty : 'm t -> bool
+    not, in O(1). *)
 
 (** {2 Channel-level fault primitives} *)
 
@@ -117,7 +118,7 @@ val apply_split :
   pairs:(Pid.t * Pid.t) list ->
   until:int ->
   mode:[ `Lossy | `Buffered ] ->
-  'm t * int
+  int
 (** [apply_split net ~pairs ~until ~mode] masks each channel in
     [pairs] as down until step [until].  [`Lossy] also flushes the
     in-flight messages on those channels (the count flushed is
@@ -126,32 +127,30 @@ val apply_split :
     newest injection decides the mode.  A window already in the past
     is a no-op. *)
 
-val drop_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> 'm t
+val drop_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> unit
 (** [drop_at net ~src ~dst ~pos] loses the message at front-first
     position [pos]; no-op when out of range. *)
 
-val duplicate_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> 'm t
+val duplicate_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> unit
 (** [duplicate_at net ~src ~dst ~pos] duplicates the message at [pos]
     in place (the copy sits immediately behind the original). *)
 
-val corrupt_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> f:('m -> 'm) -> 'm t
+val corrupt_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> f:('m -> 'm) -> unit
 (** [corrupt_at net ~src ~dst ~pos ~f] replaces the message at [pos]
     with [f msg] (readiness unchanged); no-op when out of range. *)
 
-val reorder_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> 'm t
+val reorder_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> unit
 (** [reorder_at net ~src ~dst ~pos] moves the message at [pos] to the
     back of its channel — a FIFO violation fault (the wrapper is only
     guaranteed to stabilize once FIFO behaviour resumes, which this
     transient fault permits). *)
 
-val flush_channel : 'm t -> src:Pid.t -> dst:Pid.t -> 'm t
+val flush_channel : 'm t -> src:Pid.t -> dst:Pid.t -> unit
 (** [flush_channel net ~src ~dst] empties channel [src→dst]. *)
 
-val flush_all : 'm t -> 'm t
+val flush_all : 'm t -> unit
 
-val map : ('m -> 'm) -> 'm t -> 'm t
-(** [map f net] transforms every queued message (readiness stamps are
-    preserved). *)
+(** {2 Contents} *)
 
 val fold_messages :
   ('acc -> src:Pid.t -> dst:Pid.t -> 'm -> 'acc) -> 'acc -> 'm t -> 'acc
@@ -160,4 +159,11 @@ val fold_messages :
 
 val snapshot : 'm t -> (Pid.t * Pid.t * 'm list) list
 (** [snapshot net] lists every nonempty channel with its contents,
-    staged messages included — the trace representation. *)
+    staged messages included, in (src, dst) order — the trace
+    representation. *)
+
+val capture : 'm t -> (Pid.t * Pid.t * 'm list) list Lazy.t
+(** [capture net] is {!snapshot} of the contents as they are now,
+    computed on first force: O(1) to take, and unaffected by anything
+    done to [net] afterwards — how the engine records trace
+    snapshots. *)

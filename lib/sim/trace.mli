@@ -18,8 +18,8 @@ type ('s, 'm) snapshot = {
   event : ('s, 'm) event;
   states : 's array;
   channels : (Pid.t * Pid.t * 'm list) list Lazy.t;
-      (** materialized on first access: the engine's channel matrix is
-          a persistent structure, so recording a snapshot is O(1) and
+      (** materialized on first access: the engine's channel contents
+          are a persistent map, so recording a snapshot is O(1) and
           the per-channel lists are built only for analyses that read
           them (memoized thereafter) *)
 }

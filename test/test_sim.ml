@@ -17,88 +17,90 @@ let test_pid_range_others () =
 (* ------------------------------------------------------------------ *)
 (* Network                                                             *)
 
+(* [of_sends n sends] is a fresh network holding [sends], in order. *)
+let of_sends n sends =
+  let net = Network.create ~n in
+  List.iter (fun (src, dst, m) -> Network.send net ~src ~dst m) sends;
+  net
+
 let test_net_send_deliver_fifo () =
-  let net = Network.create ~n:3 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:0 ~dst:1 "b" in
+  let net = of_sends 3 [ (0, 1, "a"); (0, 1, "b") ] in
   Alcotest.(check (list string)) "contents" [ "a"; "b" ]
     (Network.contents net ~src:0 ~dst:1);
-  match Network.deliver net ~src:0 ~dst:1 with
-  | Some ("a", net') ->
-    Alcotest.(check (list string)) "rest" [ "b" ]
-      (Network.contents net' ~src:0 ~dst:1)
-  | _ -> Alcotest.fail "expected head a"
+  Alcotest.(check (option string)) "head" (Some "a")
+    (Network.deliver net ~src:0 ~dst:1);
+  Alcotest.(check (list string)) "rest" [ "b" ]
+    (Network.contents net ~src:0 ~dst:1)
 
 let test_net_deliver_empty () =
   let net = Network.create ~n:2 in
   Alcotest.(check bool) "none" true (Network.deliver net ~src:0 ~dst:1 = None)
 
-let test_net_persistence () =
-  let net0 = Network.create ~n:2 in
-  let net1 = Network.send net0 ~src:0 ~dst:1 "x" in
-  Alcotest.(check int) "original untouched" 0 (Network.in_flight net0);
-  Alcotest.(check int) "new has message" 1 (Network.in_flight net1)
+(* What recorded traces rely on: a capture keeps the channel contents
+   of the moment it was taken, whatever happens to the network later. *)
+let test_net_capture_survives_mutation () =
+  let net = of_sends 3 [ (0, 1, "a"); (0, 1, "b"); (2, 0, "c") ] in
+  let before = Network.snapshot net in
+  let captured = Network.capture net in
+  Network.send net ~src:1 ~dst:2 "d";
+  ignore (Network.deliver net ~src:0 ~dst:1);
+  Network.duplicate_at net ~src:0 ~dst:1 ~pos:0;
+  Network.drop_at net ~src:2 ~dst:0 ~pos:0;
+  Network.flush_channel net ~src:1 ~dst:2;
+  Alcotest.(check (list (triple int int (list string)))) "mutated"
+    [ (0, 1, [ "b"; "b" ]) ]
+    (Network.snapshot net);
+  Network.flush_all net;
+  Alcotest.(check (list (triple int int (list string)))) "capture intact"
+    before (Lazy.force captured)
 
 let test_net_nonempty () =
-  let net = Network.create ~n:3 in
-  let net = Network.send net ~src:2 ~dst:0 "m" in
-  let net = Network.send net ~src:0 ~dst:1 "m" in
+  let net = of_sends 3 [ (2, 0, "m"); (0, 1, "m") ] in
   Alcotest.(check (list (pair int int))) "sorted channels" [ (0, 1); (2, 0) ]
     (Network.nonempty net)
 
 let test_net_drop_at () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:0 ~dst:1 "b" in
-  let net = Network.drop_at net ~src:0 ~dst:1 ~pos:0 in
+  let net = of_sends 2 [ (0, 1, "a"); (0, 1, "b") ] in
+  Network.drop_at net ~src:0 ~dst:1 ~pos:0;
   Alcotest.(check (list string)) "dropped head" [ "b" ]
     (Network.contents net ~src:0 ~dst:1);
-  let same = Network.drop_at net ~src:0 ~dst:1 ~pos:9 in
+  Network.drop_at net ~src:0 ~dst:1 ~pos:9;
   Alcotest.(check (list string)) "out of range noop" [ "b" ]
-    (Network.contents same ~src:0 ~dst:1)
+    (Network.contents net ~src:0 ~dst:1)
 
 let test_net_duplicate_at () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:0 ~dst:1 "b" in
-  let net = Network.duplicate_at net ~src:0 ~dst:1 ~pos:0 in
+  let net = of_sends 2 [ (0, 1, "a"); (0, 1, "b") ] in
+  Network.duplicate_at net ~src:0 ~dst:1 ~pos:0;
   Alcotest.(check (list string)) "duplicated in place" [ "a"; "a"; "b" ]
     (Network.contents net ~src:0 ~dst:1)
 
 let test_net_corrupt_at () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.corrupt_at net ~src:0 ~dst:1 ~pos:0 ~f:String.uppercase_ascii in
+  let net = of_sends 2 [ (0, 1, "a") ] in
+  Network.corrupt_at net ~src:0 ~dst:1 ~pos:0 ~f:String.uppercase_ascii;
   Alcotest.(check (list string)) "corrupted" [ "A" ]
     (Network.contents net ~src:0 ~dst:1)
 
 let test_net_reorder_at () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:0 ~dst:1 "b" in
-  let net = Network.send net ~src:0 ~dst:1 "c" in
-  let net = Network.reorder_at net ~src:0 ~dst:1 ~pos:0 in
+  let net = of_sends 2 [ (0, 1, "a"); (0, 1, "b"); (0, 1, "c") ] in
+  Network.reorder_at net ~src:0 ~dst:1 ~pos:0;
   Alcotest.(check (list string)) "moved to back" [ "b"; "c"; "a" ]
     (Network.contents net ~src:0 ~dst:1);
-  let same = Network.reorder_at net ~src:0 ~dst:1 ~pos:7 in
+  Network.reorder_at net ~src:0 ~dst:1 ~pos:7;
   Alcotest.(check (list string)) "out of range noop" [ "b"; "c"; "a" ]
-    (Network.contents same ~src:0 ~dst:1);
-  let same = Network.reorder_at net ~src:1 ~dst:0 ~pos:0 in
+    (Network.contents net ~src:0 ~dst:1);
+  Network.reorder_at net ~src:1 ~dst:0 ~pos:0;
   Alcotest.(check (list string)) "empty channel noop" []
-    (Network.contents same ~src:1 ~dst:0)
+    (Network.contents net ~src:1 ~dst:0)
 
 let test_net_flush () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:1 ~dst:0 "b" in
-  let net' = Network.flush_channel net ~src:0 ~dst:1 in
-  Alcotest.(check int) "one channel flushed" 1 (Network.in_flight net');
-  Alcotest.(check int) "flush all" 0 (Network.in_flight (Network.flush_all net))
+  let net = of_sends 2 [ (0, 1, "a"); (1, 0, "b") ] in
+  Network.flush_channel net ~src:0 ~dst:1;
+  Alcotest.(check int) "one channel flushed" 1 (Network.in_flight net);
+  Network.flush_all net;
+  Alcotest.(check int) "flush all" 0 (Network.in_flight net)
 
 let test_net_snapshot_and_fold () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:0 ~dst:1 "b" in
+  let net = of_sends 2 [ (0, 1, "a"); (0, 1, "b") ] in
   Alcotest.(check (list (triple int int (list string)))) "snapshot"
     [ (0, 1, [ "a"; "b" ]) ]
     (Network.snapshot net);
@@ -108,12 +110,13 @@ let test_net_snapshot_and_fold () =
 let test_net_pid_bounds () =
   let net = Network.create ~n:2 in
   Alcotest.check_raises "bad pid" (Invalid_argument "Network: pid out of range")
-    (fun () -> ignore (Network.send net ~src:0 ~dst:5 "x"))
+    (fun () -> Network.send net ~src:0 ~dst:5 "x")
 
 (* --- delivery-ready staging (delays and partitions) --------------- *)
 
 let test_net_send_delay_staged () =
-  let net = Network.send (Network.create ~n:2) ~delay:3 ~src:0 ~dst:1 "a" in
+  let net = Network.create ~n:2 in
+  Network.send net ~delay:3 ~src:0 ~dst:1 "a";
   Alcotest.(check int) "in flight" 1 (Network.in_flight net);
   Alcotest.(check int) "staged, not live" 1 (Network.waiting_count net);
   Alcotest.(check int) "live count" 0 (Network.live_count net);
@@ -123,43 +126,40 @@ let test_net_send_delay_staged () =
     (Network.deliver net ~src:0 ~dst:1 = None);
   Alcotest.(check (list string)) "contents still shows it" [ "a" ]
     (Network.contents net ~src:0 ~dst:1);
-  let net = Network.advance net ~now:3 in
+  Network.advance net ~now:3;
   Alcotest.(check (list (pair int int))) "ready at its step" [ (0, 1) ]
     (Network.nonempty net);
   Alcotest.(check int) "no longer waiting" 0 (Network.waiting_count net);
-  match Network.deliver net ~src:0 ~dst:1 with
-  | Some ("a", _) -> ()
-  | _ -> Alcotest.fail "expected a deliverable head after advance"
+  Alcotest.(check (option string)) "deliverable head after advance" (Some "a")
+    (Network.deliver net ~src:0 ~dst:1)
 
 let test_net_advance_monotone () =
-  let net = Network.send (Network.create ~n:2) ~delay:10 ~src:0 ~dst:1 "a" in
-  let net = Network.advance net ~now:5 in
+  let net = Network.create ~n:2 in
+  Network.send net ~delay:10 ~src:0 ~dst:1 "a";
+  Network.advance net ~now:5;
   Alcotest.(check int) "still staged at 5" 1 (Network.waiting_count net);
   (* a stale (smaller) clock is ignored, not applied *)
-  let net = Network.advance net ~now:2 in
-  let net = Network.advance net ~now:10 in
+  Network.advance net ~now:2;
+  Network.advance net ~now:10;
   Alcotest.(check int) "live at 10" 1 (Network.live_count net)
 
 let test_net_delay_preserves_fifo () =
   (* a delayed head blocks the whole channel: delays stage readiness,
      they never reorder *)
   let net = Network.create ~n:2 in
-  let net = Network.send net ~delay:5 ~src:0 ~dst:1 "slow" in
-  let net = Network.send net ~src:0 ~dst:1 "fast" in
+  Network.send net ~delay:5 ~src:0 ~dst:1 "slow";
+  Network.send net ~src:0 ~dst:1 "fast";
   Alcotest.(check bool) "later send cannot overtake" true
     (Network.deliver net ~src:0 ~dst:1 = None);
-  let net = Network.advance net ~now:5 in
-  match Network.deliver net ~src:0 ~dst:1 with
-  | Some ("slow", net') ->
-    Alcotest.(check (list string)) "order intact" [ "fast" ]
-      (Network.contents net' ~src:0 ~dst:1)
-  | _ -> Alcotest.fail "expected the delayed head first"
+  Network.advance net ~now:5;
+  Alcotest.(check (option string)) "the delayed head first" (Some "slow")
+    (Network.deliver net ~src:0 ~dst:1);
+  Alcotest.(check (list string)) "order intact" [ "fast" ]
+    (Network.contents net ~src:0 ~dst:1)
 
 let test_net_apply_split_lossy () =
-  let net = Network.create ~n:2 in
-  let net = Network.send net ~src:0 ~dst:1 "a" in
-  let net = Network.send net ~src:1 ~dst:0 "b" in
-  let net, dropped =
+  let net = of_sends 2 [ (0, 1, "a"); (1, 0, "b") ] in
+  let dropped =
     Network.apply_split net ~pairs:[ (0, 1) ] ~until:10 ~mode:`Lossy
   in
   Alcotest.(check int) "in-flight flushed" 1 dropped;
@@ -174,14 +174,14 @@ let test_net_apply_split_lossy () =
    | `Open -> ()
    | _ -> Alcotest.fail "expected `Open");
   (* the mask expires with the clock *)
-  let net = Network.advance net ~now:10 in
+  Network.advance net ~now:10;
   match Network.link_status net ~src:0 ~dst:1 with
   | `Open -> ()
   | _ -> Alcotest.fail "mask must expire at the heal step"
 
 let test_net_apply_split_buffered () =
-  let net = Network.send (Network.create ~n:2) ~src:0 ~dst:1 "a" in
-  let net, dropped =
+  let net = of_sends 2 [ (0, 1, "a") ] in
+  let dropped =
     Network.apply_split net ~pairs:[ (0, 1) ] ~until:10 ~mode:`Buffered
   in
   Alcotest.(check int) "nothing lost" 0 dropped;
@@ -189,8 +189,8 @@ let test_net_apply_split_buffered () =
   Alcotest.(check bool) "held through the window" true
     (Network.deliver net ~src:0 ~dst:1 = None);
   (* sends into the masked window are accepted but deferred too *)
-  let net = Network.send net ~src:0 ~dst:1 "b" in
-  let net = Network.advance net ~now:10 in
+  Network.send net ~src:0 ~dst:1 "b";
+  Network.advance net ~now:10;
   Alcotest.(check (list string)) "flood arrives in order after heal"
     [ "a"; "b" ]
     (Network.contents net ~src:0 ~dst:1);
@@ -198,19 +198,15 @@ let test_net_apply_split_buffered () =
 
 let test_net_split_overlap_and_past () =
   let net = Network.create ~n:2 in
-  let net, _ =
-    Network.apply_split net ~pairs:[ (0, 1) ] ~until:10 ~mode:`Buffered
-  in
+  ignore (Network.apply_split net ~pairs:[ (0, 1) ] ~until:10 ~mode:`Buffered);
   (* overlapping window: latest heal step wins, newest mode wins *)
-  let net, _ =
-    Network.apply_split net ~pairs:[ (0, 1) ] ~until:5 ~mode:`Lossy
-  in
+  ignore (Network.apply_split net ~pairs:[ (0, 1) ] ~until:5 ~mode:`Lossy);
   (match Network.link_status net ~src:0 ~dst:1 with
    | `Lossy 10 -> ()
    | _ -> Alcotest.fail "expected `Lossy 10 (max heal, newest mode)");
   (* a window already in the past is a no-op *)
-  let net = Network.advance net ~now:20 in
-  let net, dropped =
+  Network.advance net ~now:20;
+  let dropped =
     Network.apply_split net ~pairs:[ (0, 1) ] ~until:20 ~mode:`Lossy
   in
   Alcotest.(check int) "past window drops nothing" 0 dropped;
@@ -219,29 +215,243 @@ let test_net_split_overlap_and_past () =
   | _ -> Alcotest.fail "past window must not mask"
 
 let test_net_staged_visible_to_snapshot () =
-  let net = Network.send (Network.create ~n:2) ~delay:4 ~src:0 ~dst:1 "a" in
+  let net = Network.create ~n:2 in
+  Network.send net ~delay:4 ~src:0 ~dst:1 "a";
   Alcotest.(check (list (triple int int (list string)))) "snapshot sees staged"
     [ (0, 1, [ "a" ]) ]
     (Network.snapshot net);
   Alcotest.(check int) "fold sees staged" 1
     (Network.fold_messages (fun acc ~src:_ ~dst:_ _ -> acc + 1) 0 net);
+  Network.corrupt_at net ~src:0 ~dst:1 ~pos:0 ~f:String.uppercase_ascii;
   Alcotest.(check int) "corrupt keeps the stamp staged" 1
-    (Network.waiting_count
-       (Network.corrupt_at net ~src:0 ~dst:1 ~pos:0 ~f:String.uppercase_ascii))
+    (Network.waiting_count net)
 
-let prop_net_fifo_random_ops =
-  qtest "sends then delivers preserve order" QCheck2.Gen.(list small_int)
-    (fun xs ->
-      let net =
-        List.fold_left (fun net x -> Network.send net ~src:0 ~dst:1 x)
-          (Network.create ~n:2) xs
+(* --- model test: the network against per-channel lists ------------ *)
+
+type net_op =
+  | Op_send of (int * int) * int option (* channel, delay *)
+  | Op_deliver of (int * int)
+  | Op_deliver_nth of int (* the scheduler's draw: rank mod live count *)
+  | Op_advance of int (* clock step; nonpositive steps are ignored *)
+  | Op_split of (int * int) list * int * [ `Lossy | `Buffered ] (* heal - now *)
+  | Op_drop of (int * int) * int (* channel, position *)
+  | Op_duplicate of (int * int) * int
+  | Op_corrupt of (int * int) * int
+  | Op_reorder of (int * int) * int
+  | Op_flush of (int * int)
+
+let show_net_case (n, ops) =
+  let ch (s, d) = Printf.sprintf "%d>%d" s d in
+  let op = function
+    | Op_send (c, None) -> "send " ^ ch c
+    | Op_send (c, Some k) -> Printf.sprintf "send %s +%d" (ch c) k
+    | Op_deliver c -> "deliver " ^ ch c
+    | Op_deliver_nth k -> Printf.sprintf "deliver #%d" k
+    | Op_advance k -> Printf.sprintf "advance %+d" k
+    | Op_split (cs, k, m) ->
+      Printf.sprintf "split %s +%d %s"
+        (String.concat "," (List.map ch cs))
+        k
+        (match m with `Lossy -> "lossy" | `Buffered -> "buffered")
+    | Op_drop (c, p) -> Printf.sprintf "drop %s@%d" (ch c) p
+    | Op_duplicate (c, p) -> Printf.sprintf "duplicate %s@%d" (ch c) p
+    | Op_corrupt (c, p) -> Printf.sprintf "corrupt %s@%d" (ch c) p
+    | Op_reorder (c, p) -> Printf.sprintf "reorder %s@%d" (ch c) p
+    | Op_flush c -> "flush " ^ ch c
+  in
+  Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map op ops))
+
+let gen_net_case =
+  let open QCheck2.Gen in
+  (* mostly small networks; now and then a wide one, so the per-source
+     destination bitsets span several words (few sources there, so
+     channels share rows) *)
+  let* n = frequency [ (5, int_range 2 6); (1, oneofl [ 63; 130 ]) ] in
+  let src = int_range 0 (if n > 6 then 2 else n - 1) in
+  let chan = pair src (int_range 0 (n - 1)) in
+  let at f = map2 f chan (int_range 0 3) in
+  let op =
+    frequency
+      [ (6, map2 (fun c k -> Op_send (c, k)) chan
+              (frequency
+                 [ (3, return None); (1, map Option.some (int_range 0 4)) ]));
+        (3, map (fun c -> Op_deliver c) chan);
+        (4, map (fun k -> Op_deliver_nth k) nat);
+        (2, map (fun k -> Op_advance k) (int_range (-1) 3));
+        (1, map3 (fun cs k m -> Op_split (cs, k, m))
+              (list_size (int_range 1 3) chan) (int_range 0 5)
+              (oneofl [ `Lossy; `Buffered ]));
+        (1, at (fun c p -> Op_drop (c, p)));
+        (1, at (fun c p -> Op_duplicate (c, p)));
+        (1, at (fun c p -> Op_corrupt (c, p)));
+        (1, at (fun c p -> Op_reorder (c, p)));
+        (1, map (fun c -> Op_flush c) chan) ]
+  in
+  pair (return n) (list_size (int_range 0 60) op)
+
+(* Runs [ops] on a network and on a model — each channel a front-first
+   list of (payload, ready step), plus the clock and the partition mask
+   — and checks, after every op, each query the scheduler, the crash
+   drain and the trace recorder use.  Every op also takes a {!capture},
+   which must still read as that moment's contents at the end. *)
+let net_agrees_with_model (n, ops) =
+  let net = Network.create ~n in
+  let chans = Hashtbl.create 16 and blocked = Hashtbl.create 4 in
+  let now = ref 0 and fresh = ref 0 in
+  let get c = Option.value ~default:[] (Hashtbl.find_opt chans c) in
+  let put c q =
+    if q = [] then Hashtbl.remove chans c else Hashtbl.replace chans c q
+  in
+  let occupied () =
+    List.sort compare (Hashtbl.fold (fun c q acc -> (c, q) :: acc) chans [])
+  in
+  let ready = function (_, r) :: _ -> r <= !now | [] -> false in
+  let heads keep =
+    List.filter_map (fun (c, q) -> if keep (ready q) then Some c else None)
+      (occupied ())
+  in
+  let live () = heads Fun.id and staged () = heads not in
+  let listing () =
+    List.map (fun ((s, d), q) -> (s, d, List.map fst q)) (occupied ())
+  in
+  let edit c pos f =
+    let q = get c in
+    if pos < List.length q then begin
+      let before = List.filteri (fun i _ -> i < pos) q
+      and after = List.filteri (fun i _ -> i > pos) q in
+      put c (f before (List.nth q pos) after)
+    end
+  in
+  let deliver ((src, dst) as c) =
+    let expect =
+      match get c with
+      | (m, r) :: rest when r <= !now -> put c rest; Some m
+      | _ -> None
+    in
+    Network.deliver net ~src ~dst = expect
+  in
+  let apply = function
+    | Op_send (((src, dst) as c), delay) ->
+      incr fresh;
+      Network.send ?delay net ~src ~dst !fresh;
+      let r = !now + max 0 (Option.value ~default:0 delay) in
+      let r =
+        match Hashtbl.find_opt blocked c with
+        | Some (until, `Buffered) when until > !now -> max r until
+        | _ -> r
       in
-      let rec drain net acc =
-        match Network.deliver net ~src:0 ~dst:1 with
-        | None -> List.rev acc
-        | Some (x, net') -> drain net' (x :: acc)
+      put c (get c @ [ (!fresh, r) ]);
+      true
+    | Op_deliver c -> deliver c
+    | Op_deliver_nth k ->
+      let count = Network.live_count net in
+      count = 0
+      ||
+      let c = Network.nth_live net (k mod count) in
+      c = List.nth (live ()) (k mod count) && deliver c
+    | Op_advance k ->
+      Network.advance net ~now:(!now + k);
+      if k > 0 then begin
+        now := !now + k;
+        Hashtbl.filter_map_inplace
+          (fun _ (until, m) -> if until > !now then Some (until, m) else None)
+          blocked
+      end;
+      true
+    | Op_split (cs, k, mode) ->
+      let until = !now + k in
+      let lost = Network.apply_split net ~pairs:cs ~until ~mode in
+      let expect =
+        if until <= !now then 0
+        else
+          List.fold_left
+            (fun lost c ->
+              Hashtbl.replace blocked c
+                (match Hashtbl.find_opt blocked c with
+                 | Some (u, _) -> (max u until, mode)
+                 | None -> (until, mode));
+              match mode with
+              | `Lossy ->
+                let k = List.length (get c) in
+                put c [];
+                lost + k
+              | `Buffered ->
+                put c (List.map (fun (m, r) -> (m, max r until)) (get c));
+                lost)
+            0 cs
       in
-      drain net [] = xs)
+      lost = expect
+    | Op_drop (((src, dst) as c), pos) ->
+      Network.drop_at net ~src ~dst ~pos;
+      edit c pos (fun b _ a -> b @ a);
+      true
+    | Op_duplicate (((src, dst) as c), pos) ->
+      Network.duplicate_at net ~src ~dst ~pos;
+      edit c pos (fun b x a -> b @ (x :: x :: a));
+      true
+    | Op_corrupt (((src, dst) as c), pos) ->
+      Network.corrupt_at net ~src ~dst ~pos ~f:(fun m -> -m);
+      edit c pos (fun b (m, r) a -> b @ ((-m, r) :: a));
+      true
+    | Op_reorder (((src, dst) as c), pos) ->
+      Network.reorder_at net ~src ~dst ~pos;
+      edit c pos (fun b x a -> b @ a @ [ x ]);
+      true
+    | Op_flush ((src, dst) as c) ->
+      Network.flush_channel net ~src ~dst;
+      put c [];
+      true
+  in
+  let consistent () =
+    let live = live () and staged = staged () in
+    let into dst cs =
+      List.filter_map (fun (s, d) -> if d = dst then Some s else None) cs
+    in
+    let folded =
+      Network.fold_nonempty (fun acc ~src ~dst -> (src, dst) :: acc) [] net
+    in
+    let inbound dst =
+      Network.fold_inbound_nonempty (fun acc ~src -> src :: acc) [] net ~dst
+    in
+    Network.live_count net = List.length live
+    && List.mapi (fun k _ -> Network.nth_live net k) live = live
+    && List.rev folded = live
+    && Network.nonempty net = live
+    && List.for_all
+         (fun dst ->
+           Network.live_into net ~dst = List.length (into dst live)
+           && List.rev (inbound dst) = into dst live @ into dst staged)
+         (Pid.range n)
+    && Network.waiting_count net = List.length staged
+    && Network.in_flight net
+       = Hashtbl.fold (fun _ q acc -> acc + List.length q) chans 0
+    && Network.snapshot net = listing ()
+    && Hashtbl.fold
+         (fun (src, dst) (until, mode) ok ->
+           ok
+           && Network.link_status net ~src ~dst
+              =
+              if until <= !now then `Open
+              else
+                match mode with
+                | `Lossy -> `Lossy until
+                | `Buffered -> `Buffered until)
+         blocked true
+  in
+  let captures = ref [] in
+  let ok =
+    List.for_all
+      (fun op ->
+        captures := (Network.capture net, listing ()) :: !captures;
+        apply op && consistent ())
+      ops
+  in
+  ok && List.for_all (fun (cap, expect) -> Lazy.force cap = expect) !captures
+
+let prop_net_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"random ops match per-channel lists"
+       ~print:show_net_case gen_net_case net_agrees_with_model)
 
 (* ------------------------------------------------------------------ *)
 (* Faults                                                              *)
@@ -269,6 +479,8 @@ let test_faults_due () =
       Faults.at 2 (Faults.Flush Faults.Any_chan);
       Faults.at 9 (Faults.Flush Faults.Any_chan) ]
   in
+  Alcotest.(check int) "first time" 2 (Faults.first_time plan);
+  Alcotest.(check int) "nothing ever due" max_int (Faults.first_time []);
   let fired, rest = Faults.due plan 5 in
   Alcotest.(check int) "two due" 2 (List.length fired);
   Alcotest.(check int) "one left" 1 (List.length rest);
@@ -456,6 +668,36 @@ let test_engine_no_record () =
   let e = token_engine ~record:false ~n:2 ~seed:3 () in
   E.run ~steps:10 e;
   Alcotest.(check int) "empty trace" 0 (Trace.length (E.trace e))
+
+(* Each recorded snapshot holds the channels as they were when it was
+   recorded, through later steps and drop/duplicate/flush faults. *)
+let test_engine_trace_channels_survive () =
+  let e = token_engine ~n:3 ~seed:5 () in
+  for p = 1 to 2 do
+    E.set_state e p { Token_node.self = p; n = 3; has_token = true; passes = 0 }
+  done;
+  let shape net = List.map (fun (s, d, ms) -> (s, d, List.length ms)) net in
+  let seen = ref [ shape (Network.snapshot (E.network e)) ] in
+  let note () = seen := shape (Network.snapshot (E.network e)) :: !seen in
+  for k = 1 to 80 do
+    let fault =
+      match k mod 20 with
+      | 3 | 9 -> Some (Faults.Duplicate { chan = Faults.Any_chan; count = 1 })
+      | 14 -> Some (Faults.Drop { chan = Faults.Any_chan; count = 1; only = None })
+      | 17 -> Some (Faults.Flush (Faults.Into 1))
+      | _ -> None
+    in
+    Option.iter (fun f -> E.apply_fault e f; note ()) fault;
+    ignore (E.step e);
+    note ()
+  done;
+  Alcotest.(check bool) "tokens were multiplied" true
+    (List.exists
+       (fun chans -> List.fold_left (fun acc (_, _, k) -> acc + k) 0 chans > 1)
+       !seen);
+  Alcotest.(check (list (list (triple int int int))))
+    "recorded = channels at record time" (List.rev !seen)
+    (List.map (fun snap -> shape (Trace.channels snap)) (E.trace e))
 
 let test_engine_stutter_when_disabled () =
   (* no process holds the token and channels are empty: only stutters *)
@@ -750,7 +992,8 @@ let () =
       ( "network",
         [ Alcotest.test_case "send/deliver fifo" `Quick test_net_send_deliver_fifo;
           Alcotest.test_case "deliver empty" `Quick test_net_deliver_empty;
-          Alcotest.test_case "persistence" `Quick test_net_persistence;
+          Alcotest.test_case "persistence" `Quick
+            test_net_capture_survives_mutation;
           Alcotest.test_case "nonempty" `Quick test_net_nonempty;
           Alcotest.test_case "drop_at" `Quick test_net_drop_at;
           Alcotest.test_case "duplicate_at" `Quick test_net_duplicate_at;
@@ -770,7 +1013,7 @@ let () =
             test_net_split_overlap_and_past;
           Alcotest.test_case "staged in snapshot" `Quick
             test_net_staged_visible_to_snapshot;
-          prop_net_fifo_random_ops ] );
+          prop_net_matches_model ] );
       ( "faults",
         [ Alcotest.test_case "selectors" `Quick test_faults_selectors;
           Alcotest.test_case "due" `Quick test_faults_due;
@@ -790,6 +1033,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "trace records" `Quick test_engine_trace_records;
           Alcotest.test_case "no record" `Quick test_engine_no_record;
+          Alcotest.test_case "trace channels survive later steps" `Quick
+            test_engine_trace_channels_survive;
           Alcotest.test_case "stutter" `Quick test_engine_stutter_when_disabled;
           Alcotest.test_case "drop fault" `Quick test_engine_fault_drop;
           Alcotest.test_case "duplicate fault" `Quick

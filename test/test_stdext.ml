@@ -1,6 +1,6 @@
 (* Unit and property tests for the stdext substrate: RNG determinism,
-   FIFO queue semantics, pairing-heap ordering, table rendering, and
-   summary statistics. *)
+   FIFO queue semantics, table rendering, summary statistics, and the
+   index and storage structures. *)
 
 open Stdext
 
@@ -175,50 +175,6 @@ let prop_fqueue_mixed_ops_length =
           (Fqueue.empty, 0) ops
       in
       Fqueue.length q = expected)
-
-(* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-
-let test_pqueue_orders () =
-  let q =
-    Pqueue.of_list ~leq:( <= ) [ (5, "e"); (1, "a"); (3, "c"); (2, "b") ]
-  in
-  Alcotest.(check (list (pair int string)))
-    "ascending" [ (1, "a"); (2, "b"); (3, "c"); (5, "e") ] (Pqueue.to_list q)
-
-let test_pqueue_pop_min () =
-  let q = Pqueue.of_list ~leq:( <= ) [ (2, ()); (1, ()) ] in
-  match Pqueue.pop_min q with
-  | Some (1, (), q') ->
-    Alcotest.(check int) "size" 1 (Pqueue.size q');
-    Alcotest.(check bool) "peek" true (Pqueue.peek_min q' = Some (2, ()))
-  | _ -> Alcotest.fail "expected min 1"
-
-let test_pqueue_empty () =
-  let q = Pqueue.empty ~leq:( <= ) in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop_min q = None);
-  Alcotest.(check bool) "peek none" true (Pqueue.peek_min q = None)
-
-let prop_pqueue_sorted_drain =
-  qtest "Pqueue drains in sorted order" QCheck2.Gen.(list small_int)
-    (fun xs ->
-      let q =
-        List.fold_left (fun q x -> Pqueue.insert x () q)
-          (Pqueue.empty ~leq:( <= ))
-          xs
-      in
-      List.map fst (Pqueue.to_list q) = List.sort compare xs)
-
-let prop_pqueue_size =
-  qtest "Pqueue size tracks inserts" QCheck2.Gen.(list small_int)
-    (fun xs ->
-      let q =
-        List.fold_left (fun q x -> Pqueue.insert x () q)
-          (Pqueue.empty ~leq:( <= ))
-          xs
-      in
-      Pqueue.size q = List.length xs)
 
 (* ------------------------------------------------------------------ *)
 (* Tabular and Stats                                                   *)
@@ -415,68 +371,6 @@ let prop_fenwick_matches_array_model =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Oset                                                                *)
-
-let test_oset_basics () =
-  let s = Oset.of_list [ 7; 3; 11; 3; 5 ] in
-  Alcotest.(check int) "cardinal dedups" 4 (Oset.cardinal s);
-  Alcotest.(check (list int)) "elements ascending" [ 3; 5; 7; 11 ]
-    (Oset.elements s);
-  Alcotest.(check int) "nth" 7 (Oset.nth s 2);
-  Alcotest.(check int) "count_below" 2 (Oset.count_below s 6);
-  Alcotest.(check int) "count_range" 2 (Oset.count_range s ~lo:5 ~hi:11);
-  Alcotest.(check (list int)) "fold_range ascending" [ 5; 7 ]
-    (List.rev (Oset.fold_range ~lo:4 ~hi:8 (fun x acc -> x :: acc) s []));
-  Alcotest.(check bool) "mem" true (Oset.mem 5 s);
-  Alcotest.(check bool) "remove" false (Oset.mem 5 (Oset.remove 5 s));
-  Alcotest.(check int) "persistent" 4 (Oset.cardinal s);
-  Alcotest.check_raises "nth out of range"
-    (Invalid_argument "Oset.nth: rank out of range") (fun () ->
-      ignore (Oset.nth s 4))
-
-let prop_oset_matches_sorted_list_model =
-  (* random add/remove sequences against a sorted dedup'd list model:
-     membership, rank, select, range counts, and range folds must all
-     agree — these are exactly the queries the network's live-channel
-     index answers during scheduling *)
-  qtest "oset = sorted list model" ~count:150
-    QCheck2.Gen.(list_size (0 -- 80) (pair bool (0 -- 30)))
-    (fun ops ->
-      let s, model =
-        List.fold_left
-          (fun (s, m) (ins, x) ->
-            if ins then (Oset.add x s, List.sort_uniq compare (x :: m))
-            else (Oset.remove x s, List.filter (( <> ) x) m))
-          (Oset.empty, []) ops
-      in
-      let len = List.length model in
-      Oset.cardinal s = len
-      && Oset.elements s = model
-      && List.for_all (fun k -> Oset.nth s k = List.nth model k)
-           (List.init len Fun.id)
-      && List.for_all
-           (fun x ->
-             Oset.mem x s = List.mem x model
-             && Oset.count_below s x
-                = List.length (List.filter (fun y -> y < x) model))
-           (List.init 32 Fun.id)
-      && List.for_all
-           (fun lo ->
-             let hi = lo + 7 in
-             let expect = List.filter (fun y -> lo <= y && y < hi) model in
-             Oset.count_range s ~lo ~hi = List.length expect
-             && List.rev (Oset.fold_range ~lo ~hi (fun x acc -> x :: acc) s [])
-                = expect)
-           (List.init 28 Fun.id))
-
-let prop_oset_union =
-  qtest "union = list union" ~count:150
-    QCheck2.Gen.(pair (list_size (0 -- 40) (0 -- 50)) (list_size (0 -- 40) (0 -- 50)))
-    (fun (a, b) ->
-      Oset.elements (Oset.union (Oset.of_list a) (Oset.of_list b))
-      = List.sort_uniq compare (a @ b))
-
-(* ------------------------------------------------------------------ *)
 (* Vec                                                                 *)
 
 let test_vec_push_get () =
@@ -514,45 +408,6 @@ let prop_vec_grows_like_list =
       && List.for_all2 (fun i x -> Vec.get v i = x)
            (List.init (List.length xs) Fun.id)
            xs)
-
-(* ------------------------------------------------------------------ *)
-(* Parray                                                              *)
-
-let test_parray_basics () =
-  let a = Parray.init 4 (fun i -> i * 10) in
-  Alcotest.(check int) "length" 4 (Parray.length a);
-  Alcotest.(check (list int)) "init" [ 0; 10; 20; 30 ] (Parray.to_list a);
-  let b = Parray.set a 2 99 in
-  Alcotest.(check int) "new version" 99 (Parray.get b 2);
-  Alcotest.(check int) "old version unchanged" 20 (Parray.get a 2);
-  Alcotest.(check (list int)) "foldi order" [ 30; 99; 10; 0 ]
-    (Parray.foldi (fun _ acc x -> x :: acc) [] b)
-
-let test_parray_set_same_element_is_noop () =
-  let a = Parray.make 3 "x" in
-  Alcotest.(check bool) "physically equal" true (Parray.set a 1 "x" == a)
-
-let prop_parray_versions_survive_rerooting =
-  (* apply a random write sequence, keep every intermediate version,
-     then read them back newest-first and oldest-first: reads reroot
-     the backing array, and no version may be disturbed by it *)
-  qtest "all versions readable in any order"
-    QCheck2.Gen.(list_size (1 -- 40) (pair (0 -- 4) (0 -- 9)))
-    (fun writes ->
-      let model v = List.init 5 (Array.get v) in
-      let p0 = Parray.make 5 0 in
-      let versions, _ =
-        List.fold_left
-          (fun (acc, (p, m)) (i, x) ->
-            let p = Parray.set p i x in
-            let m = Array.copy m in
-            m.(i) <- x;
-            ((p, model m) :: acc, (p, m)))
-          ([ (p0, List.init 5 (fun _ -> 0)) ], (p0, Array.make 5 0))
-          writes
-      in
-      let ok (p, expected) = Parray.to_list p = expected in
-      List.for_all ok versions && List.for_all ok (List.rev versions))
 
 (* ------------------------------------------------------------------ *)
 (* Blockfile                                                           *)
@@ -688,12 +543,6 @@ let () =
           Alcotest.test_case "map/filter" `Quick test_fqueue_map_filter;
           prop_fqueue_push_pop_roundtrip;
           prop_fqueue_mixed_ops_length ] );
-      ( "pqueue",
-        [ Alcotest.test_case "orders" `Quick test_pqueue_orders;
-          Alcotest.test_case "pop_min" `Quick test_pqueue_pop_min;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          prop_pqueue_sorted_drain;
-          prop_pqueue_size ] );
       ( "tabular",
         [ Alcotest.test_case "alignment" `Quick test_tabular_alignment;
           Alcotest.test_case "short rows" `Quick test_tabular_short_rows_padded;
@@ -703,11 +552,6 @@ let () =
           Alcotest.test_case "to_list order" `Quick test_vec_to_list_order;
           Alcotest.test_case "out of bounds" `Quick test_vec_out_of_bounds;
           prop_vec_grows_like_list ] );
-      ( "parray",
-        [ Alcotest.test_case "basics" `Quick test_parray_basics;
-          Alcotest.test_case "set same element" `Quick
-            test_parray_set_same_element_is_noop;
-          prop_parray_versions_survive_rerooting ] );
       ( "stats",
         [ Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "median" `Quick test_stats_median;
@@ -729,10 +573,6 @@ let () =
       ( "fenwick",
         [ Alcotest.test_case "basics" `Quick test_fenwick_basics;
           prop_fenwick_matches_array_model ] );
-      ( "oset",
-        [ Alcotest.test_case "basics" `Quick test_oset_basics;
-          prop_oset_matches_sorted_list_model;
-          prop_oset_union ] );
       ( "blockfile",
         [ Alcotest.test_case "roundtrip" `Quick test_blockfile_roundtrip;
           Alcotest.test_case "reader sees later appends" `Quick
