@@ -681,11 +681,11 @@ let mcheck_cmd =
                 out-of-core.  Default: unlimited (never spill).")
   in
   let spill_dir_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some dir) None
          & info [ "spill-dir" ] ~docv:"DIR"
              ~doc:
-               "Directory for spill files (default: the system temp \
-                dir).  Files are removed when the search finishes.")
+               "Existing directory for spill files (default: the system \
+                temp dir).  Files are removed when the search finishes.")
   in
   let por_arg =
     Arg.(value & flag

@@ -24,7 +24,7 @@
    - the visited set is sharded by hash range: each shard owns a slice
      of key space (routed by the high bits of the mixed hash, see
      Stdext.Pool.shard_of) with its own open-addressing slot array and
-     key arena, so the admission phase fans the candidate stream out
+     paged key arena, so the admission phase fans the candidate stream out
      over a domain pool and every domain inserts into its own shard
      with no locking.  Admission order is still globally fixed — every
      candidate carries a (frontier-index, emission-index) tag and each
@@ -39,13 +39,21 @@
 
    - the BFS is level-synchronous with parent-pointer traces, swept in
      fixed-size chunks.  Each chunk runs a read-only expansion phase
-     (predicate checks, successor splicing, per-shard routing; memo
-     misses flag the whole parent), a serial fixup that recomputes
+     (predicate checks, successor splicing, per-shard routing: each
+     piece writes candidate records straight into its own per-shard
+     buckets, and a memo miss truncates them back to the parent's
+     marks and flags the whole parent), a serial fixup that recomputes
      flagged parents in frontier order (so intern ids stay
-     deterministic), and a shard-parallel admission phase.  Near the
-     ~max_states bound the admission falls back to a serial sweep in
-     global tag order, so the hard bound admits exactly the states the
-     serial checker would.  Per-state resident memory is O(1): three
+     deterministic) into one more set of buckets, and a shard-parallel
+     admission phase that reads each shard's records in place, in
+     (tag, seq) order, through one cursor.  Near the ~max_states bound
+     the admission falls back to a serial sweep in global tag order
+     over the same cursors, so the hard bound admits exactly the
+     states the serial checker would.  The run owns every sweep buffer
+     (candidate buckets, admission outputs, the two frontier levels)
+     and clears it rather than rebuilding it, and the key arenas grow
+     by fixed pages, so the sweep allocates little beyond what the
+     visited set keeps.  Per-state resident memory is O(1): three
      packed index words (location, fingerprint, parent+label) plus the
      key itself until it spills.
 
@@ -168,19 +176,13 @@ module Buf = struct
     b.data.(b.len) <- x;
     b.len <- b.len + 1
 
-  let blit b (src : int array) off len =
-    ensure b len;
-    Array.blit src off b.data b.len len;
-    b.len <- b.len + len
-
   let clear b = b.len <- 0
-  let contents b = Array.sub b.data 0 b.len
 end
 
 (* ------------------------------------------------------------------ *)
 (* The sharded visited set.  Each shard owns a hash-range slice of key
    space: an open-addressing slot array (interleaved (local id + 1,
-   hash) pairs, one cache line per probe), a hot int arena holding the
+   hash) pairs, one cache line per probe), a hot key arena holding the
    keys admitted since the last spill, and three packed index words
    per state — location ((global word offset << 20) | length),
    fingerprint, and parent ((parent ref + 1) << 16 | label).  A state
@@ -189,20 +191,29 @@ end
    per shard with no synchronization; all cross-shard coordination
    happens in the serial parts of the sweep.
 
+   The hot arena is a list of fixed 2^16-word pages, filled in order;
+   a key may straddle two pages.  The arena never doubles and copies:
+   growth allocates one more page.
+
    Spill: when the hot arenas together exceed [mem_budget] words (the
-   checkpoint runs between chunks), every shard appends its arena to
-   its own Blockfile and resets; [disk] is the count of words flushed,
+   checkpoint runs between chunks), every shard appends its pages, in
+   order, to its own Blockfile and resets; the pages stay allocated
+   for the keys admitted next.  [disk] is the count of words flushed,
    which makes stored offsets stable global offsets.  A spilled key is
    re-read positionally for expansion and compared by fingerprint for
    dedup. *)
 module Table = struct
+  let page_bits = 16
+  let page_words = 1 lsl page_bits
+  let page_mask = page_words - 1
+
   type shard = {
     mutable slots : int array;  (* 2i: local id + 1 (0 = empty); 2i+1: h1 *)
     mutable mask : int;  (* slot-pair count - 1, a power of 2 *)
     mutable count : int;
-    mutable arena : int array;  (* keys admitted since the last spill *)
+    pages : int array Vec.t;  (* hot arena: word o is in page o lsr 16 *)
     mutable used : int;  (* hot words *)
-    mutable disk : int;  (* words flushed; global offset of arena.(0) *)
+    mutable disk : int;  (* words flushed; global offset of hot word 0 *)
     fp : int Vec.t;  (* local id -> stored fingerprint *)
     loc : int Vec.t;  (* local id -> (global offset lsl 20) lor length *)
     parents : int Vec.t;  (* local id -> packed (parent ref, label) *)
@@ -230,7 +241,7 @@ module Table = struct
             { slots = Array.make (2 * 1024) 0;
               mask = 1023;
               count = 0;
-              arena = Array.make 4096 0;
+              pages = Vec.create ();
               used = 0;
               disk = 0;
               fp = Vec.create ();
@@ -252,6 +263,8 @@ module Table = struct
   let key_len t r = Vec.get t.shards.(r land 63).loc (r lsr 6) land len_mask
   let parent_packed t r = Vec.get t.shards.(r land 63).parents (r lsr 6)
 
+  let hot_word sh o = (Vec.get sh.pages (o lsr page_bits)).(o land page_mask)
+
   (* Equality of stored state [local] against a candidate key: length,
      then a word compare when the key is hot, the fingerprint when it
      has spilled (the caller already matched the 62-bit slot hash). *)
@@ -261,10 +274,20 @@ module Table = struct
     &&
     let off = l lsr len_bits in
     if off >= sh.disk then begin
-      let a = sh.arena in
-      let base = off - sh.disk in
-      let rec eq i = i = klen || (a.(base + i) = k.(koff + i) && eq (i + 1)) in
-      eq 0
+      let o = off - sh.disk in
+      let base = o land page_mask in
+      if base + klen <= page_words then begin
+        let a = Vec.get sh.pages (o lsr page_bits) in
+        let rec eq i =
+          i = klen || (a.(base + i) = k.(koff + i) && eq (i + 1))
+        in
+        eq 0
+      end
+      else
+        let rec eq i =
+          i = klen || (hot_word sh (o + i) = k.(koff + i) && eq (i + 1))
+        in
+        eq 0
     end
     else Vec.get sh.fp local = fp
 
@@ -302,16 +325,27 @@ module Table = struct
     sh.slots <- slots;
     sh.mask <- mask
 
-  let append_arena sh (k : int array) koff klen =
-    if sh.used + klen > Array.length sh.arena then begin
-      let arena =
-        Array.make (max (Array.length sh.arena * 2) (sh.used + klen)) 0
-      in
-      Array.blit sh.arena 0 arena 0 sh.used;
-      sh.arena <- arena
-    end;
-    Array.blit k koff sh.arena sh.used klen;
-    sh.used <- sh.used + klen
+  (* Copies between a flat key array and the hot arena, split where a
+     key crosses a page boundary: [append_arena] writes at the arena's
+     end, [blit_hot] reads from hot offset [o]. *)
+  let rec append_arena sh (k : int array) koff klen =
+    if klen > 0 then begin
+      let p = sh.used lsr page_bits and i = sh.used land page_mask in
+      if p = Vec.length sh.pages then
+        Vec.push sh.pages (Array.make page_words 0);
+      let len = min klen (page_words - i) in
+      Array.blit k koff (Vec.get sh.pages p) i len;
+      sh.used <- sh.used + len;
+      append_arena sh k (koff + len) (klen - len)
+    end
+
+  let rec blit_hot sh o (buf : int array) boff len =
+    if len > 0 then begin
+      let i = o land page_mask in
+      let n = min len (page_words - i) in
+      Array.blit (Vec.get sh.pages (o lsr page_bits)) i buf boff n;
+      blit_hot sh (o + n) buf (boff + n) (len - n)
+    end
 
   (* One probe pass answers "seen before?" and inserts on miss.
      Returns the existing local id (>= 0), or [-local - 1] for a fresh
@@ -364,7 +398,7 @@ module Table = struct
     let sh = t.shards.(si) in
     let l = Vec.get sh.loc (r lsr 6) in
     let off = l lsr len_bits and len = l land len_mask in
-    if off >= sh.disk then Array.blit sh.arena (off - sh.disk) buf 0 len
+    if off >= sh.disk then blit_hot sh (off - sh.disk) buf 0 len
     else begin
       let rd =
         match readers.(si) with
@@ -394,7 +428,7 @@ module Table = struct
     if w > t.peak_words then t.peak_words <- w
 
   (* Between-chunks checkpoint: record the residency peak and, when
-     the hot arenas outgrow the budget, stream every shard's arena to
+     the hot arenas outgrow the budget, stream every shard's pages to
      its blockfile.  Runs at fixed points of the sweep (after seeding
      and after each chunk's admission), so peak and spill figures are
      identical for every ~jobs and every shard count. *)
@@ -414,12 +448,14 @@ module Table = struct
                 sh.file <- Some f;
                 f
             in
-            let at = Blockfile.append f sh.arena ~off:0 ~len:sh.used in
-            assert (at = sh.disk);
+            assert (Blockfile.words f = sh.disk);
+            for p = 0 to (sh.used - 1) lsr page_bits do
+              let len = min page_words (sh.used - (p lsl page_bits)) in
+              ignore (Blockfile.append f (Vec.get sh.pages p) ~off:0 ~len)
+            done;
             t.spill_words <- t.spill_words + sh.used;
             sh.disk <- sh.disk + sh.used;
-            sh.used <- 0;
-            if Array.length sh.arena > 65536 then sh.arena <- Array.make 4096 0
+            sh.used <- 0
           end)
         t.shards
 
@@ -1048,16 +1084,102 @@ module Search (P : Graybox.Protocol.S) = struct
      the domain count nor the shard count can perturb. *)
   let rec_words = 6
 
-  (* One expansion piece's results: the first violating tag (with its
-     witness views), the tags whose expansion hit a memo miss, and the
-     per-shard candidate records of the clean parents. *)
-  type a_res = {
-    r_bad : int;
-    r_witness : Graybox.View.t array option;
-    r_misses : Buf.t;
-    r_buckets : Buf.t array;
-    r_counts : int array;
+  let push_rec (b : Buf.t) ~tag ~seq ~il ~h1 ~fp (k : int array) klen =
+    Buf.ensure b (rec_words + klen);
+    let d = b.Buf.data and i = b.Buf.len in
+    d.(i) <- tag;
+    d.(i + 1) <- seq;
+    d.(i + 2) <- il;
+    d.(i + 3) <- h1;
+    d.(i + 4) <- fp;
+    d.(i + 5) <- klen;
+    Array.blit k 0 d (i + rec_words) klen;
+    b.Buf.len <- i + rec_words + klen
+
+  (* Per-shard candidate buckets and their total record count.  A run
+     owns one sink per expansion piece and one for the miss fixup, and
+     clears them per chunk: the buckets grow to the largest chunk's
+     need once, then stop allocating. *)
+  type sink = { buckets : Buf.t array; mutable cands : int }
+
+  let make_sink nshards =
+    { buckets = Array.init nshards (fun _ -> Buf.create ()); cands = 0 }
+
+  let clear_sink sk =
+    Array.iter Buf.clear sk.buckets;
+    sk.cands <- 0
+
+  (* Record the successor key in [st.sbuf] into its owning shard's
+     bucket, unless that shard has already visited it: a duplicate
+     from an earlier chunk costs one probe and no record; within-chunk
+     duplicates are caught by the admission probe.  Read-only on the
+     table, so expansion pieces call it concurrently. *)
+  let offer table sk st ~tag ~seq ~il slen =
+    let h1, fp = hash2 st.sbuf 0 slen in
+    let si = Table.route table h1 in
+    if not (Table.mem_sh table.Table.shards.(si) ~h1 ~fp st.sbuf 0 slen)
+    then begin
+      push_rec sk.buckets.(si) ~tag ~seq ~il ~h1 ~fp st.sbuf slen;
+      sk.cands <- sk.cands + 1
+    end
+
+  (* One expansion piece's run-scoped state: its scratch (so its spill
+     read handles live as long as the run), its sink, the bucket
+     lengths at the current parent's start (a memo miss truncates the
+     buckets back to them), the tags whose expansion hit a memo miss,
+     and the first violating tag with its witness views. *)
+  type piece = {
+    ws : scratch;
+    out : sink;
+    marks : int array;
+    misses : Buf.t;
+    mutable bad : int;
+    mutable witness : Graybox.View.t array option;
   }
+
+  (* A shard's candidate stream in (tag, seq) order, read in place.
+     The piece buckets concatenate to an ascending-tag stream (pieces
+     cover disjoint ascending tag ranges, a parent's emissions are in
+     seq order), and the fixup bucket merges in by tag (a parent is
+     either clean or missed, never both).  A record at or past the
+     violation cut [vlimit] ends the stream.  [advance] points the
+     cursor at the next record, [d.(i)], or sets [i] to -1 at the
+     end. *)
+  type cursor = {
+    mutable d : int array;
+    mutable i : int;
+    mutable p : int;  (* current piece *)
+    mutable pi : int;  (* next record in piece [p]'s bucket *)
+    mutable fi : int;  (* next record in the fixup bucket *)
+  }
+
+  let advance c si (pieces : piece Vec.t) npieces fix vlimit =
+    while
+      c.p < npieces && c.pi >= (Vec.get pieces c.p).out.buckets.(si).Buf.len
+    do
+      c.p <- c.p + 1;
+      c.pi <- 0
+    done;
+    let pt =
+      if c.p >= npieces then max_int
+      else
+        let t = (Vec.get pieces c.p).out.buckets.(si).Buf.data.(c.pi) in
+        if t < vlimit then t else max_int
+    in
+    let fb = fix.buckets.(si) in
+    let ft = if c.fi < fb.Buf.len then fb.Buf.data.(c.fi) else max_int in
+    if pt < ft then begin
+      let d = (Vec.get pieces c.p).out.buckets.(si).Buf.data in
+      c.d <- d;
+      c.i <- c.pi;
+      c.pi <- c.pi + rec_words + d.(c.pi + 5)
+    end
+    else if ft < max_int then begin
+      c.d <- fb.Buf.data;
+      c.i <- c.fi;
+      c.fi <- c.fi + rec_words + fb.Buf.data.(c.fi + 5)
+    end
+    else c.i <- -1
 
   (* States per chunk.  Fixed (never derived from ~jobs): chunk
      boundaries are spill/peak checkpoints and violation cut points,
@@ -1100,47 +1222,58 @@ module Search (P : Graybox.Protocol.S) = struct
       (seeds ctx);
     Table.checkpoint table;
     let st = make_scratch ctx in
-    let frontier = ref (Buf.contents roots) in
+    (* Run-scoped sweep buffers, cleared per chunk (or, for the two
+       frontier buffers, swapped per level), never rebuilt. *)
+    let pieces : piece Vec.t = Vec.create () in
+    let fix = make_sink nshards in
+    let outs = Array.init nshards (fun _ -> Buf.create ()) in
+    let cursors =
+      Array.init nshards (fun _ -> { d = [||]; i = -1; p = 0; pi = 0; fi = 0 })
+    in
+    let frontier = ref roots and next = ref (Buf.create ()) in
     let depth = ref 0 in
     Fun.protect
       ~finally:(fun () ->
         close_scratch st;
+        Vec.iter (fun pc -> close_scratch pc.ws) pieces;
         Table.cleanup table)
       (fun () ->
-        while Array.length !frontier > 0 && !violation = None do
-          let level = !frontier in
-          let width = Array.length level in
+        while !frontier.Buf.len > 0 && !violation = None do
+          let level = !frontier.Buf.data in
+          let width = !frontier.Buf.len in
           if width > !frontier_peak then frontier_peak := width;
           depth_reached := !depth;
           let capped = !depth >= max_depth in
-          let next = Buf.create () in
+          let nx = !next in
           let rw = jobs = 1 in
 
           (* One chunk [lo, hi) of the level: expansion pieces in
              parallel, serial miss fixup, shard-parallel admission. *)
           let process_chunk lo hi =
-            let pieces =
-              let w = hi - lo in
-              let k = min jobs w in
-              List.init k (fun i ->
-                  (lo + (w * i / k), lo + (w * (i + 1) / k)))
-            in
+            let w = hi - lo in
+            let npieces = min jobs w in
+            while Vec.length pieces < npieces do
+              Vec.push pieces
+                { ws = make_scratch ctx;
+                  out = make_sink nshards;
+                  marks = Array.make nshards 0;
+                  misses = Buf.create ();
+                  bad = -1;
+                  witness = None }
+            done;
             (* Phase A: read-only against the visited table and the
-               intern/memo tables.  Every candidate is pre-filtered
-               against its owning shard (a duplicate from an earlier
-               chunk costs one probe and no record); within-chunk
-               duplicates are caught by the admission probe. *)
-            let worker (plo, phi) =
-              let ws = make_scratch ctx in
-              let staging = Array.init nshards (fun _ -> Buf.create ()) in
-              let stag_cnt = Array.make nshards 0 in
-              let buckets = Array.init nshards (fun _ -> Buf.create ()) in
-              let counts = Array.make nshards 0 in
-              let misses = Buf.create () in
-              let bad = ref (-1) in
-              let witness = ref None in
-              let tag = ref plo in
-              while !bad < 0 && !tag < phi do
+               intern/memo tables; piece [i] expands its slice of
+               [lo, hi) into its own sink. *)
+            let expand i =
+              let pc = Vec.get pieces i in
+              let ws = pc.ws and out = pc.out in
+              clear_sink out;
+              Buf.clear pc.misses;
+              pc.bad <- -1;
+              pc.witness <- None;
+              let tag = ref (lo + (w * i / npieces)) in
+              let phi = lo + (w * (i + 1) / npieces) in
+              while pc.bad < 0 && !tag < phi do
                 let t = !tag in
                 let r = level.(t) in
                 let klen = Table.key_len table r in
@@ -1148,10 +1281,14 @@ module Search (P : Graybox.Protocol.S) = struct
                 Table.read table ws.readers r ws.kbuf;
                 views_into ctx ws;
                 if not (predicate ws.vbuf) then begin
-                  bad := t;
-                  witness := Some (Array.copy ws.vbuf)
+                  pc.bad <- t;
+                  pc.witness <- Some (Array.copy ws.vbuf)
                 end
                 else if not capped then begin
+                  for si = 0 to nshards - 1 do
+                    pc.marks.(si) <- out.buckets.(si).Buf.len
+                  done;
+                  let cands = out.cands in
                   let missed = ref false in
                   let seq = ref 0 in
                   iter_successors ctx ~rw ~por ws klen
@@ -1159,59 +1296,31 @@ module Search (P : Graybox.Protocol.S) = struct
                     ~f:(fun il slen ->
                       let s = !seq in
                       incr seq;
-                      if not !missed then begin
-                        let h1, fp = hash2 ws.sbuf 0 slen in
-                        let si = Table.route table h1 in
-                        let sh = table.Table.shards.(si) in
-                        if not (Table.mem_sh sh ~h1 ~fp ws.sbuf 0 slen) then begin
-                          let b = staging.(si) in
-                          Buf.push b t;
-                          Buf.push b s;
-                          Buf.push b il;
-                          Buf.push b h1;
-                          Buf.push b fp;
-                          Buf.push b slen;
-                          Buf.blit b ws.sbuf 0 slen;
-                          stag_cnt.(si) <- stag_cnt.(si) + 1
-                        end
-                      end);
+                      if not !missed then
+                        offer table out ws ~tag:t ~seq:s ~il slen);
                   if !missed then begin
-                    Array.iter Buf.clear staging;
-                    Array.fill stag_cnt 0 nshards 0;
-                    Buf.push misses t
-                  end
-                  else
                     for si = 0 to nshards - 1 do
-                      let g = staging.(si) in
-                      if g.Buf.len > 0 then begin
-                        Buf.blit buckets.(si) g.Buf.data 0 g.Buf.len;
-                        counts.(si) <- counts.(si) + stag_cnt.(si);
-                        Buf.clear g;
-                        stag_cnt.(si) <- 0
-                      end
-                    done
+                      out.buckets.(si).Buf.len <- pc.marks.(si)
+                    done;
+                    out.cands <- cands;
+                    Buf.push pc.misses t
+                  end
                 end;
                 tag := t + 1
-              done;
-              close_scratch ws;
-              { r_bad = !bad;
-                r_witness = !witness;
-                r_misses = misses;
-                r_buckets = buckets;
-                r_counts = counts }
+              done
             in
-            let results = Stdext.Pool.map ~jobs worker pieces in
+            ignore (Stdext.Pool.map ~jobs expand (List.init npieces Fun.id));
             (* Pieces cover ascending tag ranges, so the first piece
                reporting a violation holds the globally first one. *)
             let vtag = ref max_int in
-            List.iter
-              (fun res ->
-                if !vtag = max_int && res.r_bad >= 0 then begin
-                  vtag := res.r_bad;
-                  violation :=
-                    Some (res.r_bad, level.(res.r_bad), Option.get res.r_witness)
-                end)
-              results;
+            for i = 0 to npieces - 1 do
+              let pc = Vec.get pieces i in
+              if !vtag = max_int && pc.bad >= 0 then begin
+                vtag := pc.bad;
+                violation :=
+                  Some (pc.bad, level.(pc.bad), Option.get pc.witness)
+              end
+            done;
             let vlimit = if !vtag = max_int then hi else !vtag in
             explored :=
               !explored + (vlimit - lo) + (if !vtag = max_int then 0 else 1);
@@ -1219,121 +1328,69 @@ module Search (P : Graybox.Protocol.S) = struct
             (* Serial miss fixup, in frontier order: recompute flagged
                parents read-write so intern ids and memos grow exactly
                as a fully serial sweep's would. *)
-            let miss_buckets = Array.init nshards (fun _ -> Buf.create ()) in
-            let miss_counts = Array.make nshards 0 in
+            clear_sink fix;
             if not capped then
-              List.iter
-                (fun res ->
-                  let m = res.r_misses in
-                  for i = 0 to m.Buf.len - 1 do
-                    let t = m.Buf.data.(i) in
-                    if t < vlimit then begin
-                      let r = level.(t) in
-                      let klen = Table.key_len table r in
-                      ensure_kbuf st klen;
-                      Table.read table st.readers r st.kbuf;
-                      let seq = ref 0 in
-                      iter_successors ctx ~rw:true ~por st klen
-                        ~miss:(fun _ -> assert false)
-                        ~f:(fun il slen ->
-                          let s = !seq in
-                          incr seq;
-                          let h1, fp = hash2 st.sbuf 0 slen in
-                          let si = Table.route table h1 in
-                          let sh = table.Table.shards.(si) in
-                          if not (Table.mem_sh sh ~h1 ~fp st.sbuf 0 slen)
-                          then begin
-                            let b = miss_buckets.(si) in
-                            Buf.push b t;
-                            Buf.push b s;
-                            Buf.push b il;
-                            Buf.push b h1;
-                            Buf.push b fp;
-                            Buf.push b slen;
-                            Buf.blit b st.sbuf 0 slen;
-                            miss_counts.(si) <- miss_counts.(si) + 1
-                          end)
-                    end
-                  done)
-                results;
-            (* Shard [si]'s candidate stream in (tag, seq) order:
-               piece buckets concatenate to an ascending-tag stream
-               (pieces are disjoint ascending ranges, emissions within
-               a parent are in seq order), and the miss bucket merges
-               in by tag (a parent is either clean or missed, never
-               both). *)
-            let merged_records si =
-              let m = Buf.create () in
-              let mb = miss_buckets.(si) in
-              let mi = ref 0 in
-              let copy_rec (b : Buf.t) i =
-                let klen = b.Buf.data.(i + 5) in
-                Buf.blit m b.Buf.data i (rec_words + klen);
-                i + rec_words + klen
-              in
-              List.iter
-                (fun res ->
-                  let b = res.r_buckets.(si) in
-                  let i = ref 0 in
-                  while !i < b.Buf.len do
-                    let t = b.Buf.data.(!i) in
-                    if t >= vlimit then i := b.Buf.len
-                    else begin
-                      while
-                        !mi < mb.Buf.len && mb.Buf.data.(!mi) < t
-                      do
-                        mi := copy_rec mb !mi
-                      done;
-                      i := copy_rec b !i
-                    end
-                  done)
-                results;
-              while !mi < mb.Buf.len do
-                mi := copy_rec mb !mi
+              for i = 0 to npieces - 1 do
+                let m = (Vec.get pieces i).misses in
+                for j = 0 to m.Buf.len - 1 do
+                  let t = m.Buf.data.(j) in
+                  if t < vlimit then begin
+                    let r = level.(t) in
+                    let klen = Table.key_len table r in
+                    ensure_kbuf st klen;
+                    Table.read table st.readers r st.kbuf;
+                    let seq = ref 0 in
+                    iter_successors ctx ~rw:true ~por st klen
+                      ~miss:(fun _ -> assert false)
+                      ~f:(fun il slen ->
+                        let s = !seq in
+                        incr seq;
+                        offer table fix st ~tag:t ~seq:s ~il slen)
+                  end
+                done
               done;
-              m
+            let total_cand = ref fix.cands in
+            for i = 0 to npieces - 1 do
+              total_cand := !total_cand + (Vec.get pieces i).out.cands
+            done;
+            let advance si =
+              advance cursors.(si) si pieces npieces fix vlimit
             in
-            let total_cand =
-              List.fold_left
-                (fun a res -> Array.fold_left ( + ) a res.r_counts)
-                (Array.fold_left ( + ) 0 miss_counts)
-                results
+            let start si =
+              let c = cursors.(si) in
+              c.p <- 0;
+              c.pi <- 0;
+              c.fi <- 0;
+              advance si
             in
-            if Table.count table + total_cand <= max_states then begin
+            if Table.count table + !total_cand <= max_states then begin
               (* Fast path: the bound cannot bite this chunk, so every
                  shard admits its own stream on its own domain with no
                  bound bookkeeping and no locks. *)
               let shard_admit si =
-                let m = merged_records si in
                 let sh = table.Table.shards.(si) in
-                let out = Buf.create () in
-                let i = ref 0 in
-                while !i < m.Buf.len do
-                  let d = m.Buf.data in
-                  let t = d.(!i) in
-                  let s = d.(!i + 1) in
-                  let il = d.(!i + 2) in
-                  let h1 = d.(!i + 3) in
-                  let fp = d.(!i + 4) in
-                  let klen = d.(!i + 5) in
-                  let parent = ((level.(t) + 1) lsl 16) lor il in
+                let c = cursors.(si) and out = outs.(si) in
+                Buf.clear out;
+                start si;
+                while c.i >= 0 do
+                  let d = c.d and i = c.i in
+                  let t = d.(i) in
+                  let parent = ((level.(t) + 1) lsl 16) lor d.(i + 2) in
                   (match
-                     Table.find_or_add sh ~h1 ~fp d (!i + rec_words) klen
-                       ~parent
+                     Table.find_or_add sh ~h1:d.(i + 3) ~fp:d.(i + 4) d
+                       (i + rec_words) d.(i + 5) ~parent
                    with
                   | r when r >= 0 -> ()
                   | fresh ->
                     Buf.push out t;
-                    Buf.push out s;
-                    Buf.push out (Table.pack_ref ~shard:si ~local:(-fresh - 1)));
-                  i := !i + rec_words + klen
-                done;
-                out
+                    Buf.push out d.(i + 1);
+                    Buf.push out
+                      (Table.pack_ref ~shard:si ~local:(-fresh - 1)));
+                  advance si
+                done
               in
-              let outs =
-                Array.of_list
-                  (Stdext.Pool.map ~jobs shard_admit (List.init nshards Fun.id))
-              in
+              ignore
+                (Stdext.Pool.map ~jobs shard_admit (List.init nshards Fun.id));
               (* Serial k-way merge of the per-shard admissions back
                  into one (tag, seq)-ordered frontier. *)
               let cur = Array.make nshards 0 in
@@ -1355,7 +1412,7 @@ module Search (P : Graybox.Protocol.S) = struct
                 match !best with
                 | -1 -> continue := false
                 | si ->
-                  Buf.push next outs.(si).Buf.data.(cur.(si) + 2);
+                  Buf.push nx outs.(si).Buf.data.(cur.(si) + 2);
                   cur.(si) <- cur.(si) + 3
               done
             end
@@ -1364,49 +1421,44 @@ module Search (P : Graybox.Protocol.S) = struct
                  (tag, seq) order, exactly the order a single-table
                  serial sweep admits in, so the hard bound keeps and
                  rejects the same states. *)
-              let ms = Array.init nshards merged_records in
-              let cur = Array.make nshards 0 in
+              for si = 0 to nshards - 1 do
+                start si
+              done;
               let continue = ref true in
               while !continue do
                 let best = ref (-1) in
                 for si = 0 to nshards - 1 do
-                  if cur.(si) < ms.(si).Buf.len then
+                  let c = cursors.(si) in
+                  if c.i >= 0 then
                     if !best < 0 then best := si
                     else begin
-                      let d = ms.(si).Buf.data and i = cur.(si) in
-                      let e = ms.(!best).Buf.data and j = cur.(!best) in
-                      if
-                        d.(i) < e.(j)
-                        || (d.(i) = e.(j) && d.(i + 1) < e.(j + 1))
+                      let b = cursors.(!best) in
+                      let t = c.d.(c.i) and u = b.d.(b.i) in
+                      if t < u || (t = u && c.d.(c.i + 1) < b.d.(b.i + 1))
                       then best := si
                     end
                 done;
                 match !best with
                 | -1 -> continue := false
                 | si ->
-                  let d = ms.(si).Buf.data and i = cur.(si) in
-                  let t = d.(i) in
-                  let il = d.(i + 2) in
-                  let h1 = d.(i + 3) in
-                  let fp = d.(i + 4) in
-                  let klen = d.(i + 5) in
+                  let d = cursors.(si).d and i = cursors.(si).i in
+                  let h1 = d.(i + 3) and fp = d.(i + 4) and klen = d.(i + 5) in
                   let sh = table.Table.shards.(si) in
                   if Table.count table >= max_states then begin
                     if not (Table.mem_sh sh ~h1 ~fp d (i + rec_words) klen)
                     then truncated := true
                   end
                   else begin
-                    let parent = ((level.(t) + 1) lsl 16) lor il in
+                    let parent = ((level.(d.(i)) + 1) lsl 16) lor d.(i + 2) in
                     match
                       Table.find_or_add sh ~h1 ~fp d (i + rec_words) klen
                         ~parent
                     with
                     | r when r >= 0 -> ()
                     | fresh ->
-                      Buf.push next
-                        (Table.pack_ref ~shard:si ~local:(-fresh - 1))
+                      Buf.push nx (Table.pack_ref ~shard:si ~local:(-fresh - 1))
                   end;
-                  cur.(si) <- i + rec_words + klen
+                  advance si
               done
             end;
             Table.checkpoint table
@@ -1417,7 +1469,10 @@ module Search (P : Graybox.Protocol.S) = struct
             process_chunk !c0 hi;
             c0 := hi
           done;
-          frontier := Buf.contents next;
+          let cur = !frontier in
+          Buf.clear cur;
+          frontier := nx;
+          next := cur;
           incr depth
         done;
         Table.note_peak table;

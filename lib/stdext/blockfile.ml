@@ -33,6 +33,11 @@ let create ~dir ~prefix =
     match Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o600 with
     | fd -> (path, fd)
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> attempt (tries - 1)
+    | exception Unix.Unix_error (e, _, _) ->
+      raise
+        (Sys_error
+           (Printf.sprintf "Blockfile.create: cannot create in %s: %s" dir
+              (Unix.error_message e)))
   in
   let path, fd = attempt 100 in
   { w_path = path;
@@ -67,11 +72,6 @@ let append t (a : int array) ~off ~len =
   really_write fd t.w_buf bytes;
   let at = t.w_words in
   t.w_words <- t.w_words + len;
-  at
-
-let append_record t a ~off ~len =
-  let at = append t [| len |] ~off:0 ~len:1 in
-  ignore (append t a ~off ~len);
   at
 
 let close t =
@@ -126,26 +126,3 @@ let close_reader r =
   | Some fd ->
     r.r_fd <- None;
     Unix.close fd
-
-let iter_records r f =
-  let fd =
-    match r.r_fd with
-    | Some fd -> fd
-    | None -> invalid_arg "Blockfile.iter_records: closed"
-  in
-  let total = Unix.lseek fd 0 Unix.SEEK_END / 8 in
-  let hdr = Array.make 1 0 in
-  let buf = ref (Array.make 256 0) in
-  let rec go woff =
-    if woff < total then begin
-      pread r ~woff hdr ~off:0 ~len:1;
-      let len = hdr.(0) in
-      if len < 0 || woff + 1 + len > total then
-        invalid_arg "Blockfile.iter_records: corrupt length prefix";
-      if Array.length !buf < len then buf := Array.make (max len (2 * len)) 0;
-      pread r ~woff:(woff + 1) !buf ~off:0 ~len;
-      f !buf len;
-      go (woff + 1 + len)
-    end
-  in
-  go 0

@@ -10,15 +10,6 @@
     domain) can stream disjoint ranges of the same file concurrently
     with no shared seek pointer.
 
-    Two layers:
-
-    - the raw layer ({!append} / {!pread}) addresses untyped words —
-      the model checker's spill path stores each state key's offset
-      and length itself, so it needs exactly this and nothing more;
-    - the record layer ({!append_record} / {!iter_records}) adds a
-      one-word length prefix per record for callers that want
-      self-describing files (tests, ad-hoc dumps).
-
     Files are created under a caller-supplied directory with
     [O_CREAT|O_EXCL] temp names and are deleted by {!remove}; a
     crashed run leaves them behind for post-mortem, nothing re-reads
@@ -50,10 +41,6 @@ val append : t -> int array -> off:int -> len:int -> int
     the word offset the slice starts at.  Data is written through,
     not buffered: a {!reader} opened afterwards sees it. *)
 
-val append_record : t -> int array -> off:int -> len:int -> int
-(** Like {!append} but with a one-word length prefix; returns the
-    offset of the prefix.  For {!iter_records} files. *)
-
 val close : t -> unit
 (** Close the writer fd; the file stays on disk. *)
 
@@ -70,8 +57,3 @@ val pread : reader -> woff:int -> int array -> off:int -> len:int -> unit
     @raise Invalid_argument when the range is beyond end-of-file. *)
 
 val close_reader : reader -> unit
-
-val iter_records : reader -> (int array -> int -> unit) -> unit
-(** [iter_records r f] streams a file written with {!append_record}
-    from offset 0, calling [f buf len] per record; [buf.(0..len-1)] is
-    valid only during [f] (the buffer is reused). *)

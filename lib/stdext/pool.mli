@@ -1,11 +1,21 @@
-(** A fixed-size domain pool for embarrassingly parallel sweeps.
+(** Parallel map for embarrassingly parallel sweeps, on domains
+    spawned per call.
 
     Campaign rows and bench seed sweeps are seed-deterministic and
     share no state, so they parallelize with no coordination beyond a
     work-stealing counter.  [map] keeps the sequential contract:
     results come back in input order and the first (by input position)
     exception re-raises in the caller, so [map ~jobs:k f xs] is
-    observably [List.map f xs] for pure [f] — only faster. *)
+    observably [List.map f xs] for pure [f] — only faster.
+
+    There is no persistent pool: each [map] spawns up to [jobs - 1]
+    helper domains and joins them before it returns.  The model
+    checker calls [map] twice per 8,192-state chunk, about 120 spawns
+    in one jobs-2 check of RA at n=4, depth 10.  A persistent pool
+    measured on that check (2-core VM, median of 5 interleaved calls)
+    saved ~8 % (1.22 → 1.12 s), and its live helpers would hold domain
+    slots for its lifetime, against OCaml 5.1's limit of 128 live
+    domains. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the whole machine. *)

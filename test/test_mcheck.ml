@@ -192,7 +192,7 @@ let scrub_mem = function
         path;
         stats = { s with Mcheck.peak_mem_words = 0; spill_bytes = 0 } }
 
-let check_differential name run () =
+let check_differential ?(budget = 64) name run () =
   let reference = run ~jobs:1 ~shards:1 ~mem_budget:max_int in
   (* fixed budget => full equality including memory stats, across a
      seeded-random draw of (jobs, shards) configurations *)
@@ -205,9 +205,9 @@ let check_differential name run () =
       true
       (run ~jobs ~shards ~mem_budget:max_int = reference)
   done;
-  (* tiny budget forces the spill path; everything but the memory
+  (* a small budget forces the spill path; everything but the memory
      figures must be unchanged, and spilling must actually happen *)
-  let spilled = run ~jobs:3 ~shards:4 ~mem_budget:64 in
+  let spilled = run ~jobs:3 ~shards:4 ~mem_budget:budget in
   Alcotest.(check bool)
     (Printf.sprintf "%s: spill-forced == in-RAM (modulo memory stats)" name)
     true
@@ -225,11 +225,16 @@ let check_differential name run () =
     true
     ((stats_of reference).Mcheck.spill_bytes = 0);
   (* memory stats themselves are jobs- and shards-invariant at a
-     fixed budget *)
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: spilled stats jobs/shards-invariant" name)
-    true
-    (run ~jobs:1 ~shards:7 ~mem_budget:64 = spilled)
+     fixed budget, down to a single shard that holds every key *)
+  List.iter
+    (fun (jobs, shards) ->
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s: spilled stats at jobs=%d shards=%d == jobs=3 shards=4" name
+           jobs shards)
+        true
+        (run ~jobs ~shards ~mem_budget:budget = spilled))
+    [ (1, 7); (2, 1) ]
 
 let diff_safe ~jobs ~shards ~mem_budget =
   Mcheck.check_me1 ra ~n:3 ~jobs ~shards ~mem_budget ~max_depth:8 ()
@@ -244,6 +249,11 @@ let diff_bounded ~jobs ~shards ~mem_budget =
   (* exercises the near-max_states serial admission path *)
   Mcheck.check_me1 ra ~n:3 ~jobs ~shards ~mem_budget ~max_depth:30
     ~max_states:500 ()
+
+let diff_paged ~jobs ~shards ~mem_budget =
+  (* at a 200K-word budget one shard's spill flushes several 2^16-word
+     arena pages, and keys straddle the page boundaries *)
+  Mcheck.check_me1 ra ~n:3 ~jobs ~shards ~mem_budget ~max_depth:14 ()
 
 (* -- partial-order reduction ---------------------------------------- *)
 
@@ -288,6 +298,24 @@ let test_peak_mem_reported () =
       (stats.Mcheck.peak_mem_words >= 4 * stats.Mcheck.visited);
     Alcotest.(check int) "no spill without pressure" 0 stats.Mcheck.spill_bytes
   | Mcheck.Violation _ -> Alcotest.fail "ra is safe"
+
+let test_major_alloc_bounded () =
+  (* The sweep allocates little beyond what it keeps: the visited
+     set's arena pages, probe slots and index vectors, plus candidate
+     and frontier buffers that grow once and are reused.  Buffers
+     rebuilt per chunk (and grown by doubling) would cost many times
+     the resident peak. *)
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let before = major () in
+  match Mcheck.check_me1 ra ~n:3 ~max_depth:16 () with
+  | Mcheck.Ok stats ->
+    let words = major () -. before in
+    let peak = stats.Mcheck.peak_mem_words in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f major-heap words <= 6 x peak (%d words)" words peak)
+      true
+      (words <= 6. *. float_of_int peak)
+  | Mcheck.Violation _ -> Alcotest.fail "ra is safe at depth 16"
 
 let () =
   Alcotest.run "mcheck"
@@ -341,7 +369,10 @@ let () =
           Alcotest.test_case "everywhere run" `Quick
             (check_differential "lamport-m1 everywhere" diff_everywhere);
           Alcotest.test_case "bounded run" `Quick
-            (check_differential "ra n=3 max_states=500" diff_bounded) ] );
+            (check_differential "ra n=3 max_states=500" diff_bounded);
+          Alcotest.test_case "page-crossing spill" `Quick
+            (check_differential ~budget:200_000 "ra n=3 depth 14"
+               diff_paged) ] );
       ( "por",
         [ Alcotest.test_case "fewer states, same verdict" `Quick
             test_por_reduces_and_agrees;
@@ -350,4 +381,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_por_deterministic ] );
       ( "memory",
         [ Alcotest.test_case "peak and spill reported" `Quick
-            test_peak_mem_reported ] ) ]
+            test_peak_mem_reported;
+          Alcotest.test_case "major-heap allocation bounded" `Quick
+            test_major_alloc_bounded ] ) ]

@@ -453,20 +453,21 @@ let test_blockfile_reader_sees_later_appends () =
           Blockfile.pread r ~woff:2 buf ~off:0 ~len:3;
           Alcotest.(check (array int)) "write-through" [| 20; 21; 22 |] buf))
 
-let test_blockfile_records () =
-  with_blockfile (fun t ->
-      ignore (Blockfile.append_record t [| 5; 6; 7 |] ~off:0 ~len:3);
-      ignore (Blockfile.append_record t [||] ~off:0 ~len:0);
-      ignore (Blockfile.append_record t [| 9 |] ~off:0 ~len:1);
-      let r = Blockfile.reader t in
-      Fun.protect
-        ~finally:(fun () -> Blockfile.close_reader r)
-        (fun () ->
-          let got = ref [] in
-          Blockfile.iter_records r (fun buf len ->
-              got := Array.to_list (Array.sub buf 0 len) :: !got);
-          Alcotest.(check (list (list int)))
-            "records in order" [ [ 5; 6; 7 ]; []; [ 9 ] ] (List.rev !got)))
+let test_blockfile_create_bad_dir () =
+  (* a missing directory and a regular file both fail as the
+     documented Sys_error, not as a Unix error *)
+  let file = Filename.temp_file "blockfile" ".notdir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun dir ->
+          match Blockfile.create ~dir ~prefix:"t" with
+          | t ->
+            Blockfile.remove t;
+            Alcotest.failf "created a blockfile in %s" dir
+          | exception Sys_error _ -> ())
+        [ Filename.concat file "sub"; file ^ ".missing" ])
 
 let test_blockfile_remove_idempotent () =
   let t = Blockfile.create ~dir:(Filename.get_temp_dir_name ()) ~prefix:"t" in
@@ -577,7 +578,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_blockfile_roundtrip;
           Alcotest.test_case "reader sees later appends" `Quick
             test_blockfile_reader_sees_later_appends;
-          Alcotest.test_case "records" `Quick test_blockfile_records;
+          Alcotest.test_case "create in a bad dir" `Quick
+            test_blockfile_create_bad_dir;
           Alcotest.test_case "remove idempotent" `Quick
             test_blockfile_remove_idempotent;
           Alcotest.test_case "bad ranges" `Quick test_blockfile_bad_ranges;
