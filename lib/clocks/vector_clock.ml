@@ -25,16 +25,27 @@ let merge a b =
     invalid_arg "Vector_clock.merge: dimension mismatch";
   Array.mapi (fun i x -> max x b.(i)) a
 
-let leq a b =
-  Array.length a = Array.length b
+let leq (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b
   &&
-  let ok = ref true in
-  Array.iteri (fun i x -> if x > b.(i) then ok := false) a;
-  !ok
+  let i = ref 0 in
+  while !i < n && a.(!i) <= b.(!i) do incr i done;
+  !i = n
 
 let equal a b = a = b
 
-let lt a b = leq a b && not (equal a b)
+(* one pass: every component [<=], at least one [<] *)
+let lt (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 and strict = ref false in
+  while !i < n && a.(!i) <= b.(!i) do
+    if a.(!i) < b.(!i) then strict := true;
+    incr i
+  done;
+  !i = n && !strict
 
 let concurrent a b = (not (leq a b)) && not (leq b a)
 

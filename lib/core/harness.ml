@@ -65,6 +65,7 @@ module Make (P : Protocol.S) = struct
     params : params;
     self : Sim.Pid.t;
     proto : P.state;
+    view : View.t;  (** [P.view proto], recomputed wherever [proto] changes *)
     timer : int;  (** wrapper timeout counter, domain [0 .. δ] *)
     think_left : int;
     eat_left : int;
@@ -74,16 +75,17 @@ module Make (P : Protocol.S) = struct
     entries : int;  (** oracle CS-entry counter *)
   }
 
-  let view node = P.view node.proto
+  let view node = node.view
 
   let draw_think p rng = Rng.int_in rng p.think_min p.think_max
   let draw_eat p rng = Rng.int_in rng p.eat_min p.eat_max
 
-  let init params ~client_seed self =
+  let make params ~client_seed self proto =
     let client_rng = Rng.create (client_seed + (7919 * (self + 1))) in
     { params;
       self;
-      proto = P.init ~n:params.n self;
+      proto;
+      view = P.view proto;
       timer = 0;
       think_left = draw_think params client_rng;
       eat_left = 0;
@@ -92,7 +94,8 @@ module Make (P : Protocol.S) = struct
       req_vc = Vector_clock.create ~n:params.n;
       entries = 0 }
 
-  let tick_ovc node = { node with ovc = Vector_clock.tick node.ovc node.self }
+  let init params ~client_seed self =
+    make params ~client_seed self (P.init ~n:params.n self)
 
   let wrap_sends node sends =
     List.map (fun (dst, m) -> (dst, { payload = m; ovc = node.ovc })) sends
@@ -101,11 +104,17 @@ module Make (P : Protocol.S) = struct
     type state = node
     type msg = envelope
 
+    (* Every action that changes [proto] refreshes [view] in the same
+       record update, so [view] is a field read everywhere else. *)
+
     let receive ~self:_ ~from { payload; ovc } node =
-      let node = { node with ovc = Vector_clock.merge node.ovc ovc } in
-      let node = tick_ovc node in
       let proto, sends = P.on_message ~from payload node.proto in
-      let node = { node with proto } in
+      let node =
+        { node with
+          proto;
+          view = P.view proto;
+          ovc = Vector_clock.tick (Vector_clock.merge node.ovc ovc) node.self }
+      in
       (node, wrap_sends node sends)
 
     (* The action closures below capture nothing — each reads
@@ -122,9 +131,11 @@ module Make (P : Protocol.S) = struct
     let act_request_cs =
       [ ("request-cs",
          fun node ->
-           let node = tick_ovc node in
            let proto, sends = P.request_cs node.proto in
-           let node = { node with proto; req_vc = node.ovc } in
+           let ovc = Vector_clock.tick node.ovc node.self in
+           let node =
+             { node with proto; view = P.view proto; ovc; req_vc = ovc }
+           in
            (node, wrap_sends node sends)) ]
 
     let act_enter_cs =
@@ -133,10 +144,11 @@ module Make (P : Protocol.S) = struct
            match P.try_enter node.proto with
            | None -> (node, [])  (* guard raced with nothing: keep state *)
            | Some (proto, sends) ->
-             let node = tick_ovc node in
              let node =
                { node with
                  proto;
+                 view = P.view proto;
+                 ovc = Vector_clock.tick node.ovc node.self;
                  entries = node.entries + 1;
                  eat_left = draw_eat node.params node.client_rng }
              in
@@ -148,11 +160,12 @@ module Make (P : Protocol.S) = struct
     let act_release_cs =
       [ ("release-cs",
          fun node ->
-           let node = tick_ovc node in
            let proto, sends = P.release_cs node.proto in
            let node =
              { node with
                proto;
+               view = P.view proto;
+               ovc = Vector_clock.tick node.ovc node.self;
                think_left = draw_think node.params node.client_rng }
            in
            (node, wrap_sends node sends)) ]
@@ -167,13 +180,13 @@ module Make (P : Protocol.S) = struct
            match node.params.wrapper with
            | Off -> (node, []) (* unreachable: guarded by [wrapper_actions] *)
            | On { variant; delta } ->
-             let v = view node in
-             let sends = Wrapper.fire variant v ~n:node.params.n in
+             let sends = Wrapper.fire variant node.view ~n:node.params.n in
              let node = { node with timer = delta } in
              (node, wrap_sends node sends)
            | On_term { term; delta } ->
-             let v = view node in
-             let sends = Wrapper.eval term v ~n:node.params.n ~timer:node.timer in
+             let sends =
+               Wrapper.eval term node.view ~n:node.params.n ~timer:node.timer
+             in
              let node = { node with timer = delta } in
              (node, wrap_sends node sends)) ]
 
@@ -195,9 +208,9 @@ module Make (P : Protocol.S) = struct
       | On { variant; delta } ->
         if not (View.hungry v) then []
         else if node.timer > 0 then act_wrapper_tick
-        else
-          let sends = Wrapper.fire variant v ~n:node.params.n in
-          if sends = [] && delta = 0 then [] else act_wrapper_fire
+        else if delta <> 0 || Wrapper.fire variant v ~n:node.params.n <> []
+        then act_wrapper_fire
+        else []
       | On_term { term; _ } ->
         (* the term's own guard (evaluated as if the timer had expired)
            is the enablement; the harness timer then rate-limits actual
@@ -207,7 +220,7 @@ module Make (P : Protocol.S) = struct
         else act_wrapper_fire
 
     let actions ~self:_ node =
-      let v = view node in
+      let v = node.view in
       match wrapper_actions v node with
       | [] -> client_actions v node
       | w -> (match client_actions v node with [] -> w | c -> c @ w)
@@ -259,18 +272,14 @@ module Make (P : Protocol.S) = struct
       | Off -> node.timer
       | On { delta; _ } | On_term { delta; _ } -> Rng.int rng (delta + 1)
     in
-    { node with proto; timer }
+    { node with proto; view = P.view proto; timer }
 
   let fault_corrupt_process proc : (node, envelope) Sim.Faults.kind =
     Mutate_state { proc; f = corrupt_node }
 
   let fault_reset_process params proc : (node, envelope) Sim.Faults.kind =
-    Reset_state
-      { proc;
-        f =
-          (fun p ->
-            let node = init params ~client_seed:(p + 101) p in
-            { node with proto = P.reset ~n:params.n p }) }
+    let f p = make params ~client_seed:(p + 101) p (P.reset ~n:params.n p) in
+    Reset_state { proc; f }
 
   let fault_drop_requests chan ~count : (node, envelope) Sim.Faults.kind =
     Drop { chan; count; only = Some (fun e -> Msg.is_request e.payload) }
@@ -306,6 +315,8 @@ module Make (P : Protocol.S) = struct
       { proc = Any_proc;
         f =
           (fun _rng node ->
-            { node with
-              proto = P.on_view_change ~members:(members_of node.self) node.proto }) }
+            let proto =
+              P.on_view_change ~members:(members_of node.self) node.proto
+            in
+            { node with proto; view = P.view proto }) }
 end

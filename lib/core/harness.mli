@@ -62,12 +62,21 @@ module Make (P : Protocol.S) : sig
       clock (never read by protocol or wrapper). *)
   type envelope = { payload : Msg.t; ovc : Clocks.Vector_clock.t }
 
-  (** A full node: protocol state composed with wrapper timer, client
-      counters, and the oracle. *)
-  type node = {
+  (** A full node: protocol state composed with its cached view,
+      wrapper timer, client counters, and the oracle.
+
+      [view] is [P.view proto], computed once wherever [proto] changes
+      (receive, request, enter, release, corrupt, reset, view change)
+      and read as a field by the scheduler's [actions], the wrapper and
+      the streaming observers — a node is re-examined far more often
+      than its protocol state changes.  The record is [private] so that
+      only this module builds nodes: code elsewhere reads every field
+      but cannot pair a [proto] with a stale [view]. *)
+  type node = private {
     params : params;
     self : Sim.Pid.t;
     proto : P.state;
+    view : View.t;  (** = [P.view proto], kept in step by every update *)
     timer : int;  (** wrapper timeout counter, domain [0 .. δ] *)
     think_left : int;
     eat_left : int;
@@ -78,8 +87,8 @@ module Make (P : Protocol.S) : sig
   }
 
   val view : node -> View.t
-  (** The graybox projection of a composed node (= [P.view] of its
-      protocol state). *)
+  (** The graybox projection of a composed node: its cached [view]
+      field, equal to [P.view] of its protocol state. *)
 
   val init : params -> client_seed:int -> Sim.Pid.t -> node
 

@@ -107,6 +107,7 @@ module Epoch = struct
 
   type row_state = {
     r_topo : Sim.Regime.topo;
+    r_group : int array;  (** pid -> index of its group in [r_topo.groups] *)
     mutable r_me1 : Temporal.verdict;
     mutable r_entries : int;
   }
@@ -117,6 +118,11 @@ module Epoch = struct
     ob_idx : int;
   }
 
+  (* The fold updates arrays in place: a snapshot costs O(n) reads and
+     allocates only the ME2 obligations it opens.  ME1 counts eaters
+     per group of the current epoch; ME2 keeps each process's open
+     obligations: the snapshot indices at which it was hungry in a
+     global epoch and has not eaten since. *)
   type t = {
     n : int;
     cursor : Sim.Regime.cursor;
@@ -124,8 +130,8 @@ module Epoch = struct
     mutable cur_epoch : int;
     mutable idx : int;  (** snapshots fed so far *)
     mutable obligation : obligation option;
-    mutable heal : Temporal.verdict;  (** latches failed obligations *)
-    mutable me2_m : (Sim.Regime.phase * View.t array) Online.t;
+    group_eaters : int array;  (** eaters per group, current snapshot *)
+    me2_open : int list array;  (** per process, most recent first *)
     mutable me3 : Temporal.verdict;
     mutable earlier : (Harness.entry_record * Sim.Regime.topo) list;
     mutable entry_idx : int;
@@ -133,27 +139,21 @@ module Epoch = struct
   }
 
   let create ~n ~timeline =
+    let row (topo : Sim.Regime.topo) =
+      let r_group = Array.make n (-1) in
+      List.iteri
+        (fun g members -> List.iter (fun k -> r_group.(k) <- g) members)
+        topo.Sim.Regime.groups;
+      { r_topo = topo; r_group; r_me1 = Temporal.Holds; r_entries = 0 }
+    in
     { n;
       cursor = Sim.Regime.cursor timeline;
-      rows =
-        Sim.Regime.epochs timeline
-        |> List.map (fun topo ->
-               { r_topo = topo; r_me1 = Temporal.Holds; r_entries = 0 })
-        |> Array.of_list;
+      rows = Array.of_list (List.map row (Sim.Regime.epochs timeline));
       cur_epoch = 0;
       idx = 0;
       obligation = None;
-      heal = Temporal.Holds;
-      me2_m =
-        Online.all
-          (List.init n (fun j ->
-               Online.leads_to_gated
-                 ~name:(Printf.sprintf "ME2.%d" j)
-                 ~gate:(fun ((ph : Sim.Regime.phase), _) ->
-                   ph = Sim.Regime.Global)
-                 (fun ((_, views) : _ * View.t array) ->
-                   View.hungry views.(j))
-                 (fun (_, views) -> View.eating views.(j))));
+      group_eaters = Array.make n 0;
+      me2_open = Array.make n [];
       me3 = Temporal.Holds;
       earlier = [];
       entry_idx = 0;
@@ -166,21 +166,43 @@ module Epoch = struct
     done;
     !acc
 
-  (* at most one eater per connected group of [topo] *)
-  let me1_ok (topo : Sim.Regime.topo) eaters =
-    List.for_all
-      (fun g ->
-        List.length (List.filter (fun k -> List.mem k g) eaters) <= 1)
-      topo.Sim.Regime.groups
-
   let pids_label pids =
     "{" ^ String.concat "," (List.map string_of_int pids) ^ "}"
 
-  let subset a b = List.for_all (fun k -> List.mem k b) a
+  (* every current eater is one of the carried-over holders *)
+  let shrunk_to ob views =
+    let ok = ref true in
+    Array.iteri
+      (fun j v ->
+        if View.eating v && not (List.mem j ob.ob_pids) then ok := false)
+      views;
+    !ok
+
+  let violate_me1 m row (topo : Sim.Regime.topo) views =
+    let bad = ref (-1) in
+    Array.iteri (fun g c -> if c > 1 && !bad < 0 then bad := g) m.group_eaters;
+    row.r_me1 <-
+      Temporal.Violated
+        { at = m.idx;
+          reason =
+            Printf.sprintf "ME1[epoch %d]: concurrent CS holders %s in group %s"
+              topo.Sim.Regime.epoch
+              (pids_label (eater_pids views))
+              (pids_label (List.nth topo.Sim.Regime.groups !bad)) }
 
   let feed m ~time views =
     let topo = Sim.Regime.advance m.cursor time in
-    let eaters = eater_pids views in
+    let row = m.rows.(topo.Sim.Regime.epoch) in
+    (* ME1: at most one eater per connected group *)
+    Array.fill m.group_eaters 0 m.n 0;
+    let legal = ref true in
+    for j = 0 to m.n - 1 do
+      if View.eating views.(j) then begin
+        let g = row.r_group.(j) in
+        m.group_eaters.(g) <- m.group_eaters.(g) + 1;
+        if m.group_eaters.(g) > 1 then legal := false
+      end
+    done;
     if topo.Sim.Regime.epoch <> m.cur_epoch then begin
       m.cur_epoch <- topo.Sim.Regime.epoch;
       (* regime change: the CS holders observed at the first snapshot
@@ -189,40 +211,28 @@ module Epoch = struct
          pre-change snapshot under-counts).  If they violate the new
          topology they are on notice: tolerated only while shrinking,
          and the obligation must discharge before the run ends. *)
-      if (not (me1_ok topo eaters)) && m.obligation = None then
+      if (not !legal) && Option.is_none m.obligation then
         m.obligation <-
-          Some { ob_pids = eaters; ob_time = time; ob_idx = m.idx }
+          Some { ob_pids = eater_pids views; ob_time = time; ob_idx = m.idx }
     end;
-    let row = m.rows.(topo.Sim.Regime.epoch) in
-    let legal = me1_ok topo eaters in
-    let tolerated =
-      match m.obligation with
-      | Some ob -> subset eaters ob.ob_pids
-      | None -> false
-    in
-    if legal then m.obligation <- None;
-    (if (not legal) && not tolerated then
-       match row.r_me1 with
-       | Temporal.Holds ->
-         let bad_group =
-           List.find_opt
-             (fun g ->
-               List.length (List.filter (fun k -> List.mem k g) eaters) > 1)
-             topo.Sim.Regime.groups
-         in
-         let glabel =
-           match bad_group with Some g -> pids_label g | None -> "{}"
-         in
-         row.r_me1 <-
-           Temporal.Violated
-             { at = m.idx;
-               reason =
-                 Printf.sprintf
-                   "ME1[epoch %d]: concurrent CS holders %s in group %s"
-                   topo.Sim.Regime.epoch (pids_label eaters) glabel }
-       | _ -> ());
-    (* ME2: obligations open only while the regime is global *)
-    m.me2_m <- Online.feed m.me2_m (topo.Sim.Regime.phase, views);
+    if !legal then m.obligation <- None
+    else begin
+      let tolerated =
+        match m.obligation with Some ob -> shrunk_to ob views | None -> false
+      in
+      match row.r_me1 with
+      | Temporal.Holds when not tolerated -> violate_me1 m row topo views
+      | _ -> ()
+    end;
+    (* ME2: eating discharges a process's obligations; being hungry
+       opens one, but only while the regime is global *)
+    let global = topo.Sim.Regime.phase = Sim.Regime.Global in
+    for j = 0 to m.n - 1 do
+      let v = views.(j) in
+      if View.eating v then m.me2_open.(j) <- []
+      else if global && View.hungry v then
+        m.me2_open.(j) <- m.idx :: m.me2_open.(j)
+    done;
     m.idx <- m.idx + 1
 
   let feed_entry m ~time (e : Harness.entry_record) =
@@ -260,11 +270,24 @@ module Epoch = struct
     m.earlier <- (e, topo) :: m.earlier;
     m.entry_idx <- m.entry_idx + 1
 
+  (* The sorted, deduplicated union of the open obligations — what
+     conjoining the per-process leads-to verdicts yields — in one pass:
+     mark each open index, then read the marks back in order. *)
+  let me2_verdict m =
+    let open_at = Bytes.make m.idx '\000' in
+    Array.iter (List.iter (fun i -> Bytes.set open_at i '\001')) m.me2_open;
+    let obligations = ref [] in
+    for i = m.idx - 1 downto 0 do
+      if Bytes.get open_at i <> '\000' then obligations := i :: !obligations
+    done;
+    match !obligations with
+    | [] -> Temporal.Holds
+    | obligations -> Temporal.Pending { obligations }
+
   let report m =
     let heal =
-      match (m.heal, m.obligation) with
-      | (Temporal.Violated _ as v), _ -> v
-      | _, Some ob ->
+      match m.obligation with
+      | Some ob ->
         Temporal.Violated
           { at = ob.ob_idx;
             reason =
@@ -272,15 +295,14 @@ module Epoch = struct
                 "CS holders %s spanning the regime change at time %d \
                  were never resolved to one"
                 (pids_label ob.ob_pids) ob.ob_time }
-      | v, None -> v
+      | None -> Temporal.Holds
     in
-    let me2 = Online.verdict m.me2_m in
     { rows =
         Array.to_list m.rows
         |> List.map (fun r ->
                { topo = r.r_topo; me1 = r.r_me1; row_entries = r.r_entries });
       heal;
-      me2;
+      me2 = me2_verdict m;
       me3 = m.me3;
       split_entries = m.split_entries;
       snapshots = m.idx }

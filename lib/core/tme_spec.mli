@@ -95,9 +95,12 @@ module Epoch : sig
   (** Mutable accumulator — create one per run. *)
 
   val create : n:int -> timeline:Sim.Regime.timeline -> t
+  (** [timeline] must be over the same [n] processes. *)
 
   val feed : t -> time:int -> View.t array -> unit
-  (** Consume the next snapshot's views (read during the call only). *)
+  (** Consume the next snapshot's [n] views (read during the call
+      only).  Costs O(n) and allocates only the ME2 obligations the
+      snapshot opens. *)
 
   val feed_entry : t -> time:int -> Harness.entry_record -> unit
   (** Consume the next oracle CS entry, before the snapshot of the

@@ -228,7 +228,7 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
       (* A stutter with no crash window left is permanent: exit early
          and feed the remaining horizon synthetically, so the analysis
          stays byte-identical to the full run at a fraction of the
-         cost (deadlocked cells dominate campaign wall-clock). *)
+         cost. *)
       let stop eng = !stuttering && Run.Run.quiescent eng in
       (match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
        | None -> ()

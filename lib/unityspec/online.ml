@@ -72,32 +72,6 @@ let leads_to ?name p q =
   in
   at 0 []
 
-let leads_to_gated ?name ~gate p q =
-  ignore name;
-  (* [leads_to], except obligations open only at snapshots the gate
-     admits — conditional progress for regime-indexed specs: a hungry
-     process in a severed minority group owes nobody anything, but an
-     obligation opened under the full topology still discharges
-     whenever it is finally served *)
-  let rec at i open_obligations =
-    let verdict =
-      lazy
-        (match open_obligations with
-        | [] -> Temporal.Holds
-        | _ -> Temporal.Pending { obligations = List.rev open_obligations })
-    in
-    { verdict;
-      feed =
-        (fun x ->
-          let open_obligations = if q x then [] else open_obligations in
-          let open_obligations =
-            if gate x && p x && not (q x) then i :: open_obligations
-            else open_obligations
-          in
-          at (i + 1) open_obligations) }
-  in
-  at 0 []
-
 let rec all ms =
   { verdict = lazy (Temporal.all (List.map verdict ms));
     feed = (fun x -> all (List.map (fun m -> feed m x) ms)) }

@@ -37,17 +37,6 @@ val leads_to : ?name:string -> ('a -> bool) -> ('a -> bool) -> 'a t
 val leads_to_always : ?name:string -> ('a -> bool) -> ('a -> bool) -> 'a t
 (** [leads_to_always ?name p q]. *)
 
-val leads_to_gated :
-  ?name:string -> gate:('a -> bool) -> ('a -> bool) -> ('a -> bool) -> 'a t
-(** [leads_to_gated ?name ~gate p q] is {!leads_to} with conditional
-    obligation opening: a [p]-snapshot opens an obligation only when
-    [gate] also holds there; [q] discharges every open obligation
-    regardless of the gate.  With [gate = fun _ -> true] this is
-    exactly [leads_to p q].  The regime-epoch monitors use it to scope
-    progress clauses to [Global] epochs: a hungry process in a severed
-    minority group owes nothing, but an obligation opened under the
-    full topology still discharges whenever served. *)
-
 val all : 'a t list -> 'a t
 (** [all ms] conjoins monitors, combining verdicts with
     {!Temporal.both}. *)

@@ -186,6 +186,20 @@ let prop_vc_partial_order_antisym =
       (not (Vector_clock.leq a b && Vector_clock.leq b a))
       || Vector_clock.equal a b)
 
+(* leq/lt against their componentwise definitions, over small
+   components (so equal components are common) and mixed dimensions *)
+let prop_vc_orders_componentwise =
+  let gen_small =
+    QCheck2.Gen.(
+      let* xs = list_size (2 -- 3) (0 -- 2) in
+      return (Vector_clock.of_list xs))
+  in
+  qtest ~count:1000 "leq/lt componentwise" QCheck2.Gen.(pair gen_small gen_small)
+    (fun (a, b) ->
+      let xs = Vector_clock.to_list a and ys = Vector_clock.to_list b in
+      let leq = List.length xs = List.length ys && List.for_all2 ( <= ) xs ys in
+      Vector_clock.leq a b = leq && Vector_clock.lt a b = (leq && xs <> ys))
+
 let () =
   Alcotest.run "clocks"
     [ ( "timestamp",
@@ -216,4 +230,5 @@ let () =
           prop_vc_merge_idempotent;
           prop_vc_merge_upper_bound;
           prop_vc_tick_increases;
-          prop_vc_partial_order_antisym ] ) ]
+          prop_vc_partial_order_antisym;
+          prop_vc_orders_componentwise ] ) ]

@@ -233,6 +233,124 @@ let test_live_monitors_equal_offline_report () =
        (fun (name, _) -> List.mem name [ "ra"; "lamport" ])
        protocols_under_test)
 
+(* ------------------------------------------------------------------ *)
+(* Cached views                                                        *)
+
+(* No registered protocol's view moves on a membership announcement,
+   so a stale view there would go unseen; this RA re-requests the
+   critical section at every announcement, which ticks its clock. *)
+module Rerequesting_ra = struct
+  include Tme.Ra_me
+
+  let name = "ra-rerequesting"
+  let membership_aware = true
+  let on_view_change ~members:_ s = fst (request_cs s)
+end
+
+(* A node caches [P.view proto]; every site that changes [proto] must
+   refresh it.  Every registry entry (and the RA above), unwrapped and
+   under W'(default delta), five seeds, under a plan that corrupts,
+   resets, crashes and drops (and splits, with view changes, for
+   membership-aware protocols): after every step and every fault, each
+   node's cached view equals a fresh projection of its protocol
+   state. *)
+let check_views_fresh (module P : Graybox.Protocol.S) ~wrapper ~seed =
+  let module R = H.Make (P) in
+  let params = H.params ~wrapper ~n () in
+  let engine = R.make_engine ~record:false params ~seed in
+  let split =
+    if P.membership_aware then
+      let members_of self = if self <= 1 then [ 0; 1 ] else [ 2; 3 ] in
+      [ Sim.Faults.at 400
+          (Sim.Faults.Split
+             { groups = [ [ 0; 1 ] ]; from_t = 400; until_t = 700;
+               mode = Sim.Faults.Lossy });
+        Sim.Faults.at 400 (R.fault_view_change ~members_of);
+        Sim.Faults.at 700 Sim.Faults.Heal;
+        Sim.Faults.at 700
+          (R.fault_view_change ~members_of:(fun _ -> List.init n Fun.id)) ]
+    else []
+  in
+  let plan =
+    [ Sim.Faults.at 100 (R.fault_corrupt_process Sim.Faults.Any_proc);
+      Sim.Faults.at 150 (R.fault_drop_any Sim.Faults.Any_chan ~count:2);
+      Sim.Faults.at 200 (R.fault_reset_process params (Sim.Faults.Proc 2));
+      Sim.Faults.at 250
+        (Sim.Faults.Crash
+           { proc = Sim.Faults.Proc 3; until_t = 330; lose_deliveries = true });
+      Sim.Faults.at 330 (R.fault_drop_requests Sim.Faults.Any_chan ~count:1);
+      Sim.Faults.at 800 (R.fault_corrupt_process (Sim.Faults.Proc 1)) ]
+    @ split
+  in
+  let faults = ref 0 in
+  R.Run.add_observer engine (fun (s : (R.node, R.envelope) Ob.step) ->
+      (match s.Ob.event with Sim.Trace.Fault _ -> incr faults | _ -> ());
+      Array.iteri
+        (fun p (node : R.node) ->
+          if not (R.view node = P.view node.R.proto) then
+            Alcotest.failf "%s seed %d: stale view of process %d at time %d"
+              P.name seed p s.Ob.time)
+        s.Ob.states);
+  R.Run.run ~plan ~steps:1200 engine;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s seed %d: faults observed" P.name seed)
+    true
+    (!faults >= List.length plan)
+
+let test_cached_view_never_stale () =
+  let rerequesting = (module Rerequesting_ra : Graybox.Protocol.S) in
+  List.iter
+    (fun (proto, delta) ->
+      List.iter
+        (fun wrapper ->
+          List.iter (fun seed -> check_views_fresh proto ~wrapper ~seed)
+            [ 1; 2; 3; 4; 5 ])
+        [ H.Off; S.wrapped ~delta () ])
+    ((rerequesting, 8)
+    :: List.map
+         (fun (e : Graybox.Registry.entry) ->
+           (e.Graybox.Registry.proto, e.Graybox.Registry.default_delta))
+         (Graybox.Registry.all ()))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+
+(* Observing a streaming run costs what changes in it: an unwrapped
+   run that wedges in a lossy split (and feeds the rest of its horizon
+   synthetically, with thousands of ME2 obligations open) stays within
+   100 minor words per horizon step, projection, monitors and verdict
+   included. *)
+let test_streaming_allocation_bounded () =
+  let steps = 4000 in
+  let faults =
+    [ S.Split
+        { groups = [ [ 0; 1 ] ]; from_t = 300; until_t = 600;
+          mode = Sim.Faults.Lossy } ]
+  in
+  let run name =
+    S.run (List.assoc name protocols_under_test) ~faults ~streaming:true ~n
+      ~seed:1 ~steps
+  in
+  ignore (run "ra");
+  List.iter
+    (fun (name, obligations) ->
+      let before = Gc.minor_words () in
+      let r = run name in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words <= %d" name words (100 * steps))
+        true
+        (words <= float_of_int (100 * steps));
+      let open_obligations =
+        match r.S.epoch_spec with
+        | Some { Graybox.Tme_spec.Epoch.me2 = Unityspec.Temporal.Pending p; _ } ->
+          List.length p.obligations
+        | _ -> 0
+      in
+      Alcotest.(check int) (name ^ ": open ME2 obligations") obligations
+        open_obligations)
+    [ ("ra", 3424); ("lamport", 3417) ]
+
 let test_stateful_monitor_latches () =
   let open Unityspec in
   let m =
@@ -275,4 +393,10 @@ let () =
           Alcotest.test_case "deadlock early exit" `Quick
             test_streaming_deadlock_early_exit;
           Alcotest.test_case "live monitors == offline report" `Quick
-            test_live_monitors_equal_offline_report ] ) ]
+            test_live_monitors_equal_offline_report ] );
+      ( "cached-view",
+        [ Alcotest.test_case "never stale (registry x wrapper x seed)" `Quick
+            test_cached_view_never_stale ] );
+      ( "allocation",
+        [ Alcotest.test_case "streaming split run bounded" `Quick
+            test_streaming_allocation_bounded ] ) ]

@@ -160,6 +160,288 @@ let test_online_offline_equivalence () =
     (Registry.all ())
 
 (* ------------------------------------------------------------------ *)
+(* The epoch fold against an independent reference                     *)
+
+(* [Epoch.feed]/[Epoch.of_trace] share one fold, so the equivalence
+   above cannot see that fold drift from the spec.  This reference
+   restates it the direct, list-based way: ME1 lists each snapshot's
+   eaters and filters them per group; ME2 conjoins one gated leads-to
+   monitor per process; ME3 compares vector clocks componentwise. *)
+module Reference = struct
+  open Unityspec
+
+  (* [leads_to], except that a [p]-snapshot opens an obligation only
+     where [gate] holds; [q] discharges every open obligation *)
+  let leads_to_gated ~gate p q =
+    Online.stateful ~init:(0, [])
+      ~step:(fun (i, open_) x ->
+        let open_ = if q x then [] else open_ in
+        let open_ = if gate x && p x && not (q x) then i :: open_ else open_ in
+        ( (i + 1, open_),
+          match open_ with
+          | [] -> Temporal.Holds
+          | _ -> Temporal.Pending { obligations = List.rev open_ } ))
+
+  let vc_lt a b =
+    let xs = Clocks.Vector_clock.to_list a
+    and ys = Clocks.Vector_clock.to_list b in
+    List.length xs = List.length ys && List.for_all2 ( <= ) xs ys && xs <> ys
+
+  let eater_pids views =
+    List.filter (fun j -> Graybox.View.eating views.(j))
+      (List.init (Array.length views) Fun.id)
+
+  let crowded eaters g =
+    List.length (List.filter (fun k -> List.mem k g) eaters) > 1
+
+  let me1_ok (topo : Regime.topo) eaters =
+    not (List.exists (crowded eaters) topo.Regime.groups)
+
+  let label pids = "{" ^ String.concat "," (List.map string_of_int pids) ^ "}"
+
+  type t = {
+    cursor : Regime.cursor;
+    rows : (Regime.topo * Temporal.verdict ref * int ref) array;
+    mutable cur_epoch : int;
+    mutable idx : int;
+    mutable obligation : (int list * int * int) option;
+    mutable me2 : (Regime.phase * Graybox.View.t array) Online.t;
+    mutable me3 : Temporal.verdict;
+    mutable earlier : (Graybox.Harness.entry_record * Regime.topo) list;
+    mutable entry_idx : int;
+    mutable split_entries : int;
+  }
+
+  let create ~n ~timeline =
+    { cursor = Regime.cursor timeline;
+      rows =
+        Array.of_list
+          (List.map
+             (fun t -> (t, ref Temporal.Holds, ref 0))
+             (Regime.epochs timeline));
+      cur_epoch = 0;
+      idx = 0;
+      obligation = None;
+      me2 =
+        Online.all
+          (List.init n (fun j ->
+               leads_to_gated
+                 ~gate:(fun (ph, _) -> ph = Regime.Global)
+                 (fun (_, views) -> Graybox.View.hungry views.(j))
+                 (fun (_, views) -> Graybox.View.eating views.(j))));
+      me3 = Temporal.Holds;
+      earlier = [];
+      entry_idx = 0;
+      split_entries = 0 }
+
+  let feed m ~time views =
+    let topo = Regime.advance m.cursor time in
+    let eaters = eater_pids views in
+    if topo.Regime.epoch <> m.cur_epoch then begin
+      m.cur_epoch <- topo.Regime.epoch;
+      if (not (me1_ok topo eaters)) && m.obligation = None then
+        m.obligation <- Some (eaters, time, m.idx)
+    end;
+    let _, me1, _ = m.rows.(topo.Regime.epoch) in
+    let legal = me1_ok topo eaters in
+    let tolerated =
+      match m.obligation with
+      | Some (held, _, _) -> List.for_all (fun k -> List.mem k held) eaters
+      | None -> false
+    in
+    if legal then m.obligation <- None;
+    if (not legal) && (not tolerated) && !me1 = Temporal.Holds then
+      me1 :=
+        Temporal.Violated
+          { at = m.idx;
+            reason =
+              Printf.sprintf
+                "ME1[epoch %d]: concurrent CS holders %s in group %s"
+                topo.Regime.epoch (label eaters)
+                (label (List.find (crowded eaters) topo.Regime.groups)) };
+    m.me2 <- Online.feed m.me2 (topo.Regime.phase, views);
+    m.idx <- m.idx + 1
+
+  let feed_entry m ~time (e : Graybox.Harness.entry_record) =
+    let topo = Regime.advance m.cursor time in
+    let _, _, entries = m.rows.(topo.Regime.epoch) in
+    incr entries;
+    if topo.Regime.phase = Regime.Split then
+      m.split_entries <- m.split_entries + 1;
+    let comparable (prev : Graybox.Harness.entry_record) prev_topo =
+      topo.Regime.phase = Regime.Global
+      || prev_topo.Regime.phase = Regime.Global
+      || Regime.same_group topo e.entry_pid prev.entry_pid
+    in
+    if
+      m.me3 = Temporal.Holds
+      && List.exists
+           (fun ((prev : Graybox.Harness.entry_record), prev_topo) ->
+             comparable prev prev_topo && vc_lt e.entry_req_vc prev.entry_req_vc)
+           m.earlier
+    then
+      m.me3 <-
+        Temporal.Violated
+          { at = m.entry_idx;
+            reason =
+              Printf.sprintf
+                "entry %d by process %d served a request that happened-before \
+                 an already-served one"
+                m.entry_idx e.entry_pid };
+    m.earlier <- (e, topo) :: m.earlier;
+    m.entry_idx <- m.entry_idx + 1
+
+  let report m : Epoch.report =
+    { rows =
+        Array.to_list m.rows
+        |> List.map (fun (topo, me1, entries) ->
+               { Epoch.topo; me1 = !me1; row_entries = !entries });
+      heal =
+        (match m.obligation with
+         | Some (held, time, idx) ->
+           Temporal.Violated
+             { at = idx;
+               reason =
+                 Printf.sprintf
+                   "CS holders %s spanning the regime change at time %d were \
+                    never resolved to one"
+                   (label held) time }
+         | None -> Temporal.Holds);
+      me2 = Online.verdict m.me2;
+      me3 = m.me3;
+      split_entries = m.split_entries;
+      snapshots = m.idx }
+end
+
+(* A random run as the monitors see it: a timeline of 1-3 split
+   windows and up to two crash windows over n in 2..6, then stretches
+   of constant modes (long ones, like a wedged run's tail) with random
+   CS entries fed before a stretch's first snapshot. *)
+type stretch = {
+  modes : Graybox.View.mode array;
+  len : int;
+  entries : (int * int list) list;  (** entry pid, request vector clock *)
+}
+
+type fold_input = {
+  fn : int;
+  plan : (unit, unit) Faults.plan;
+  stretches : stretch list;
+}
+
+let gen_fold_input =
+  let open QCheck2.Gen in
+  let* fn = 2 -- 6 in
+  let* stretches =
+    list_size (1 -- 12)
+      (let* modes =
+         array_repeat fn
+           (frequencyl
+              [ (3, Graybox.View.Thinking); (3, Graybox.View.Hungry);
+                (2, Graybox.View.Eating) ])
+       in
+       let* len = frequency [ (3, 1 -- 8); (1, 20 -- 120) ] in
+       let* entries =
+         list_size (0 -- 2) (pair (0 -- (fn - 1)) (list_repeat fn (0 -- 2)))
+       in
+       return { modes; len; entries })
+  in
+  let horizon = List.fold_left (fun acc st -> acc + st.len) 0 stretches in
+  let window =
+    let* a = 0 -- horizon and* b = 0 -- horizon in
+    return (min a b, max a b + 1)
+  in
+  let* splits =
+    list_size (1 -- 3)
+      (let* groups = list_size (1 -- 2) (list_size (1 -- fn) (0 -- (fn - 1)))
+       and* from_t, until_t = window
+       and* buffered = bool in
+       let mode = if buffered then Faults.Buffered else Faults.Lossy in
+       return
+         (Faults.at from_t (Faults.Split { groups; from_t; until_t; mode })))
+  in
+  let* crashes =
+    list_size (0 -- 2)
+      (let* p = 0 -- (fn - 1) and* from_t, until_t = window in
+       let proc = Faults.Proc p in
+       return
+         (Faults.at from_t
+            (Faults.Crash { proc; until_t; lose_deliveries = false })))
+  in
+  return { fn; plan = splits @ crashes; stretches }
+
+let print_fold_input i =
+  let timeline = Regime.of_plan ~n:i.fn i.plan in
+  let stretch st =
+    String.concat ""
+      (List.map (fun (p, _) -> Printf.sprintf "[entry %d]" p) st.entries
+      @ Array.to_list (Array.map Graybox.View.mode_to_string st.modes))
+    ^ Printf.sprintf "x%d" st.len
+  in
+  Printf.sprintf "n=%d timeline: %s\nstretches: %s" i.fn
+    (timeline_label timeline)
+    (String.concat " " (List.map stretch i.stretches))
+
+let feed_both i =
+  let timeline = Regime.of_plan ~n:i.fn i.plan in
+  let m = Epoch.create ~n:i.fn ~timeline in
+  let r = Reference.create ~n:i.fn ~timeline in
+  let time = ref 0 in
+  List.iter
+    (fun st ->
+      List.iter
+        (fun (pid, vc) ->
+          let e =
+            { Graybox.Harness.entry_time = !time;
+              entry_pid = pid;
+              entry_req = Clocks.Timestamp.zero ~pid;
+              entry_req_vc = Clocks.Vector_clock.of_list vc }
+          in
+          Epoch.feed_entry m ~time:!time e;
+          Reference.feed_entry r ~time:!time e)
+        st.entries;
+      let views =
+        Array.mapi
+          (fun self mode ->
+            Graybox.View.make ~self ~mode
+              ~req:(Clocks.Timestamp.zero ~pid:self)
+              ~local_req:Sim.Pid.Map.empty ~clock:0)
+          st.modes
+      in
+      for _ = 1 to st.len do
+        Epoch.feed m ~time:!time views;
+        Reference.feed r ~time:!time views;
+        incr time
+      done)
+    i.stretches;
+  (Epoch.report m, Reference.report r)
+
+let prop_fold_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"epoch fold == list-based reference"
+       ~print:print_fold_input gen_fold_input (fun i ->
+         let (got : Epoch.report), (want : Epoch.report) = feed_both i in
+         let check name pp g w =
+           if g <> w then
+             QCheck2.Test.fail_reportf "%s: fold %a, reference %a" name pp g
+               pp w
+         in
+         let verdict = Unityspec.Temporal.pp_verdict
+         and int = Format.pp_print_int in
+         List.iteri
+           (fun k ((g : Epoch.row), (w : Epoch.row)) ->
+             check (Printf.sprintf "row %d ME1" k) verdict g.me1 w.me1;
+             check (Printf.sprintf "row %d entries" k) int g.row_entries
+               w.row_entries)
+           (List.combine got.rows want.rows);
+         check "heal" verdict got.heal want.heal;
+         check "ME2" verdict got.me2 want.me2;
+         check "ME3" verdict got.me3 want.me3;
+         check "split entries" int got.split_entries want.split_entries;
+         check "snapshots" int got.snapshots want.snapshots;
+         true))
+
+(* ------------------------------------------------------------------ *)
 (* During-split campaign gates                                         *)
 
 (* The tolerant variant must pass its weak-ME1 gate with nonzero
@@ -249,7 +531,8 @@ let () =
           Alcotest.test_case "cursor" `Quick test_cursor_agrees_with_at ] );
       ( "equivalence",
         [ Alcotest.test_case "online==offline" `Slow
-            test_online_offline_equivalence ] );
+            test_online_offline_equivalence;
+          prop_fold_matches_reference ] );
       ( "during-gates",
         [ Alcotest.test_case "tolerant-passes-ablation-caught" `Slow
             test_during_gates;
