@@ -144,8 +144,8 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let steps_arg =
-  let doc = "Scheduler steps to simulate." in
-  Arg.(value & opt int 8000 & info [ "steps" ] ~docv:"STEPS" ~doc)
+  let doc = "Scheduler steps to simulate (at least 1)." in
+  Arg.(value & opt (int_at_least 1) 8000 & info [ "steps" ] ~docv:"STEPS" ~doc)
 
 let wrapper_arg =
   let doc =
@@ -301,7 +301,7 @@ let load_cmd =
        requests (the old default) p99 and p99.9 were the same order \
        statistic."
     in
-    Arg.(value & opt int 2000 & info [ "requests" ] ~docv:"R" ~doc)
+    Arg.(value & opt (int_at_least 1) 2000 & info [ "requests" ] ~docv:"R" ~doc)
   in
   let max_steps_arg =
     let doc = "Step horizon (default (5*R+400)*n)." in
@@ -481,26 +481,26 @@ let synth_cmd =
                 and the synthesized term are identical for every value.")
   in
   let max_size_arg =
-    Arg.(value & opt int 5
+    Arg.(value & opt (int_at_least 3) 5
          & info [ "max-size" ] ~docv:"S"
-             ~doc:"Largest wrapper-term AST size enumerated.")
+             ~doc:"Largest wrapper-term AST size enumerated, at least 3.")
   in
   let max_checks_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_at_least 1) 64
          & info [ "max-checks" ] ~docv:"K" ~doc:"Oracle-call budget.")
   in
   let safety_depth_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt (int_at_least 0) 8
          & info [ "safety-depth" ] ~docv:"D"
              ~doc:"BFS depth of the everywhere-mode safety leg.")
   in
   let recovery_depth_arg =
-    Arg.(value & opt int 14
+    Arg.(value & opt (int_at_least 0) 14
          & info [ "recovery-depth" ] ~docv:"D"
              ~doc:"BFS depth of the wedge recovery/progress legs.")
   in
   let max_states_arg =
-    Arg.(value & opt int 200_000
+    Arg.(value & opt (int_at_least 1) 200_000
          & info [ "max-states" ] ~docv:"K"
              ~doc:"Visited-state bound per oracle run.")
   in
@@ -622,9 +622,23 @@ let synth_cmd =
            matches;
          `Ok 0
        | None ->
-         print_endline
-           "no candidate certified within the budget (raise --max-size or \
-            --max-checks)";
+         let inconclusive =
+           List.length
+             (List.filter
+                (fun (a : Synth.attempt) ->
+                  a.Synth.outcome = Synth.Inconclusive)
+                r.Synth.attempts)
+         in
+         if inconclusive > 0 then
+           Printf.printf
+             "no candidate certified within the budget: %d of %d oracle \
+              checks stopped at --max-states %d without closing the search \
+              (raise --max-states)\n"
+             inconclusive r.Synth.checked max_states
+         else
+           print_endline
+             "no candidate certified within the budget (raise --max-size or \
+              --max-checks)";
          `Ok 1)
   in
   let term =
@@ -647,7 +661,8 @@ let synth_cmd =
 
 let mcheck_cmd =
   let depth_arg =
-    Arg.(value & opt int 20 & info [ "depth" ] ~docv:"D" ~doc:"BFS depth bound.")
+    Arg.(value & opt (int_at_least 0) 20
+         & info [ "depth" ] ~docv:"D" ~doc:"BFS depth bound.")
   in
   let mc_n_arg =
     Arg.(value & opt (int_between 1 64) 2 & info [ "n" ] ~docv:"N"

@@ -10,9 +10,12 @@
      array (a mixed probe/route hash plus an independent stored
      fingerprint), equality is an int compare against an arena slice,
      and successor keys are spliced directly out of the parent's array
-     into reusable scratch buffers — the steady-state hot path
-     allocates nothing per successor and never deep-traverses (let
-     alone marshals) a process state.  Deep hashing happens once per
+     into reusable scratch buffers: the actor's id, the popped
+     channel and the actor's out-channels are rewritten, and the runs
+     of the parent key between them copied in bulk.  Keys move by a barrier-free int
+     copy ([blit_ints]), never by Array.blit into a major-heap buffer.
+     The steady-state hot path never deep-traverses (let alone
+     marshals) a process state.  Deep hashing happens once per
      *distinct* process state or message, at intern time.
 
    - transitions are memoized on ids: delivering message [m] to
@@ -38,19 +41,23 @@
      bounded by disk, not RAM.
 
    - the BFS is level-synchronous with parent-pointer traces, swept in
-     fixed-size chunks.  Each chunk runs a read-only expansion phase
-     (predicate checks, successor splicing, per-shard routing: each
-     piece writes candidate records straight into its own per-shard
-     buckets, and a memo miss truncates them back to the parent's
-     marks and flags the whole parent), a serial fixup that recomputes
-     flagged parents in frontier order (so intern ids stay
-     deterministic) into one more set of buckets, and a shard-parallel
-     admission phase that reads each shard's records in place, in
-     (tag, seq) order, through one cursor.  Near the ~max_states bound
-     the admission falls back to a serial sweep in global tag order
-     over the same cursors, so the hard bound admits exactly the
-     states the serial checker would.  The run owns every sweep buffer
-     (candidate buckets, admission outputs, the two frontier levels)
+     fixed-size chunks.  Each chunk runs three phases.  A read-only
+     expansion phase does predicate checks, successor splicing and
+     per-shard routing: each piece writes candidate records straight
+     into its own per-shard buckets, skipping a successor that its
+     small per-chunk filter shows it wrote already, and a memo miss
+     truncates them back to the parent's marks and flags the whole
+     parent.  It never reads the visited set, so a successor costs one
+     key build, one hash and, only when it is new to its piece, one
+     record and one visited-set probe at admission.  A serial fixup
+     recomputes flagged parents in frontier order (so intern ids stay
+     deterministic) into one more set of buckets.  A shard-parallel
+     admission phase reads each shard's records in place, in (tag,
+     seq) order, through one cursor.  Near the ~max_states bound the
+     admission falls back to a serial sweep in global tag order over
+     the same cursors, so the hard bound admits exactly the states the
+     serial checker would.  The run owns every sweep buffer (candidate
+     buckets and filters, admission outputs, the two frontier levels)
      and clears it rather than rebuilding it, and the key arenas grow
      by fixed pages, so the sweep allocates little beyond what the
      visited set keeps.  Per-state resident memory is O(1): three
@@ -154,10 +161,27 @@ let hash2 (k : int array) off len =
   let a = a * 0x2545F4914F6CDD1D in
   ((a lxor (a lsr 29)) land max_int, !g land max_int)
 
+(* [Array.blit] between two distinct int arrays, without the write
+   barrier.  OCaml 5's blit stores every word through [caml_modify]
+   once the destination lives in the major heap, as every sweep buffer
+   here does; a store the compiler knows to be an int needs no barrier
+   (2-3x cheaper per word).  Same bounds contract: checked once, then a
+   plain loop. *)
+let blit_ints (src : int array) soff (dst : int array) doff len =
+  if
+    len < 0 || soff < 0
+    || soff > Array.length src - len
+    || doff < 0
+    || doff > Array.length dst - len
+  then invalid_arg "Mcheck.blit_ints";
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+  done
+
 (* A growable int buffer with exposed backing, so record streams can
-   be built by blits and parsed by direct indexing (Vec boxes its
-   interface behind bounds checks; candidate records are the hot
-   aisle of the admission phase). *)
+   be built by copies and parsed by direct indexing, and so a push
+   stores an int with no write barrier (a polymorphic Vec pays
+   [caml_modify] per push). *)
 module Buf = struct
   type t = { mutable data : int array; mutable len : int }
 
@@ -167,7 +191,7 @@ module Buf = struct
     let need = b.len + extra in
     if need > Array.length b.data then begin
       let d = Array.make (max need (max 16 (2 * Array.length b.data))) 0 in
-      Array.blit b.data 0 d 0 b.len;
+      blit_ints b.data 0 d 0 b.len;
       b.data <- d
     end
 
@@ -175,6 +199,10 @@ module Buf = struct
     ensure b 1;
     b.data.(b.len) <- x;
     b.len <- b.len + 1
+
+  let get b i =
+    if i < 0 || i >= b.len then invalid_arg "Mcheck.Buf.get";
+    Array.unsafe_get b.data i
 
   let clear b = b.len <- 0
 end
@@ -214,9 +242,9 @@ module Table = struct
     pages : int array Vec.t;  (* hot arena: word o is in page o lsr 16 *)
     mutable used : int;  (* hot words *)
     mutable disk : int;  (* words flushed; global offset of hot word 0 *)
-    fp : int Vec.t;  (* local id -> stored fingerprint *)
-    loc : int Vec.t;  (* local id -> (global offset lsl 20) lor length *)
-    parents : int Vec.t;  (* local id -> packed (parent ref, label) *)
+    fp : Buf.t;  (* local id -> stored fingerprint *)
+    loc : Buf.t;  (* local id -> (global offset lsl 20) lor length *)
+    parents : Buf.t;  (* local id -> packed (parent ref, label) *)
     mutable file : Blockfile.t option;
   }
 
@@ -244,9 +272,9 @@ module Table = struct
               pages = Vec.create ();
               used = 0;
               disk = 0;
-              fp = Vec.create ();
-              loc = Vec.create ();
-              parents = Vec.create ();
+              fp = Buf.create ();
+              loc = Buf.create ();
+              parents = Buf.create ();
               file = None });
       nshards = shards;
       spill_dir;
@@ -260,8 +288,8 @@ module Table = struct
   let count t = Array.fold_left (fun a sh -> a + sh.count) 0 t.shards
   let hot_words t = Array.fold_left (fun a sh -> a + sh.used) 0 t.shards
 
-  let key_len t r = Vec.get t.shards.(r land 63).loc (r lsr 6) land len_mask
-  let parent_packed t r = Vec.get t.shards.(r land 63).parents (r lsr 6)
+  let key_len t r = Buf.get t.shards.(r land 63).loc (r lsr 6) land len_mask
+  let parent_packed t r = Buf.get t.shards.(r land 63).parents (r lsr 6)
 
   let hot_word sh o = (Vec.get sh.pages (o lsr page_bits)).(o land page_mask)
 
@@ -269,40 +297,47 @@ module Table = struct
      then a word compare when the key is hot, the fingerprint when it
      has spilled (the caller already matched the 62-bit slot hash). *)
   let matches sh local ~fp (k : int array) koff klen =
-    let l = Vec.get sh.loc local in
+    let l = Buf.get sh.loc local in
     l land len_mask = klen
     &&
     let off = l lsr len_bits in
     if off >= sh.disk then begin
       let o = off - sh.disk in
       let base = o land page_mask in
+      let i = ref 0 in
       if base + klen <= page_words then begin
         let a = Vec.get sh.pages (o lsr page_bits) in
-        let rec eq i =
-          i = klen || (a.(base + i) = k.(koff + i) && eq (i + 1))
-        in
-        eq 0
+        while !i < klen && a.(base + !i) = k.(koff + !i) do
+          incr i
+        done
       end
       else
-        let rec eq i =
-          i = klen || (hot_word sh (o + i) = k.(koff + i) && eq (i + 1))
-        in
-        eq 0
+        while !i < klen && hot_word sh (o + !i) = k.(koff + !i) do
+          incr i
+        done;
+      !i = klen
     end
-    else Vec.get sh.fp local = fp
+    else Buf.get sh.fp local = fp
+
+  (* The slot pair where a key's probe stops: the one holding the key,
+     or the first empty one.  Read-only, and allocation-free (it runs
+     once per candidate). *)
+  let find_slot sh ~h1 ~fp (k : int array) koff klen =
+    let slots = sh.slots and mask = sh.mask in
+    let i = ref (h1 land mask) in
+    while
+      let s = slots.(2 * !i) in
+      s <> 0
+      && not (slots.((2 * !i) + 1) = h1 && matches sh (s - 1) ~fp k koff klen)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
 
   (* Read-only membership probe; safe from several domains while no
      insert into this shard is in flight. *)
   let mem_sh sh ~h1 ~fp k koff klen =
-    let mask = sh.mask and slots = sh.slots in
-    let rec probe i =
-      match slots.(2 * i) with
-      | 0 -> false
-      | s ->
-        (slots.((2 * i) + 1) = h1 && matches sh (s - 1) ~fp k koff klen)
-        || probe ((i + 1) land mask)
-    in
-    probe (h1 land mask)
+    sh.slots.(2 * find_slot sh ~h1 ~fp k koff klen) <> 0
 
   let grow_slots sh =
     let pairs = (sh.mask + 1) * 2 in
@@ -334,7 +369,7 @@ module Table = struct
       if p = Vec.length sh.pages then
         Vec.push sh.pages (Array.make page_words 0);
       let len = min klen (page_words - i) in
-      Array.blit k koff (Vec.get sh.pages p) i len;
+      blit_ints k koff (Vec.get sh.pages p) i len;
       sh.used <- sh.used + len;
       append_arena sh k (koff + len) (klen - len)
     end
@@ -343,7 +378,7 @@ module Table = struct
     if len > 0 then begin
       let i = o land page_mask in
       let n = min len (page_words - i) in
-      Array.blit (Vec.get sh.pages (o lsr page_bits)) i buf boff n;
+      blit_ints (Vec.get sh.pages (o lsr page_bits)) i buf boff n;
       blit_hot sh (o + n) buf (boff + n) (len - n)
     end
 
@@ -353,25 +388,20 @@ module Table = struct
      concurrently. *)
   let find_or_add sh ~h1 ~fp (k : int array) koff klen ~parent =
     if 2 * (sh.count + 1) > sh.mask then grow_slots sh;
-    let rec probe i =
-      match sh.slots.(2 * i) with
-      | 0 ->
-        let local = sh.count in
-        sh.slots.(2 * i) <- local + 1;
-        sh.slots.((2 * i) + 1) <- h1;
-        sh.count <- local + 1;
-        if klen > len_mask then failwith "Mcheck: state key exceeds 2^20 words";
-        Vec.push sh.loc (((sh.disk + sh.used) lsl len_bits) lor klen);
-        Vec.push sh.fp fp;
-        Vec.push sh.parents parent;
-        append_arena sh k koff klen;
-        -local - 1
-      | s ->
-        if sh.slots.((2 * i) + 1) = h1 && matches sh (s - 1) ~fp k koff klen
-        then s - 1
-        else probe ((i + 1) land sh.mask)
-    in
-    probe (h1 land sh.mask)
+    let i = find_slot sh ~h1 ~fp k koff klen in
+    match sh.slots.(2 * i) with
+    | 0 ->
+      let local = sh.count in
+      sh.slots.(2 * i) <- local + 1;
+      sh.slots.((2 * i) + 1) <- h1;
+      sh.count <- local + 1;
+      if klen > len_mask then failwith "Mcheck: state key exceeds 2^20 words";
+      Buf.push sh.loc (((sh.disk + sh.used) lsl len_bits) lor klen);
+      Buf.push sh.fp fp;
+      Buf.push sh.parents parent;
+      append_arena sh k koff klen;
+      -local - 1
+    | s -> s - 1
 
   (* Serial bounded admission (seeds and the near-max_states sweep):
      -2 = bound hit on a novel key (the caller's [truncated]), -1 =
@@ -396,7 +426,7 @@ module Table = struct
   let read t (readers : Blockfile.reader option array) r (buf : int array) =
     let si = r land 63 in
     let sh = t.shards.(si) in
-    let l = Vec.get sh.loc (r lsr 6) in
+    let l = Buf.get sh.loc (r lsr 6) in
     let off = l lsr len_bits and len = l land len_mask in
     if off >= sh.disk then blit_hot sh (off - sh.disk) buf 0 len
     else begin
@@ -580,15 +610,12 @@ module Search (P : Graybox.Protocol.S) = struct
   (* -1 if absent, else the index into [d_res].  Read-only: safe from
      several domains while no [deliver_add] is in flight. *)
   let deliver_find ctx dk =
-    let mask = ctx.d_mask in
-    let slots = ctx.d_slots in
-    let rec probe i =
-      let k = slots.(2 * i) in
-      if k = 0 then -1
-      else if k = dk + 1 then slots.((2 * i) + 1)
-      else probe ((i + 1) land mask)
-    in
-    probe (dhash dk land mask)
+    let mask = ctx.d_mask and slots = ctx.d_slots in
+    let i = ref (dhash dk land mask) in
+    while slots.(2 * !i) <> 0 && slots.(2 * !i) <> dk + 1 do
+      i := (!i + 1) land mask
+    done;
+    if slots.(2 * !i) = 0 then -1 else slots.((2 * !i) + 1)
 
   let deliver_add ctx dk r =
     if 2 * (ctx.d_count + 1) > ctx.d_mask then begin
@@ -689,55 +716,58 @@ module Search (P : Graybox.Protocol.S) = struct
 
   (* ---------------- successor key splicing ---------------- *)
 
-  let rec count_adds src n ci = function
-    | [] -> 0
-    | (dst, _) :: tl ->
-      (if (src * n) + dst = ci then 1 else 0) + count_adds src n ci tl
-
-  let rec put_adds (s : int array) pos src n ci = function
-    | [] -> pos
-    | (dst, mid) :: tl ->
-      if (src * n) + dst = ci then begin
-        s.(pos) <- mid;
-        put_adds s (pos + 1) src n ci tl
+  (* Append to [s] at [w] the messages of [sends] addressed to [dst],
+     in list order; returns the write position after them. *)
+  let rec put_sends (s : int array) w dst = function
+    | [] -> w
+    | (d, mid) :: tl ->
+      if d = dst then begin
+        s.(w) <- mid;
+        put_sends s (w + 1) dst tl
       end
-      else put_adds s pos src n ci tl
+      else put_sends s w dst tl
+
+  (* The lowest channel above [ci] that a successor rewrites: [pop], or
+     one of the actor's out-channels [lo, hi) (empty when it sends
+     nothing); [max_int] when none is left. *)
+  let next_changed ~pop ~lo ~hi ci =
+    let c = ci + 1 in
+    let out = if c < lo then lo else if c < hi then c else max_int in
+    if pop >= c && pop < out then pop else out
 
   (* Write into [st.sbuf] the successor key for: process [p] stepping
      to [pid'], optionally consuming the front message of channel
-     [pop] (-1 for none), sending [sends'] from [src].  Returns the
-     successor key length.  Channel contents move by int blits only. *)
-  let splice ctx st klen ~p ~pid' ~pop ~src ~sends' =
-    let n = ctx.n in
+     [pop] (-1 for none), and sending [sends'] (dst, msg id) from [p].
+     Returns the successor key length.  Only the popped channel and
+     [p]'s out-channels change: each is rebuilt, and the runs of the
+     parent key between them are copied in bulk. *)
+  let splice ctx st klen ~p ~pid' ~pop ~sends' =
     let k = st.kbuf in
-    match (sends', pop) with
-    | [], -1 ->
-      ensure_sbuf st klen;
-      Array.blit k 0 st.sbuf 0 klen;
-      st.sbuf.(p) <- pid';
-      klen
-    | _ ->
-      let slen =
-        klen + List.length sends' - (if pop >= 0 then 1 else 0)
-      in
-      ensure_sbuf st slen;
-      let s = st.sbuf in
-      Array.blit k 0 s 0 n;
-      s.(p) <- pid';
-      let pos = ref n in
-      for ci = 0 to (n * n) - 1 do
-        let off = st.offs.(ci) in
-        let len = k.(off) in
-        let drop = if ci = pop then 1 else 0 in
-        s.(!pos) <- len - drop + count_adds src n ci sends';
-        incr pos;
-        for j = drop to len - 1 do
-          s.(!pos) <- k.(off + 1 + j);
-          incr pos
-        done;
-        pos := put_adds s !pos src n ci sends'
-      done;
-      slen
+    let slen = klen + List.length sends' - (if pop >= 0 then 1 else 0) in
+    ensure_sbuf st slen;
+    let s = st.sbuf in
+    let lo = match sends' with [] -> max_int | _ -> p * ctx.n in
+    let hi = match sends' with [] -> max_int | _ -> lo + ctx.n in
+    let rd = ref 0 and wr = ref 0 in
+    let ci = ref (next_changed ~pop ~lo ~hi (-1)) in
+    while !ci < max_int do
+      let c = !ci in
+      let o = st.offs.(c) in
+      blit_ints k !rd s !wr (o - !rd);
+      let lp = !wr + (o - !rd) in
+      let len = k.(o) in
+      let drop = if c = pop then 1 else 0 in
+      blit_ints k (o + 1 + drop) s (lp + 1) (len - drop);
+      let w = lp + 1 + len - drop in
+      let w = if c >= lo && c < hi then put_sends s w (c - lo) sends' else w in
+      s.(lp) <- w - lp - 1;
+      rd := o + 1 + len;
+      wr := w;
+      ci := next_changed ~pop ~lo ~hi c
+    done;
+    blit_ints k !rd s !wr (klen - !rd);
+    s.(p) <- pid';
+    slen
 
   (* Serial transition computation: decode, run the protocol, intern
      and memoize.  Must not race with parallel expansion. *)
@@ -881,8 +911,8 @@ module Search (P : Graybox.Protocol.S) = struct
   let iter_successors ctx ~rw ~por st klen ~miss ~f =
     let n = ctx.n in
     fill_offsets ctx st;
-    let emit il p pop src (pid', sends') =
-      f il (splice ctx st klen ~p ~pid' ~pop ~src ~sends')
+    let emit il p pop (pid', sends') =
+      f il (splice ctx st klen ~p ~pid' ~pop ~sends')
     in
     let owner =
       if not por then -1
@@ -904,7 +934,7 @@ module Search (P : Graybox.Protocol.S) = struct
             if rw then compute_deliver ctx pid ~src mid
             else Vec.get ctx.d_res (deliver_find ctx (deliver_key pid ~src mid))
           in
-          emit (il_deliver src p) p ci p r
+          emit (il_deliver src p) p ci r
         end
       done
     end
@@ -915,10 +945,10 @@ module Search (P : Graybox.Protocol.S) = struct
         if Graybox.View.thinking v then begin
           let cell = Vec.get ctx.m_request pid in
           if rw then
-            emit (il_request p) p (-1) p (compute_client ctx pid cell P.request_cs)
+            emit (il_request p) p (-1) (compute_client ctx pid cell P.request_cs)
           else
             match !cell with
-            | Some r -> emit (il_request p) p (-1) p r
+            | Some r -> emit (il_request p) p (-1) r
             | None -> miss (il_request p)
         end;
         if Graybox.View.hungry v then begin
@@ -926,20 +956,20 @@ module Search (P : Graybox.Protocol.S) = struct
           if rw then (
             match compute_enter ctx pid cell with
             | None -> ()  (* entry not enabled *)
-            | Some r -> emit (il_enter p) p (-1) p r)
+            | Some r -> emit (il_enter p) p (-1) r)
           else
             match !cell with
             | Some None -> ()  (* computed: entry not enabled *)
-            | Some (Some r) -> emit (il_enter p) p (-1) p r
+            | Some (Some r) -> emit (il_enter p) p (-1) r
             | None -> miss (il_enter p)
         end;
         if Graybox.View.eating v then begin
           let cell = Vec.get ctx.m_release pid in
           if rw then
-            emit (il_release p) p (-1) p (compute_client ctx pid cell P.release_cs)
+            emit (il_release p) p (-1) (compute_client ctx pid cell P.release_cs)
           else
             match !cell with
-            | Some r -> emit (il_release p) p (-1) p r
+            | Some r -> emit (il_release p) p (-1) r
             | None -> miss (il_release p)
         end;
         (match ctx.wrapper with
@@ -968,7 +998,7 @@ module Search (P : Graybox.Protocol.S) = struct
                   not (inflight 0))
                 sends
             in
-            if fresh <> [] then emit (il_wrap p) p (-1) p (pid, fresh)))
+            if fresh <> [] then emit (il_wrap p) p (-1) (pid, fresh)))
       done;
       for src = 0 to n - 1 do
         for dst = 0 to n - 1 do
@@ -978,12 +1008,12 @@ module Search (P : Graybox.Protocol.S) = struct
             let mid = st.kbuf.(off + 1) in
             let pid = st.kbuf.(dst) in
             if rw then
-              emit (il_deliver src dst) dst ci dst
+              emit (il_deliver src dst) dst ci
                 (compute_deliver ctx pid ~src mid)
             else begin
               let idx = deliver_find ctx (deliver_key pid ~src mid) in
               if idx >= 0 then
-                emit (il_deliver src dst) dst ci dst (Vec.get ctx.d_res idx)
+                emit (il_deliver src dst) dst ci (Vec.get ctx.d_res idx)
               else miss (il_deliver src dst)
             end
           end
@@ -1093,35 +1123,85 @@ module Search (P : Graybox.Protocol.S) = struct
     d.(i + 3) <- h1;
     d.(i + 4) <- fp;
     d.(i + 5) <- klen;
-    Array.blit k 0 d (i + rec_words) klen;
+    blit_ints k 0 d (i + rec_words) klen;
     b.Buf.len <- i + rec_words + klen
 
-  (* Per-shard candidate buckets and their total record count.  A run
-     owns one sink per expansion piece and one for the miss fixup, and
-     clears them per chunk: the buckets grow to the largest chunk's
-     need once, then stop allocating. *)
-  type sink = { buckets : Buf.t array; mutable cands : int }
+  (* Per-shard candidate buckets, their total record count, and a
+     duplicate filter.  A run owns one sink per expansion piece and one
+     for the miss fixup, and clears them per chunk: the buckets grow to
+     the largest chunk's need once, then stop allocating.
+
+     The filter is a direct-mapped table of [filter_slots] pairs, each
+     the h1 of a record this sink wrote in the current chunk and that
+     record's offset + 1 in its shard's bucket (0 = empty; h1 names
+     the shard).  A successor whose full record matches the one its
+     slot names is not written again.  The sink writes in (tag, seq)
+     order, so the record kept is the first occurrence: the one
+     admission would admit, with the same parent word. *)
+  let filter_slots = 1 lsl 13
+
+  type sink = { buckets : Buf.t array; mutable cands : int; filter : int array }
 
   let make_sink nshards =
-    { buckets = Array.init nshards (fun _ -> Buf.create ()); cands = 0 }
+    { buckets = Array.init nshards (fun _ -> Buf.create ());
+      cands = 0;
+      filter = Array.make (2 * filter_slots) 0 }
 
   let clear_sink sk =
     Array.iter Buf.clear sk.buckets;
+    (* every filled slot names a live record, so a sink that wrote none
+       has an empty filter *)
+    if sk.cands > 0 then Array.fill sk.filter 0 (2 * filter_slots) 0;
     sk.cands <- 0
 
+  (* Whether the record at [d.(o)] holds this successor. *)
+  let same_record (d : int array) o ~h1 ~fp (k : int array) klen =
+    d.(o + 3) = h1
+    && d.(o + 4) = fp
+    && d.(o + 5) = klen
+    &&
+    let i = ref 0 in
+    while !i < klen && d.(o + rec_words + !i) = k.(!i) do
+      incr i
+    done;
+    !i = klen
+
   (* Record the successor key in [st.sbuf] into its owning shard's
-     bucket, unless that shard has already visited it: a duplicate
-     from an earlier chunk costs one probe and no record; within-chunk
-     duplicates are caught by the admission probe.  Read-only on the
-     table, so expansion pieces call it concurrently. *)
+     bucket, unless it repeats a record this sink already wrote in the
+     chunk.  A successor visited in an earlier chunk is recorded too:
+     admission's probe rejects it, and probing here as well would cost
+     a cold visited-set read for every successor to save a record for
+     a few percent of them.  Reads no shared state, so expansion pieces
+     call it concurrently. *)
   let offer table sk st ~tag ~seq ~il slen =
     let h1, fp = hash2 st.sbuf 0 slen in
-    let si = Table.route table h1 in
-    if not (Table.mem_sh table.Table.shards.(si) ~h1 ~fp st.sbuf 0 slen)
+    let b = sk.buckets.(Table.route table h1) in
+    let f = sk.filter and j = 2 * (h1 land (filter_slots - 1)) in
+    let o = f.(j + 1) - 1 in
+    if
+      not
+        (o >= 0 && f.(j) = h1 && same_record b.Buf.data o ~h1 ~fp st.sbuf slen)
     then begin
-      push_rec sk.buckets.(si) ~tag ~seq ~il ~h1 ~fp st.sbuf slen;
+      f.(j) <- h1;
+      f.(j + 1) <- b.Buf.len + 1;
+      push_rec b ~tag ~seq ~il ~h1 ~fp st.sbuf slen;
       sk.cands <- sk.cands + 1
     end
+
+  (* Truncate bucket [si] back to [mark], first emptying the filter
+     slots that name the records dropped: a parent that hit a memo
+     miss takes back what it wrote (the fixup emits it again). *)
+  let roll_back sk si mark =
+    let b = sk.buckets.(si) and f = sk.filter in
+    let d = b.Buf.data in
+    let o = ref mark in
+    while !o < b.Buf.len do
+      let h1 = d.(!o + 3) in
+      let j = 2 * (h1 land (filter_slots - 1)) in
+      if f.(j) = h1 && f.(j + 1) = !o + 1 then f.(j + 1) <- 0;
+      o := !o + rec_words + d.(!o + 5)
+    done;
+    b.Buf.len <- mark
 
   (* One expansion piece's run-scoped state: its scratch (so its spill
      read handles live as long as the run), its sink, the bucket
@@ -1300,7 +1380,7 @@ module Search (P : Graybox.Protocol.S) = struct
                         offer table out ws ~tag:t ~seq:s ~il slen);
                   if !missed then begin
                     for si = 0 to nshards - 1 do
-                      out.buckets.(si).Buf.len <- pc.marks.(si)
+                      roll_back out si pc.marks.(si)
                     done;
                     out.cands <- cands;
                     Buf.push pc.misses t

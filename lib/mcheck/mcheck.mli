@@ -229,5 +229,12 @@ module Oracle : sig
   (** [check proto ~n candidate] certifies or refutes one candidate.
       Defaults: [safety_depth = 8], [recovery_depth = 14],
       [max_states = 200_000].  [jobs]/[shards]/[mem_budget] tune the
-      underlying explorations without changing any verdict. *)
+      underlying explorations without changing any verdict.
+
+      A leg whose run ends without a violation at [visited =
+      max_states] did not search exhaustively: the state bound, not
+      closure or depth, may have stopped it ([stats.truncated] does not
+      say which bound bit).  A [Safe] whose safety leg is such a run,
+      or a [Recovery]/[Progress] [Cex] whose refuting leg is, proves
+      nothing; callers must read it as inconclusive ([Synth] does). *)
 end

@@ -26,6 +26,7 @@ let config ?(n = 2) ?(jobs = 1) ?(max_size = 5) ?(max_checks = 64)
 type outcome =
   | Certified
   | Refuted of O.obligation
+  | Inconclusive
   | Pruned_must_fire
   | Pruned_blamed
 
@@ -44,6 +45,7 @@ type result = {
 let outcome_label = function
   | Certified -> "certified"
   | Refuted o -> "cex-" ^ O.obligation_label o
+  | Inconclusive -> "inconclusive"
   | Pruned_must_fire -> "pruned-must-fire"
   | Pruned_blamed -> "pruned-blamed"
 
@@ -156,6 +158,20 @@ let learn cfg c (cex : O.cex) ~positives ~negatives =
     let pos = List.map Array.to_list cex.O.path in
     (pos @ positives, negatives)
 
+(* A leg that filled the visited-state bound without a violation did
+   not search its whole space.  Its verdict proves nothing: not a Safe
+   (the safety leg may have missed a violation past the bound), nor a
+   failed recovery or progress leg (the CS may lie past the bound).  A
+   safety counterexample stands whatever the bound.  In a Safe verdict
+   only the safety leg (the first run) ended without a violation. *)
+let inconclusive cfg verdict =
+  let full (s : Mcheck.stats) = s.Mcheck.visited >= cfg.max_states in
+  match verdict with
+  | O.Safe stats -> full (List.hd stats)
+  | O.Cex { O.obligation = O.Recovery _ | O.Progress; stats; _ } ->
+    full (List.nth stats (List.length stats - 1))
+  | O.Cex { O.obligation = O.Safety; _ } -> false
+
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
 
@@ -214,23 +230,28 @@ let synthesize (module P : Graybox.Protocol.S) cfg =
         in
         checked := !checked + List.length batch;
         (* scan in input order: every verdict is recorded (the whole
-           batch was paid for), every refutation teaches, and the
-           first certified candidate in enumeration order wins *)
+           batch was paid for), every conclusive refutation teaches,
+           and the first certified candidate in enumeration order
+           wins *)
         let certified = ref None in
         let positives = ref positives and negatives = ref negatives in
         List.iter2
           (fun (i, c) verdict ->
+            let record outcome =
+              attempts := { index = i; term = c; outcome } :: !attempts
+            in
             match verdict with
+            | (O.Safe stats | O.Cex { O.stats; _ })
+              when inconclusive cfg verdict ->
+              account stats;
+              record Inconclusive
             | O.Safe stats ->
               account stats;
-              attempts := { index = i; term = c; outcome = Certified }
-                          :: !attempts;
+              record Certified;
               if !certified = None then certified := Some c
             | O.Cex cex ->
               account cex.O.stats;
-              attempts :=
-                { index = i; term = c; outcome = Refuted cex.O.obligation }
-                :: !attempts;
+              record (Refuted cex.O.obligation);
               let pos, neg =
                 learn cfg c cex ~positives:!positives ~negatives:!negatives
               in

@@ -59,6 +59,10 @@ val config :
 type outcome =
   | Certified  (** the oracle passed both legs *)
   | Refuted of Mcheck.Oracle.obligation  (** which leg failed *)
+  | Inconclusive
+      (** a leg ended without a violation after its visited set reached
+          [max_states]: it did not search exhaustively, so its answer
+          is neither a certificate nor a counterexample to learn from *)
   | Pruned_must_fire
       (** cannot fire from any view of a learned stuck wedge *)
   | Pruned_blamed
@@ -82,7 +86,8 @@ type result = {
 
 val outcome_label : outcome -> string
 (** ["certified"], ["cex-safety"], ["cex-recovery(p)"],
-    ["cex-progress"], ["pruned-must-fire"], ["pruned-blamed"]. *)
+    ["cex-progress"], ["inconclusive"], ["pruned-must-fire"],
+    ["pruned-blamed"]. *)
 
 val synthesize : (module Graybox.Protocol.S) -> config -> result
 (** [synthesize proto cfg] runs the loop to the first certified

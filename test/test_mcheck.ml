@@ -317,6 +317,143 @@ let test_major_alloc_bounded () =
       (words <= 6. *. float_of_int peak)
   | Mcheck.Violation _ -> Alcotest.fail "ra is safe at depth 16"
 
+(* -- pinned results ---------------------------------------------------- *)
+
+(* Exact results, captured once and compared field for field.  The
+   differential suite above only asserts equality across jobs, shards
+   and budgets, so a kernel bug that changes the successor relation the
+   same way in every configuration passes it; a pinned state count does
+   not.  The grid covers both exploration modes, a composed wrapper,
+   POR, violations with their traces, lamport and ra-lease, a parallel
+   sharded run with memo-miss fixups, a spilled run, and the near-bound
+   serial admission path.  The figures move only when the checker's
+   semantics do: then re-derive them and say why. *)
+
+let lease = (module Tme.Ra_lease.Lease : Graybox.Protocol.S)
+
+let describe result =
+  let stats (s : Mcheck.stats) =
+    Printf.sprintf
+      "explored=%d visited=%d frontier_peak=%d depth_reached=%d \
+       truncated=%b peak_mem_words=%d spill_bytes=%d"
+      s.Mcheck.explored s.Mcheck.visited s.Mcheck.frontier_peak
+      s.Mcheck.depth_reached s.Mcheck.truncated s.Mcheck.peak_mem_words
+      s.Mcheck.spill_bytes
+  in
+  match result with
+  | Mcheck.Ok s -> "ok " ^ stats s
+  | Mcheck.Violation { trace; stats = s; _ } ->
+    Printf.sprintf "violation %s trace=%s" (stats s) (String.concat ";" trace)
+
+let pinned_spill_dir = Filename.get_temp_dir_name ()
+
+let pinned =
+  let ra_n3_d14 =
+    "ok explored=39680 visited=39680 frontier_peak=16637 depth_reached=14 \
+     truncated=true peak_mem_words=735645 spill_bytes=0"
+  in
+  let mutant_n2 =
+    "violation explored=66 visited=91 frontier_peak=25 depth_reached=8 \
+     truncated=false peak_mem_words=906 spill_bytes=0 \
+     trace=request(0);deliver(0->1);request(1);deliver(1->0);enter(0);\
+     deliver(1->0);deliver(0->1);enter(1)"
+  in
+  [ ( "ra n=3 depth 14",
+      (fun () -> Mcheck.check_me1 ra ~n:3 ~max_depth:14 ()),
+      ra_n3_d14 );
+    ( "ra n=3 depth 14, jobs 2 shards 3",
+      (fun () -> Mcheck.check_me1 ra ~n:3 ~jobs:2 ~shards:3 ~max_depth:14 ()),
+      ra_n3_d14 );
+    ( "ra n=3 depth 14, spill-forced",
+      (fun () ->
+        Mcheck.check_me1 ra ~n:3 ~jobs:2 ~shards:3 ~mem_budget:100_000
+          ~spill_dir:pinned_spill_dir ~max_depth:14 ()),
+      "ok explored=39680 visited=39680 frontier_peak=16637 depth_reached=14 \
+       truncated=true peak_mem_words=330067 spill_bytes=4617456" );
+    ( "ra n=3 max_states 500",
+      (fun () -> Mcheck.check_me1 ra ~n:3 ~max_depth:30 ~max_states:500 ()),
+      "ok explored=500 visited=500 frontier_peak=237 depth_reached=6 \
+       truncated=true peak_mem_words=9398 spill_bytes=0" );
+    ( "ra n=3 max_states 20000, jobs 2 shards 3",
+      (fun () ->
+        Mcheck.check_me1 ra ~n:3 ~jobs:2 ~shards:3 ~max_depth:30
+          ~max_states:20_000 ()),
+      "ok explored=20000 visited=20000 frontier_peak=6629 depth_reached=13 \
+       truncated=true peak_mem_words=370441 spill_bytes=0" );
+    ( "ra n=3 depth 14, por",
+      (fun () -> Mcheck.check_me1 ra ~n:3 ~por:true ~max_depth:14 ()),
+      "ok explored=32276 visited=32276 frontier_peak=13024 depth_reached=14 \
+       truncated=true peak_mem_words=590795 spill_bytes=0" );
+    ( "ra+W n=3 depth 10",
+      (fun () ->
+        Mcheck.check_me1 ~wrapper:Graybox.Wrapper.w_refined ra ~n:3
+          ~max_depth:10 ()),
+      "ok explored=86333 visited=86333 frontier_peak=53138 depth_reached=10 \
+       truncated=true peak_mem_words=1751319 spill_bytes=0" );
+    ( "ra+W n=3 everywhere depth 6",
+      (fun () ->
+        Mcheck.check_me1_everywhere ~wrapper:Graybox.Wrapper.w_refined ra ~n:3
+          ~max_depth:6 ()),
+      "ok explored=48303 visited=48303 frontier_peak=31623 depth_reached=6 \
+       truncated=true peak_mem_words=951630 spill_bytes=0" );
+    ( "ra n=2 everywhere depth 8",
+      (fun () -> Mcheck.check_me1_everywhere ra ~n:2 ~max_depth:8 ()),
+      "violation explored=509 visited=684 frontier_peak=164 depth_reached=6 \
+       truncated=false peak_mem_words=7097 spill_bytes=0 \
+       trace=inflight(0->1,req(7.0));request(0);request(1);deliver(0->1);\
+       enter(1);deliver(1->0);enter(0)" );
+    ( "ra-mutant n=2 depth 20",
+      (fun () -> Mcheck.check_me1 mutant ~n:2 ~max_depth:20 ()),
+      mutant_n2 );
+    ( "ra-mutant n=2 depth 20, jobs 2 shards 3",
+      (fun () ->
+        Mcheck.check_me1 mutant ~n:2 ~jobs:2 ~shards:3 ~max_depth:20 ()),
+      mutant_n2 );
+    ( "lamport-unmod n=2 everywhere depth 4",
+      (fun () -> Mcheck.check_me1_everywhere unmod ~n:2 ~max_depth:4 ()),
+      "violation explored=225 visited=323 frontier_peak=111 depth_reached=4 \
+       truncated=true peak_mem_words=3399 spill_bytes=0 \
+       trace=corrupt(0#1);request(1);deliver(1->0);deliver(0->1);enter(1)" );
+    ( "lamport n=3 depth 12",
+      (fun () -> Mcheck.check_me1 lamport ~n:3 ~max_depth:12 ()),
+      "ok explored=32983 visited=32983 frontier_peak=15098 depth_reached=12 \
+       truncated=true peak_mem_words=641229 spill_bytes=0" );
+    ( "lamport n=3 everywhere depth 6",
+      (fun () -> Mcheck.check_me1_everywhere lamport ~n:3 ~max_depth:6 ()),
+      "violation explored=12386 visited=27361 frontier_peak=15857 \
+       depth_reached=6 truncated=true peak_mem_words=563754 spill_bytes=0 \
+       trace=corrupt(0#1);request(1);deliver(1->0);deliver(0->1);\
+       deliver(1->2);deliver(2->1);enter(1)" );
+    ( "ra-lease n=2 everywhere depth 8",
+      (fun () -> Mcheck.check_me1_everywhere lease ~n:2 ~max_depth:8 ()),
+      "violation explored=509 visited=683 frontier_peak=164 depth_reached=6 \
+       truncated=false peak_mem_words=7085 spill_bytes=0 \
+       trace=inflight(0->1,req(7.0));request(0);request(1);deliver(0->1);\
+       enter(1);deliver(1->0);enter(0)" );
+    ( "ra-lease n=3 depth 18, por, jobs 2 shards 3",
+      (fun () ->
+        Mcheck.check_me1 lease ~n:3 ~jobs:2 ~shards:3 ~por:true ~max_depth:18
+          ()),
+      "violation explored=104146 visited=166168 frontier_peak=56413 \
+       depth_reached=17 truncated=false peak_mem_words=3017695 spill_bytes=0 \
+       trace=request(0);request(1);deliver(0->2);deliver(1->0);deliver(2->0);\
+       enter(0);release(0);request(0);deliver(0->2);request(2);deliver(2->0);\
+       deliver(2->1);deliver(0->1);deliver(1->0);enter(0);deliver(0->1);\
+       enter(1)" ) ]
+
+let test_pinned (name, run, expected) =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) name expected (describe (run ())))
+
+let test_pinned_synth () =
+  (* the oracle runs CEGIS makes at n=2, through Synth's own loop *)
+  let r = Synth.synthesize ra (Synth.config ()) in
+  Alcotest.(check (list int))
+    "enumerated, checked, pruned, oracle_runs, oracle_states"
+    [ 351; 16; 13; 40; 39138 ]
+    [ r.Synth.enumerated; r.Synth.checked; r.Synth.pruned;
+      r.Synth.oracle_runs; r.Synth.oracle_states ]
+
 let () =
   Alcotest.run "mcheck"
     [ ( "safety",
@@ -383,4 +520,8 @@ let () =
         [ Alcotest.test_case "peak and spill reported" `Quick
             test_peak_mem_reported;
           Alcotest.test_case "major-heap allocation bounded" `Quick
-            test_major_alloc_bounded ] ) ]
+            test_major_alloc_bounded ] );
+      ( "pinned",
+        List.map test_pinned pinned
+        @ [ Alcotest.test_case "synth n=2 counts" `Quick test_pinned_synth ] )
+    ]

@@ -63,6 +63,19 @@ let test_budget_exhaustion_is_honest () =
     (r.Synth.synthesized = None);
   Alcotest.(check int) "stopped at the budget" 3 r.Synth.checked
 
+let test_state_bound_certifies_nothing () =
+  (* at 50 states no safety leg closes its search, and a leg that
+     stops at the bound without a violation proves nothing: no
+     candidate is certified, and the transcript says why *)
+  let r = Synth.synthesize ra (Synth.config ~max_states:50 ()) in
+  Alcotest.(check bool) "nothing synthesized" true (r.Synth.synthesized = None);
+  let count o =
+    List.length (List.filter (fun a -> a.Synth.outcome = o) r.Synth.attempts)
+  in
+  Alcotest.(check int) "no attempt certified" 0 (count Synth.Certified);
+  Alcotest.(check bool) "the bound is reported" true
+    (count Synth.Inconclusive > 0)
+
 (* -- oracle determinism --------------------------------------------- *)
 
 let scrub_stats s = { s with Mcheck.peak_mem_words = 0; spill_bytes = 0 }
@@ -219,7 +232,9 @@ let () =
           Alcotest.test_case "transcript jobs-invariant" `Slow
             test_transcript_jobs_invariant;
           Alcotest.test_case "budget exhaustion is honest" `Quick
-            test_budget_exhaustion_is_honest ] );
+            test_budget_exhaustion_is_honest;
+          Alcotest.test_case "a state-bound leg certifies nothing" `Quick
+            test_state_bound_certifies_nothing ] );
       ( "oracle",
         [ Alcotest.test_case "verdicts" `Quick test_oracle_verdicts;
           Alcotest.test_case "safe verdict differential" `Slow oracle_safe;
