@@ -11,9 +11,10 @@ let tick c =
   let c = { c with now = c.now + 1 } in
   (c, read c)
 
-let witness c (ts : Timestamp.t) = { c with now = max c.now ts.clock }
+let witness c (ts : Timestamp.t) = { c with now = Int.max c.now ts.clock }
 
-let receive_event c ts = tick (witness c ts)
+let receive_event c (ts : Timestamp.t) =
+  { c with now = Int.max c.now ts.clock + 1 }
 
 let with_now c now = { c with now }
 

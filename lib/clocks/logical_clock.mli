@@ -29,9 +29,10 @@ val witness : t -> Timestamp.t -> t
     [now] becomes [max (now c) ts.clock] — call {!tick} afterwards to
     stamp the receive event itself. *)
 
-val receive_event : t -> Timestamp.t -> t * Timestamp.t
-(** [receive_event c ts] is [tick (witness c ts)]: the usual receive
-    rule [now := max(now, ts.clock) + 1]. *)
+val receive_event : t -> Timestamp.t -> t
+(** [receive_event c ts] is the clock of [tick (witness c ts)]: the
+    usual receive rule [now := max(now, ts.clock) + 1].  The receive
+    event's stamp is {!read} of the result. *)
 
 val with_now : t -> int -> t
 (** [with_now c n] forces the counter — used only by fault injection to

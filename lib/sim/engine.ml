@@ -28,6 +28,11 @@ module Make (N : NODE) = struct
       ?(policy = Weighted_random) ?(record = true) ?(indexed = true) ~n ~seed
       () =
     if n <= 0 then invalid_arg "Engine.config: need n > 0";
+    (* a nonpositive weight is excluded from the draw: stored as 0 *)
+    let deliver_weight = Int.max 0 deliver_weight
+    and internal_weight = Int.max 0 internal_weight in
+    if policy = Weighted_random && deliver_weight = 0 && internal_weight = 0
+    then invalid_arg "Engine.config: Weighted_random needs a positive weight";
     { n; seed; deliver_weight; internal_weight; policy; record; indexed }
 
   type t = {
@@ -93,10 +98,11 @@ module Make (N : NODE) = struct
     metrics : Metrics.t;
   }
 
-  (* The network's channel contents are persistent, so a snapshot just
-     captures the current content map; the channel lists materialize
-     lazily if an analysis reads them.  Recording is therefore O(n) (the
-     states copy) per step instead of O(channels). *)
+  (* A snapshot captures the network's contents through its persistent
+     mirror, which costs only the channels written since the previous
+     snapshot; the channel lists materialize lazily if an analysis reads
+     them.  Recording is therefore O(n) (the states copy) per step
+     instead of O(channels). *)
   let record t event =
     if t.cfg.record then
       t.rev_trace <-
@@ -236,16 +242,12 @@ module Make (N : NODE) = struct
         t.crash_until
 
   let dispatch t ~src ~label outbox =
+    Metrics.note_sends t.metrics ~label (List.length outbox);
     if not t.net_faults_seen then
-      List.iter
-        (fun (dst, m) ->
-          Metrics.note_send t.metrics ~label;
-          Network.send t.net ~src ~dst m)
-        outbox
+      List.iter (fun (dst, m) -> Network.send t.net ~src ~dst m) outbox
     else
       List.iter
         (fun (dst, m) ->
-          Metrics.note_send t.metrics ~label;
           match Network.link_status t.net ~src ~dst with
           | `Lossy _ ->
             (* severed link: the message is lost at the sender *)
@@ -371,8 +373,8 @@ module Make (N : NODE) = struct
 
   let nth_internal t k =
     if t.cfg.indexed then begin
-      let p = Fenwick.select t.act_counts k in
-      (p, List.nth t.acts.(p) (k - Fenwick.prefix t.act_counts p))
+      let p, r = Fenwick.select_rem t.act_counts k in
+      (p, List.nth t.acts.(p) r)
     end
     else
       let rec go p k =
@@ -394,13 +396,12 @@ module Make (N : NODE) = struct
         let chosen =
           match t.cfg.policy with
           | Weighted_random ->
-            (* nonpositive weights are excluded from the total and can
-               never be drawn — [pick_weighted]'s skip rule *)
-            let dw = max 0 t.cfg.deliver_weight in
-            let iw = max 0 t.cfg.internal_weight in
+            (* [config] stores nonpositive weights as 0: such moves add
+               nothing to the total and can never be drawn *)
+            let dw = t.cfg.deliver_weight and iw = t.cfg.internal_weight in
             let total = (dw * d) + (iw * i) in
-            if total <= 0 then
-              invalid_arg "Rng.pick_weighted: no positive weight";
+            if total = 0 then
+              invalid_arg "Engine.step: no enabled move has a positive weight";
             let stop = Rng.int t.sched_rng total in
             if stop < dw * d then `Deliver (stop / dw)
             else `Internal ((stop - (dw * d)) / iw)
@@ -508,7 +509,7 @@ module Make (N : NODE) = struct
        List.iter
          (fun p ->
            if until_t > t.time then begin
-             t.crash_until.(p) <- max t.crash_until.(p) until_t;
+             t.crash_until.(p) <- Int.max t.crash_until.(p) until_t;
              t.crash_lose.(p) <- t.crash_lose.(p) || lose_deliveries;
              (* indexed mode tracks the crash flip here rather than by
                 rescanning at refresh; the scan path discovers it from

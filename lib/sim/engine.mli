@@ -44,13 +44,15 @@ module Make (N : NODE) : sig
             deterministic fairness, useful for debugging (still
             seed-reproducible: the rotation depends only on time) *)
 
-  type config = {
+  type config = private {
     n : int;  (** number of processes *)
     seed : int;  (** master seed; equal seeds give equal executions *)
     deliver_weight : int;
-        (** scheduling weight of each pending delivery (default 2) *)
+        (** scheduling weight of each pending delivery (default 2);
+            never negative *)
     internal_weight : int;
-        (** scheduling weight of each enabled internal action *)
+        (** scheduling weight of each enabled internal action (default
+            1); never negative *)
     policy : policy;
     record : bool;  (** keep a full trace (costs memory) *)
     indexed : bool;
@@ -65,6 +67,12 @@ module Make (N : NODE) : sig
 
   val config : ?deliver_weight:int -> ?internal_weight:int -> ?policy:policy ->
     ?record:bool -> ?indexed:bool -> n:int -> seed:int -> unit -> config
+  (** [config ~n ~seed ()] validates and builds a configuration.  A
+      nonpositive weight is stored as 0: moves of that kind are never
+      drawn by [Weighted_random] (a step where only such moves are
+      enabled raises [Invalid_argument]).
+      @raise Invalid_argument if [n <= 0], or if the policy is
+      [Weighted_random] and neither weight is positive. *)
 
   type t
 

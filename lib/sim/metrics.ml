@@ -43,11 +43,13 @@ let reset t =
   t.crashes <- 0;
   Hashtbl.reset t.by_label
 
-let note_send t ~label =
-  t.sent <- t.sent + 1;
-  match Hashtbl.find t.by_label label with
-  | r -> incr r
-  | exception Not_found -> Hashtbl.add t.by_label label (ref 1)
+let note_sends t ~label k =
+  if k > 0 then begin
+    t.sent <- t.sent + k;
+    match Hashtbl.find t.by_label label with
+    | r -> r := !r + k
+    | exception Not_found -> Hashtbl.add t.by_label label (ref k)
+  end
 
 let note_delivery t = t.delivered <- t.delivered + 1
 let note_internal t = t.internal_steps <- t.internal_steps + 1

@@ -13,7 +13,10 @@ val reset : t -> unit
 
 (** {2 Incrementers (engine-side)} *)
 
-val note_send : t -> label:string -> unit
+val note_sends : t -> label:string -> int -> unit
+(** [note_sends t ~label k] counts [k] sends by an action labeled
+    [label] — one outbox, one label lookup; [k = 0] records nothing. *)
+
 val note_delivery : t -> unit
 val note_internal : t -> unit
 val note_stutter : t -> unit

@@ -1,12 +1,33 @@
 open Stdext
 module Imap = Map.Make (Int)
 
-(* Channel contents live in a sparse persistent map (absent key = empty
-   channel), so memory and [create] are O(occupied channels) instead of
-   O(n^2), and a trace snapshot captures the current contents by keeping
-   the map value — O(1), whatever happens to the network afterwards.
+(* Channel-keyed hash table.  Keys are src * n + dst; the multiply and
+   xorshift spread them over the buckets even when n is a power of two,
+   where every channel into one destination shares its low bits. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-   The index over those contents is ephemeral, updated in place:
+  let equal = Int.equal
+
+  let hash i =
+    let h = i * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
+end)
+
+(* Channel contents live in a mutable table of persistent queues, one
+   cell per nonempty channel (absent key = empty channel), so memory
+   and [create] are O(occupied channels) instead of O(n^2), and a send
+   or a delivery is one table lookup (plus an insertion or a removal
+   when the channel fills or empties) and its queue cell.
+
+   Trace capture reads a persistent mirror of that table instead: the
+   first [capture] builds it, and from then on every write journals its
+   channel, so each later capture folds only the channels written since
+   the previous one into the mirror and keeps the resulting map value —
+   unaffected by anything done to the network afterwards.  A network
+   that is never captured (an unrecorded run) journals nothing.
+
+   The index over the contents is ephemeral, updated in place:
    - [live_src], a Fenwick tree over sources counting each source's
      channels with a deliverable head, and [rows], a per-source bitset
      of those channels' destinations.  The k-th live channel in
@@ -15,10 +36,7 @@ module Imap = Map.Make (Int)
      scheduler's delivery draw;
    - [live_dst], the same channels counted per destination, so the
      crash bookkeeping's inbound counts are array reads;
-   - [waiting], the channels whose head is staged for a later step;
-   - [msgs], the total queued-message count.
-   A send or a delivery therefore allocates only its queue cell and the
-   map path; the index costs a few array writes.
+   - [waiting], the channels whose head is staged for a later step.
 
    Every message carries a ready step.  Plain sends stamp [now], so on
    fault-free runs [waiting] stays empty, heads are always ready, and
@@ -32,8 +50,16 @@ module Imap = Map.Make (Int)
 type 'm t = {
   n : int;
   mutable now : int; (* last [advance] step; readiness is judged against it *)
-  mutable chans : ('m * int) Fqueue.t Imap.t;
-      (* (payload, ready step), keyed src * n + dst; absent = empty *)
+  chans : ('m * int) Fqueue.t ref Itbl.t;
+      (* (payload, ready step), keyed src * n + dst; nonempty channels
+         only *)
+  mutable captured : bool; (* [capture] has run: writes are journaled *)
+  mutable mirror : ('m * int) Fqueue.t Imap.t;
+      (* the contents as of the last journal fold *)
+  mutable journal : int array;
+      (* the first [journal_len] entries: channels written since that
+         fold *)
+  mutable journal_len : int;
   live_src : Fenwick.t; (* per source: channels with a deliverable head *)
   rows : int array array;
       (* per source: bitset over destinations of those channels, [bits]
@@ -41,7 +67,6 @@ type 'm t = {
   live_dst : int array; (* per destination: channels with a deliverable head *)
   mutable waiting : unit Imap.t;
       (* src-major: nonempty channels whose head is not ready yet *)
-  mutable msgs : int; (* total queued messages, ready or not *)
   mutable blocked : (int * [ `Lossy | `Buffered ]) Imap.t;
       (* partition mask: channel index -> (heal step, mode); consulted
          on [send] and pruned lazily by [advance] *)
@@ -76,16 +101,53 @@ let create ~n =
   if n <= 0 then invalid_arg "Network.create: need n > 0";
   { n;
     now = 0;
-    chans = Imap.empty;
+    chans = Itbl.create 64;
+    captured = false;
+    mirror = Imap.empty;
+    journal = Array.make 16 0;
+    journal_len = 0;
     live_src = Fenwick.create n;
     rows = Array.make n [||];
     live_dst = Array.make n 0;
     waiting = Imap.empty;
-    msgs = 0;
     blocked = Imap.empty }
 
 let chan t i =
-  match Imap.find_opt i t.chans with Some q -> q | None -> Fqueue.empty
+  match Itbl.find t.chans i with c -> !c | exception Not_found -> Fqueue.empty
+
+(* Fold the journaled channels into the mirror.  Each entry reads the
+   channel's current contents, so order and repeats do not matter (a
+   repeat re-adds the same queue, which [Imap.add] turns into a no-op
+   returning the same map). *)
+let sync t =
+  let m = ref t.mirror in
+  for k = 0 to t.journal_len - 1 do
+    let i = t.journal.(k) in
+    m :=
+      match Itbl.find t.chans i with
+      | c -> Imap.add i !c !m
+      | exception Not_found -> Imap.remove i !m
+  done;
+  t.mirror <- !m;
+  t.journal_len <- 0
+
+(* Note a write to channel [i] for the next capture.  A full journal
+   that has outgrown the table (writes continuing long after the last
+   capture) is folded in early instead of growing, so it never holds
+   more than O(occupied channels) entries. *)
+let note_write t i =
+  if t.captured then begin
+    let len = t.journal_len in
+    if len = Array.length t.journal then
+      if len > (2 * Itbl.length t.chans) + 64 then sync t
+      else begin
+        let bigger = Array.make (2 * len) 0 in
+        Array.blit t.journal 0 bigger 0 len;
+        t.journal <- bigger
+      end;
+    t.journal.(t.journal_len) <- i;
+    t.journal_len <- t.journal_len + 1
+  end
 
 let set_live t ~src ~dst =
   let row =
@@ -118,11 +180,13 @@ let status t q =
    the index's classes as its head demands — the fault primitives' path
    ([send] and [deliver] take cheaper special cases). *)
 let set_chan t i q =
-  let old = chan t i in
+  let cell = Itbl.find_opt t.chans i in
+  let old = match cell with Some c -> !c | None -> Fqueue.empty in
   let before = status t old and after = status t q in
-  t.msgs <- t.msgs - Fqueue.length old + Fqueue.length q;
-  t.chans <-
-    (if Fqueue.is_empty q then Imap.remove i t.chans else Imap.add i q t.chans);
+  (if Fqueue.is_empty q then Itbl.remove t.chans i
+   else
+     match cell with Some c -> c := q | None -> Itbl.add t.chans i (ref q));
+  note_write t i;
   if before <> after then begin
     let src = i / t.n and dst = i mod t.n in
     (match before with
@@ -160,7 +224,7 @@ let link_status t ~src ~dst =
 let send ?delay t ~src ~dst m =
   let i = idx t ~src ~dst in
   let ready =
-    match delay with None -> t.now | Some d -> t.now + max 0 d
+    match delay with None -> t.now | Some d -> t.now + Int.max 0 d
   in
   (* the partition mask is consulted on send: a Buffered window holds
      the message until the heal (Lossy windows are handled by the
@@ -169,39 +233,42 @@ let send ?delay t ~src ~dst m =
     if Imap.is_empty t.blocked then ready
     else
       match Imap.find_opt i t.blocked with
-      | Some (until, `Buffered) when until > t.now -> max ready until
+      | Some (until, `Buffered) when until > t.now -> Int.max ready until
       | _ -> ready
   in
-  t.msgs <- t.msgs + 1;
-  match Imap.find_opt i t.chans with
-  | Some q ->
-    (* the head, and with it the channel's class, is unchanged *)
-    t.chans <- Imap.add i (Fqueue.push (m, ready) q) t.chans
-  | None ->
-    t.chans <- Imap.add i (Fqueue.push (m, ready) Fqueue.empty) t.chans;
-    if ready <= t.now then set_live t ~src ~dst
-    else t.waiting <- Imap.add i () t.waiting
+  (match Itbl.find t.chans i with
+   | c ->
+     (* the head, and with it the channel's class, is unchanged *)
+     c := Fqueue.push (m, ready) !c
+   | exception Not_found ->
+     Itbl.add t.chans i (ref (Fqueue.of_list [ (m, ready) ]));
+     if ready <= t.now then set_live t ~src ~dst
+     else t.waiting <- Imap.add i () t.waiting);
+  note_write t i
 
 let deliver t ~src ~dst =
   let i = idx t ~src ~dst in
-  match Option.bind (Imap.find_opt i t.chans) Fqueue.pop with
-  | Some ((m, ready), q) when ready <= t.now ->
-    (* a ready head means the channel was live *)
-    t.msgs <- t.msgs - 1;
-    if Fqueue.is_empty q then begin
-      t.chans <- Imap.remove i t.chans;
-      clear_live t ~src ~dst
-    end
-    else begin
-      t.chans <- Imap.add i q t.chans;
-      match Fqueue.peek q with
-      | Some (_, next) when next > t.now ->
-        clear_live t ~src ~dst;
-        t.waiting <- Imap.add i () t.waiting
-      | _ -> ()
-    end;
-    Some m
-  | _ -> None (* empty, or head staged for a later step *)
+  match Itbl.find t.chans i with
+  | exception Not_found -> None
+  | c ->
+    (match Fqueue.pop !c with
+     | Some ((m, ready), q) when ready <= t.now ->
+       (* a ready head means the channel was live *)
+       if Fqueue.is_empty q then begin
+         Itbl.remove t.chans i;
+         clear_live t ~src ~dst
+       end
+       else begin
+         c := q;
+         match Fqueue.peek q with
+         | Some (_, next) when next > t.now ->
+           clear_live t ~src ~dst;
+           t.waiting <- Imap.add i () t.waiting
+         | _ -> ()
+       end;
+       note_write t i;
+       Some m
+     | _ -> None (* head staged for a later step *))
 
 let contents t ~src ~dst =
   List.map fst (Fqueue.to_list (chan t (idx t ~src ~dst)))
@@ -228,15 +295,12 @@ let fold_nonempty f acc t =
   done;
   !acc
 
-let nonempty t =
-  List.rev (fold_nonempty (fun acc ~src ~dst -> (src, dst) :: acc) [] t)
-
 let live_count t = Fenwick.total t.live_src
 
 let nth_live t k =
   if k < 0 || k >= live_count t then
     invalid_arg "Network.nth_live: rank out of range";
-  let src = Fenwick.select t.live_src k in
+  let src, r = Fenwick.select_rem t.live_src k in
   let row = t.rows.(src) in
   let rec go w r =
     let c = popcount row.(w) in
@@ -249,7 +313,7 @@ let nth_live t k =
       (w * bits) + bit_index (!x land - !x)
     end
   in
-  (src, go 0 (k - Fenwick.prefix t.live_src src))
+  (src, go 0 r)
 
 let live_into t ~dst = t.live_dst.(dst)
 
@@ -271,8 +335,6 @@ let fold_inbound_nonempty f acc t ~dst =
 
 let waiting_count t = Imap.cardinal t.waiting
 
-let in_flight t = t.msgs
-
 let apply_split t ~pairs ~until ~mode =
   if until <= t.now then 0
   else
@@ -284,7 +346,7 @@ let apply_split t ~pairs ~until ~mode =
         t.blocked <-
           Imap.update i
             (function
-              | Some (u, _) -> Some (max u until, mode)
+              | Some (u, _) -> Some (Int.max u until, mode)
               | None -> Some (until, mode))
             t.blocked;
         let q = chan t i in
@@ -293,7 +355,8 @@ let apply_split t ~pairs ~until ~mode =
           set_chan t i Fqueue.empty;
           dropped + Fqueue.length q
         | `Buffered ->
-          set_chan t i (Fqueue.map (fun (m, ready) -> (m, max ready until)) q);
+          set_chan t i
+            (Fqueue.map (fun (m, ready) -> (m, Int.max ready until)) q);
           dropped)
       0 pairs
 
@@ -323,25 +386,18 @@ let reorder_at t ~src ~dst ~pos =
 
 let flush_channel t ~src ~dst = set_chan t (idx t ~src ~dst) Fqueue.empty
 
-let flush_all t = Imap.iter (fun i _ -> set_chan t i Fqueue.empty) t.chans
-
-(* The content map holds exactly the nonempty channels, staged or not,
-   in (src, dst) order. *)
-let fold_messages f acc t =
-  Imap.fold
-    (fun i q acc ->
-      let src = i / t.n and dst = i mod t.n in
-      Fqueue.fold (fun acc (m, _) -> f acc ~src ~dst m) acc q)
-    t.chans acc
-
-let listing n chans =
-  Imap.fold
-    (fun i q acc -> (i / n, i mod n, List.map fst (Fqueue.to_list q)) :: acc)
-    chans []
-  |> List.rev
-
-let snapshot t = listing t.n t.chans
-
+(* The first capture builds the mirror from the table; every later one
+   folds in the journal.  The mirror holds exactly the nonempty
+   channels, staged or not, in (src, dst) order. *)
 let capture t =
-  let n = t.n and chans = t.chans in
-  lazy (listing n chans)
+  if t.captured then sync t
+  else begin
+    t.mirror <- Itbl.fold (fun i c m -> Imap.add i !c m) t.chans Imap.empty;
+    t.captured <- true
+  end;
+  let n = t.n and chans = t.mirror in
+  lazy
+    (Imap.fold
+       (fun i q acc -> (i / n, i mod n, List.map fst (Fqueue.to_list q)) :: acc)
+       chans []
+    |> List.rev)

@@ -2,30 +2,36 @@
     pair, as demanded by the paper's Communication Spec.
 
     A network is a mutable handle split in two.  The {e channel
-    contents} are a persistent sparse map of persistent queues (absent
-    key = empty channel), so {!capture} records them for a trace in
-    O(1): later sends, deliveries and faults build new versions and
-    leave a captured one intact.  The {e live-channel index} is
-    ephemeral, updated in place: a Fenwick tree over sources, a
-    per-source destination bitset and per-destination counts, so
-    {!nth_live} is O(log n + n/62), {!live_count} and {!live_into} are
-    O(1), and a send or a delivery allocates only its queue cell and
-    map path.  {!create} and memory are O(n + occupied channels), plus
-    one n/62-word bitset row per source that has had a deliverable
+    contents} are a mutable table holding a persistent queue per
+    nonempty channel, so a send or a delivery costs one table lookup
+    (plus an insertion or a removal when the channel fills or empties)
+    and its queue cell.  The {e live-channel index} is updated in
+    place too: a Fenwick tree over sources, a per-source destination
+    bitset and per-destination counts, so {!nth_live} is
+    O(log n + n/62) and {!live_count} and {!live_into} are O(1).
+    {!create} and memory are O(n + occupied channels), plus one
+    n/62-word bitset row per source that has had a deliverable
     channel.  Mutating functions return [unit], so no caller can hold
     a stale version.  Fault primitives (drop / duplicate / corrupt /
     flush / split / delay) are defined here; {e when} they fire is
     decided by {!Faults}.
 
+    {b Trace capture.}  {!capture} keeps a persistent mirror of the
+    contents.  The first capture builds it from the table; after that
+    every write also notes its channel, and each capture folds the
+    channels written since the previous one into the mirror — on a
+    recorded run, O(log n) per channel a step touched.  A network that
+    is never captured pays nothing for it.
+
     {b Delivery-ready staging.}  Every message carries a ready step.
     Undelayed sends are ready immediately, so on fault-free runs the
     staging layer is invisible (and free).  {!send}[ ~delay] and a
     {!apply_split} partition mask stage messages for a later step; a
-    staged channel head keeps the whole channel out of {!nonempty} /
+    staged channel head keeps the whole channel out of
     {!fold_nonempty} / {!live_count} until {!advance} moves time past
     its ready step — delivery order within a channel is never changed,
-    only {e when} the head becomes deliverable.  {!in_flight},
-    {!fold_messages} and {!snapshot} still cover every queued message,
+    only {e when} the head becomes deliverable.  {!contents},
+    {!channel_length} and {!capture} still cover every queued message,
     staged or not. *)
 
 type 'm t
@@ -69,21 +75,18 @@ val link_status :
     [`Lossy] link the sender must not enqueue at all; [`Buffered]
     links accept sends ({!send} defers their readiness). *)
 
-val nonempty : 'm t -> (Pid.t * Pid.t) list
-(** [nonempty net] lists channels with a {e deliverable} (ready) head,
-    in (src, dst) lexicographic order.  Channels whose head is staged
-    for a later step are excluded. *)
-
 val fold_nonempty :
   ('acc -> src:Pid.t -> dst:Pid.t -> 'acc) -> 'acc -> 'm t -> 'acc
-(** [fold_nonempty f acc net] folds over the ready channels in the
-    same (src, dst) order as {!nonempty}, without materializing the
-    list, in O(n) plus O(n/62) per source with a ready channel.  [f]
-    must not mutate [net]. *)
+(** [fold_nonempty f acc net] folds over the channels with a
+    {e deliverable} (ready) head, in (src, dst) lexicographic order, in
+    O(n) plus O(n/62) per source with a ready channel.  Channels whose
+    head is staged for a later step are excluded.  [f] must not mutate
+    [net]. *)
 
 val nth_live : 'm t -> int -> Pid.t * Pid.t
-(** [nth_live net k] is the [k]-th ready channel in the {!nonempty}
-    order, in O(log n + n/62) — the scheduler's delivery draw.
+(** [nth_live net k] is the [k]-th ready channel in the
+    {!fold_nonempty} order, in O(log n + n/62) — the scheduler's
+    delivery draw.
     @raise Invalid_argument unless [0 <= k < live_count net]. *)
 
 val live_count : 'm t -> int
@@ -106,10 +109,6 @@ val waiting_count : 'm t -> int
 (** [waiting_count net] is the number of nonempty channels whose head
     is staged for a later step — nonzero only after delay or buffered
     partition faults. *)
-
-val in_flight : 'm t -> int
-(** [in_flight net] is the total number of queued messages, staged or
-    not, in O(1). *)
 
 (** {2 Channel-level fault primitives} *)
 
@@ -148,22 +147,14 @@ val reorder_at : 'm t -> src:Pid.t -> dst:Pid.t -> pos:int -> unit
 val flush_channel : 'm t -> src:Pid.t -> dst:Pid.t -> unit
 (** [flush_channel net ~src ~dst] empties channel [src→dst]. *)
 
-val flush_all : 'm t -> unit
-
-(** {2 Contents} *)
-
-val fold_messages :
-  ('acc -> src:Pid.t -> dst:Pid.t -> 'm -> 'acc) -> 'acc -> 'm t -> 'acc
-(** [fold_messages f acc net] folds over all queued messages — staged
-    or not — channel by channel, front-first. *)
-
-val snapshot : 'm t -> (Pid.t * Pid.t * 'm list) list
-(** [snapshot net] lists every nonempty channel with its contents,
-    staged messages included, in (src, dst) order — the trace
-    representation. *)
+(** {2 Trace capture} *)
 
 val capture : 'm t -> (Pid.t * Pid.t * 'm list) list Lazy.t
-(** [capture net] is {!snapshot} of the contents as they are now,
-    computed on first force: O(1) to take, and unaffected by anything
-    done to [net] afterwards — how the engine records trace
-    snapshots. *)
+(** [capture net] lists every nonempty channel with its contents as
+    they are now — staged messages included, channels in (src, dst)
+    order — computed on first force, and unaffected by anything done
+    to [net] afterwards: how the engine records trace snapshots.
+    Taking it costs O(log n) per channel written since the previous
+    capture, which it folds into the mirror — so capturing after every
+    step adds O(log n) to each write — and nothing more; the first
+    capture costs O(occupied channels · log n). *)

@@ -39,7 +39,11 @@ let add t i delta =
     j := !j + (!j land - !j)
   done
 
-let set t i v = add t i (v - get t i)
+(* An unchanged weight skips the tree walk: the scheduler re-sets every
+   refreshed process, most of them to the weight they already had. *)
+let set t i v =
+  let delta = v - get t i in
+  if delta <> 0 then add t i delta
 
 let total t = t.total
 
@@ -52,8 +56,9 @@ let prefix t i =
   done;
   !s
 
-(* Binary-lifting descent: O(log n), no prefix recomputation. *)
-let select t k =
+(* Binary-lifting descent: O(log n), no prefix recomputation.  What is
+   left of [k] once the descent stops is its rank within the slot. *)
+let select_rem t k =
   if k < 0 || k >= t.total then invalid_arg "Fenwick.select: rank out of range";
   let idx = ref 0 and rem = ref k and bit = ref t.topbit in
   while !bit > 0 do
@@ -64,4 +69,6 @@ let select t k =
     end;
     bit := !bit / 2
   done;
-  !idx
+  (!idx, !rem)
+
+let select t k = fst (select_rem t k)

@@ -22,7 +22,8 @@ val add : t -> int -> int -> unit
     @raise Invalid_argument if the slot would go negative. *)
 
 val set : t -> int -> int -> unit
-(** [set t i v] assigns slot [i] the weight [v], O(log n). *)
+(** [set t i v] assigns slot [i] the weight [v], O(log n); O(1) when
+    [v] is already its weight. *)
 
 val total : t -> int
 (** [total t] is the sum of all weights, O(1). *)
@@ -34,4 +35,10 @@ val select : t -> int -> int
 (** [select t k] is the unique slot [i] with
     [prefix t i <= k < prefix t (i+1)] — the slot containing the
     [k]-th unit of weight, in ascending-slot order.  O(log n).
+    @raise Invalid_argument unless [0 <= k < total t]. *)
+
+val select_rem : t -> int -> int * int
+(** [select_rem t k] is [(i, k - prefix t i)] for [i = select t k]:
+    the slot and [k]'s rank within it, from the same descent, so the
+    caller needs no second {!prefix} walk.
     @raise Invalid_argument unless [0 <= k < total t]. *)

@@ -70,7 +70,7 @@ let release_cs s =
 
 let on_message ~from:_ msg s =
   let ts = Msg.timestamp msg in
-  let clock, _ = Logical_clock.receive_event s.clock ts in
+  let clock = Logical_clock.receive_event s.clock ts in
   let s = { s with clock } in
   let s =
     if s.mode = View.Thinking then { s with req = Logical_clock.read s.clock }

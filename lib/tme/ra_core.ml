@@ -64,11 +64,6 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     View.make ~self:s.self ~mode:s.mode ~req:s.req ~local_req:s.local_req
       ~clock:(Logical_clock.now s.clock)
 
-  (* CS Release Spec: while thinking, REQ_j tracks the newest event. *)
-  let refresh_req_if_thinking s =
-    if s.mode = View.Thinking then { s with req = Logical_clock.read s.clock }
-    else s
-
   let request_cs s =
     let clock, ts = Logical_clock.tick s.clock in
     let s = { s with clock; req = ts; mode = View.Hungry } in
@@ -115,33 +110,38 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     (s, List.map (fun k -> (k, Msg.Reply ts)) deferred)
 
   let on_message ~from msg s =
-    let ts = Msg.timestamp msg in
-    let clock, _ = Logical_clock.receive_event s.clock ts in
-    let s = refresh_req_if_thinking { s with clock } in
+    let clock = Logical_clock.receive_event s.clock (Msg.timestamp msg) in
+    (* CS Release Spec: while thinking, REQ_j tracks the newest event. *)
+    let req =
+      if s.mode = View.Thinking then Logical_clock.read clock else s.req
+    in
     match msg with
     | Msg.Request req_k ->
       (* Assignment, not max: receipt of the owner's (or its wrapper's)
          request repairs an arbitrarily corrupted copy. *)
-      let s = { s with local_req = Sim.Pid.Map.add from req_k s.local_req } in
+      let local_req = Sim.Pid.Map.add from req_k s.local_req in
       (* Reply iff t.j ∨ REQ_k lt REQ_j: an eating process defers every
          later request until it releases.  The mutant (defer_while_eating
          = false) also replies while eating — the seeded safety bug. *)
       let replies_now =
         if C.defer_while_eating then
-          s.mode = View.Thinking || Timestamp.lt req_k s.req
-        else s.mode <> View.Hungry || Timestamp.lt req_k s.req
+          s.mode = View.Thinking || Timestamp.lt req_k req
+        else s.mode <> View.Hungry || Timestamp.lt req_k req
       in
-      if replies_now then begin
-        let s = { s with received = Sim.Pid.Set.remove from s.received } in
-        (s, [ (from, Msg.Reply (Logical_clock.read s.clock)) ])
-      end
-      else ({ s with received = Sim.Pid.Set.add from s.received }, [])
+      let received =
+        if replies_now then Sim.Pid.Set.remove from s.received
+        else Sim.Pid.Set.add from s.received
+      in
+      ( { s with clock; req; local_req; received },
+        if replies_now then [ (from, Msg.Reply (Logical_clock.read clock)) ]
+        else [] )
     | Msg.Reply r | Msg.Release r ->
       (* A reply counts as a grant only if it postdates our request;
          stale replies (pre-fault leftovers, duplicates) are absorbed. *)
-      if Timestamp.lt s.req r then
-        ({ s with local_req = Sim.Pid.Map.add from r s.local_req }, [])
-      else (s, [])
+      if Timestamp.lt req r then
+        ( { s with clock; req; local_req = Sim.Pid.Map.add from r s.local_req },
+          [] )
+      else ({ s with clock; req }, [])
 
   let random_ts ~n rng =
     Timestamp.make

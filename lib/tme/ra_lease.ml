@@ -202,7 +202,7 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
 
   let on_message ~from msg s =
     let ts = Msg.timestamp msg in
-    let clock, _ = Logical_clock.receive_event s.clock ts in
+    let clock = Logical_clock.receive_event s.clock ts in
     let s = refresh_req_if_thinking { s with clock } in
     match msg with
     | Msg.Request req_k ->

@@ -90,7 +90,7 @@ let test_lc_witness () =
 
 let test_lc_receive_event () =
   let c = Logical_clock.create ~pid:1 in
-  let _, t = Logical_clock.receive_event c (ts 10 0) in
+  let t = Logical_clock.read (Logical_clock.receive_event c (ts 10 0)) in
   Alcotest.(check int) "receive rule: max+1" 11 t.Timestamp.clock;
   Alcotest.(check int) "own pid stamped" 1 t.Timestamp.pid
 
@@ -115,7 +115,8 @@ let prop_lc_hb_respected =
           end;
           let c, sent = Logical_clock.tick !src in
           src := c;
-          let c, received = Logical_clock.receive_event !dst sent in
+          let c = Logical_clock.receive_event !dst sent in
+          let received = Logical_clock.read c in
           dst := c;
           Timestamp.lt sent received)
         script)

@@ -23,6 +23,28 @@ let of_sends n sends =
   List.iter (fun (src, dst, m) -> Network.send net ~src ~dst m) sends;
   net
 
+(* Reference readings built eagerly from the per-channel queries: every
+   nonempty channel with its contents in (src, dst) order, the queued
+   message count, and the ready channels in scheduler order. *)
+let listing net ~n =
+  List.concat_map
+    (fun src ->
+      List.filter_map
+        (fun dst ->
+          match Network.contents net ~src ~dst with
+          | [] -> None
+          | ms -> Some (src, dst, ms))
+        (Pid.range n))
+    (Pid.range n)
+
+let in_flight net ~n =
+  List.fold_left (fun acc (_, _, ms) -> acc + List.length ms) 0 (listing net ~n)
+
+let live_channels net =
+  List.rev (Network.fold_nonempty (fun acc ~src ~dst -> (src, dst) :: acc) [] net)
+
+let captured net = Lazy.force (Network.capture net)
+
 let test_net_send_deliver_fifo () =
   let net = of_sends 3 [ (0, 1, "a"); (0, 1, "b") ] in
   Alcotest.(check (list string)) "contents" [ "a"; "b" ]
@@ -40,8 +62,8 @@ let test_net_deliver_empty () =
    of the moment it was taken, whatever happens to the network later. *)
 let test_net_capture_survives_mutation () =
   let net = of_sends 3 [ (0, 1, "a"); (0, 1, "b"); (2, 0, "c") ] in
-  let before = Network.snapshot net in
-  let captured = Network.capture net in
+  let before = [ (0, 1, [ "a"; "b" ]); (2, 0, [ "c" ]) ] in
+  let capture = Network.capture net in
   Network.send net ~src:1 ~dst:2 "d";
   ignore (Network.deliver net ~src:0 ~dst:1);
   Network.duplicate_at net ~src:0 ~dst:1 ~pos:0;
@@ -49,15 +71,49 @@ let test_net_capture_survives_mutation () =
   Network.flush_channel net ~src:1 ~dst:2;
   Alcotest.(check (list (triple int int (list string)))) "mutated"
     [ (0, 1, [ "b"; "b" ]) ]
-    (Network.snapshot net);
-  Network.flush_all net;
+    (captured net);
+  Network.flush_channel net ~src:0 ~dst:1;
   Alcotest.(check (list (triple int int (list string)))) "capture intact"
-    before (Lazy.force captured)
+    before (Lazy.force capture)
+
+(* The capture journal: a first capture after a nonempty history, many
+   writes to one channel between captures, and a gap long enough that
+   the journal is folded in before the next capture. *)
+let test_net_capture_journal () =
+  let net = of_sends 3 [ (0, 1, 1); (0, 1, 2); (2, 1, 3) ] in
+  let first = Network.capture net in
+  for m = 4 to 9 do
+    Network.send net ~src:0 ~dst:1 m
+  done;
+  ignore (Network.deliver net ~src:0 ~dst:1);
+  Network.flush_channel net ~src:2 ~dst:1;
+  let second = Network.capture net in
+  (* these two writes are folded in early, by the churn behind them *)
+  Network.send net ~src:1 ~dst:0 10;
+  Network.flush_channel net ~src:0 ~dst:1;
+  for m = 11 to 400 do
+    Network.send net ~src:1 ~dst:2 m;
+    ignore (Network.deliver net ~src:1 ~dst:2)
+  done;
+  let third = Network.capture net in
+  Network.send net ~src:2 ~dst:0 401;
+  Alcotest.(check (list (triple int int (list int)))) "first"
+    [ (0, 1, [ 1; 2 ]); (2, 1, [ 3 ]) ]
+    (Lazy.force first);
+  Alcotest.(check (list (triple int int (list int)))) "second"
+    [ (0, 1, [ 2; 4; 5; 6; 7; 8; 9 ]) ]
+    (Lazy.force second);
+  Alcotest.(check (list (triple int int (list int)))) "third"
+    [ (1, 0, [ 10 ]) ]
+    (Lazy.force third);
+  Alcotest.(check (list (triple int int (list int)))) "now"
+    [ (1, 0, [ 10 ]); (2, 0, [ 401 ]) ]
+    (captured net)
 
 let test_net_nonempty () =
   let net = of_sends 3 [ (2, 0, "m"); (0, 1, "m") ] in
   Alcotest.(check (list (pair int int))) "sorted channels" [ (0, 1); (2, 0) ]
-    (Network.nonempty net)
+    (live_channels net)
 
 let test_net_drop_at () =
   let net = of_sends 2 [ (0, 1, "a"); (0, 1, "b") ] in
@@ -95,17 +151,16 @@ let test_net_reorder_at () =
 let test_net_flush () =
   let net = of_sends 2 [ (0, 1, "a"); (1, 0, "b") ] in
   Network.flush_channel net ~src:0 ~dst:1;
-  Alcotest.(check int) "one channel flushed" 1 (Network.in_flight net);
-  Network.flush_all net;
-  Alcotest.(check int) "flush all" 0 (Network.in_flight net)
+  Alcotest.(check int) "one channel flushed" 1 (in_flight net ~n:2);
+  Network.flush_channel net ~src:1 ~dst:0;
+  Alcotest.(check int) "flush all" 0 (in_flight net ~n:2)
 
 let test_net_snapshot_and_fold () =
   let net = of_sends 2 [ (0, 1, "a"); (0, 1, "b") ] in
   Alcotest.(check (list (triple int int (list string)))) "snapshot"
     [ (0, 1, [ "a"; "b" ]) ]
-    (Network.snapshot net);
-  let count = Network.fold_messages (fun acc ~src:_ ~dst:_ _ -> acc + 1) 0 net in
-  Alcotest.(check int) "fold" 2 count
+    (captured net);
+  Alcotest.(check int) "fold" 2 (Network.channel_length net ~src:0 ~dst:1)
 
 let test_net_pid_bounds () =
   let net = Network.create ~n:2 in
@@ -117,18 +172,18 @@ let test_net_pid_bounds () =
 let test_net_send_delay_staged () =
   let net = Network.create ~n:2 in
   Network.send net ~delay:3 ~src:0 ~dst:1 "a";
-  Alcotest.(check int) "in flight" 1 (Network.in_flight net);
+  Alcotest.(check int) "in flight" 1 (in_flight net ~n:2);
   Alcotest.(check int) "staged, not live" 1 (Network.waiting_count net);
   Alcotest.(check int) "live count" 0 (Network.live_count net);
   Alcotest.(check (list (pair int int))) "nonempty hides staged" []
-    (Network.nonempty net);
+    (live_channels net);
   Alcotest.(check bool) "deliver refuses staged head" true
     (Network.deliver net ~src:0 ~dst:1 = None);
   Alcotest.(check (list string)) "contents still shows it" [ "a" ]
     (Network.contents net ~src:0 ~dst:1);
   Network.advance net ~now:3;
   Alcotest.(check (list (pair int int))) "ready at its step" [ (0, 1) ]
-    (Network.nonempty net);
+    (live_channels net);
   Alcotest.(check int) "no longer waiting" 0 (Network.waiting_count net);
   Alcotest.(check (option string)) "deliverable head after advance" (Some "a")
     (Network.deliver net ~src:0 ~dst:1)
@@ -219,9 +274,9 @@ let test_net_staged_visible_to_snapshot () =
   Network.send net ~delay:4 ~src:0 ~dst:1 "a";
   Alcotest.(check (list (triple int int (list string)))) "snapshot sees staged"
     [ (0, 1, [ "a" ]) ]
-    (Network.snapshot net);
+    (captured net);
   Alcotest.(check int) "fold sees staged" 1
-    (Network.fold_messages (fun acc ~src:_ ~dst:_ _ -> acc + 1) 0 net);
+    (Network.channel_length net ~src:0 ~dst:1);
   Network.corrupt_at net ~src:0 ~dst:1 ~pos:0 ~f:String.uppercase_ascii;
   Alcotest.(check int) "corrupt keeps the stamp staged" 1
     (Network.waiting_count net)
@@ -239,6 +294,7 @@ type net_op =
   | Op_corrupt of (int * int) * int
   | Op_reorder of (int * int) * int
   | Op_flush of (int * int)
+  | Op_capture
 
 let show_net_case (n, ops) =
   let ch (s, d) = Printf.sprintf "%d>%d" s d in
@@ -258,6 +314,7 @@ let show_net_case (n, ops) =
     | Op_corrupt (c, p) -> Printf.sprintf "corrupt %s@%d" (ch c) p
     | Op_reorder (c, p) -> Printf.sprintf "reorder %s@%d" (ch c) p
     | Op_flush c -> "flush " ^ ch c
+    | Op_capture -> "capture"
   in
   Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map op ops))
 
@@ -285,15 +342,18 @@ let gen_net_case =
         (1, at (fun c p -> Op_duplicate (c, p)));
         (1, at (fun c p -> Op_corrupt (c, p)));
         (1, at (fun c p -> Op_reorder (c, p)));
-        (1, map (fun c -> Op_flush c) chan) ]
+        (1, map (fun c -> Op_flush c) chan);
+        (3, return Op_capture) ]
   in
   pair (return n) (list_size (int_range 0 60) op)
 
 (* Runs [ops] on a network and on a model — each channel a front-first
    list of (payload, ready step), plus the clock and the partition mask
    — and checks, after every op, each query the scheduler, the crash
-   drain and the trace recorder use.  Every op also takes a {!capture},
-   which must still read as that moment's contents at the end. *)
+   drain and the fault primitives use.  Captures are ops too, at random
+   gaps (so each one folds in a journal of any length, and the first
+   one may follow a long history); each must still read as that
+   moment's contents at the end. *)
 let net_agrees_with_model (n, ops) =
   let net = Network.create ~n in
   let chans = Hashtbl.create 16 and blocked = Hashtbl.create 4 in
@@ -314,6 +374,24 @@ let net_agrees_with_model (n, ops) =
   let listing () =
     List.map (fun ((s, d), q) -> (s, d, List.map fst q)) (occupied ())
   in
+  (* every channel an op names; the rest stay empty *)
+  let touched =
+    List.sort_uniq compare
+      (List.concat_map
+         (function
+           | Op_send (c, _)
+           | Op_deliver c
+           | Op_drop (c, _)
+           | Op_duplicate (c, _)
+           | Op_corrupt (c, _)
+           | Op_reorder (c, _)
+           | Op_flush c ->
+             [ c ]
+           | Op_split (cs, _, _) -> cs
+           | Op_deliver_nth _ | Op_advance _ | Op_capture -> [])
+         ops)
+  in
+  let captures = ref [] in
   let edit c pos f =
     let q = get c in
     if pos < List.length q then begin
@@ -401,6 +479,9 @@ let net_agrees_with_model (n, ops) =
       Network.flush_channel net ~src ~dst;
       put c [];
       true
+    | Op_capture ->
+      captures := (Network.capture net, listing ()) :: !captures;
+      true
   in
   let consistent () =
     let live = live () and staged = staged () in
@@ -416,16 +497,18 @@ let net_agrees_with_model (n, ops) =
     Network.live_count net = List.length live
     && List.mapi (fun k _ -> Network.nth_live net k) live = live
     && List.rev folded = live
-    && Network.nonempty net = live
     && List.for_all
          (fun dst ->
            Network.live_into net ~dst = List.length (into dst live)
            && List.rev (inbound dst) = into dst live @ into dst staged)
          (Pid.range n)
     && Network.waiting_count net = List.length staged
-    && Network.in_flight net
-       = Hashtbl.fold (fun _ q acc -> acc + List.length q) chans 0
-    && Network.snapshot net = listing ()
+    && List.for_all
+         (fun ((src, dst) as c) ->
+           let q = get c in
+           Network.contents net ~src ~dst = List.map fst q
+           && Network.channel_length net ~src ~dst = List.length q)
+         touched
     && Hashtbl.fold
          (fun (src, dst) (until, mode) ok ->
            ok
@@ -438,14 +521,7 @@ let net_agrees_with_model (n, ops) =
                 | `Buffered -> `Buffered until)
          blocked true
   in
-  let captures = ref [] in
-  let ok =
-    List.for_all
-      (fun op ->
-        captures := (Network.capture net, listing ()) :: !captures;
-        apply op && consistent ())
-      ops
-  in
+  let ok = List.for_all (fun op -> apply op && consistent ()) ops in
   ok && List.for_all (fun (cap, expect) -> Lazy.force cap = expect) !captures
 
 let prop_net_matches_model =
@@ -591,9 +667,9 @@ let test_trace_map_msgs () =
 
 let test_metrics_counts () =
   let m = Metrics.create () in
-  Metrics.note_send m ~label:"a";
-  Metrics.note_send m ~label:"a";
-  Metrics.note_send m ~label:"b";
+  Metrics.note_sends m ~label:"a" 2;
+  Metrics.note_sends m ~label:"b" 1;
+  Metrics.note_sends m ~label:"c" 0;
   Metrics.note_delivery m;
   Metrics.note_dropped m 3;
   Alcotest.(check int) "sent" 3 (Metrics.sent m);
@@ -602,6 +678,8 @@ let test_metrics_counts () =
   Alcotest.(check int) "by label" 2 (Metrics.sends_with_label m "a");
   Alcotest.(check int) "missing label" 0 (Metrics.sends_with_label m "zzz");
   Alcotest.(check int) "matching" 3 (Metrics.sends_matching m (fun _ -> true));
+  Alcotest.(check (list (pair string int))) "empty outbox adds no label"
+    [ ("a", 2); ("b", 1) ] (Metrics.labels m);
   Metrics.reset m;
   Alcotest.(check int) "reset" 0 (Metrics.sent m)
 
@@ -632,6 +710,8 @@ let token_engine ?(record = true) ~n ~seed () =
 let total_passes e =
   Array.fold_left (fun acc s -> acc + s.Token_node.passes) 0 (E.states e)
 
+let net_in_flight e = in_flight (E.network e) ~n:(E.n_processes e)
+
 let test_engine_token_circulates () =
   let e = token_engine ~n:3 ~seed:1 () in
   E.run ~steps:300 e;
@@ -642,8 +722,7 @@ let test_engine_token_circulates () =
     |> List.filter (fun s -> s.Token_node.has_token)
     |> List.length
   in
-  let in_flight = Network.in_flight (E.network e) in
-  Alcotest.(check int) "exactly one token" 1 (holders + in_flight)
+  Alcotest.(check int) "exactly one token" 1 (holders + net_in_flight e)
 
 let test_engine_determinism () =
   let run seed =
@@ -670,26 +749,23 @@ let test_engine_no_record () =
   Alcotest.(check int) "empty trace" 0 (Trace.length (E.trace e))
 
 (* Each recorded snapshot holds the channels as they were when it was
-   recorded, through later steps and drop/duplicate/flush faults. *)
-let test_engine_trace_channels_survive () =
-  let e = token_engine ~n:3 ~seed:5 () in
-  for p = 1 to 2 do
-    E.set_state e p { Token_node.self = p; n = 3; has_token = true; passes = 0 }
-  done;
-  let shape net = List.map (fun (s, d, ms) -> (s, d, List.length ms)) net in
-  let seen = ref [ shape (Network.snapshot (E.network e)) ] in
-  let note () = seen := shape (Network.snapshot (E.network e)) :: !seen in
-  for k = 1 to 80 do
-    let fault =
-      match k mod 20 with
-      | 3 | 9 -> Some (Faults.Duplicate { chan = Faults.Any_chan; count = 1 })
-      | 14 -> Some (Faults.Drop { chan = Faults.Any_chan; count = 1; only = None })
-      | 17 -> Some (Faults.Flush (Faults.Into 1))
-      | _ -> None
-    in
-    Option.iter (fun f -> E.apply_fault e f; note ()) fault;
+   recorded, through later steps and channel faults: a recorded run's
+   trace against an eager listing taken from [contents] after every
+   event.  [holders] start with a token; [fault k] is injected before
+   step [k]. *)
+let check_trace_channels ~n ~seed ~holders ~steps fault =
+  let e = token_engine ~n ~seed () in
+  List.iter
+    (fun p ->
+      E.set_state e p { Token_node.self = p; n; has_token = true; passes = 0 })
+    holders;
+  let shape chans = List.map (fun (s, d, ms) -> (s, d, List.length ms)) chans in
+  let note seen = shape (listing (E.network e) ~n) :: seen in
+  let seen = ref (note []) in
+  for k = 1 to steps do
+    Option.iter (fun f -> E.apply_fault e f; seen := note !seen) (fault k);
     ignore (E.step e);
-    note ()
+    seen := note !seen
   done;
   Alcotest.(check bool) "tokens were multiplied" true
     (List.exists
@@ -698,6 +774,28 @@ let test_engine_trace_channels_survive () =
   Alcotest.(check (list (list (triple int int int))))
     "recorded = channels at record time" (List.rev !seen)
     (List.map (fun snap -> shape (Trace.channels snap)) (E.trace e))
+
+let test_engine_trace_channels_survive () =
+  check_trace_channels ~n:3 ~seed:5 ~holders:[ 1; 2 ] ~steps:80 (fun k ->
+      match k mod 20 with
+      | 3 | 9 -> Some (Faults.Duplicate { chan = Faults.Any_chan; count = 1 })
+      | 14 -> Some (Faults.Drop { chan = Faults.Any_chan; count = 1; only = None })
+      | 17 -> Some (Faults.Flush (Faults.Into 1))
+      | _ -> None);
+  (* above [Pid.dense_threshold], with channels into many destinations,
+     two-word destination rows and a partition that stages and then
+     releases whole channels *)
+  let n = 70 in
+  check_trace_channels ~n ~seed:7 ~holders:(Pid.range n) ~steps:400 (fun k ->
+      match k mod 100 with
+      | 5 | 25 -> Some (Faults.Duplicate { chan = Faults.Any_chan; count = 2 })
+      | 40 -> Some (Faults.Drop { chan = Faults.Any_chan; count = 3; only = None })
+      | 55 -> Some (Faults.Flush (Faults.Into 3))
+      | 60 ->
+        let groups = [ List.init 35 Fun.id ] in
+        let mode = if k < 200 then Faults.Buffered else Faults.Lossy in
+        Some (Faults.Split { groups; from_t = k - 1; until_t = k + 19; mode })
+      | _ -> None)
 
 let test_engine_stutter_when_disabled () =
   (* no process holds the token and channels are empty: only stutters *)
@@ -711,14 +809,14 @@ let test_engine_fault_drop () =
   (* force a message into flight, then drop everything *)
   let rec until_in_flight budget =
     if budget = 0 then Alcotest.fail "token never sent"
-    else if Network.in_flight (E.network e) = 0 then begin
+    else if net_in_flight e = 0 then begin
       ignore (E.step e);
       until_in_flight (budget - 1)
     end
   in
   until_in_flight 100;
   E.apply_fault e (Faults.Drop { chan = Faults.Any_chan; count = 99; only = None });
-  Alcotest.(check int) "net empty" 0 (Network.in_flight (E.network e));
+  Alcotest.(check int) "net empty" 0 (net_in_flight e);
   Alcotest.(check int) "fault counted" 1 (Metrics.faults (E.metrics e));
   E.run ~steps:20 e;
   Alcotest.(check int) "token lost: system dead" 20
@@ -728,14 +826,14 @@ let test_engine_fault_duplicate_token () =
   let e = token_engine ~n:2 ~seed:2 () in
   let rec until_in_flight budget =
     if budget = 0 then Alcotest.fail "token never sent"
-    else if Network.in_flight (E.network e) = 0 then begin
+    else if net_in_flight e = 0 then begin
       ignore (E.step e);
       until_in_flight (budget - 1)
     end
   in
   until_in_flight 100;
   E.apply_fault e (Faults.Duplicate { chan = Faults.Any_chan; count = 1 });
-  Alcotest.(check int) "two tokens in flight" 2 (Network.in_flight (E.network e))
+  Alcotest.(check int) "two tokens in flight" 2 (net_in_flight e)
 
 let test_engine_mutate_state_fault () =
   let e = token_engine ~n:2 ~seed:5 () in
@@ -762,7 +860,7 @@ let test_engine_reset_state_fault () =
 let force_in_flight e =
   let rec go budget =
     if budget = 0 then Alcotest.fail "token never sent"
-    else if Network.in_flight (E.network e) = 0 then begin
+    else if net_in_flight e = 0 then begin
       ignore (E.step e);
       go (budget - 1)
     end
@@ -794,7 +892,7 @@ let test_engine_crash_buffers_deliveries () =
   E.run ~steps:5 e;
   (* the token is addressed to the crashed process: delivery stalls,
      nothing else is enabled, the message survives *)
-  Alcotest.(check int) "message buffered" 1 (Network.in_flight (E.network e));
+  Alcotest.(check int) "message buffered" 1 (net_in_flight e);
   Alcotest.(check int) "no deliveries" 0 (Metrics.delivered (E.metrics e));
   E.run ~steps:100 e;
   Alcotest.(check bool) "delivered after recovery" true
@@ -809,7 +907,7 @@ let test_engine_crash_loses_deliveries () =
     (Faults.Crash { proc = Faults.Proc 1; until_t; lose_deliveries = true });
   E.run ~steps:1 e;
   (* the in-flight token is addressed to the dead process: lost *)
-  Alcotest.(check int) "message lost" 0 (Network.in_flight (E.network e));
+  Alcotest.(check int) "message lost" 0 (net_in_flight e);
   Alcotest.(check bool) "loss counted" true (Metrics.dropped (E.metrics e) > 0);
   E.run ~steps:50 e;
   Alcotest.(check int) "token gone: system dead" 0
@@ -848,7 +946,7 @@ let test_engine_split_lossy_loses_inflight_and_sends () =
     (Faults.Split
        { groups = [ [ 0 ] ]; from_t = E.time e; until_t; mode = Faults.Lossy });
   Alcotest.(check int) "in-flight token flushed" 0
-    (Network.in_flight (E.network e));
+    (net_in_flight e);
   Alcotest.(check bool) "loss counted" true (Metrics.dropped (E.metrics e) > 0);
   E.run ~steps:50 e;
   Alcotest.(check int) "token gone: system dead" 0
@@ -866,7 +964,7 @@ let test_engine_split_buffered_delivers_after_heal () =
          mode = Faults.Buffered });
   E.run ~steps:5 e;
   Alcotest.(check int) "token held, not lost" 1
-    (Network.in_flight (E.network e));
+    (net_in_flight e);
   Alcotest.(check int) "no deliveries in the window" 0
     (Metrics.delivered (E.metrics e));
   (* nothing is enabled and the only message is staged: without the
@@ -916,12 +1014,12 @@ let test_engine_split_delay_plan_deterministic () =
 let test_engine_split_expired_window_noop () =
   let e = token_engine ~n:2 ~seed:1 () in
   E.run ~steps:20 e;
-  let before = Network.in_flight (E.network e) in
+  let before = net_in_flight e in
   E.apply_fault e
     (Faults.Split
        { groups = [ [ 0 ] ]; from_t = 0; until_t = 5; mode = Faults.Lossy });
   Alcotest.(check int) "nothing flushed" before
-    (Network.in_flight (E.network e));
+    (net_in_flight e);
   E.run ~steps:100 e;
   Alcotest.(check bool) "ring unaffected" true (total_passes e > 5)
 
@@ -956,6 +1054,20 @@ let test_engine_planned_faults_fire () =
       (E.trace e)
   in
   Alcotest.(check (list int)) "at the right times" [ 3; 7 ] fault_times
+
+(* Nonpositive weights are stored as 0; with none positive the weighted
+   draw has nothing to pick, which [config] refuses up front. *)
+let test_engine_config_weights () =
+  let cfg = E.config ~deliver_weight:(-3) ~n:2 ~seed:1 () in
+  Alcotest.(check (pair int int)) "clamped" (0, 1)
+    (cfg.E.deliver_weight, cfg.E.internal_weight);
+  Alcotest.check_raises "no positive weight"
+    (Invalid_argument "Engine.config: Weighted_random needs a positive weight")
+    (fun () ->
+      ignore (E.config ~deliver_weight:0 ~internal_weight:(-1) ~n:2 ~seed:1 ()));
+  ignore
+    (E.config ~policy:E.Round_robin ~deliver_weight:0 ~internal_weight:0 ~n:2
+       ~seed:1 ())
 
 let test_engine_round_robin () =
   let e =
@@ -994,6 +1106,7 @@ let () =
           Alcotest.test_case "deliver empty" `Quick test_net_deliver_empty;
           Alcotest.test_case "persistence" `Quick
             test_net_capture_survives_mutation;
+          Alcotest.test_case "capture journal" `Quick test_net_capture_journal;
           Alcotest.test_case "nonempty" `Quick test_net_nonempty;
           Alcotest.test_case "drop_at" `Quick test_net_drop_at;
           Alcotest.test_case "duplicate_at" `Quick test_net_duplicate_at;
@@ -1066,4 +1179,5 @@ let () =
           Alcotest.test_case "planned faults" `Quick
             test_engine_planned_faults_fire;
           Alcotest.test_case "round robin" `Quick test_engine_round_robin;
+          Alcotest.test_case "config weights" `Quick test_engine_config_weights;
           prop_engine_deterministic ] ) ]

@@ -370,6 +370,19 @@ let prop_fenwick_matches_array_model =
                (List.init total Fun.id))
         ops)
 
+let prop_fenwick_select_rem =
+  (* the descent's remainder is the rank within the selected slot *)
+  qtest "fenwick select_rem = select and prefix remainder" ~count:100
+    QCheck2.Gen.(list_size (1 -- 40) (0 -- 4))
+    (fun weights ->
+      let t = Fenwick.create (List.length weights) in
+      List.iteri (Fenwick.set t) weights;
+      List.for_all
+        (fun k ->
+          let i = Fenwick.select t k in
+          Fenwick.select_rem t k = (i, k - Fenwick.prefix t i))
+        (List.init (Fenwick.total t) Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Vec                                                                 *)
 
@@ -573,7 +586,8 @@ let () =
           prop_stats_percentiles_agree ] );
       ( "fenwick",
         [ Alcotest.test_case "basics" `Quick test_fenwick_basics;
-          prop_fenwick_matches_array_model ] );
+          prop_fenwick_matches_array_model;
+          prop_fenwick_select_rem ] );
       ( "blockfile",
         [ Alcotest.test_case "roundtrip" `Quick test_blockfile_roundtrip;
           Alcotest.test_case "reader sees later appends" `Quick
