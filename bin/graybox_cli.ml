@@ -999,6 +999,11 @@ let chaos_cmd =
          output_char oc '\n';
          close_out oc;
          Printf.printf "json report       : %s\n" file);
+      Printf.printf "scenario runs     : %d for %d rows\n"
+        report.Chaos.Campaign.scenario_runs
+        (List.fold_left
+           (fun acc c -> acc + List.length c.Chaos.Campaign.rows)
+           0 report.Chaos.Campaign.cells);
       Printf.printf "campaign gate     : %s\n"
         (if report.Chaos.Campaign.gate_ok then "ok" else "FAILED");
       `Ok (if report.Chaos.Campaign.gate_ok then 0 else 1)

@@ -73,8 +73,9 @@ type row = {
   row_latency : int option;
   row_epoch : (bool * int) option;
       (* during-split cells only: (epoch-safe, during-split CS entries)
-         from the regime-epoch monitors; [None] elsewhere so the
-         non-partition report stays byte-identical *)
+         from the regime-epoch monitors; [None] on every other cell,
+         even one whose run it shares, so the reports stay
+         byte-identical *)
 }
 
 let epoch_safe r = match r.row_epoch with Some (ok, _) -> ok | None -> true
@@ -117,6 +118,7 @@ type report = {
   cells : cell list;
   counterexamples : counterexample list;
   gate_ok : bool;
+  scenario_runs : int;
 }
 
 (* Decorrelate the plan stream from the engine's scheduling stream,
@@ -147,7 +149,9 @@ let split_plans cfg ~mode =
       let seed = run_seed cfg i in
       (seed, Plan_gen.split_plan (Rng.create (plan_seed seed)) gen_cfg ~mode))
 
-let run_row ~cfg ~proto ~wrapper ~want_epoch (seed, plan) =
+(* The row of one scenario run, with the epoch verdict whenever the
+   run has one; cells that do not gate on it drop it again. *)
+let run_row ~cfg ~proto ~wrapper (seed, plan) =
   let r =
     S.run proto ~wrapper ~faults:plan ~streaming:cfg.streaming ~n:cfg.n ~seed
       ~steps:cfg.steps
@@ -157,12 +161,10 @@ let run_row ~cfg ~proto ~wrapper ~want_epoch (seed, plan) =
     row_verdict = Outcome.classify ~n:cfg.n r.S.analysis;
     row_latency = r.S.recovery_latency;
     row_epoch =
-      (if want_epoch then
-         Option.map
-           (fun (e : Graybox.Tme_spec.Epoch.report) ->
-             (Graybox.Tme_spec.Epoch.safe e, e.Graybox.Tme_spec.Epoch.split_entries))
-           r.S.epoch_spec
-       else None) }
+      Option.map
+        (fun (e : Graybox.Tme_spec.Epoch.report) ->
+          (Graybox.Tme_spec.Epoch.safe e, e.Graybox.Tme_spec.Epoch.split_entries))
+        r.S.epoch_spec }
 
 let latency_stats rows =
   (* One sorted pass serves median, p95, and max (p100 is the maximum
@@ -319,7 +321,10 @@ let cells_of_config cfg =
                 ~expect:(Registry.demote_buffered heal_expect)
                 ~during:None ~seeded:buffered;
               (* the during-split cells share the lossy plan stream, so
-                 their epochs line up with the lossy heal cell's runs *)
+                 their epochs line up with the lossy heal cell's runs;
+                 the wrapped one repeats exactly the split-lossy cell's
+                 scenarios, so [run] executes them once and reads both
+                 the heal verdict and the epoch verdict off each run *)
               cell ~suffix:"during-split" ~wrapped:true ~expect:during_expect
                 ~during:(Some during) ~seeded:lossy ]
             @ (if cfg.include_unwrapped then
@@ -362,9 +367,10 @@ let counterexamples_of cfg cells =
     in
     let candidates =
       (* during-split cells are excluded: they share the lossy heal
-         cell's plan stream (any outcome failure shrinks there), and
-         their own gate reads the epoch monitors, which the
-         verdict-driven shrinker cannot re-confirm *)
+         cell's plan stream (the wrapped one shares its very runs, so
+         any outcome failure of it shrinks there), and their own gate
+         reads the epoch monitors, which the verdict-driven shrinker
+         cannot re-confirm *)
       List.stable_sort
         (fun a b -> compare (priority a) (priority b))
         (List.filter
@@ -401,57 +407,64 @@ let counterexamples_of cfg cells =
                Shrink.shrink ~max_runs:cfg.shrink_max_runs scenario r.row_plan })
   end
 
-(* Every (cell, seeded plan) run is an isolated deterministic function
-   of the config, so the whole sweep flattens into one work list for
-   {!Pool.map} — parallelism crosses cell boundaries, keeping all
-   domains busy even when cells have few rows.  [Pool.map] returns
-   results in input order, so the report (and its JSON) is identical
-   for every [jobs] value. *)
+(* A scenario — protocol, wrapped or not, seed, plan — is the whole
+   input of a row's run within one campaign (the wrapper is a function
+   of the protocol and [cfg]), and a run is an isolated deterministic
+   function of it.  So [run] executes each distinct scenario once, in
+   order of first occurrence, as one {!Pool.map} work list that crosses
+   cell boundaries, and rebuilds every cell's rows from the shared runs
+   by key.  [Pool.map] returns results in input order, so the report
+   (and its JSON) is identical for every [jobs] value. *)
 let run cfg =
   let specs = cells_of_config cfg in
-  let tasks =
-    List.concat_map
+  let ids = Hashtbl.create 1024 in
+  let distinct = ref [] in
+  let keyed =
+    List.map
       (fun spec ->
         List.map
-          (fun sp ->
-            (spec.sp_proto, spec.sp_wrapper, spec.sp_during <> None, sp))
+          (fun ((seed, plan) as sp) ->
+            let key = (spec.sp_protocol, spec.sp_wrapped, seed, plan) in
+            match Hashtbl.find_opt ids key with
+            | Some i -> i
+            | None ->
+              let i = Hashtbl.length ids in
+              Hashtbl.add ids key i;
+              distinct := (spec.sp_proto, spec.sp_wrapper, sp) :: !distinct;
+              i)
           spec.sp_seeded)
       specs
   in
-  let rows =
-    Pool.map ~jobs:cfg.jobs
-      (fun (proto, wrapper, want_epoch, sp) ->
-        run_row ~cfg ~proto ~wrapper ~want_epoch sp)
-      tasks
+  let runs =
+    Array.of_list
+      (Pool.map ~jobs:cfg.jobs
+         (fun (proto, wrapper, sp) -> run_row ~cfg ~proto ~wrapper sp)
+         (List.rev !distinct))
   in
-  let cells, leftover =
-    List.fold_left
-      (fun (acc, rows) spec ->
-        let rec take k xs =
-          if k = 0 then ([], xs)
-          else
-            match xs with
-            | x :: rest ->
-              let taken, rest = take (k - 1) rest in
-              (x :: taken, rest)
-            | [] -> assert false (* |rows| = sum of cell sizes *)
+  let cells =
+    List.map2
+      (fun spec ids ->
+        let row i =
+          let r = runs.(i) in
+          if spec.sp_during = None && r.row_epoch <> None then
+            { r with row_epoch = None }
+          else r
         in
-        let cell_rows, rows = take (List.length spec.sp_seeded) rows in
-        ( make_cell ~label:spec.sp_label ~protocol:spec.sp_protocol
-            ~wrapped:spec.sp_wrapped ~expect:spec.sp_expect
-            ~during:spec.sp_during cell_rows
-          :: acc,
-          rows ))
-      ([], rows) specs
+        make_cell ~label:spec.sp_label ~protocol:spec.sp_protocol
+          ~wrapped:spec.sp_wrapped ~expect:spec.sp_expect
+          ~during:spec.sp_during (List.map row ids))
+      specs keyed
   in
-  assert (leftover = []);
-  let cells = List.rev cells in
   let counterexamples = counterexamples_of cfg cells in
   let gate_ok =
     List.for_all (fun c -> c.cell_ok) cells
     && List.for_all (fun cx -> cx.cx_shrink.Shrink.confirmed) counterexamples
   in
-  { report_config = cfg; cells; counterexamples; gate_ok }
+  { report_config = cfg;
+    cells;
+    counterexamples;
+    gate_ok;
+    scenario_runs = Array.length runs }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

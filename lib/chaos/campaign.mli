@@ -109,9 +109,11 @@ type row = {
   row_verdict : Outcome.verdict;
   row_latency : int option;
   row_epoch : (bool * int) option;
-      (** during-split cells only: (epoch-safety verdict, during-split
-          CS entries) from {!Graybox.Tme_spec.Epoch}; [None] on every
-          other cell, keeping non-partition reports byte-identical *)
+      (** during-split cells only — the cells that gate on it
+          ([cell_during <> None]): (epoch-safety verdict, during-split
+          CS entries) from {!Graybox.Tme_spec.Epoch}.  [None] on every
+          other cell, even a [/split-lossy] row whose run a
+          [/during-split] row shares, so reports stay byte-identical *)
 }
 
 type latency_stats = {
@@ -152,9 +154,23 @@ type report = {
   gate_ok : bool;
       (** every cell met its expectation and every shrunk counterexample
           re-failed under its original seed — the CI exit status *)
+  scenario_runs : int;
+      (** how many scenarios {!run} executed: the distinct ones among
+          all cells' rows, which is fewer than the rows when cells
+          repeat a scenario.  Not part of {!to_json}. *)
 }
 
 val run : config -> report
+(** Runs the campaign.  A {e scenario} — protocol, wrapper mode, seed
+    and plan — is the whole input of a row's run, so [run] executes
+    each distinct scenario exactly once (fanned out over [jobs]
+    domains) and rebuilds every cell's rows from the shared runs.
+    In a partition campaign each wrapped [/during-split] cell reads
+    its epoch verdicts off the runs of its [/split-lossy] sibling, so
+    [scenario_runs] is at most the row count minus [seeds] per
+    protocol: 601 runs for 721 rows in the six-protocol, 20-seed
+    partition campaign.  The report is identical for every [jobs]
+    value. *)
 
 val summary_table : report -> Stdext.Tabular.t
 (** One row per cell: verdict counts, recovery-latency median/p95, and

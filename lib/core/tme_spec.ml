@@ -119,10 +119,12 @@ module Epoch = struct
   }
 
   (* The fold updates arrays in place: a snapshot costs O(n) reads and
-     allocates only the ME2 obligations it opens.  ME1 counts eaters
-     per group of the current epoch; ME2 keeps each process's open
-     obligations: the snapshot indices at which it was hungry in a
-     global epoch and has not eaten since. *)
+     allocates nothing unless a process's hungry run breaks.  ME1 counts
+     eaters per group of the current epoch; ME2 keeps each process's
+     open obligations — the snapshot indices at which it was hungry in
+     a global epoch and has not eaten since — as index intervals: the
+     current run [\[me2_start, me2_last\]], extended in place, and the
+     runs closed by a snapshot that opened nothing. *)
   type t = {
     n : int;
     cursor : Sim.Regime.cursor;
@@ -131,7 +133,11 @@ module Epoch = struct
     mutable idx : int;  (** snapshots fed so far *)
     mutable obligation : obligation option;
     group_eaters : int array;  (** eaters per group, current snapshot *)
-    me2_open : int list array;  (** per process, most recent first *)
+    me2_start : int array;  (** per process; -1 when no run is open *)
+    me2_last : int array;
+    me2_closed : (int * int) list array;
+        (** per process, closed runs as (start, last), most recent
+            first *)
     mutable me3 : Temporal.verdict;
     mutable earlier : (Harness.entry_record * Sim.Regime.topo) list;
     mutable entry_idx : int;
@@ -153,7 +159,9 @@ module Epoch = struct
       idx = 0;
       obligation = None;
       group_eaters = Array.make n 0;
-      me2_open = Array.make n [];
+      me2_start = Array.make n (-1);
+      me2_last = Array.make n (-1);
+      me2_closed = Array.make n [];
       me3 = Temporal.Holds;
       earlier = [];
       entry_idx = 0;
@@ -229,9 +237,19 @@ module Epoch = struct
     let global = topo.Sim.Regime.phase = Sim.Regime.Global in
     for j = 0 to m.n - 1 do
       let v = views.(j) in
-      if View.eating v then m.me2_open.(j) <- []
-      else if global && View.hungry v then
-        m.me2_open.(j) <- m.idx :: m.me2_open.(j)
+      if View.eating v then begin
+        m.me2_start.(j) <- -1;
+        if m.me2_closed.(j) <> [] then m.me2_closed.(j) <- []
+      end
+      else if global && View.hungry v then begin
+        let start = m.me2_start.(j) in
+        if start < 0 || m.me2_last.(j) < m.idx - 1 then begin
+          if start >= 0 then
+            m.me2_closed.(j) <- (start, m.me2_last.(j)) :: m.me2_closed.(j);
+          m.me2_start.(j) <- m.idx
+        end;
+        m.me2_last.(j) <- m.idx
+      end
     done;
     m.idx <- m.idx + 1
 
@@ -272,10 +290,16 @@ module Epoch = struct
 
   (* The sorted, deduplicated union of the open obligations — what
      conjoining the per-process leads-to verdicts yields — in one pass:
-     mark each open index, then read the marks back in order. *)
+     mark each open interval, then read the marks back in order. *)
   let me2_verdict m =
     let open_at = Bytes.make m.idx '\000' in
-    Array.iter (List.iter (fun i -> Bytes.set open_at i '\001')) m.me2_open;
+    let mark (start, last) =
+      Bytes.fill open_at start (last - start + 1) '\001'
+    in
+    for j = 0 to m.n - 1 do
+      if m.me2_start.(j) >= 0 then mark (m.me2_start.(j), m.me2_last.(j));
+      List.iter mark m.me2_closed.(j)
+    done;
     let obligations = ref [] in
     for i = m.idx - 1 downto 0 do
       if Bytes.get open_at i <> '\000' then obligations := i :: !obligations

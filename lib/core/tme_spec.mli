@@ -99,8 +99,9 @@ module Epoch : sig
 
   val feed : t -> time:int -> View.t array -> unit
   (** Consume the next snapshot's [n] views (read during the call
-      only).  Costs O(n) and allocates only the ME2 obligations the
-      snapshot opens. *)
+      only).  Costs O(n); a snapshot allocates only when it resumes a
+      process's ME2 obligations after a gap (one closed interval), so
+      a long hungry run costs nothing per step. *)
 
   val feed_entry : t -> time:int -> Harness.entry_record -> unit
   (** Consume the next oracle CS entry, before the snapshot of the

@@ -33,6 +33,24 @@ module Msg = Graybox.Msg
 
 type entry_rule = Leq_head | Exact_head
 
+(* Ordered insertion into a queue sorted by [Timestamp.compare], after
+   dropping [ts]'s process's entries when [purge] (modification 1).
+   For a sorted [queue] the result is
+   [List.sort Timestamp.compare (ts :: queue')], [queue'] being the
+   purged queue, so the invariant survives every insert without a
+   re-sort. *)
+let insert_sorted ~purge ts queue =
+  let queue =
+    if purge then
+      List.filter (fun e -> e.Timestamp.pid <> ts.Timestamp.pid) queue
+    else queue
+  in
+  let rec place = function
+    | e :: rest when Timestamp.lt e ts -> e :: place rest
+    | q -> ts :: q
+  in
+  place queue
+
 module type CONFIG = sig
   val name : string
 
@@ -54,7 +72,11 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     mode : View.mode;
     clock : Logical_clock.t;
     req : Timestamp.t;
-    queue : Timestamp.t list;  (* kept sorted by Timestamp.compare *)
+    queue : Timestamp.t list;
+        (* invariant: sorted by Timestamp.compare, so its head is the
+           earliest request.  [init] and [reset] start it sorted,
+           [insert] places by ordered insertion, removals keep the
+           order, and [corrupt] and [perturb] sort what they build. *)
     grant : Timestamp.t Sim.Pid.Map.t;  (* k ↦ timestamp of k's reply *)
   }
 
@@ -73,19 +95,12 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
 
   let sort_queue = List.sort Timestamp.compare
 
-  let insert ts queue =
-    let queue =
-      if C.purge_on_insert then
-        List.filter (fun e -> e.Timestamp.pid <> ts.Timestamp.pid) queue
-      else queue
-    in
-    sort_queue (ts :: queue)
+  let insert ts queue = insert_sorted ~purge:C.purge_on_insert ts queue
 
   let remove_pid pid queue =
     List.filter (fun e -> e.Timestamp.pid <> pid) queue
 
-  let head queue =
-    match sort_queue queue with [] -> None | h :: _ -> Some h
+  let head queue = match queue with [] -> None | h :: _ -> Some h
 
   let entry_of s k = List.find_opt (fun e -> e.Timestamp.pid = k) s.queue
 
@@ -172,7 +187,7 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
       | Exact_head ->
         (* the original dequeues the head, which is its own request in
            every legitimate state *)
-        (match sort_queue s.queue with [] -> [] | _ :: rest -> rest)
+        (match s.queue with [] -> [] | _ :: rest -> rest)
     in
     let s =
       { s with

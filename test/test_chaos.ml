@@ -416,6 +416,39 @@ let test_campaign_partitions_parallel_matches_serial () =
   Alcotest.(check string) "partition sweep byte-identical across jobs"
     (render 1) (render 3)
 
+(* A partition campaign over the benchmark's six protocols, with
+   unwrapped cells, the canary and shrinking, pinned byte for byte to a
+   committed report that the per-cell run loop produced.  Each wrapped
+   during-split cell repeats its split-lossy sibling's scenarios, so
+   the 145 rows take 145 - 6 x 4 = 121 runs. *)
+let test_campaign_partition_golden () =
+  let golden =
+    let ic = open_in_bin "golden_partition_campaign.json" in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    String.trim s
+  in
+  List.iter
+    (fun jobs ->
+      let report =
+        Campaign.run
+          (Campaign.config ~base_seed:7 ~seeds:4 ~budget:3 ~n:4 ~steps:1200
+             ~protocols:
+               [ "lamport"; "ra"; "lamport-unmod"; "ra-mutant"; "ra-lease";
+                 "ra-lease-stale" ]
+             ~partitions:true ~jobs ())
+      in
+      let label what = Printf.sprintf "%s (jobs=%d)" what jobs in
+      Alcotest.(check string) (label "byte-identical to golden") golden
+        (Chaos.Jsonx.to_string (Campaign.to_json report));
+      Alcotest.(check int) (label "rows") 145
+        (List.fold_left
+           (fun acc c -> acc + List.length c.Campaign.rows)
+           0 report.Campaign.cells);
+      Alcotest.(check int) (label "scenario runs") 121
+        report.Campaign.scenario_runs)
+    [ 1; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Partitioned/delayed scenario runs                                   *)
 
@@ -531,7 +564,9 @@ let () =
           Alcotest.test_case "partition cells" `Quick
             test_campaign_partition_cells;
           Alcotest.test_case "partition parallel == serial" `Quick
-            test_campaign_partitions_parallel_matches_serial ] );
+            test_campaign_partitions_parallel_matches_serial;
+          Alcotest.test_case "partition golden report" `Quick
+            test_campaign_partition_golden ] );
       ( "scenarios",
         [ Alcotest.test_case "partition determinism/streaming" `Quick
             test_scenarios_partition_deterministic;

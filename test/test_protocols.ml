@@ -230,6 +230,24 @@ let test_lamport_duplicate_insert_purged () =
   Alcotest.(check bool) "local copy reflects latest request" true
     (not (Timestamp.equal (View.local_req v 1) (ts 1 1)))
 
+(* The Lamport queue invariant: ordered insertion into a sorted queue,
+   with and without modification 1's purge, equals re-sorting.  Small
+   clock and pid ranges make duplicate timestamps and equal clocks
+   across pids common. *)
+let prop_lamport_insert_sorted =
+  let gen_ts = QCheck2.Gen.(map2 ts (0 -- 4) (0 -- 3)) in
+  qtest ~count:1000 "insert into sorted queue == sort"
+    QCheck2.Gen.(triple bool gen_ts (list_size (0 -- 12) gen_ts))
+    (fun (purge, t, q) ->
+      let q = List.sort Timestamp.compare q in
+      let kept =
+        if purge then
+          List.filter (fun e -> e.Timestamp.pid <> t.Timestamp.pid) q
+        else q
+      in
+      Tme.Lamport_core.insert_sorted ~purge t q
+      = List.sort Timestamp.compare (t :: kept))
+
 let test_lamport_view_encodes_relation () =
   let s = DL.init 3 0 in
   let s, _ = Tme.Lamport_me.request_cs s in
@@ -492,6 +510,7 @@ let () =
           Alcotest.test_case "queue blocks later" `Quick
             test_lamport_queue_blocks_later_requester;
           Alcotest.test_case "insert purges" `Quick test_lamport_duplicate_insert_purged;
+          prop_lamport_insert_sorted;
           Alcotest.test_case "view encodes relation" `Quick
             test_lamport_view_encodes_relation ] );
       ( "lamport-unmod",

@@ -441,6 +441,42 @@ let prop_fold_matches_reference =
          check "snapshots" int got.snapshots want.snapshots;
          true))
 
+(* A hungry run that crosses a split: its global snapshots before and
+   after the split stay open as two intervals (the split snapshots open
+   nothing), and eating after the heal discharges both. *)
+let test_me2_run_across_split () =
+  let n = 2 in
+  let timeline = Regime.of_plan ~n [ split ~from_t:3 ~until_t:6 [ [ 0 ] ] ] in
+  let views mode =
+    Array.init n (fun self ->
+        Graybox.View.make ~self
+          ~mode:(if self = 0 then mode else Graybox.View.Thinking)
+          ~req:(Clocks.Timestamp.zero ~pid:self)
+          ~local_req:Sim.Pid.Map.empty ~clock:0)
+  in
+  let m = Epoch.create ~n ~timeline in
+  let r = Reference.create ~n ~timeline in
+  let feed time mode =
+    Epoch.feed m ~time (views mode);
+    Reference.feed r ~time (views mode)
+  in
+  let verdict =
+    Alcotest.testable Unityspec.Temporal.pp_verdict ( = )
+  in
+  for time = 0 to 8 do
+    feed time Graybox.View.Hungry
+  done;
+  Alcotest.check verdict "open across the split"
+    (Unityspec.Temporal.Pending { obligations = [ 0; 1; 2; 6; 7; 8 ] })
+    (Epoch.report m).Epoch.me2;
+  Alcotest.check verdict "reference agrees" (Reference.report r).Epoch.me2
+    (Epoch.report m).Epoch.me2;
+  feed 9 Graybox.View.Eating;
+  Alcotest.check verdict "discharged by eating" Unityspec.Temporal.Holds
+    (Epoch.report m).Epoch.me2;
+  Alcotest.check verdict "reference agrees" (Reference.report r).Epoch.me2
+    (Epoch.report m).Epoch.me2
+
 (* ------------------------------------------------------------------ *)
 (* During-split campaign gates                                         *)
 
@@ -532,7 +568,9 @@ let () =
       ( "equivalence",
         [ Alcotest.test_case "online==offline" `Slow
             test_online_offline_equivalence;
-          prop_fold_matches_reference ] );
+          prop_fold_matches_reference;
+          Alcotest.test_case "ME2 run across a split" `Quick
+            test_me2_run_across_split ] );
       ( "during-gates",
         [ Alcotest.test_case "tolerant-passes-ablation-caught" `Slow
             test_during_gates;
