@@ -467,10 +467,10 @@ let kstate_cmd =
 
 let synth_cmd =
   let sy_n_arg =
-    Arg.(value & opt (int_at_least 2) 2
+    Arg.(value & opt (int_between 2 64) 2
          & info [ "n" ] ~docv:"N"
              ~doc:
-               "Ring size the oracle certifies candidates at, at least 2 \
+               "Ring size the oracle certifies candidates at, 2-64 \
                 (keep small: each check is an exhaustive exploration).")
   in
   let jobs_arg =

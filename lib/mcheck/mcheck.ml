@@ -56,13 +56,15 @@
      seq) order, through one cursor.  Near the ~max_states bound the
      admission falls back to a serial sweep in global tag order over
      the same cursors, so the hard bound admits exactly the states the
-     serial checker would.  The run owns every sweep buffer (candidate
-     buckets and filters, admission outputs, the two frontier levels)
-     and clears it rather than rebuilding it, and the key arenas grow
-     by fixed pages, so the sweep allocates little beyond what the
-     visited set keeps.  Per-state resident memory is O(1): three
-     packed index words (location, fingerprint, parent+label) plus the
-     key itself until it spills.
+     serial checker would.  Every sweep buffer (candidate buckets and
+     filters, admission outputs, the two frontier levels) and the
+     visited set's storage live in a caller-owned workspace that each
+     run resets rather than rebuilds, and the key arenas grow by fixed
+     pages, so a run allocates little beyond what the visited set
+     keeps, and a run on a reused workspace (the synthesis oracle's
+     legs and candidates) allocates almost nothing.  Per-state
+     resident memory is O(1): three packed index words (location,
+     fingerprint, parent+label) plus the key itself until it spills.
 
    Optional partial-order reduction (~por) explores, at states that
    have one, only the deliveries into a "quiet receiver": the lowest
@@ -221,7 +223,9 @@ end
 
    The hot arena is a list of fixed 2^16-word pages, filled in order;
    a key may straddle two pages.  The arena never doubles and copies:
-   growth allocates one more page.
+   growth allocates one more page.  [reset] empties a table for its
+   next run and keeps its pages, slot arrays and index buffers, so a
+   reused table allocates only past the largest run it has held.
 
    Spill: when the hot arenas together exceed [mem_budget] words (the
    checkpoint runs between chunks), every shard appends its pages, in
@@ -236,7 +240,11 @@ module Table = struct
   let page_mask = page_words - 1
 
   type shard = {
-    mutable slots : int array;  (* 2i: local id + 1 (0 = empty); 2i+1: h1 *)
+    mutable slots : int array;
+        (* 2i: local id + 1 (0 = empty); 2i+1: h1.  Only the first
+           2 * (mask + 1) words are live: a reset or a growth zeroes
+           just that region of an array kept from a larger run. *)
+    mutable spare : int array;  (* [grow_slots]' target, kept for reuse *)
     mutable mask : int;  (* slot-pair count - 1, a power of 2 *)
     mutable count : int;
     pages : int array Vec.t;  (* hot arena: word o is in page o lsr 16 *)
@@ -259,6 +267,7 @@ module Table = struct
 
   let len_bits = 20
   let len_mask = (1 lsl len_bits) - 1
+  let initial_pairs = 1024
 
   let create ~shards ~mem_budget ~spill_dir =
     if shards < 1 || shards > 64 then
@@ -266,8 +275,9 @@ module Table = struct
     if mem_budget < 1 then invalid_arg "Mcheck: need mem_budget >= 1";
     { shards =
         Array.init shards (fun _ ->
-            { slots = Array.make (2 * 1024) 0;
-              mask = 1023;
+            { slots = Array.make (2 * initial_pairs) 0;
+              spare = [||];
+              mask = initial_pairs - 1;
               count = 0;
               pages = Vec.create ();
               used = 0;
@@ -341,7 +351,10 @@ module Table = struct
 
   let grow_slots sh =
     let pairs = (sh.mask + 1) * 2 in
-    let slots = Array.make (2 * pairs) 0 in
+    if Array.length sh.spare < 2 * pairs then
+      sh.spare <- Array.make (2 * pairs) 0
+    else Array.fill sh.spare 0 (2 * pairs) 0;
+    let slots = sh.spare in
     let mask = pairs - 1 in
     for i = 0 to sh.mask do
       match sh.slots.(2 * i) with
@@ -357,6 +370,7 @@ module Table = struct
         in
         place (h land mask)
     done;
+    sh.spare <- sh.slots;
     sh.slots <- slots;
     sh.mask <- mask
 
@@ -498,6 +512,26 @@ module Table = struct
           sh.file <- None
         | None -> ())
       t.shards
+
+  (* Empty the table for a new run, keeping its storage: slot arrays,
+     arena pages and index buffers.  Any spill file goes, so [disk]
+     and the file restart together at 0 ([checkpoint] asserts they
+     agree). *)
+  let reset t =
+    cleanup t;
+    t.spill_words <- 0;
+    t.peak_words <- 0;
+    Array.iter
+      (fun sh ->
+        Array.fill sh.slots 0 (2 * initial_pairs) 0;
+        sh.mask <- initial_pairs - 1;
+        sh.count <- 0;
+        sh.used <- 0;
+        sh.disk <- 0;
+        Buf.clear sh.fp;
+        Buf.clear sh.loc;
+        Buf.clear sh.parents)
+      t.shards
 end
 
 module Search (P : Graybox.Protocol.S) = struct
@@ -524,15 +558,18 @@ module Search (P : Graybox.Protocol.S) = struct
 
   (* Interners and transition memos.  All writes happen in the serial
      phases (seeding, serial sweep, miss fixup, replay); parallel
-     expansion only reads. *)
+     expansion only reads.  A context outlives a run: the oracle's
+     checker certifies every leg of every candidate on one, so its
+     tables grow to the union of the states those runs reach. *)
   type ctx = {
     n : int;
-    wrapper : Graybox.Wrapper.t option;
+    mutable wrapper : Graybox.Wrapper.t option;
         (* box-composed wrapper term: adds a per-process correction
            action (sends only, no state change), memoized like the
            client actions.  The checker abstracts the W'(δ) timer to
            zero — it explores the timer-expired interleavings, which
-           contain every behaviour the rate-limited wrapper has. *)
+           contain every behaviour the rate-limited wrapper has.
+           Change it only through [set_wrapper]. *)
     proc_id : int StateH.t;
     proc_of : P.state Vec.t;
     view_of : Graybox.View.t Vec.t;  (* cached per interned process *)
@@ -573,13 +610,21 @@ module Search (P : Graybox.Protocol.S) = struct
       d_count = 0;
       d_res = Vec.create () }
 
+  (* [m_wrap] holds the only memos that depend on the wrapper. *)
+  let set_wrapper ctx w =
+    ctx.wrapper <- w;
+    Vec.iter (fun cell -> cell := None) ctx.m_wrap
+
   let intern_proc ctx s =
     match StateH.find_opt ctx.proc_id s with
     | Some id -> id
     | None ->
       let id = Vec.length ctx.proc_of in
+      (* viewed before any push, so a raising [P.view] leaves the
+         dense tables aligned for the context's next run *)
+      let v = P.view s in
       Vec.push ctx.proc_of s;
-      Vec.push ctx.view_of (P.view s);
+      Vec.push ctx.view_of v;
       Vec.push ctx.m_request (ref None);
       Vec.push ctx.m_enter (ref None);
       Vec.push ctx.m_release (ref None);
@@ -674,10 +719,16 @@ module Search (P : Graybox.Protocol.S) = struct
     readers : Blockfile.reader option array;
   }
 
+  (* [views_into] overwrites every slot of a scratch's [vbuf] before a
+     predicate reads it, so a fresh one can hold any view. *)
+  let blank_view =
+    Graybox.View.make ~self:0 ~mode:Graybox.View.Thinking
+      ~req:(Clocks.Timestamp.zero ~pid:0) ~local_req:Sim.Pid.Map.empty ~clock:0
+
   let make_scratch ctx =
     { kbuf = Array.make 256 0;
       sbuf = Array.make 256 0;
-      vbuf = Array.make ctx.n (Vec.get ctx.view_of 0);
+      vbuf = Array.make ctx.n blank_view;
       offs = Array.make (ctx.n * ctx.n) 0;
       readers = Array.make 64 None }
 
@@ -740,7 +791,9 @@ module Search (P : Graybox.Protocol.S) = struct
      [pop] (-1 for none), and sending [sends'] (dst, msg id) from [p].
      Returns the successor key length.  Only the popped channel and
      [p]'s out-channels change: each is rebuilt, and the runs of the
-     parent key between them are copied in bulk. *)
+     parent key between them are copied in bulk, by inline loops: the
+     runs average a few words, too short to pay for a [blit_ints]
+     call. *)
   let splice ctx st klen ~p ~pid' ~pop ~sends' =
     let k = st.kbuf in
     let slen = klen + List.length sends' - (if pop >= 0 then 1 else 0) in
@@ -753,11 +806,18 @@ module Search (P : Graybox.Protocol.S) = struct
     while !ci < max_int do
       let c = !ci in
       let o = st.offs.(c) in
-      blit_ints k !rd s !wr (o - !rd);
-      let lp = !wr + (o - !rd) in
+      (* the unchanged run [rd, o), then channel c's kept messages *)
+      let d = !wr - !rd in
+      for i = !rd to o - 1 do
+        s.(i + d) <- k.(i)
+      done;
+      let lp = o + d in
       let len = k.(o) in
       let drop = if c = pop then 1 else 0 in
-      blit_ints k (o + 1 + drop) s (lp + 1) (len - drop);
+      let e = lp - o - drop in
+      for i = o + 1 + drop to o + len do
+        s.(i + e) <- k.(i)
+      done;
       let w = lp + 1 + len - drop in
       let w = if c >= lo && c < hi then put_sends s w (c - lo) sends' else w in
       s.(lp) <- w - lp - 1;
@@ -765,7 +825,10 @@ module Search (P : Graybox.Protocol.S) = struct
       wr := w;
       ci := next_changed ~pop ~lo ~hi c
     done;
-    blit_ints k !rd s !wr (klen - !rd);
+    let d = !wr - !rd in
+    for i = !rd to klen - 1 do
+      s.(i + d) <- k.(i)
+    done;
     s.(p) <- pid';
     slen
 
@@ -891,6 +954,22 @@ module Search (P : Graybox.Protocol.S) = struct
       try_p 0
     end
 
+  (* Whether message [mid] is on channel [ci] of the key in [st.kbuf]
+     (its offsets filled). *)
+  let in_flight st ci mid =
+    let off = st.offs.(ci) in
+    let last = off + st.kbuf.(off) in
+    let j = ref (off + 1) in
+    while !j <= last && st.kbuf.(!j) <> mid do
+      incr j
+    done;
+    !j <= last
+
+  let rec any_in_flight st ~n ~p = function
+    | [] -> false
+    | (dst, mid) :: tl ->
+      in_flight st ((p * n) + dst) mid || any_in_flight st ~n ~p tl
+
   (* The maximally nondeterministic client (request / enter / release
      whenever the view allows) interleaved with every FIFO delivery.
      Iterates the successors of the state in [st.kbuf] (length
@@ -986,17 +1065,14 @@ module Search (P : Graybox.Protocol.S) = struct
                — without this the wrapper's (state-preserving) action
                would re-enable forever and pump channels unboundedly.
                Reads only the parent key, so both sweep modes and every
-               domain take the same decision. *)
+               domain take the same decision.  The filtered list is
+               built only when some send is in flight. *)
             let fresh =
-              List.filter
-                (fun (dst, mid) ->
-                  let off = st.offs.((p * n) + dst) in
-                  let len = st.kbuf.(off) in
-                  let rec inflight j =
-                    j < len && (st.kbuf.(off + 1 + j) = mid || inflight (j + 1))
-                  in
-                  not (inflight 0))
-                sends
+              if not (any_in_flight st ~n ~p sends) then sends
+              else
+                List.filter
+                  (fun (dst, mid) -> not (in_flight st ((p * n) + dst) mid))
+                  sends
             in
             if fresh <> [] then emit (il_wrap p) p (-1) (pid, fresh)))
       done;
@@ -1132,27 +1208,45 @@ module Search (P : Graybox.Protocol.S) = struct
      the largest chunk's need once, then stop allocating.
 
      The filter is a direct-mapped table of [filter_slots] pairs, each
-     the h1 of a record this sink wrote in the current chunk and that
-     record's offset + 1 in its shard's bucket (0 = empty; h1 names
-     the shard).  A successor whose full record matches the one its
-     slot names is not written again.  The sink writes in (tag, seq)
-     order, so the record kept is the first occurrence: the one
-     admission would admit, with the same parent word. *)
+     the h1 of a record this sink wrote and [stamp] of that record's
+     offset in its shard's bucket (h1 names the shard).  A stamp
+     carries the sink's generation, which [clear_sink] bumps, so a
+     slot names a record only within the chunk that wrote it and
+     clearing the filter costs nothing.  A successor whose full record
+     matches the one its slot names is not written again.  The sink
+     writes in (tag, seq) order, so the record kept is the first
+     occurrence: the one admission would admit, with the same parent
+     word. *)
   let filter_slots = 1 lsl 13
 
-  type sink = { buckets : Buf.t array; mutable cands : int; filter : int array }
+  type sink = {
+    buckets : Buf.t array;
+    mutable cands : int;
+    filter : int array;
+    mutable gen : int;  (* >= 1; a slot stamped 0 is empty *)
+  }
+
+  (* Bucket offsets stay below 2^32 words (32 GB), generations below
+     2^30. *)
+  let gen_shift = 32
+  let off_mask = (1 lsl gen_shift) - 1
+  let max_gen = (1 lsl 30) - 1
+  let stamp sk o = (sk.gen lsl gen_shift) lor o
 
   let make_sink nshards =
     { buckets = Array.init nshards (fun _ -> Buf.create ());
       cands = 0;
-      filter = Array.make (2 * filter_slots) 0 }
+      filter = Array.make (2 * filter_slots) 0;
+      gen = 1 }
 
   let clear_sink sk =
     Array.iter Buf.clear sk.buckets;
-    (* every filled slot names a live record, so a sink that wrote none
-       has an empty filter *)
-    if sk.cands > 0 then Array.fill sk.filter 0 (2 * filter_slots) 0;
-    sk.cands <- 0
+    sk.cands <- 0;
+    if sk.gen < max_gen then sk.gen <- sk.gen + 1
+    else begin
+      Array.fill sk.filter 0 (2 * filter_slots) 0;
+      sk.gen <- 1
+    end
 
   (* Whether the record at [d.(o)] holds this successor. *)
   let same_record (d : int array) o ~h1 ~fp (k : int array) klen =
@@ -1177,13 +1271,15 @@ module Search (P : Graybox.Protocol.S) = struct
     let h1, fp = hash2 st.sbuf 0 slen in
     let b = sk.buckets.(Table.route table h1) in
     let f = sk.filter and j = 2 * (h1 land (filter_slots - 1)) in
-    let o = f.(j + 1) - 1 in
+    let e = f.(j + 1) in
     if
       not
-        (o >= 0 && f.(j) = h1 && same_record b.Buf.data o ~h1 ~fp st.sbuf slen)
+        (e lsr gen_shift = sk.gen
+        && f.(j) = h1
+        && same_record b.Buf.data (e land off_mask) ~h1 ~fp st.sbuf slen)
     then begin
       f.(j) <- h1;
-      f.(j + 1) <- b.Buf.len + 1;
+      f.(j + 1) <- stamp sk b.Buf.len;
       push_rec b ~tag ~seq ~il ~h1 ~fp st.sbuf slen;
       sk.cands <- sk.cands + 1
     end
@@ -1198,13 +1294,13 @@ module Search (P : Graybox.Protocol.S) = struct
     while !o < b.Buf.len do
       let h1 = d.(!o + 3) in
       let j = 2 * (h1 land (filter_slots - 1)) in
-      if f.(j) = h1 && f.(j + 1) = !o + 1 then f.(j + 1) <- 0;
+      if f.(j) = h1 && f.(j + 1) = stamp sk !o then f.(j + 1) <- 0;
       o := !o + rec_words + d.(!o + 5)
     done;
     b.Buf.len <- mark
 
-  (* One expansion piece's run-scoped state: its scratch (so its spill
-     read handles live as long as the run), its sink, the bucket
+  (* One expansion piece's state: its scratch (so its spill read
+     handles live as long as the run), its sink, the bucket
      lengths at the current parent's start (a memo miss truncates the
      buckets back to them), the tags whose expansion hit a memo miss,
      and the first violating tag with its witness views. *)
@@ -1266,18 +1362,62 @@ module Search (P : Graybox.Protocol.S) = struct
      so they must be identical for every domain count. *)
   let chunk_states = 8192
 
-  let run ?wrapper ~n ~jobs ~shards ~max_depth ~max_states ~mem_budget
-      ~spill_dir ~por ~name ~seeds predicate =
+  (* A run's storage, owned by the caller and reused by every run it
+     hands the workspace to: the visited set (slot arrays, arena pages,
+     index buffers), the serial scratch, the expansion pieces and the
+     fixup sink with their buckets and filters, the admission outputs
+     and cursors, the seed labels and the two frontier levels.  [run]
+     resets it when it starts, so a run that raised or spilled leaves
+     nothing stale for the next.  Reuse cannot move a result: admission
+     follows (tag, seq), never storage history or slot placement, and
+     every stats figure counts states and key words, never capacity. *)
+  type workspace = {
+    table : Table.t;
+    st : scratch;
+    pieces : piece Vec.t;  (* grown to the widest [jobs] seen *)
+    fix : sink;
+    outs : Buf.t array;
+    cursors : cursor array;
+    seed_labels : label Vec.t;
+    mutable frontier : Buf.t;
+    mutable next : Buf.t;
+  }
+
+  let make_workspace ctx ~shards ~mem_budget ~spill_dir =
+    let table = Table.create ~shards ~mem_budget ~spill_dir in
+    let nshards = table.Table.nshards in
+    { table;
+      st = make_scratch ctx;
+      pieces = Vec.create ();
+      fix = make_sink nshards;
+      outs = Array.init nshards (fun _ -> Buf.create ());
+      cursors =
+        Array.init nshards (fun _ -> { d = [||]; i = -1; p = 0; pi = 0; fi = 0 });
+      seed_labels = Vec.create ();
+      frontier = Buf.create ();
+      next = Buf.create () }
+
+  let close_readers ws =
+    close_scratch ws.st;
+    Vec.iter (fun pc -> close_scratch pc.ws) ws.pieces
+
+  (* Explore from [seeds ctx] on [ctx] and [ws].  The context's
+     wrapper, if any, is composed; the workspace fixes the shard count,
+     memory budget and spill directory. *)
+  let run ctx ws ~jobs ~max_depth ~max_states ~por ~name ~seeds predicate =
     if jobs < 1 then invalid_arg "Mcheck: need jobs >= 1";
     if max_states < 1 then invalid_arg "Mcheck: need max_states >= 1";
-    if por && wrapper <> None then
+    if por && ctx.wrapper <> None then
       invalid_arg
         "Mcheck: --por is not sound under a composed wrapper (ample sets \
          ignore wrapper moves)";
-    let ctx = make_ctx ?wrapper ~n () in
-    let table = Table.create ~shards ~mem_budget ~spill_dir in
+    close_readers ws;
+    Table.reset ws.table;
+    Vec.clear ws.seed_labels;
+    Buf.clear ws.frontier;
+    Buf.clear ws.next;
+    let { table; st; pieces; fix; outs; cursors; seed_labels; _ } = ws in
     let nshards = table.Table.nshards in
-    let seed_labels : label Vec.t = Vec.create () in
     let truncated = ref false in
     let explored = ref 0 in
     let frontier_peak = ref 0 in
@@ -1287,7 +1427,6 @@ module Search (P : Graybox.Protocol.S) = struct
     let violation = ref None in
     (* Seeds are admitted serially in seed order; a seed state's
        parent word packs its index into [seed_labels] (ref part 0). *)
-    let roots = Buf.create () in
     List.iter
       (fun (label, key) ->
         let si = Vec.length seed_labels in
@@ -1298,33 +1437,24 @@ module Search (P : Graybox.Protocol.S) = struct
         with
         | -2 -> truncated := true
         | -1 -> ()
-        | r -> Buf.push roots r)
+        | r -> Buf.push ws.frontier r)
       (seeds ctx);
     Table.checkpoint table;
-    let st = make_scratch ctx in
-    (* Run-scoped sweep buffers, cleared per chunk (or, for the two
-       frontier buffers, swapped per level), never rebuilt. *)
-    let pieces : piece Vec.t = Vec.create () in
-    let fix = make_sink nshards in
-    let outs = Array.init nshards (fun _ -> Buf.create ()) in
-    let cursors =
-      Array.init nshards (fun _ -> { d = [||]; i = -1; p = 0; pi = 0; fi = 0 })
-    in
-    let frontier = ref roots and next = ref (Buf.create ()) in
+    (* Sweep buffers are cleared per chunk (or, for the two frontier
+       levels, swapped per level), never rebuilt. *)
     let depth = ref 0 in
     Fun.protect
       ~finally:(fun () ->
-        close_scratch st;
-        Vec.iter (fun pc -> close_scratch pc.ws) pieces;
-        Table.cleanup table)
+        close_readers ws;
+        Table.cleanup ws.table)
       (fun () ->
-        while !frontier.Buf.len > 0 && !violation = None do
-          let level = !frontier.Buf.data in
-          let width = !frontier.Buf.len in
+        while ws.frontier.Buf.len > 0 && !violation = None do
+          let level = ws.frontier.Buf.data in
+          let width = ws.frontier.Buf.len in
           if width > !frontier_peak then frontier_peak := width;
           depth_reached := !depth;
           let capped = !depth >= max_depth in
-          let nx = !next in
+          let nx = ws.next in
           let rw = jobs = 1 in
 
           (* One chunk [lo, hi) of the level: expansion pieces in
@@ -1549,10 +1679,10 @@ module Search (P : Graybox.Protocol.S) = struct
             process_chunk !c0 hi;
             c0 := hi
           done;
-          let cur = !frontier in
+          let cur = ws.frontier in
           Buf.clear cur;
-          frontier := nx;
-          next := cur;
+          ws.frontier <- nx;
+          ws.next <- cur;
           incr depth
         done;
         Table.note_peak table;
@@ -1627,8 +1757,10 @@ let default_spill_dir () = Filename.get_temp_dir_name ()
 let explore ?wrapper (module P : Graybox.Protocol.S) ~n ~jobs ~shards
     ~max_depth ~max_states ~mem_budget ~spill_dir ~por ~name predicate =
   let module S = Search (P) in
-  S.run ?wrapper ~n ~jobs ~shards ~max_depth ~max_states ~mem_budget ~spill_dir
-    ~por ~name
+  let ctx = S.make_ctx ?wrapper ~n () in
+  S.run ctx
+    (S.make_workspace ctx ~shards ~mem_budget ~spill_dir)
+    ~jobs ~max_depth ~max_states ~por ~name
     ~seeds:(fun ctx -> [ (L_root, S.initial ctx) ])
     predicate
 
@@ -1662,8 +1794,10 @@ let check_everywhere ?wrapper ?inflight (module P : Graybox.Protocol.S) ~n
     match spill_dir with Some d -> d | None -> default_spill_dir ()
   in
   let module S = Search (P) in
-  S.run ?wrapper ~n ~jobs ~shards ~max_depth ~max_states ~mem_budget ~spill_dir
-    ~por ~name
+  let ctx = S.make_ctx ?wrapper ~n () in
+  S.run ctx
+    (S.make_workspace ctx ~shards ~mem_budget ~spill_dir)
+    ~jobs ~max_depth ~max_states ~por ~name
     ~seeds:(S.everywhere_seeds ?inflight ~max_seeds)
     p
 
@@ -1729,87 +1863,90 @@ module Oracle = struct
   let seed_of ~trace ~path =
     if List.length trace = List.length path then List.hd trace else "init"
 
-  let check (module P : Graybox.Protocol.S) ~n ?(jobs = 1) ?shards
+  let checker (module P : Graybox.Protocol.S) ~n ?(jobs = 1) ?shards
       ?(safety_depth = 8) ?(recovery_depth = 14) ?(max_states = 200_000)
-      ?(mem_budget = max_int) ?spill_dir ?(max_seeds = 256) wrapper =
+      ?(mem_budget = max_int) ?spill_dir ?(max_seeds = 256) () =
     let shards = match shards with Some s -> s | None -> min jobs 64 in
     let spill_dir =
       match spill_dir with Some d -> d | None -> default_spill_dir ()
     in
     let module S = Search (P) in
-    (* Safety leg: everywhere-mode ME1 of the wrapped system over the
-       state-corruption closure.  In-flight-message seeds are excluded
-       on purpose: a forged reply delivered in one step defeats any
-       view-reading wrapper at this abstraction (wrappers correct
-       state, not channels) — message faults are covered statistically
-       by the chaos campaign's wrapped-recover gates. *)
-    let safety =
-      S.run ~wrapper ~n ~jobs ~shards ~max_depth:safety_depth ~max_states
-        ~mem_budget ~spill_dir ~por:false ~name:"ME1"
-        ~seeds:(S.everywhere_seeds ~inflight:false ~max_seeds)
-        me1
+    (* One context and one workspace certify every leg of every
+       candidate handed to this checker; [set_wrapper] forgets the
+       only memos that depend on the candidate. *)
+    let ctx = S.make_ctx ~n () in
+    let ws = S.make_workspace ctx ~shards ~mem_budget ~spill_dir in
+    let run ~max_depth ~name ~seeds p =
+      S.run ctx ws ~jobs ~max_depth ~max_states ~por:false ~name ~seeds p
     in
-    match safety with
-    | Violation { trace; path; stats; _ } ->
-      Cex
-        { obligation = Safety;
-          seed = seed_of ~trace ~path;
-          trace;
-          path;
-          fired = firings ~trace ~path;
-          stats = [ stats ] }
-    | Ok s ->
-      (* Recovery legs: a plain reachability check suffices — the
-         all-lost wedge has no enabled transition at all without a
-         wrapper, so any path back to the CS goes through the
-         candidate.  Two obligation shapes keep the search shallow:
-         from each singleton wedge(p), process p itself must re-enter
-         (a few steps: the candidate resends, idle peers reply); from
-         wedge(all), it is enough that {e some} process re-enters —
-         the deadlock is broken, and once requests are known the
-         protocol's own priority order drains the queue.  (Demanding
-         that the {e lowest}-priority process eats from wedge(all)
-         would push the frontier through every full CS rotation —
-         exponentially deep for no extra discrimination: the guard
-         language cannot name process ids, so candidates are
-         pid-symmetric.) *)
-      let wedge_views seed_idx =
-        let ctx = S.make_ctx ~wrapper ~n () in
-        let label, key = List.nth (S.wedge_seeds ctx) seed_idx in
-        let tag = match label with L_seed s -> s | _ -> "init" in
-        (tag, S.views ctx key)
-      in
-      let legs =
-        (0, Progress)
-        :: List.init n (fun p -> (p + 1, Recovery p))
-      in
-      let rec sweep acc = function
-        | [] -> Safe (List.rev acc)
-        | (seed_idx, obligation) :: rest -> (
-          let stuck views =
-            match obligation with
-            | Recovery p -> not (Graybox.View.eating views.(p))
-            | Progress | Safety ->
-              not (Array.exists Graybox.View.eating views)
-          in
-          let r =
-            S.run ~wrapper ~n ~jobs ~shards ~max_depth:recovery_depth
-              ~max_states ~mem_budget ~spill_dir ~por:false
-              ~name:(obligation_label obligation)
-              ~seeds:(fun ctx -> [ List.nth (S.wedge_seeds ctx) seed_idx ])
-              stuck
-          in
-          match r with
-          | Violation { stats; _ } -> sweep (stats :: acc) rest
-          | Ok s_run ->
-            let tag, views = wedge_views seed_idx in
-            Cex
-              { obligation;
-                seed = tag;
-                trace = [];
-                path = [ views ];
-                fired = [];
-                stats = List.rev (s_run :: acc) })
-      in
-      sweep [ s ] legs
+    fun wrapper ->
+      S.set_wrapper ctx (Some wrapper);
+      (* Safety leg: everywhere-mode ME1 of the wrapped system over the
+         state-corruption closure.  In-flight-message seeds are
+         excluded on purpose: a forged reply delivered in one step
+         defeats any view-reading wrapper at this abstraction (wrappers
+         correct state, not channels) — message faults are covered
+         statistically by the chaos campaign's wrapped-recover gates. *)
+      match
+        run ~max_depth:safety_depth ~name:"ME1"
+          ~seeds:(S.everywhere_seeds ~inflight:false ~max_seeds)
+          me1
+      with
+      | Violation { trace; path; stats; _ } ->
+        Cex
+          { obligation = Safety;
+            seed = seed_of ~trace ~path;
+            trace;
+            path;
+            fired = firings ~trace ~path;
+            stats = [ stats ] }
+      | Ok s ->
+        (* Recovery legs: a plain reachability check suffices — the
+           all-lost wedge has no enabled transition at all without a
+           wrapper, so any path back to the CS goes through the
+           candidate.  Two obligation shapes keep the search shallow:
+           from each singleton wedge(p), process p itself must re-enter
+           (a few steps: the candidate resends, idle peers reply); from
+           wedge(all), it is enough that {e some} process re-enters —
+           the deadlock is broken, and once requests are known the
+           protocol's own priority order drains the queue.  (Demanding
+           that the {e lowest}-priority process eats from wedge(all)
+           would push the frontier through every full CS rotation —
+           exponentially deep for no extra discrimination: the guard
+           language cannot name process ids, so candidates are
+           pid-symmetric.) *)
+        let wedge seed_idx = List.nth (S.wedge_seeds ctx) seed_idx in
+        let legs = (0, Progress) :: List.init n (fun p -> (p + 1, Recovery p)) in
+        let rec sweep acc = function
+          | [] -> Safe (List.rev acc)
+          | (seed_idx, obligation) :: rest -> (
+            let stuck views =
+              match obligation with
+              | Recovery p -> not (Graybox.View.eating views.(p))
+              | Progress | Safety ->
+                not (Array.exists Graybox.View.eating views)
+            in
+            match
+              run ~max_depth:recovery_depth
+                ~name:(obligation_label obligation)
+                ~seeds:(fun _ -> [ wedge seed_idx ])
+                stuck
+            with
+            | Violation { stats; _ } -> sweep (stats :: acc) rest
+            | Ok s_run ->
+              let label, key = wedge seed_idx in
+              Cex
+                { obligation;
+                  seed = (match label with L_seed s -> s | _ -> "init");
+                  trace = [];
+                  path = [ S.views ctx key ];
+                  fired = [];
+                  stats = List.rev (s_run :: acc) })
+        in
+        sweep [ s ] legs
+
+  let check proto ~n ?jobs ?shards ?safety_depth ?recovery_depth ?max_states
+      ?mem_budget ?spill_dir ?max_seeds wrapper =
+    checker proto ~n ?jobs ?shards ?safety_depth ?recovery_depth ?max_states
+      ?mem_budget ?spill_dir ?max_seeds () wrapper
 end

@@ -221,20 +221,53 @@ module Oracle : sig
   val obligation_label : obligation -> string
   (** ["safety"], ["recovery(p)"], ["progress"]. *)
 
-  val check :
+  val checker :
     (module Graybox.Protocol.S) -> n:int -> ?jobs:int -> ?shards:int ->
     ?safety_depth:int -> ?recovery_depth:int -> ?max_states:int ->
-    ?mem_budget:int -> ?spill_dir:string -> ?max_seeds:int ->
+    ?mem_budget:int -> ?spill_dir:string -> ?max_seeds:int -> unit ->
     Graybox.Wrapper.t -> verdict
-  (** [check proto ~n candidate] certifies or refutes one candidate.
-      Defaults: [safety_depth = 8], [recovery_depth = 14],
-      [max_states = 200_000].  [jobs]/[shards]/[mem_budget] tune the
-      underlying explorations without changing any verdict.
+  (** [checker proto ~n ()] is a reusable oracle: applied to a
+      candidate, it certifies or refutes it.  Defaults:
+      [safety_depth = 8], [recovery_depth = 14], [max_states =
+      200_000].  [jobs]/[shards]/[mem_budget] tune the underlying
+      explorations without changing any verdict.
+
+      A checker owns one interning and transition-memo context and one
+      workspace of run storage (visited-set slot arrays, arena pages
+      and index buffers, candidate buckets and filters, frontier
+      buffers), and runs every leg of every candidate it is given on
+      them.  Each run resets the workspace when it starts; applying a
+      checker to a new candidate drops the wrapper's memos, the only
+      ones that depend on the candidate.  The verdict, its trace and
+      path, and every [stats] field, [peak_mem_words] and
+      [spill_bytes] included, are exactly those of a fresh checker:
+      no result depends on storage history or interned-id numbering.
+
+      - A checker is not thread-safe: apply it from one domain at a
+        time (its own [jobs] may still fan each run out).
+      - It lives as long as the caller keeps it, and there is no
+        process-wide cache: two checkers share nothing.
+      - Its intern tables grow to the union of the process states and
+        messages that all its runs reach, and the checker's limit of
+        2^20 distinct messages applies to that union.
+      - It keeps the storage of its largest run until it is dropped.
 
       A leg whose run ends without a violation at [visited =
       max_states] did not search exhaustively: the state bound, not
       closure or depth, may have stopped it ([stats.truncated] does not
       say which bound bit).  A [Safe] whose safety leg is such a run,
       or a [Recovery]/[Progress] [Cex] whose refuting leg is, proves
-      nothing; callers must read it as inconclusive ([Synth] does). *)
+      nothing; callers must read it as inconclusive ([Synth] does).
+      @raise Invalid_argument on senseless arguments ([n] outside
+      1..64, [shards] outside 1..64, [mem_budget < 1]) when the
+      checker is built, and on [jobs < 1] or [max_states < 1] when it
+      is applied. *)
+
+  val check :
+    (module Graybox.Protocol.S) -> n:int -> ?jobs:int -> ?shards:int ->
+    ?safety_depth:int -> ?recovery_depth:int -> ?max_states:int ->
+    ?mem_budget:int -> ?spill_dir:string -> ?max_seeds:int ->
+    Graybox.Wrapper.t -> verdict
+  (** [check proto ~n candidate] is the one-shot form, [checker proto
+      ~n () candidate]. *)
 end

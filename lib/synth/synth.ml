@@ -17,10 +17,14 @@ type config = {
 let config ?(n = 2) ?(jobs = 1) ?(max_size = 5) ?(max_checks = 64)
     ?(safety_depth = 8) ?(recovery_depth = 14) ?(max_states = 200_000) () =
   if n < 2 then invalid_arg "Synth.config: need at least two processes";
+  if n > 64 then
+    invalid_arg "Synth.config: the checker takes at most 64 processes";
   if jobs < 1 then invalid_arg "Synth.config: jobs must be positive";
   if max_size < 3 then
     invalid_arg "Synth.config: no term is smaller than size 3";
   if max_checks < 1 then invalid_arg "Synth.config: max_checks must be positive";
+  if max_states < 1 then
+    invalid_arg "Synth.config: max_states must be positive";
   { n; jobs; max_size; max_checks; safety_depth; recovery_depth; max_states }
 
 type outcome =
@@ -181,12 +185,30 @@ let inconclusive cfg verdict =
    synthesized term) is identical for every [jobs] value. *)
 let batch_width = 8
 
+(* The [i]-th of [k] contiguous, in-order slices of [xs]; none is
+   empty when [k <= List.length xs]. *)
+let slice k i xs =
+  let len = List.length xs in
+  List.filteri (fun j _ -> j >= len * i / k && j < len * (i + 1) / k) xs
+
 let synthesize (module P : Graybox.Protocol.S) cfg =
-  let check c =
-    O.check
-      (module P)
-      ~n:cfg.n ~jobs:1 ~safety_depth:cfg.safety_depth
-      ~recovery_depth:cfg.recovery_depth ~max_states:cfg.max_states c
+  (* One reusable checker per pool slot, each given a fixed slice of
+     every batch, so no checker ever runs on two domains at once.  A
+     checker's verdicts are those of a fresh oracle, so the slicing
+     cannot move the transcript. *)
+  let checkers =
+    Array.init (min cfg.jobs batch_width) (fun _ ->
+        O.checker
+          (module P)
+          ~n:cfg.n ~jobs:1 ~safety_depth:cfg.safety_depth
+          ~recovery_depth:cfg.recovery_depth ~max_states:cfg.max_states ())
+  in
+  let check_batch batch =
+    let k = min (Array.length checkers) (List.length batch) in
+    Stdext.Pool.map ~jobs:cfg.jobs
+      (fun i -> List.map (fun (_, c) -> checkers.(i) c) (slice k i batch))
+      (List.init k Fun.id)
+    |> List.concat
   in
   let stream =
     List.concat_map candidates_of_size
@@ -225,9 +247,7 @@ let synthesize (module P : Graybox.Protocol.S) cfg =
       let index, stream, batch = admit index stream [] in
       if batch = [] then loop index stream positives negatives
       else begin
-        let verdicts =
-          Stdext.Pool.map ~jobs:cfg.jobs (fun (_, c) -> check c) batch
-        in
+        let verdicts = check_batch batch in
         checked := !checked + List.length batch;
         (* scan in input order: every verdict is recorded (the whole
            batch was paid for), every conclusive refutation teaches,

@@ -35,7 +35,11 @@
     the example set as of the previous batch, and the oracle's
     verdicts are themselves [jobs]/[shards]-invariant — so the full
     transcript, every count, and the synthesized term are identical
-    for every [jobs] value. *)
+    for every [jobs] value.  A synthesis builds [min jobs 8] reusable
+    checkers ({!Mcheck.Oracle.checker}), one per pool slot, and gives
+    each a fixed slice of every batch, so no checker serves two
+    domains at once; a reused checker's verdicts are a fresh
+    oracle's, so the slicing cannot move the transcript either. *)
 
 type config = {
   n : int;  (** ring size the oracle certifies at *)
@@ -53,8 +57,8 @@ val config :
   config
 (** Defaults: [n = 2], [jobs = 1], [max_size = 5], [max_checks = 64],
     [safety_depth = 8], [recovery_depth = 14], [max_states = 200_000].
-    @raise Invalid_argument on senseless values ([n < 2],
-    [max_size < 3], non-positive [jobs]/[max_checks]). *)
+    @raise Invalid_argument on senseless values ([n] outside 2..64,
+    [max_size < 3], non-positive [jobs]/[max_checks]/[max_states]). *)
 
 type outcome =
   | Certified  (** the oracle passed both legs *)

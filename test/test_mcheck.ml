@@ -445,14 +445,31 @@ let test_pinned (name, run, expected) =
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) name expected (describe (run ())))
 
-let test_pinned_synth () =
-  (* the oracle runs CEGIS makes at n=2, through Synth's own loop *)
-  let r = Synth.synthesize ra (Synth.config ()) in
-  Alcotest.(check (list int))
-    "enumerated, checked, pruned, oracle_runs, oracle_states"
-    [ 351; 16; 13; 40; 39138 ]
-    [ r.Synth.enumerated; r.Synth.checked; r.Synth.pruned;
-      r.Synth.oracle_runs; r.Synth.oracle_states ]
+(* The oracle runs CEGIS makes through Synth's own loop, on its
+   reusable checkers: at n=2, and at the benchmark's size. *)
+let pinned_synth =
+  [ ("synth n=2 counts", Synth.config (), [ 351; 16; 13; 40; 39138 ]);
+    ( "synth n=3 depths 6/10 counts",
+      Synth.config ~n:3 ~safety_depth:6 ~recovery_depth:10 (),
+      [ 351; 16; 13; 56; 567_390 ] ) ]
+
+let test_pinned_synth (name, cfg, expected) =
+  Alcotest.test_case name `Quick (fun () ->
+      let r = Synth.synthesize ra cfg in
+      Alcotest.(check (list int))
+        "enumerated, checked, pruned, oracle_runs, oracle_states" expected
+        [ r.Synth.enumerated; r.Synth.checked; r.Synth.pruned;
+          r.Synth.oracle_runs; r.Synth.oracle_states ];
+      Alcotest.(check bool) "synthesized w_refined" true
+        (match r.Synth.synthesized with
+         | Some w -> Graybox.Wrapper.equal w Graybox.Wrapper.w_refined
+         | None -> false);
+      Alcotest.(check (option int)) "at index 9" (Some 9)
+        (List.find_map
+           (fun (a : Synth.attempt) ->
+             if Some a.Synth.term = r.Synth.synthesized then Some a.Synth.index
+             else None)
+           r.Synth.attempts))
 
 let () =
   Alcotest.run "mcheck"
@@ -522,6 +539,5 @@ let () =
           Alcotest.test_case "major-heap allocation bounded" `Quick
             test_major_alloc_bounded ] );
       ( "pinned",
-        List.map test_pinned pinned
-        @ [ Alcotest.test_case "synth n=2 counts" `Quick test_pinned_synth ] )
+        List.map test_pinned pinned @ List.map test_pinned_synth pinned_synth )
     ]

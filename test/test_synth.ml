@@ -2,8 +2,9 @@
    (Mcheck.Oracle): the synthesizer rediscovers the paper's refined W
    for every synthesizable registry entry, the transcript is invariant
    under the pool width, the oracle's verdicts (and counterexample
-   traces) are invariant under jobs/shards/memory budget, and the DSL
-   terms evaluate exactly as the historical variant surface. *)
+   traces) are invariant under jobs/shards/memory budget and equal a
+   fresh oracle's on a reused checker, and the DSL terms evaluate
+   exactly as the historical variant surface. *)
 
 module W = Graybox.Wrapper
 module O = Mcheck.Oracle
@@ -75,6 +76,15 @@ let test_state_bound_certifies_nothing () =
   Alcotest.(check int) "no attempt certified" 0 (count Synth.Certified);
   Alcotest.(check bool) "the bound is reported" true
     (count Synth.Inconclusive > 0)
+
+let test_config_bounds () =
+  (* the checker's limits fail at configuration, not mid-synthesis *)
+  Alcotest.check_raises "n = 65"
+    (Invalid_argument "Synth.config: the checker takes at most 64 processes")
+    (fun () -> ignore (Synth.config ~n:65 ()));
+  Alcotest.check_raises "max_states = 0"
+    (Invalid_argument "Synth.config: max_states must be positive") (fun () ->
+      ignore (Synth.config ~max_states:0 ()))
 
 (* -- oracle determinism --------------------------------------------- *)
 
@@ -165,6 +175,86 @@ let test_oracle_verdicts () =
     Alcotest.fail "a never-firing-when-wedged candidate cannot break safety"
   | O.Safe _ -> Alcotest.fail "an eating-gated wrapper cannot unwedge"
 
+(* -- the reusable checker ------------------------------------------- *)
+
+(* At n=2 with recovery depth 4 these four candidates cover every
+   verdict shape, also at [max_states] 1,500, where two safety legs
+   stop at the bound. *)
+let reuse_candidates =
+  [ ("safe", W.w_refined);
+    ( "safety",
+      { W.guard = W.Mode W.Is_hungry; target = W.Any_peer; send = W.Send_reply } );
+    ( "recovery(1)",
+      { W.guard = W.Mode W.Is_hungry;
+        target = W.Peer_lt_own;
+        send = W.Send_reply } );
+    ( "progress",
+      { W.guard = W.Mode W.Is_thinking;
+        target = W.Peer_lt_own;
+        send = W.Send_request } ) ]
+
+let verdict_label = function
+  | O.Safe _ -> "safe"
+  | O.Cex cex -> O.obligation_label cex.O.obligation
+
+let test_reused_checker ~jobs ~shards ~mem_budget ~max_states () =
+  (* one checker over a shuffled sequence with repeats: every verdict,
+     stats included, must be a fresh oracle's *)
+  let seq =
+    let a = Array.of_list (reuse_candidates @ reuse_candidates) in
+    let rng = Random.State.make [| 19 |] in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    Array.to_list a
+  in
+  let checker =
+    O.checker ra ~n:2 ~jobs ~shards ~recovery_depth:4 ~max_states ~mem_budget
+      ~spill_dir ()
+  in
+  let verdicts =
+    List.map
+      (fun (label, c) ->
+        let reused = checker c in
+        let fresh =
+          O.check ra ~n:2 ~jobs ~shards ~recovery_depth:4 ~max_states
+            ~mem_budget ~spill_dir c
+        in
+        Alcotest.(check string) "verdict kind" label (verdict_label reused);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: reused checker == fresh oracle" label)
+          true (reused = fresh);
+        reused)
+      seq
+  in
+  let stats =
+    List.concat_map (function O.Safe s -> s | O.Cex c -> c.O.stats) verdicts
+  in
+  if mem_budget < max_int then
+    Alcotest.(check bool) "spill engaged" true
+      (List.exists (fun s -> s.Mcheck.spill_bytes > 0) stats);
+  if max_states < 200_000 then
+    Alcotest.(check bool) "a leg stopped at the bound" true
+      (List.exists (fun s -> s.Mcheck.visited = max_states) stats)
+
+let reuse_cases =
+  List.concat_map
+    (fun (jobs, shards) ->
+      List.map
+        (fun (what, mem_budget, max_states) ->
+          Alcotest.test_case
+            (Printf.sprintf "reused checker == fresh, jobs %d shards %d%s" jobs
+               shards what)
+            `Quick
+            (test_reused_checker ~jobs ~shards ~mem_budget ~max_states))
+        [ ("", max_int, 200_000);
+          (", spill", 64, 200_000);
+          (", near bound", max_int, 1_500) ])
+    [ (1, 1); (2, 3) ]
+
 (* -- DSL / variant equivalence -------------------------------------- *)
 
 let harvest_views () =
@@ -234,11 +324,13 @@ let () =
           Alcotest.test_case "budget exhaustion is honest" `Quick
             test_budget_exhaustion_is_honest;
           Alcotest.test_case "a state-bound leg certifies nothing" `Quick
-            test_state_bound_certifies_nothing ] );
+            test_state_bound_certifies_nothing;
+          Alcotest.test_case "config bounds" `Quick test_config_bounds ] );
       ( "oracle",
         [ Alcotest.test_case "verdicts" `Quick test_oracle_verdicts;
           Alcotest.test_case "safe verdict differential" `Slow oracle_safe;
-          Alcotest.test_case "cex differential" `Slow oracle_cex ] );
+          Alcotest.test_case "cex differential" `Slow oracle_cex ]
+        @ reuse_cases );
       ( "dsl",
         [ Alcotest.test_case "variant == term evaluation" `Quick
             test_variant_term_agreement;
