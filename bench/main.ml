@@ -1,4 +1,4 @@
-(* The experiment harness: regenerates every table/figure of the
+(* The experiment harness: regenerates every result table of the
    reproduction (see DESIGN.md §4 and EXPERIMENTS.md).
 
    The paper (DSN 2001) is conceptual and contains no quantitative
@@ -6,15 +6,17 @@
    Corollary 11, plus informal claims about the wrapper (recovers the
    §4 deadlock; the timeout delta trades repeated requests for
    recovery latency; one wrapper serves every implementation).  Each
-   table below operationalizes one of those, and T7 adds Bechamel
-   microbenchmarks of the infrastructure.
+   table below operationalizes one of those.  Every table is a
+   deterministic function of the code — no timing — and its expected
+   output is committed under bench/expected/; throughput is
+   perfbench's business.
 
    Usage:  dune exec bench/main.exe            (all tables)
            dune exec bench/main.exe t3 t4      (a subset)            *)
 
 open Stdext
 
-(* Worker domains for the seed sweeps and the perf campaign; set by
+(* Worker domains for the seed sweeps; set by
    --jobs N (default: the whole machine).  Every table prints the same
    numbers for every value — the sweeps are seed-deterministic and
    Pool.map preserves input order. *)
@@ -36,7 +38,6 @@ let entry_of name = Option.get (Registry.find name)
 
 let ra = proto "ra"
 let lamport = proto "lamport"
-let central = proto "central"
 
 let mean_opt xs =
   (* mean over the Some values; "-" if none *)
@@ -238,20 +239,18 @@ let t4 () =
       [ "wrapper"; "msgs/1k steps (fault-free)"; "msgs/1k steps (faulty)";
         "recovered"; "recovery latency" ]
   in
-  let measure variant delta =
+  let measure term delta =
+    let wrapper = Tme.Scenarios.wrapped_term ~term ~delta () in
     let clean =
       List.map
         (fun seed ->
-          (Tme.Scenarios.run ra ~n:4 ~seed ~steps:6000
-             ~wrapper:(Tme.Scenarios.wrapped ~variant ~delta ()))
-            .wrapper_sends)
+          (Tme.Scenarios.run ra ~n:4 ~seed ~steps:6000 ~wrapper).wrapper_sends)
         seeds
     in
     let faulty =
       List.map
         (fun seed ->
-          Tme.Scenarios.run ra ~n:4 ~seed ~steps:9000
-            ~wrapper:(Tme.Scenarios.wrapped ~variant ~delta ())
+          Tme.Scenarios.run ra ~n:4 ~seed ~steps:9000 ~wrapper
             ~faults:(faults 800))
         seeds
     in
@@ -265,7 +264,7 @@ let t4 () =
     Pool.map ~jobs:!jobs
       (fun delta ->
         let clean, faulty, recovered, latency =
-          measure Graybox.Wrapper.Refined delta
+          measure Graybox.Wrapper.w_refined delta
         in
         [ (if delta = 0 then "W (refined)" else Printf.sprintf "W'(%d)" delta);
           Tabular.cell_float clean;
@@ -277,7 +276,7 @@ let t4 () =
   List.iter (Tabular.add_row table) rows;
   Tabular.add_sep table;
   let clean, faulty, recovered, latency =
-    measure Graybox.Wrapper.Unrefined 4
+    measure Graybox.Wrapper.w_unrefined 4
   in
   Tabular.add_row table
     [ "W'(4) unrefined (ablation)";
@@ -414,74 +413,6 @@ let t6 () =
       "T6: Lspec and TME_Spec monitors on fault-free runs (Theorem 5); \
        non-Lspec-monitorable registry entries omitted"
     table
-
-(* ------------------------------------------------------------------ *)
-(* T7: Bechamel microbenchmarks                                        *)
-
-let bench_targets : (string * (unit -> unit)) list =
-  let sim_throughput proto ~wrapper () =
-    ignore
-      (Tme.Scenarios.run proto ~n:4 ~seed:1 ~steps:1000 ~record:false ~wrapper)
-  in
-  [ ("sim-1k-steps/ra", sim_throughput ra ~wrapper:Graybox.Harness.Off);
-    ("sim-1k-steps/ra+W",
-     sim_throughput ra ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ()));
-    ("sim-1k-steps/lamport", sim_throughput lamport ~wrapper:Graybox.Harness.Off);
-    ("sim-1k-steps/lamport+W",
-     sim_throughput lamport ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ()));
-    ("sim-1k-steps/central", sim_throughput central ~wrapper:Graybox.Harness.Off);
-    ("record+analyse-1k-steps/ra",
-     fun () ->
-       let r = Tme.Scenarios.run ra ~n:4 ~seed:1 ~steps:1000 in
-       ignore r.Tme.Scenarios.analysis);
-    ("lspec-monitors-1k-steps/ra",
-     let r = Tme.Scenarios.run ra ~n:4 ~seed:1 ~steps:1000 in
-     fun () -> ignore (Tme.Scenarios.lspec_report r));
-    ("kernel/fig1-checks",
-     fun () ->
-       ignore (Kernel.Tsys.is_stabilizing_to Kernel.Fig1.c Kernel.Fig1.a);
-       ignore (Kernel.Tsys.is_stabilizing_to Kernel.Fig1.a Kernel.Fig1.a));
-    ("rvc-1k-steps",
-     fun () ->
-       ignore
-         (Rvc.System.run
-            { Rvc.System.n = 4; bound = 60; wrapper = true }
-            ~seed:1 ~steps:1000)) ]
-
-let t7 () =
-  let open Bechamel in
-  let tests =
-    List.map
-      (fun (name, f) -> Test.make ~name (Staged.stage f))
-      bench_targets
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  let table = Tabular.create [ "microbenchmark"; "time/run" ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let cell =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ ns ] ->
-              if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-              else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-              else Printf.sprintf "%.0f ns" ns
-            | _ -> "?"
-          in
-          Tabular.add_row table [ name; cell ])
-        analysis)
-    tests;
-  Tabular.print ~title:"T7: microbenchmarks (Bechamel, monotonic clock)" table
 
 (* ------------------------------------------------------------------ *)
 (* T8: RVC extension                                                   *)
@@ -670,467 +601,7 @@ let t11 () =
     table
 
 (* ------------------------------------------------------------------ *)
-(* perf: the tracked engine/campaign benchmark (BENCH_engine.json)     *)
-
-(* A token-passing ring: one send per action, channels mostly empty —
-   stresses the per-step scheduler bookkeeping with shallow queues. *)
-module Ring_node = struct
-  type state = { self : int; n : int; count : int }
-  type msg = Ping
-
-  let receive ~self:_ ~from:_ Ping s = ({ s with count = s.count + 1 }, [])
-
-  let actions ~self:_ _ =
-    [ ("gossip",
-       fun s ->
-         ( { s with count = s.count + 1 },
-           [ ((s.self + 1) mod s.n, Ping) ] )) ]
-end
-
-(* A broadcaster: every internal action sends to all peers, so most
-   channels stay nonempty and queues run deep — the regime where a
-   per-step O(n^2) channel scan or an eager trace snapshot is ruinous. *)
-module Cast_node = struct
-  type state = { self : int; n : int; got : int }
-  type msg = Cast
-
-  let receive ~self:_ ~from:_ Cast s = ({ s with got = s.got + 1 }, [])
-
-  let actions ~self:_ _ =
-    [ ("cast",
-       fun s ->
-         ( s,
-           List.filter_map
-             (fun p -> if p = s.self then None else Some (p, Cast))
-             (List.init s.n (fun i -> i)) )) ]
-end
-
-module Ring_engine = Sim.Engine.Make (Ring_node)
-module Cast_engine = Sim.Engine.Make (Cast_node)
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-type perf_row = {
-  workload : string;
-  pn : int;
-  precord : bool;
-  psteps : int;
-  steps_per_sec : float;
-}
-
-let perf_engine_rows () =
-  let runner workload ~record n =
-    match workload with
-    | "ring" ->
-      fun steps ->
-        let e =
-          Ring_engine.create
-            (Ring_engine.config ~record ~n ~seed:42 ())
-            ~init:(fun self -> { Ring_node.self; n; count = 0 })
-        in
-        Ring_engine.run ~steps e
-    | "cast" ->
-      (* deliver_weight 1 (= internal_weight) keeps sends ahead of
-         deliveries, so in-flight traffic grows into the hundreds *)
-      fun steps ->
-        let e =
-          Cast_engine.create
-            (Cast_engine.config ~record ~deliver_weight:1 ~n ~seed:42 ())
-            ~init:(fun self -> { Cast_node.self; n; got = 0 })
-        in
-        Cast_engine.run ~steps e
-    | "ra-scenario" ->
-      fun steps ->
-        ignore
-          (Tme.Scenarios.run ra ~n ~seed:42 ~steps ~record
-             ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ()))
-    | w -> invalid_arg ("perf: unknown workload " ^ w)
-  in
-  let measure (workload, record, n) =
-    let run = runner workload ~record n in
-    run 2000 (* warm-up: code and minor heap *);
-    let steps =
-      match (workload, record) with
-      | "ring", false -> 200_000
-      | "ring", true | "cast", _ -> 50_000
-      | _ -> 20_000
-    in
-    let dt = wall (fun () -> run steps) in
-    { workload; pn = n; precord = record; psteps = steps;
-      steps_per_sec = float_of_int steps /. dt }
-  in
-  (* one config per row; rows are independent, so sweep them in the pool *)
-  let grid =
-    List.concat_map
-      (fun workload ->
-        List.concat_map
-          (fun record -> List.map (fun n -> (workload, record, n)) [ 3; 5; 8 ])
-          [ false; true ])
-      [ "ring"; "cast" ]
-    @ List.map (fun n -> ("ra-scenario", false, n)) [ 3; 5; 8 ]
-  in
-  (* timing under contention is unfair: measure serially even when
-     --jobs > 1 so the steps/sec numbers are comparable run to run *)
-  List.map measure grid
-
-let perf_campaign () =
-  (* a small but real sweep: every default cell, shrinking off so the
-     number is dominated by row execution, not counterexample search *)
-  let cfg jobs =
-    Chaos.Campaign.config ~base_seed:7 ~seeds:12 ~budget:4 ~n:3 ~steps:1500
-      ~delta:4 ~shrink:false ~jobs ()
-  in
-  let serial = wall (fun () -> ignore (Chaos.Campaign.run (cfg 1))) in
-  let parallel =
-    if !jobs = 1 then serial
-    else wall (fun () -> ignore (Chaos.Campaign.run (cfg !jobs)))
-  in
-  (serial, parallel)
-
-let perf () =
-  let rows = perf_engine_rows () in
-  let serial, parallel = perf_campaign () in
-  let table =
-    Tabular.create [ "workload"; "n"; "record"; "steps"; "steps/sec" ]
-  in
-  List.iter
-    (fun r ->
-      Tabular.add_row table
-        [ r.workload; string_of_int r.pn; Tabular.cell_bool r.precord;
-          string_of_int r.psteps;
-          Tabular.cell_float ~decimals:0 r.steps_per_sec ])
-    rows;
-  Tabular.print ~title:"PERF: engine steps/sec (single domain)" table;
-  let ctable =
-    Tabular.create [ "campaign (5 cells x 12 seeds)"; "wall-clock s"; "speedup" ]
-  in
-  Tabular.add_row ctable
-    [ "serial (--jobs 1)"; Tabular.cell_float serial; "1.0" ];
-  Tabular.add_row ctable
-    [ Printf.sprintf "parallel (--jobs %d)" !jobs;
-      Tabular.cell_float parallel;
-      Tabular.cell_float ~decimals:1 (serial /. parallel) ];
-  Tabular.print ~title:"PERF: chaos-campaign wall-clock" ctable;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-engine/1");
-          ("engine",
-           List
-             (List.map
-                (fun r ->
-                  Obj
-                    [ ("workload", String r.workload);
-                      ("n", Int r.pn);
-                      ("record", Bool r.precord);
-                      ("steps", Int r.psteps);
-                      ("steps_per_sec", Float r.steps_per_sec) ])
-                rows));
-          ("campaign",
-           Obj
-             [ ("seeds", Int 12); ("budget", Int 4); ("n", Int 3);
-               ("steps", Int 1500);
-               ("serial_sec", Float serial);
-               ("parallel_sec", Float parallel);
-               ("parallel_jobs", Int !jobs);
-               ("speedup", Float (serial /. parallel)) ]) ])
-  in
-  Out_channel.with_open_text "BENCH_engine.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_engine.json"
-
-(* ------------------------------------------------------------------ *)
-(* mcheck: the tracked model-checker benchmark (BENCH_mcheck.json)      *)
-
-type mc_cfg = {
-  mc_label : string;
-  mc_proto : (module Graybox.Protocol.S);
-  mc_n : int;
-  mc_depth : int;
-  mc_ew : bool;
-  mc_jobs : int;
-  mc_budget : int;  (* max_int = never spill *)
-  mc_por : bool;
-}
-
-let mcheck_bench () =
-  let stats_of = function
-    | Mcheck.Ok s -> (s, false)
-    | Mcheck.Violation { stats; _ } -> (stats, true)
-  in
-  let measure c =
-    let check () =
-      if c.mc_ew then
-        Mcheck.check_me1_everywhere c.mc_proto ~n:c.mc_n ~jobs:c.mc_jobs
-          ~shards:(min c.mc_jobs 64) ~max_depth:c.mc_depth
-          ~max_states:1_000_000 ~mem_budget:c.mc_budget ~por:c.mc_por ()
-      else
-        Mcheck.check_me1 c.mc_proto ~n:c.mc_n ~jobs:c.mc_jobs
-          ~shards:(min c.mc_jobs 64) ~max_depth:c.mc_depth
-          ~max_states:1_000_000 ~mem_budget:c.mc_budget ~por:c.mc_por ()
-    in
-    let r = check () in
-    let dt = wall (fun () -> ignore (check ())) in
-    let stats, violated = stats_of r in
-    (c, stats, violated, dt, r)
-  in
-  (* The n=3 depth-16 workload (>=100k states) is the anchor: it runs
-     serially, sharded at jobs 2 and 8 (the checker promises identical
-     results for every jobs/shards value — asserted on each run),
-     spill-forced under a tight memory budget (identical results
-     modulo the memory figures — also asserted), and once with POR
-     (same verdict from strictly fewer states — asserted). *)
-  let base =
-    { mc_label = "ra"; mc_proto = ra; mc_n = 3; mc_depth = 16;
-      mc_ew = false; mc_jobs = 1; mc_budget = max_int; mc_por = false }
-  in
-  let grid =
-    [ { base with mc_n = 2; mc_depth = 30 };
-      { base with mc_depth = 14 };
-      base;
-      { base with mc_jobs = 2 };
-      { base with mc_jobs = 8 };
-      { base with mc_jobs = 2; mc_budget = 100_000 };
-      { base with mc_por = true };
-      (* depth 17 reaches the stale-reply hazard (see EXPERIMENTS.md):
-         tracked here so the counterexample's cost stays visible *)
-      { base with mc_depth = 17 };
-      { base with mc_n = 2; mc_depth = 6; mc_ew = true };
-      { base with mc_label = proto_name (module Tme.Ra_mutant);
-        mc_proto = (module Tme.Ra_mutant : Graybox.Protocol.S);
-        mc_n = 2; mc_depth = 12 } ]
-  in
-  let rows = List.map measure grid in
-  let anchor c =
-    c.mc_label = "ra" && c.mc_n = 3 && c.mc_depth = 16 && not c.mc_ew
-  in
-  let find p = List.find (fun (c, _, _, _, _) -> p c) rows in
-  let _, s_serial, _, _, r_serial = find (fun c -> anchor c && c.mc_jobs = 1
-                                                   && c.mc_budget = max_int
-                                                   && not c.mc_por) in
-  List.iter
-    (fun (c, s, _, _, r) ->
-      if anchor c && c.mc_budget = max_int && not c.mc_por
-         && not (s = s_serial && r = r_serial)
-      then failwith "mcheck bench: results differ across --jobs values")
-    rows;
-  (let _, s_spill, _, _, _ =
-     find (fun c -> anchor c && c.mc_budget <> max_int)
-   in
-   if s_spill.Mcheck.spill_bytes = 0 then
-     failwith "mcheck bench: the spill row never spilled";
-   if
-     { s_spill with Mcheck.peak_mem_words = 0; spill_bytes = 0 }
-     <> { s_serial with Mcheck.peak_mem_words = 0; spill_bytes = 0 }
-   then failwith "mcheck bench: out-of-core results differ from in-RAM");
-  (let _, s_por, _, _, _ = find (fun c -> anchor c && c.mc_por) in
-   if s_por.Mcheck.visited >= s_serial.Mcheck.visited then
-     failwith "mcheck bench: POR did not reduce the state count");
-  let table =
-    Tabular.create
-      [ "workload"; "mode"; "jobs"; "explored"; "visited"; "verdict";
-        "peak-mem-w"; "spill-MB"; "sec"; "states/sec" ]
-  in
-  List.iter
-    (fun (c, (s : Mcheck.stats), violated, dt, _) ->
-      Tabular.add_row table
-        [ Printf.sprintf "%s n=%d d=%d%s%s" c.mc_label c.mc_n c.mc_depth
-            (if c.mc_budget = max_int then "" else " oc")
-            (if c.mc_por then " por" else "");
-          (if c.mc_ew then "everywhere" else "init");
-          string_of_int c.mc_jobs;
-          string_of_int s.Mcheck.explored;
-          string_of_int s.Mcheck.visited;
-          (if violated then "VIOLATED" else "safe");
-          string_of_int s.Mcheck.peak_mem_words;
-          Tabular.cell_float ~decimals:1
-            (float_of_int s.Mcheck.spill_bytes /. 1048576.);
-          Tabular.cell_float dt;
-          Tabular.cell_float ~decimals:0 (float_of_int s.Mcheck.explored /. dt) ])
-    rows;
-  Tabular.print
-    ~title:
-      "MCHECK: checker throughput ('oc' = out-of-core under --mem-budget; \
-       identical results asserted across jobs/shards and in-RAM vs spilled)"
-    table;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-mcheck/2");
-          ("rows",
-           List
-             (List.map
-                (fun (c, (s : Mcheck.stats), violated, dt, _) ->
-                  Obj
-                    [ ("protocol", String c.mc_label);
-                      ("n", Int c.mc_n);
-                      ("depth", Int c.mc_depth);
-                      ("mode", String (if c.mc_ew then "everywhere" else "init"));
-                      ("jobs", Int c.mc_jobs);
-                      ("shards", Int (min c.mc_jobs 64));
-                      ( "mem_budget",
-                        if c.mc_budget = max_int then Null
-                        else Int c.mc_budget );
-                      ("por", Bool c.mc_por);
-                      ("explored", Int s.Mcheck.explored);
-                      ("visited", Int s.Mcheck.visited);
-                      ("truncated", Bool s.Mcheck.truncated);
-                      ("violation", Bool violated);
-                      ("peak_mem_words", Int s.Mcheck.peak_mem_words);
-                      ("spill_bytes", Int s.Mcheck.spill_bytes);
-                      ("sec", Float dt);
-                      ("states_per_sec",
-                       Float (float_of_int s.Mcheck.explored /. dt)) ])
-                rows)) ])
-  in
-  Out_channel.with_open_text "BENCH_mcheck.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_mcheck.json"
-
-(* ------------------------------------------------------------------ *)
-(* observe: the streaming-observation benchmark (BENCH_observe.json)   *)
-
-let observe_bench () =
-  (* 1. Per-step cost and allocation of the two analysis paths on the
-     same faulty scenario.  Gc.allocated_bytes is per-domain, so both
-     measurements run serially in this domain regardless of --jobs. *)
-  let n = 4 and steps = 20_000 in
-  let scenario_rows =
-    let faults = Tme.Scenarios.burst ~at:2_000 in
-    let measure streaming =
-      let run () =
-        ignore
-          (Tme.Scenarios.run ra ~n ~seed:42 ~steps ~faults ~streaming
-             ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ()))
-      in
-      run () (* warm-up *);
-      let a0 = Gc.allocated_bytes () in
-      let dt = wall run in
-      let bytes = Gc.allocated_bytes () -. a0 in
-      (float_of_int steps /. dt, bytes /. float_of_int steps)
-    in
-    List.map
-      (fun (label, streaming) ->
-        let sps, bps = measure streaming in
-        (label, sps, bps))
-      [ ("record+analyse", false); ("streaming", true) ]
-  in
-  let table =
-    Tabular.create
-      [ "ra+W'(4) analysis path"; "steps/sec"; "bytes alloc/step" ]
-  in
-  List.iter
-    (fun (label, sps, bps) ->
-      Tabular.add_row table
-        [ label;
-          Tabular.cell_float ~decimals:0 sps;
-          Tabular.cell_float ~decimals:0 bps ])
-    scenario_rows;
-  (match scenario_rows with
-   | [ (_, _, rec_bps); (_, _, str_bps) ] ->
-     Tabular.add_sep table;
-     Tabular.add_row table
-       [ "allocation ratio (record/streaming)";
-         Tabular.cell_float ~decimals:1 (rec_bps /. str_bps); "" ]
-   | _ -> ());
-  Tabular.print
-    ~title:
-      (Printf.sprintf
-         "OBSERVE: trace-then-analyse vs streaming observers (ra, n=%d, %d \
-          steps, burst fault)"
-         n steps)
-    table;
-  (* 2. Early exit on permanent deadlock: the streaming path stops at
-     quiescence, the recorded path always runs the full horizon. *)
-  let canary_horizon = 8_000 in
-  let canary_faults =
-    [ Tme.Scenarios.Drop_requests_window { from_t = 400; until_t = 460 } ]
-  in
-  let canary streaming =
-    Tme.Scenarios.run ra ~n ~seed:42 ~steps:canary_horizon
-      ~faults:canary_faults ~streaming
-  in
-  let c_rec = canary false and c_str = canary true in
-  if c_str.Tme.Scenarios.analysis <> c_rec.Tme.Scenarios.analysis then
-    failwith "observe bench: streaming and recorded analyses differ";
-  let ctable =
-    Tabular.create [ "deadlock canary"; "engine steps"; "horizon" ]
-  in
-  List.iter
-    (fun (label, r) ->
-      Tabular.add_row ctable
-        [ label;
-          string_of_int r.Tme.Scenarios.sim_steps;
-          string_of_int canary_horizon ])
-    [ ("record+analyse", c_rec); ("streaming (early exit)", c_str) ];
-  Tabular.print
-    ~title:
-      "OBSERVE: steps actually executed on a deadlocked run (identical \
-       analyses asserted)"
-    ctable;
-  (* 3. A real campaign sweep, recorded vs streaming, at --jobs. *)
-  let campaign streaming =
-    let cfg =
-      Chaos.Campaign.config ~base_seed:7 ~seeds:12 ~budget:4 ~n:3 ~steps:1500
-        ~delta:4 ~shrink:false ~jobs:!jobs ~streaming ()
-    in
-    wall (fun () -> ignore (Chaos.Campaign.run cfg))
-  in
-  let camp_rec = campaign false in
-  let camp_str = campaign true in
-  let wtable =
-    Tabular.create
-      [ Printf.sprintf "campaign (5 cells x 12 seeds, --jobs %d)" !jobs;
-        "wall-clock s"; "speedup" ]
-  in
-  Tabular.add_row wtable
-    [ "record+analyse"; Tabular.cell_float camp_rec; "1.0" ];
-  Tabular.add_row wtable
-    [ "streaming";
-      Tabular.cell_float camp_str;
-      Tabular.cell_float ~decimals:1 (camp_rec /. camp_str) ];
-  Tabular.print ~title:"OBSERVE: chaos-campaign wall-clock by analysis path"
-    wtable;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-observe/1");
-          ("scenario",
-           List
-             (List.map
-                (fun (label, sps, bps) ->
-                  Obj
-                    [ ("path", String label);
-                      ("n", Int n);
-                      ("steps", Int steps);
-                      ("steps_per_sec", Float sps);
-                      ("bytes_per_step", Float bps) ])
-                scenario_rows));
-          ("deadlock_canary",
-           Obj
-             [ ("horizon", Int canary_horizon);
-               ("recorded_steps", Int c_rec.Tme.Scenarios.sim_steps);
-               ("streaming_steps", Int c_str.Tme.Scenarios.sim_steps) ]);
-          ("campaign",
-           Obj
-             [ ("seeds", Int 12); ("budget", Int 4); ("n", Int 3);
-               ("steps", Int 1500); ("jobs", Int !jobs);
-               ("recorded_sec", Float camp_rec);
-               ("streaming_sec", Float camp_str);
-               ("speedup", Float (camp_rec /. camp_str)) ]) ])
-  in
-  Out_channel.with_open_text "BENCH_observe.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_observe.json"
-
-(* ------------------------------------------------------------------ *)
-(* partition: heal-recovery latency (BENCH_partition.json)             *)
+(* partition: heal-recovery latency                                   *)
 
 let partition_bench () =
   (* Recovery latency measured FROM THE HEAL (the Split lowering plants
@@ -1245,49 +716,10 @@ let partition_bench () =
          "PARTITION: recovery latency after heal vs partition width and heal \
           mode (n=%d, window %d-%d, 3 seeds)"
          n from_t until_t)
-    table;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-partition/2");
-          ("n", Int n);
-          ("from_t", Int from_t);
-          ("until_t", Int until_t);
-          ("steps", Int steps);
-          ("rows",
-           List
-             (List.map
-                (fun ((e : Registry.entry), width, mode, recovered, latency,
-                      epoch_safe, split_grants) ->
-                  Obj
-                    [ ("protocol", String e.Registry.name);
-                      ("delta", Int e.Registry.default_delta);
-                      ("partition_expect",
-                       String
-                         (Registry.partition_expectation_label
-                            e.Registry.partition_expectation));
-                      ("during_partition",
-                       String
-                         (Registry.during_partition_label
-                            e.Registry.during_partition));
-                      ("width", Int width);
-                      ("mode", String (mode_label mode));
-                      ("recovered", Bool recovered);
-                      ("latency_after_heal",
-                       (match latency with
-                        | None -> Null
-                        | Some l -> Float l));
-                      ("epoch_safe", Bool epoch_safe);
-                      ("split_grants", Int split_grants) ])
-                rows)) ])
-  in
-  Out_channel.with_open_text "BENCH_partition.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_partition.json"
+    table
 
 (* ------------------------------------------------------------------ *)
-(* load: open-loop throughput and latency percentiles (BENCH_load.json) *)
+(* load: open-loop latency percentiles                                 *)
 
 let load_bench () =
   (* Every reference protocol under the same open-loop Poisson
@@ -1303,16 +735,11 @@ let load_bench () =
      requests so p99.9 rests on real tail mass; the n = 10000 row
      tracks throughput scale at 200 requests (2000 would need 1e8
      steps at this rate), and any percentile its sample count cannot
-     support is reported as null, not as a lookalike.
-
-     Timing under contention is unfair, so rows run serially
-     regardless of --jobs (each row timed on its single run — the 1e7
-     steps of the big rows are sample enough); the row CONTENTS are
-     seed-deterministic either way. *)
+     support is reported as '-', not as a lookalike.  Every row is
+     seed-deterministic. *)
   let sizes = [ (100, 2000); (1_000, 2000); (10_000, 200) ] in
   let references = Registry.all ~role:Registry.Reference () in
   let measure (e : Registry.entry) (n, requests) =
-    let t0 = Unix.gettimeofday () in
     let r =
       Tme.Load.run e.Registry.proto ~n ~seed:42
         ~rate:(0.2 /. float_of_int n)
@@ -1320,20 +747,19 @@ let load_bench () =
         ~max_steps:(((5 * requests) + 400) * n)
         ()
     in
-    let dt = Unix.gettimeofday () -. t0 in
     let ps = Tme.Load.percentiles r [ 50.; 99.; 99.9 ] in
     let supported =
       Stats.suppress_unsupported ~samples:r.Tme.Load.grants
         [ 50.; 99.; 99.9 ] ps
     in
-    (e, n, r, float_of_int r.Tme.Load.steps_run /. dt, supported)
+    (e, n, r, supported)
   in
   let rows =
     List.concat_map (fun e -> List.map (measure e) sizes) references
   in
   let table =
     Tabular.create
-      [ "protocol"; "n"; "steps"; "steps/sec"; "granted";
+      [ "protocol"; "n"; "steps"; "granted";
         "p50"; "p99"; "p99.9" ]
   in
   let pct ps i =
@@ -1342,11 +768,10 @@ let load_bench () =
     | _ -> "-"
   in
   List.iter
-    (fun ((e : Registry.entry), n, (r : Tme.Load.result), sps, ps) ->
+    (fun ((e : Registry.entry), n, (r : Tme.Load.result), ps) ->
       Tabular.add_row table
         [ e.Registry.name; string_of_int n;
           string_of_int r.Tme.Load.steps_run;
-          Tabular.cell_float ~decimals:0 sps;
           Printf.sprintf "%d/%d" r.Tme.Load.grants r.Tme.Load.requests;
           pct ps 0; pct ps 1; pct ps 2 ])
     rows;
@@ -1355,43 +780,10 @@ let load_bench () =
       "LOAD: open-loop Poisson workload (rate 0.2/n per step, 2000 requests \
        on the latency rows; latency in steps from intended arrival, '-' = \
        too few samples for that percentile)"
-    table;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-load/1");
-          ("rate_per_n", Float 0.2);
-          ("rows",
-           List
-             (List.map
-                (fun ((e : Registry.entry), n, (r : Tme.Load.result), sps, ps) ->
-                  let pct i =
-                    match List.nth_opt ps i with
-                    | Some (Some p) -> Float p
-                    | _ -> Null
-                  in
-                  Obj
-                    [ ("protocol", String e.Registry.name);
-                      ("n", Int n);
-                      ("seed", Int r.Tme.Load.seed);
-                      ("rate", Float r.Tme.Load.rate);
-                      ("max_requests", Int r.Tme.Load.requests);
-                      ("steps", Int r.Tme.Load.steps_run);
-                      ("steps_per_sec", Float sps);
-                      ("requests", Int r.Tme.Load.requests);
-                      ("grants", Int r.Tme.Load.grants);
-                      ("latency_p50", pct 0);
-                      ("latency_p99", pct 1);
-                      ("latency_p999", pct 2) ])
-                rows)) ])
-  in
-  Out_channel.with_open_text "BENCH_load.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_load.json"
+    table
 
 (* ------------------------------------------------------------------ *)
-(* synth: CEGIS wrapper synthesis (BENCH_synth.json)                   *)
+(* synth: CEGIS wrapper synthesis                                     *)
 
 let synth_bench () =
   (* Two measurements per synthesizable protocol:
@@ -1399,9 +791,8 @@ let synth_bench () =
      1. The CEGIS loop itself — candidates tried vs pruned (the
         cex-pruning ratio is the point of the counterexample cache:
         every pruned candidate is an oracle run the examples paid for
-        already), oracle throughput, and wall-clock.  The transcript
-        is jobs-invariant, so the counts are stable numbers; only the
-        timing varies with the machine.
+        already) and the oracle's state count.  The transcript is
+        jobs-invariant, so every count is a stable number.
 
      2. The synthesized term's runtime overhead vs the hand-written
         refined W at the same δ, under the T4 fault (a dropped-requests
@@ -1413,9 +804,7 @@ let synth_bench () =
   in
   let cfg = Synth.config ~n:2 () in
   let measure (e : Registry.entry) =
-    let t0 = Unix.gettimeofday () in
     let r = Synth.synthesize e.Registry.proto cfg in
-    let dt = Unix.gettimeofday () -. t0 in
     let sends wrapper =
       Stats.mean_int
         (List.map
@@ -1433,14 +822,10 @@ let synth_bench () =
         let synth_rate =
           sends (Tme.Scenarios.wrapped_term ~term ~delta:4 ())
         in
-        let hand_rate =
-          sends
-            (Tme.Scenarios.wrapped ~variant:Graybox.Wrapper.Refined ~delta:4
-               ())
-        in
+        let hand_rate = sends (Tme.Scenarios.wrapped ~delta:4 ()) in
         Some (synth_rate, hand_rate)
     in
-    (e, r, dt, overhead)
+    (e, r, overhead)
   in
   let rows =
     List.map measure
@@ -1451,11 +836,11 @@ let synth_bench () =
   let table =
     Tabular.create
       [ "protocol"; "space"; "checked"; "pruned"; "prune ratio";
-        "oracle states"; "states/sec"; "secs"; "term"; "matches W";
+        "oracle states"; "term"; "matches W";
         "sends/1k (synth)"; "sends/1k (hand)" ]
   in
   List.iter
-    (fun ((e : Registry.entry), (r : Synth.result), dt, overhead) ->
+    (fun ((e : Registry.entry), (r : Synth.result), overhead) ->
       let tried = r.Synth.checked + r.Synth.pruned in
       Tabular.add_row table
         [ e.Registry.name;
@@ -1466,9 +851,6 @@ let synth_bench () =
             (if tried = 0 then 0.
              else float_of_int r.Synth.pruned /. float_of_int tried);
           Tabular.cell_int r.Synth.oracle_states;
-          Tabular.cell_float ~decimals:0
-            (float_of_int r.Synth.oracle_states /. dt);
-          Printf.sprintf "%.2f" dt;
           (match r.Synth.synthesized with
            | Some w -> Graybox.Wrapper.to_string w
            | None -> "-");
@@ -1489,65 +871,13 @@ let synth_bench () =
        oracle; prune ratio = counterexample-pruned / tried; sends/1k = \
        wrapper sends per 1k steps under the T4 fault at delta=4, \
        synthesized term vs hand-written refined W)"
-    table;
-  let json =
-    Chaos.Jsonx.(
-      Obj
-        [ ("schema", String "graybox-bench-synth/1");
-          ("n", Int cfg.Synth.n);
-          ("rows",
-           List
-             (List.map
-                (fun ((e : Registry.entry), (r : Synth.result), dt, overhead)
-                ->
-                  let tried = r.Synth.checked + r.Synth.pruned in
-                  Obj
-                    [ ("protocol", String e.Registry.name);
-                      ("enumerated", Int r.Synth.enumerated);
-                      ("checked", Int r.Synth.checked);
-                      ("pruned", Int r.Synth.pruned);
-                      ( "prune_ratio",
-                        Float
-                          (if tried = 0 then 0.
-                           else
-                             float_of_int r.Synth.pruned /. float_of_int tried)
-                      );
-                      ("oracle_runs", Int r.Synth.oracle_runs);
-                      ("oracle_states", Int r.Synth.oracle_states);
-                      ( "oracle_states_per_sec",
-                        Float (float_of_int r.Synth.oracle_states /. dt) );
-                      ("secs", Float dt);
-                      ( "synthesized",
-                        match r.Synth.synthesized with
-                        | Some w -> String (Graybox.Wrapper.to_string w)
-                        | None -> Null );
-                      ( "matches_handwritten",
-                        Bool
-                          (match r.Synth.synthesized with
-                           | Some w ->
-                             Graybox.Wrapper.equal w Graybox.Wrapper.w_refined
-                           | None -> false) );
-                      ( "wrapper_sends_per_1k_synth",
-                        match overhead with
-                        | Some (s, _) -> Float s
-                        | None -> Null );
-                      ( "wrapper_sends_per_1k_hand",
-                        match overhead with
-                        | Some (_, h) -> Float h
-                        | None -> Null ) ])
-                rows)) ])
-  in
-  Out_channel.with_open_text "BENCH_synth.json" (fun oc ->
-      output_string oc (Chaos.Jsonx.to_string json);
-      output_char oc '\n');
-  print_endline "wrote BENCH_synth.json"
+    table
 
 (* ------------------------------------------------------------------ *)
 
 let all_tables =
   [ ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5); ("t6", t6);
-    ("t7", t7); ("t8", t8); ("t9", t9); ("t10", t10); ("t11", t11);
-    ("perf", perf); ("mcheck", mcheck_bench); ("observe", observe_bench);
+    ("t8", t8); ("t9", t9); ("t10", t10); ("t11", t11);
     ("partition", partition_bench); ("load", load_bench);
     ("synth", synth_bench) ]
 

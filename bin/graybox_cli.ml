@@ -173,34 +173,26 @@ let resolve_entry name =
 let resolve_protocol name =
   Result.map (fun e -> e.Graybox.Registry.proto) (resolve_entry name)
 
-let streaming_arg =
-  let doc =
-    "Analyse the run online with engine observers instead of recording a \
-     trace (same results, less memory, early exit on permanent deadlock); \
-     $(docv)=false restores the record-then-analyse path."
-  in
-  Arg.(value & opt bool true & info [ "streaming" ] ~docv:"BOOL" ~doc)
-
 let wrapper_mode delta unrefined =
   match delta with
   | None -> Graybox.Harness.Off
-  | Some delta ->
-    let variant =
-      if unrefined then Graybox.Wrapper.Unrefined else Graybox.Wrapper.Refined
-    in
-    Tme.Scenarios.wrapped ~variant ~delta ()
+  | Some delta when unrefined ->
+    Tme.Scenarios.wrapped_term ~term:Graybox.Wrapper.w_unrefined ~delta ()
+  | Some delta -> Tme.Scenarios.wrapped ~delta ()
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 
 let run_cmd =
-  let action protocol n seed steps delta unrefined faults streaming =
+  let action protocol n seed steps delta unrefined faults =
     match resolve_protocol protocol with
     | Error e -> `Error (false, e)
     | Ok proto ->
+      (* analysed online by engine observers: no trace is recorded, and
+         a permanently deadlocked run exits early *)
       let r =
-        Tme.Scenarios.run proto ~n ~seed ~steps ~streaming
-          ~live_monitors:streaming
+        Tme.Scenarios.run proto ~n ~seed ~steps ~streaming:true
+          ~live_monitors:true
           ~wrapper:(wrapper_mode delta unrefined)
           ~faults:(List.concat faults)
       in
@@ -232,7 +224,7 @@ let run_cmd =
     Term.(
       ret
         (const action $ protocol_arg $ n_arg $ seed_arg $ steps_arg
-       $ wrapper_arg $ unrefined_arg $ faults_arg $ streaming_arg))
+       $ wrapper_arg $ unrefined_arg $ faults_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate a scenario and report stabilization")
@@ -242,7 +234,7 @@ let run_cmd =
 (* load                                                                *)
 
 let load_cmd =
-  let action protocol n seed rate requests max_steps scan =
+  let action protocol n seed rate requests max_steps =
     match resolve_protocol protocol with
     | Error e -> `Error (false, e)
     | Ok proto ->
@@ -257,8 +249,8 @@ let load_cmd =
       in
       let t0 = Unix.gettimeofday () in
       let r =
-        Tme.Load.run ~indexed:(not scan) proto ~n ~seed ~rate
-          ~max_requests:requests ~max_steps ()
+        Tme.Load.run proto ~n ~seed ~rate ~max_requests:requests ~max_steps
+          ()
       in
       let dt = Unix.gettimeofday () -. t0 in
       let ps = Tme.Load.percentiles r [ 50.; 99.; 99.9 ] in
@@ -279,8 +271,15 @@ let load_cmd =
            p50 p99 p999
        | _ -> print_endline "grant latency  : no grants");
       (* exit nonzero when injected requests went ungranted within the
-         horizon — the smoke gate for CI *)
-      `Ok (if r.Tme.Load.grants = r.Tme.Load.requests then 0 else 1)
+         horizon — the smoke gate for CI — or when the horizon ended
+         before any request arrived, which leaves nothing checked *)
+      if r.Tme.Load.requests = 0 then begin
+        prerr_endline
+          "graybox-cli: no request was injected within --max-steps; \
+           nothing was checked";
+        `Ok 1
+      end
+      else `Ok (if r.Tme.Load.grants = r.Tme.Load.requests then 0 else 1)
   in
   let n_arg =
     let doc = "Number of processes (at least 1)." in
@@ -304,21 +303,15 @@ let load_cmd =
     Arg.(value & opt (int_at_least 1) 2000 & info [ "requests" ] ~docv:"R" ~doc)
   in
   let max_steps_arg =
-    let doc = "Step horizon (default (5*R+400)*n)." in
-    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"STEPS" ~doc)
-  in
-  let scan_arg =
-    let doc =
-      "Use the scanning scheduler instead of the indexed one (results are \
-       identical; only speed differs)."
-    in
-    Arg.(value & flag & info [ "scan" ] ~doc)
+    let doc = "Step horizon, at least 1 (default (5*R+400)*n)." in
+    Arg.(value & opt (some (int_at_least 1)) None
+         & info [ "max-steps" ] ~docv:"STEPS" ~doc)
   in
   let term =
     Term.(
       ret
         (const action $ protocol_arg $ n_arg $ seed_arg $ rate_arg
-       $ requests_arg $ max_steps_arg $ scan_arg))
+       $ requests_arg $ max_steps_arg))
   in
   Cmd.v
     (Cmd.info "load"
@@ -392,7 +385,8 @@ let rvc_cmd =
           ~doc:"Corrupt every clock at this time (omit value for none).")
   in
   let bound_arg =
-    Arg.(value & opt int 60 & info [ "bound" ] ~docv:"B" ~doc:"Component bound.")
+    Arg.(value & opt (int_at_least 1) 60
+         & info [ "bound" ] ~docv:"B" ~doc:"Component bound (at least 1).")
   in
   let no_wrapper_arg =
     Arg.(value & flag & info [ "no-wrapper" ] ~doc:"Disable the reset wrapper.")
@@ -962,7 +956,7 @@ let chaos_cmd =
              partition expectation.")
   in
   let action seed seeds budget n steps delta protocols json no_unwrapped
-      no_canary no_shrink jobs streaming partitions =
+      no_canary no_shrink jobs partitions =
     let jobs = Option.value jobs ~default:(Stdext.Pool.default_jobs ()) in
     if jobs < 1 then
       `Error (false, Printf.sprintf "--jobs: need at least 1 worker, got %d" jobs)
@@ -971,7 +965,7 @@ let chaos_cmd =
         Chaos.Campaign.config ~base_seed:seed ~seeds ~budget ~n ~steps ~delta
           ~protocols ~include_unwrapped:(not no_unwrapped)
           ~deadlock_canary:(not no_canary) ~shrink:(not no_shrink) ~jobs
-          ~streaming ~partitions ()
+          ~partitions ()
       in
       let report = Chaos.Campaign.run cfg in
       Stdext.Tabular.print
@@ -1019,7 +1013,7 @@ let chaos_cmd =
         (const action $ seed_arg $ seeds_arg $ budget_arg $ n_arg
        $ chaos_steps_arg $ delta_arg $ protocols_arg $ json_arg
        $ no_unwrapped_arg $ no_canary_arg $ no_shrink_arg $ jobs_arg
-       $ streaming_arg $ partitions_arg))
+       $ partitions_arg))
   in
   Cmd.v
     (Cmd.info "chaos"

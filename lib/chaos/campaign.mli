@@ -46,11 +46,6 @@ type config = {
       (** worker domains for the sweep (and shrinking); the report is
           identical for every value ({!Stdext.Pool.map} preserves input
           order and each run is an isolated function of the config) *)
-  streaming : bool;
-      (** analyse runs online with engine observers instead of
-          recording traces (default); the report is byte-identical
-          either way — streaming only drops the per-run trace
-          allocation and exits deadlocked runs early *)
   partitions : bool;
       (** add the partition fault family to the sweep: generated plans
           may contain group partitions and link delays
@@ -77,12 +72,14 @@ val config :
   ?base_seed:int -> ?seeds:int -> ?budget:int -> ?n:int -> ?steps:int ->
   ?delta:int -> ?protocols:string list -> ?include_unwrapped:bool ->
   ?deadlock_canary:bool -> ?shrink:bool -> ?shrink_max_runs:int ->
-  ?max_counterexamples:int -> ?jobs:int -> ?streaming:bool ->
-  ?partitions:bool -> unit -> config
+  ?max_counterexamples:int -> ?jobs:int -> ?partitions:bool -> unit ->
+  config
 (** Defaults: seed 1, 50 seeds, budget 6, n = 4, 4000 steps, δ = 8,
     protocols [lamport; ra; lamport-unmod], unwrapped cells and the
     deadlock canary included, shrinking on (300 runs, 3 counterexamples),
-    [jobs = 1] (serial), streaming analysis on, partitions off.
+    [jobs = 1] (serial), partitions off.  Every run is analysed online
+    by engine observers ({!Tme.Scenarios.run}[ ~streaming:true]): no
+    trace is recorded, and a permanently deadlocked run exits early.
     @raise Invalid_argument on an empty protocol list, [seeds <= 0],
     [steps < 100], or [jobs < 1]. *)
 

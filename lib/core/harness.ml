@@ -20,11 +20,8 @@ open Clocks
 
 type wrapper_mode =
   | Off
-  | On of { variant : Wrapper.variant; delta : int }
+  | On of { term : Wrapper.t; delta : int }
       (** [delta = 0] is the paper's [W]; [delta > 0] is [W'(δ)]. *)
-  | On_term of { term : Wrapper.t; delta : int }
-      (** an arbitrary DSL term (e.g. a synthesized wrapper) under the
-          same [δ]-timer harness discipline *)
 
 type params = {
   n : int;
@@ -179,13 +176,10 @@ module Make (P : Protocol.S) = struct
          fun node ->
            match node.params.wrapper with
            | Off -> (node, []) (* unreachable: guarded by [wrapper_actions] *)
-           | On { variant; delta } ->
-             let sends = Wrapper.fire variant node.view ~n:node.params.n in
-             let node = { node with timer = delta } in
-             (node, wrap_sends node sends)
-           | On_term { term; delta } ->
+           | On { term; delta } ->
+             (* enabled only once the timer has expired *)
              let sends =
-               Wrapper.eval term node.view ~n:node.params.n ~timer:node.timer
+               Wrapper.eval term node.view ~n:node.params.n ~timer:0
              in
              let node = { node with timer = delta } in
              (node, wrap_sends node sends)) ]
@@ -205,19 +199,16 @@ module Make (P : Protocol.S) = struct
     let wrapper_actions v node =
       match node.params.wrapper with
       | Off -> []
-      | On { variant; delta } ->
-        if not (View.hungry v) then []
+      | On { term; delta } ->
+        (* the term's guard at an expired timer enables the wrapper;
+           the timer then rate-limits firing, and at delta > 0 a firing
+           with no target still resets it, as the paper's W' does *)
+        let n = node.params.n in
+        if not (Wrapper.guard_holds term.guard v ~timer:0 ~n) then []
         else if node.timer > 0 then act_wrapper_tick
-        else if delta <> 0 || Wrapper.fire variant v ~n:node.params.n <> []
-        then act_wrapper_fire
+        else if delta <> 0 || Wrapper.eval term v ~n ~timer:0 <> [] then
+          act_wrapper_fire
         else []
-      | On_term { term; _ } ->
-        (* the term's own guard (evaluated as if the timer had expired)
-           is the enablement; the harness timer then rate-limits actual
-           firing exactly as for the hand-written W'(δ) *)
-        if Wrapper.eval term v ~n:node.params.n ~timer:0 = [] then []
-        else if node.timer > 0 then act_wrapper_tick
-        else act_wrapper_fire
 
     let actions ~self:_ node =
       let v = node.view in
@@ -270,7 +261,7 @@ module Make (P : Protocol.S) = struct
     let timer =
       match node.params.wrapper with
       | Off -> node.timer
-      | On { delta; _ } | On_term { delta; _ } -> Rng.int rng (delta + 1)
+      | On { delta; _ } -> Rng.int rng (delta + 1)
     in
     { node with proto; view = P.view proto; timer }
 

@@ -17,14 +17,16 @@
 
 type wrapper_mode =
   | Off
-  | On of { variant : Wrapper.variant; delta : int }
-      (** [delta = 0] is the paper's [W]; [delta > 0] is [W'(δ)]. *)
-  | On_term of { term : Wrapper.t; delta : int }
-      (** an arbitrary DSL term (e.g. a synthesized wrapper) under the
-          same [δ]-timer harness discipline: the term's guard
-          (evaluated as if the timer had expired) enables the wrapper
-          action, the timer rate-limits actual firing, and firing
-          resets it to [delta] *)
+  | On of { term : Wrapper.t; delta : int }
+      (** the wrapper [term] — hand-written ({!Wrapper.w_refined}) or
+          synthesized — under the timeout [delta]: [delta = 0] is the
+          paper's [W], [delta > 0] is [W'(δ)].  The term's guard,
+          evaluated at an expired timer, enables the wrapper.  While
+          the timer runs the wrapper ticks it down; once it has
+          expired the wrapper fires when [delta > 0] or its send list
+          is nonempty, and firing resets the timer to [delta].  So at
+          [delta > 0] a firing with no target still restarts the
+          timeout, as the paper's [W'] does. *)
 
 type params = {
   n : int;

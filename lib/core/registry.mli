@@ -117,8 +117,8 @@ type entry = {
   wrapper_term : Wrapper.t option;
       (** for [Synthesized] entries: the wrapper-DSL term this entry
           is run under — scenarios and the campaign use
-          [On_term {term; delta}] instead of the hand-written variant
-          wherever this is [Some] *)
+          [On {term; delta}] with this term instead of the hand-written
+          {!Wrapper.w_refined} wherever this is [Some] *)
   sweep_rank : int option;
       (** position in the default chaos sweep ([None] = not swept by
           default); {!default_sweep} orders by rank *)

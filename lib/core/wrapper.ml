@@ -1,9 +1,7 @@
 (* The wrapper language.  A wrapper is one guarded send over the
    specification-level View vocabulary; the hand-written W and W'(δ)
    are two closed terms of this language, and the synthesizer
-   (lib/synth) enumerates the same language in size order.  The
-   historical [variant] enum survives as a thin alias onto the two
-   closed terms, so the pre-DSL call sites evaluate byte-identically. *)
+   (lib/synth) enumerates the same language in size order. *)
 
 type mode_pred = Is_thinking | Is_hungry | Is_eating
 
@@ -34,20 +32,27 @@ let peer_holds test (v : View.t) k =
   | Peer_lt_own -> View.earlier v ~than:v.req k
   | Own_lt_peer -> Clocks.Timestamp.lt v.req (View.local_req v k)
 
-let rec guard_holds g (v : View.t) ~timer ~peers =
+(* Is there a peer [k ≥ from], [k ≠ j], whose test reads [want]?  The
+   quantifiers loop over pids instead of a peer list, so evaluating a
+   guard allocates nothing. *)
+let rec some_peer test (v : View.t) ~want ~n from =
+  from < n
+  && ((from <> v.self && peer_holds test v from = want)
+      || some_peer test v ~want ~n (from + 1))
+
+let rec guard_holds g (v : View.t) ~timer ~n =
   match g with
   | Mode p -> mode_holds p v
   | Timer_zero -> timer = 0
-  | Not g -> not (guard_holds g v ~timer ~peers)
-  | And (a, b) -> guard_holds a v ~timer ~peers && guard_holds b v ~timer ~peers
-  | Or (a, b) -> guard_holds a v ~timer ~peers || guard_holds b v ~timer ~peers
-  | Exists_peer t -> List.exists (peer_holds t v) peers
-  | Forall_peer t -> List.for_all (peer_holds t v) peers
+  | Not g -> not (guard_holds g v ~timer ~n)
+  | And (a, b) -> guard_holds a v ~timer ~n && guard_holds b v ~timer ~n
+  | Or (a, b) -> guard_holds a v ~timer ~n || guard_holds b v ~timer ~n
+  | Exists_peer t -> some_peer t v ~want:true ~n 0
+  | Forall_peer t -> not (some_peer t v ~want:false ~n 0)
 
 let term_targets t (v : View.t) ~n ~timer =
-  let peers = Sim.Pid.others ~self:v.self ~n in
-  if guard_holds t.guard v ~timer ~peers then
-    List.filter (peer_holds t.target v) peers
+  if guard_holds t.guard v ~timer ~n then
+    List.filter (peer_holds t.target v) (Sim.Pid.others ~self:v.self ~n)
   else []
 
 (* Send_reply / Send_release stamp the sender's current clock reading —
@@ -79,7 +84,7 @@ let w_timed = timed w_refined
 (* ------------------------------------------------------------------ *)
 (* Size measure: one per guard node, quantifiers pay for their test;
    every wrapper pays 2 for its target/send pair.  w_refined has
-   size 4 — the synthesizer's "level-2 guards in size order" starts
+   size 3 — the synthesizer's "level-2 guards in size order" starts
    below it and must climb to it. *)
 
 let rec guard_size = function
@@ -139,18 +144,5 @@ let to_string t =
     (send_to_string t.send)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-(* ------------------------------------------------------------------ *)
-(* The historical two-variant surface, as aliases onto the terms       *)
-
-type variant = Refined | Unrefined
-
-let term_of_variant = function
-  | Refined -> w_refined
-  | Unrefined -> w_unrefined
-
-let targets variant v ~n = term_targets (term_of_variant variant) v ~n ~timer:0
-
-let fire variant v ~n = eval (term_of_variant variant) v ~n ~timer:0
 
 let action_label = "wrapper"

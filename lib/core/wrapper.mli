@@ -21,9 +21,9 @@
     a size measure.  {!w_refined}, {!w_unrefined} and {!w_timed} are
     the hand-written wrappers as closed terms; the synthesizer
     ([Synth]) enumerates the same language in size order and asks the
-    model-checking oracle to certify candidates.  The historical
-    {!variant} enum survives as a thin alias onto the closed terms, so
-    pre-DSL call sites evaluate byte-identically.
+    model-checking oracle to certify candidates.  The harness runs a
+    hand-written and a synthesized term the same way
+    ({!Harness.wrapper_mode}).
 
     No level-1 wrapper is needed: Lspec already captures per-process
     internal consistency, so any everywhere implementation is
@@ -65,17 +65,20 @@ type t = {
 
 (** {2 Evaluation} *)
 
-val guard_holds : guard -> View.t -> timer:int -> peers:Sim.Pid.t list -> bool
-(** [guard_holds g v ~timer ~peers] evaluates [g] over the view;
-    [timer] feeds {!Timer_zero}, [peers] the quantifiers. *)
+val guard_holds : guard -> View.t -> timer:int -> n:int -> bool
+(** [guard_holds g v ~timer ~n] evaluates [g] over the view of a
+    process among [n]; [timer] feeds {!Timer_zero}, and the quantifiers
+    range over the view's peers [k ≠ j], [0 ≤ k < n].  It allocates
+    nothing. *)
 
 val term_targets : t -> View.t -> n:int -> timer:int -> Sim.Pid.t list
 (** The peers a term would correct: empty unless the guard holds,
     otherwise the peers passing [t.target]. *)
 
 val eval : t -> View.t -> n:int -> timer:int -> (Sim.Pid.t * Msg.t) list
-(** [eval t v ~n ~timer] is the term's send list — the wrapper.  Note
-    the type mentions no implementation state. *)
+(** [eval t v ~n ~timer] is the term's send list — the wrapper.  This
+    function {e is} the wrapper: note its type mentions no
+    implementation state. *)
 
 (** {2 The hand-written wrappers as closed terms} *)
 
@@ -115,33 +118,6 @@ val to_string : t -> string
     ["h.j -> (forall k : j.REQ_k lt REQ_j : send(REQ_j, j, k))"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 The historical two-variant surface}
-
-    Thin aliases onto {!w_refined} / {!w_unrefined}; every pre-DSL call
-    site evaluates byte-identically through these. *)
-
-type variant =
-  | Refined
-      (** send only to processes [k] with [j.REQ_k lt REQ_j] — the
-          paper's final [W_j] *)
-  | Unrefined
-      (** send to every [k ≠ j] — the paper's first, coarser [W_j];
-          kept for the overhead ablation *)
-
-val term_of_variant : variant -> t
-(** [Refined -> w_refined], [Unrefined -> w_unrefined]. *)
-
-val targets : variant -> View.t -> n:int -> Sim.Pid.t list
-(** [targets variant v ~n] lists the processes the wrapper would
-    correct, given only the view: all peers for [Unrefined], the
-    [j.REQ_k lt REQ_j] peers for [Refined].  Empty unless [hungry v].
-    Equals [term_targets (term_of_variant variant) v ~n ~timer:0]. *)
-
-val fire : variant -> View.t -> n:int -> (Sim.Pid.t * Msg.t) list
-(** [fire variant v ~n] is the wrapper's send list:
-    [Request REQ_j] to every target.  This function {e is} the wrapper
-    — note its type mentions no implementation state. *)
 
 val action_label : string
 (** The engine action label under which wrapper sends are attributed

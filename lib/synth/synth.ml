@@ -62,7 +62,7 @@ let sends = [ W.Send_request; W.Send_reply; W.Send_release ]
 (* [Timer_zero] is excluded from the search space: the oracle
    abstracts the harness timer to zero, so a timer gate is invisible
    to certification — the δ rate limit is applied at registration
-   ([Harness.On_term]/[Wrapper.timed]), exactly as [W'] refines [W]. *)
+   ([Harness.On]/[Wrapper.timed]), exactly as [W'] refines [W]. *)
 let guards_of_size =
   let memo : (int, W.guard list) Hashtbl.t = Hashtbl.create 8 in
   let rec go s =
@@ -106,6 +106,10 @@ let candidates_of_size s =
           List.map (fun send -> { W.guard; target; send }) sends)
         peer_tests)
     (guards_of_size (s - 2))
+
+let candidates cfg =
+  List.concat_map candidates_of_size
+    (List.init (cfg.max_size - 2) (fun i -> i + 3))
 
 (* ------------------------------------------------------------------ *)
 (* Examples and pruning                                                *)
@@ -210,10 +214,7 @@ let synthesize (module P : Graybox.Protocol.S) cfg =
       (List.init k Fun.id)
     |> List.concat
   in
-  let stream =
-    List.concat_map candidates_of_size
-      (List.init (cfg.max_size - 2) (fun i -> i + 3))
-  in
+  let stream = candidates cfg in
   let enumerated = List.length stream in
   let attempts = ref [] in
   let checked = ref 0 in

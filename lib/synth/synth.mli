@@ -27,7 +27,7 @@
     - {!Graybox.Wrapper.Timer_zero} is excluded from the space: the
       oracle abstracts the timer to zero, so the gate is invisible to
       certification — δ rate-limiting is applied at registration
-      ([Wrapper.timed] / [Harness.On_term]), exactly as [W'] refines
+      ([Wrapper.timed] / [Harness.On]), exactly as [W'] refines
       [W] in the paper.
 
     Determinism: candidates are dispatched in fixed-width batches over
@@ -87,6 +87,10 @@ type result = {
   oracle_runs : int;  (** exploration runs across all oracle calls *)
   oracle_states : int;  (** states explored across all oracle calls *)
 }
+
+val candidates : config -> Graybox.Wrapper.t list
+(** The search space: every term up to [max_size], in the order the
+    loop tries them (351 terms at the default [max_size]). *)
 
 val outcome_label : outcome -> string
 (** ["certified"], ["cex-safety"], ["cex-recovery(p)"],

@@ -345,7 +345,6 @@ let () =
 
 let find_protocol = Graybox.Registry.find_protocol
 
-let wrapped ?(variant = Graybox.Wrapper.Refined) ~delta () =
-  H.On { variant; delta }
+let wrapped_term ~term ~delta () = H.On { term; delta }
 
-let wrapped_term ~term ~delta () = H.On_term { term; delta }
+let wrapped ~delta () = wrapped_term ~term:Graybox.Wrapper.w_refined ~delta ()

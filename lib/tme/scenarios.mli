@@ -143,12 +143,12 @@ val find_protocol : string -> (module Graybox.Protocol.S) option
     {!Graybox.Registry.all}; there is no separate protocol list here
     to drift from it. *)
 
-val wrapped : ?variant:Graybox.Wrapper.variant -> delta:int -> unit ->
-  Graybox.Harness.wrapper_mode
-(** Convenience constructor for [On {variant; delta}]. *)
+val wrapped : delta:int -> unit -> Graybox.Harness.wrapper_mode
+(** [On {term = w_refined; delta}]: the paper's hand-written [W]
+    ([delta = 0]) or [W'(δ)]. *)
 
 val wrapped_term : term:Graybox.Wrapper.t -> delta:int -> unit ->
   Graybox.Harness.wrapper_mode
-(** Convenience constructor for [On_term {term; delta}] — an arbitrary
-    wrapper-DSL term (a registry entry's [wrapper_term], a synthesized
-    candidate) under the same [δ]-timer discipline. *)
+(** [On {term; delta}] — any wrapper-DSL term (a registry entry's
+    [wrapper_term], a synthesized candidate, {!Graybox.Wrapper.w_unrefined})
+    under the same [δ]-timer discipline as {!wrapped}. *)

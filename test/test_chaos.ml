@@ -267,7 +267,7 @@ let test_shrink_crash_window () =
 let test_shrink_passing_plan_not_confirmed () =
   let sc =
     ra_scenario
-      ~wrapper:(Graybox.Harness.On { variant = Graybox.Wrapper.Refined; delta = 8 })
+      ~wrapper:(Graybox.Harness.On { term = Graybox.Wrapper.w_refined; delta = 8 })
   in
   let r = Shrink.shrink sc [ Tme.Scenarios.Flush { at = 100 } ] in
   Alcotest.(check bool) "nothing to shrink" false r.Shrink.confirmed
@@ -318,25 +318,37 @@ let test_campaign_jobs_validation () =
     (Invalid_argument "Campaign.config: need jobs >= 1") (fun () ->
       ignore (Campaign.config ~jobs:0 ()))
 
-let test_campaign_streaming_byte_identical () =
-  (* the tentpole claim: streaming analysis changes nothing observable.
-     A multi-cell sweep — negative control, deadlock canary, shrinking,
-     so crashes, deadlocks, and re-runs are all exercised — renders to
-     byte-identical JSON with and without streaming, at every worker
-     count *)
-  let cfg ~jobs ~streaming =
-    Campaign.config ~base_seed:7 ~seeds:3 ~budget:3 ~n:4 ~steps:1200
-      ~protocols:[ "lamport"; "lamport-unmod" ] ~include_unwrapped:true
-      ~deadlock_canary:true ~jobs ~streaming ()
+let test_campaign_synth_rows_equal_hand_written () =
+  (* one definition of a firing: the harness runs ra-synth's registered
+     term exactly as it runs the hand-written W'(delta) on ra, so the two
+     wrapped cells agree row for row (seed, plan, verdict, latency) *)
+  let cfg =
+    Campaign.config ~seeds:6 ~budget:4 ~steps:2000
+      ~protocols:[ "ra"; "ra-synth" ] ~include_unwrapped:false
+      ~deadlock_canary:false ~shrink:false ~jobs:2 ()
   in
-  let render ~jobs ~streaming =
-    Chaos.Jsonx.to_string (Campaign.to_json (Campaign.run (cfg ~jobs ~streaming)))
+  let report = Campaign.run cfg in
+  let rows label =
+    match
+      List.find_opt
+        (fun c -> c.Campaign.cell_label = label)
+        report.Campaign.cells
+    with
+    | Some c -> c.Campaign.rows
+    | None -> Alcotest.failf "no cell %s" label
   in
-  let recorded = render ~jobs:1 ~streaming:false in
-  Alcotest.(check string) "streaming == recorded (serial)" recorded
-    (render ~jobs:1 ~streaming:true);
-  Alcotest.(check string) "streaming == recorded (parallel)" recorded
-    (render ~jobs:3 ~streaming:true)
+  let hand = rows "ra+W'(8)" and synth = rows "ra-synth+W'(8)" in
+  Alcotest.(check int) "six rows" 6 (List.length hand);
+  List.iter2
+    (fun (h : Campaign.row) (s : Campaign.row) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "row of seed %d identical" h.Campaign.row_seed)
+        true
+        (h.Campaign.row_seed = s.Campaign.row_seed
+         && h.Campaign.row_plan = s.Campaign.row_plan
+         && h.Campaign.row_verdict = s.Campaign.row_verdict
+         && h.Campaign.row_latency = s.Campaign.row_latency))
+    hand synth
 
 let test_campaign_unknown_protocol () =
   Alcotest.check_raises "unknown protocol is a typed error"
@@ -555,8 +567,8 @@ let () =
             test_campaign_negative_control_fails;
           Alcotest.test_case "parallel report == serial" `Quick
             test_campaign_parallel_matches_serial;
-          Alcotest.test_case "streaming report == recorded report" `Quick
-            test_campaign_streaming_byte_identical;
+          Alcotest.test_case "ra-synth rows == ra rows" `Quick
+            test_campaign_synth_rows_equal_hand_written;
           Alcotest.test_case "jobs validation" `Quick
             test_campaign_jobs_validation;
           Alcotest.test_case "unknown protocol" `Quick

@@ -147,7 +147,8 @@ let test_readme_fault_model_table () =
 let test_experiments_partition_section () =
   let text = Lazy.force experiments in
   check_mentions "EXPERIMENTS.md" text
-    ([ "## Partitions, heal, and delay (PARTITION, `BENCH_partition.json`)";
+    ([ "## Partitions, heal, and delay (PARTITION, \
+         `bench/expected/partition.txt`)";
        "lossy"; "buffered"; "--partitions" ]
      @ R.default_sweep ()
      @ List.map R.partition_expectation_label
@@ -164,27 +165,27 @@ let test_experiments_partition_section () =
          R.during_partition_label R.Unsafe ])
 
 (* ------------------------------------------------------------------ *)
-(* EXPERIMENTS.md: the LOAD section exists, names the schema, the      *)
-(* methodology caveat, and every reference protocol it sweeps          *)
+(* EXPERIMENTS.md: the LOAD section exists, names its golden table,   *)
+(* the methodology caveat, and every reference protocol it sweeps      *)
 
 let test_experiments_load_section () =
   let text = Lazy.force experiments in
   check_mentions "EXPERIMENTS.md" text
-    ([ "## Open-loop load (LOAD, `BENCH_load.json`)";
-       "graybox-bench-load/1"; "coordinated omission"; "open-loop";
-       "p50/p99/p999"; "--scan" ]
+    ([ "## Open-loop load (LOAD, `bench/expected/load.txt`)";
+       "--max-steps"; "coordinated omission"; "open-loop";
+       "p50/p99/p999"; "~indexed:false" ]
      @ List.map
          (fun (e : R.entry) -> e.R.name)
          (R.all ~role:R.Reference ()))
 
 (* ------------------------------------------------------------------ *)
 (* EXPERIMENTS.md: the MCHECK section names the out-of-core and POR    *)
-(* machinery, its schema, and every por-safe protocol                  *)
+(* machinery, its pinned results, and every por-safe protocol          *)
 
 let test_experiments_mcheck_section () =
   let text = Lazy.force experiments in
   check_mentions "EXPERIMENTS.md" text
-    ([ "graybox-bench-mcheck/2"; "--mem-budget"; "--spill-dir"; "--shards";
+    ([ "test/mcheck_deep_smoke.txt"; "--mem-budget"; "--spill-dir"; "--shards";
        "--por"; "--jobs"; "out-of-core"; "partial-order reduction";
        "quiet receiver"; "peak_mem_words"; "spill_bytes"; "por_safe" ]
      @ R.por_safe_names ())
@@ -195,7 +196,8 @@ let test_experiments_mcheck_section () =
 let test_design_inventory () =
   check_mentions "DESIGN.md" (Lazy.force design)
     [ "`Split`"; "`Delay`"; "`Heal`"; "partition_expectation";
-      "`Lossy`/`Buffered`"; "BENCH_partition.json"; "delivery-ready staging" ]
+      "`Lossy`/`Buffered`"; "bench/expected/partition.txt";
+      "delivery-ready staging" ]
 
 let test_design_move_indexes () =
   check_mentions "DESIGN.md" (Lazy.force design)
@@ -203,7 +205,8 @@ let test_design_move_indexes () =
       "~indexed:false"; "dense_threshold"; "Tme.Load" ];
   (* the README must tell the same scale story *)
   check_mentions "README.md" (Lazy.force readme)
-    [ "BENCH_load.json"; "p50/p99/p999"; "--scan"; "coordinated omission" ]
+    [ "bench/expected/load.txt"; "p50/p99/p999"; "~indexed:false";
+      "coordinated omission" ]
 
 let test_design_regime_section () =
   check_mentions "DESIGN.md" (Lazy.force design)
@@ -215,14 +218,15 @@ let test_design_regime_section () =
       R.during_partition_label R.Wedge; R.during_partition_label R.Unsafe ]
 
 (* ------------------------------------------------------------------ *)
-(* EXPERIMENTS.md: the SYNTH section exists, names the schema, the     *)
-(* synthesized term, and every synthesis target                        *)
+(* EXPERIMENTS.md: the SYNTH section exists, names its golden table,   *)
+(* the one wrapper mode, the synthesized term, and every target        *)
 
 let test_experiments_synth_section () =
   let text = Lazy.force experiments in
   check_mentions "EXPERIMENTS.md" text
-    ([ "## Wrapper synthesis (SYNTH, `BENCH_synth.json`)";
-       "graybox-bench-synth/1"; "graybox-synth/1"; "CEGIS"; "ra-synth";
+    ([ "## Wrapper synthesis (SYNTH, `bench/expected/synth.txt`)";
+       "`Harness.On { term; delta }`"; "graybox-synth/1"; "CEGIS";
+       "ra-synth";
        Graybox.Wrapper.to_string Graybox.Wrapper.w_refined ]
      @ R.synthesizable_names ())
 
@@ -230,10 +234,10 @@ let test_design_synth_section () =
   check_mentions "DESIGN.md" (Lazy.force design)
     [ "## 9. Guard DSL and CEGIS wrapper synthesis"; "`Mcheck.Oracle`";
       "Timer_zero"; "pid-symmetric"; "blame"; "`ra-synth`";
-      "graybox-synth/1"; "BENCH_synth.json" ];
+      "graybox-synth/1"; "bench/expected/synth.txt" ];
   (* the README must surface the synthesis entry points *)
   check_mentions "README.md" (Lazy.force readme)
-    [ "graybox-cli synth"; "BENCH_synth.json"; "ra-synth";
+    [ "graybox-cli synth"; "bench/expected/synth.txt"; "ra-synth";
       R.role_label R.Synthesized ]
 
 let test_design_checker_section () =
@@ -242,7 +246,7 @@ let test_design_checker_section () =
       "(tag, seq)"; "quiet receiver"; "por_safe"; "Pool.shard_of" ];
   (* the README must surface the out-of-core and POR knobs *)
   check_mentions "README.md" (Lazy.force readme)
-    [ "--mem-budget"; "--por"; "--shards"; "BENCH_mcheck.json" ]
+    [ "--mem-budget"; "--por"; "--shards"; "test/mcheck_deep_smoke.txt" ]
 
 let () =
   Alcotest.run "docs"

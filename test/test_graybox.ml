@@ -74,13 +74,15 @@ let test_view_earliest () =
 (* ------------------------------------------------------------------ *)
 (* Wrapper: the paper's W                                               *)
 
+let targets term v ~n = Wrapper.term_targets term v ~n ~timer:0
+
 let test_wrapper_not_hungry_silent () =
   let v = mk_view ~self:0 ~mode:View.Thinking ~req:(ts 5 0) [ (1, ts 0 1) ] in
   Alcotest.(check (list int)) "thinking: no targets" []
-    (Wrapper.targets Wrapper.Refined v ~n:3);
+    (targets Wrapper.w_refined v ~n:3);
   let v = { v with View.mode = View.Eating } in
   Alcotest.(check (list int)) "eating: no targets" []
-    (Wrapper.targets Wrapper.Refined v ~n:3)
+    (targets Wrapper.w_refined v ~n:3)
 
 let test_wrapper_refined_targets () =
   (* j.REQ_1 lt REQ_j: resend to 1; j.REQ_2 is newer: skip *)
@@ -89,8 +91,8 @@ let test_wrapper_refined_targets () =
       [ (1, ts 2 1); (2, ts 8 2) ]
   in
   Alcotest.(check (list int)) "only stale peer" [ 1 ]
-    (Wrapper.targets Wrapper.Refined v ~n:3);
-  match Wrapper.fire Wrapper.Refined v ~n:3 with
+    (targets Wrapper.w_refined v ~n:3);
+  match Wrapper.eval Wrapper.w_refined v ~n:3 ~timer:0 with
   | [ (1, Msg.Request r) ] ->
     Alcotest.(check bool) "sends REQ_j" true (Timestamp.equal r (ts 5 0))
   | _ -> Alcotest.fail "expected a single request to 1"
@@ -101,7 +103,7 @@ let test_wrapper_unrefined_targets () =
       [ (1, ts 2 1); (2, ts 8 2) ]
   in
   Alcotest.(check (list int)) "all peers" [ 1; 2 ]
-    (Wrapper.targets Wrapper.Unrefined v ~n:3)
+    (targets Wrapper.w_unrefined v ~n:3)
 
 let test_wrapper_consistent_state_silent () =
   (* everyone's copy is past REQ_j: the refined wrapper is quiet *)
@@ -110,7 +112,7 @@ let test_wrapper_consistent_state_silent () =
       [ (0, ts 7 0); (2, ts 4 2) ]
   in
   Alcotest.(check (list int)) "no stale copies" []
-    (Wrapper.targets Wrapper.Refined v ~n:3)
+    (targets Wrapper.w_refined v ~n:3)
 
 let prop_wrapper_refined_subset_unrefined =
   qtest "refined targets are a subset of unrefined"
@@ -124,8 +126,8 @@ let prop_wrapper_refined_subset_unrefined =
         mk_view ~self:0 ~mode:View.Hungry ~req:(ts req_c 0)
           [ (1, ts l1 1); (2, ts l2 2) ]
       in
-      let r = Wrapper.targets Wrapper.Refined v ~n:3 in
-      let u = Wrapper.targets Wrapper.Unrefined v ~n:3 in
+      let r = targets Wrapper.w_refined v ~n:3 in
+      let u = targets Wrapper.w_unrefined v ~n:3 in
       List.for_all (fun k -> List.mem k u) r)
 
 let prop_wrapper_sends_own_request =
@@ -140,7 +142,7 @@ let prop_wrapper_sends_own_request =
           match m with
           | Msg.Request r -> Timestamp.equal r (ts req_c 0)
           | Msg.Reply _ | Msg.Release _ -> false)
-        (Wrapper.fire Wrapper.Refined v ~n:2))
+        (Wrapper.eval Wrapper.w_refined v ~n:2 ~timer:0))
 
 (* ------------------------------------------------------------------ *)
 (* Monitors over hand-built traces                                      *)

@@ -439,7 +439,19 @@ let pinned =
        trace=request(0);request(1);deliver(0->2);deliver(1->0);deliver(2->0);\
        enter(0);release(0);request(0);deliver(0->2);request(2);deliver(2->0);\
        deliver(2->1);deliver(0->1);deliver(1->0);enter(0);deliver(0->1);\
-       enter(1)" ) ]
+       enter(1)" );
+    (* the fault-free reference ra violates ME1 at depth 17: a reply
+       to p0's released request is credited to its next one.  The
+       defect is still open; pinned so that its fix moves this result
+       on purpose. *)
+    ( "ra n=3 depth 17",
+      (fun () -> Mcheck.check_me1 ra ~n:3 ~max_depth:17 ()),
+      "violation explored=119078 visited=164826 frontier_peak=58864 \
+       depth_reached=17 truncated=true peak_mem_words=3005463 spill_bytes=0 \
+       trace=request(0);request(1);deliver(0->2);deliver(1->0);deliver(2->0);\
+       enter(0);release(0);request(0);deliver(0->2);request(2);deliver(2->0);\
+       deliver(2->1);deliver(0->1);deliver(0->1);enter(1);deliver(1->0);\
+       enter(0)" ) ]
 
 let test_pinned (name, run, expected) =
   Alcotest.test_case name `Quick (fun () ->

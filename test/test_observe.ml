@@ -149,50 +149,70 @@ let test_online_fold_equals_offline () =
         wrappers)
     protocols_under_test
 
+(* The streaming path's inputs: a grid of protocols, wrapper modes and
+   plans at n = 4, plus one large run — 16 RA processes under W take a
+   burst and then a lossy split, so the recorded run reads every
+   channel snapshot through the network's capture mirror while the
+   streaming run reads online observers and regime-epoch monitors. *)
+let streaming_inputs =
+  let grid =
+    List.concat_map
+      (fun (pname, proto) ->
+        List.concat_map
+          (fun (wname, wrapper) ->
+            List.map
+              (fun seed ->
+                let faults = if seed = 1 then crash_plan else plan_for seed in
+                ( Printf.sprintf "%s/%s/seed %d" pname wname seed,
+                  proto, wrapper, faults, n, seed, horizon ))
+              [ 1; 2; 3 ])
+          wrappers)
+      (List.filter
+         (fun (name, _) ->
+           List.mem name [ "ra"; "lamport"; "lamport-unmod"; "central" ])
+         protocols_under_test)
+  in
+  let split =
+    S.Split
+      { groups = [ List.init 8 Fun.id; List.init 8 (fun i -> i + 8) ];
+        from_t = 3000; until_t = 3300; mode = Sim.Faults.Lossy }
+  in
+  grid
+  @ [ ( "ra/W/n=16 burst+split", List.assoc "ra" protocols_under_test,
+        S.wrapped ~delta:0 (), S.burst ~at:1000 @ [ split ], 16, 1, 8000 ) ]
+
 let test_streaming_run_equals_recorded () =
-  (* the full streaming path: observer-fed analysis, entry log, and
-     metrics equal the recorded run's, field for field *)
+  (* the full streaming path: observer-fed analysis, entry log, epoch
+     verdicts and metrics equal the recorded run's, field for field *)
   List.iter
-    (fun (pname, proto) ->
-      List.iter
-        (fun (wname, wrapper) ->
-          List.iter
-            (fun seed ->
-              let faults =
-                if seed = 1 then crash_plan else plan_for seed
-              in
-              let go streaming =
-                S.run proto ~wrapper ~faults ~streaming ~n ~seed ~steps:horizon
-              in
-              let rec_ = go false and str = go true in
-              let cell = Printf.sprintf "%s/%s/seed %d" pname wname seed in
-              Alcotest.(check bool)
-                (cell ^ ": analysis") true
-                (str.S.analysis = rec_.S.analysis);
-              Alcotest.(check (option int))
-                (cell ^ ": latency")
-                rec_.S.recovery_latency str.S.recovery_latency;
-              Alcotest.(check bool)
-                (cell ^ ": entry log") true
-                (str.S.entry_log = rec_.S.entry_log);
-              Alcotest.(check int)
-                (cell ^ ": entries")
-                rec_.S.total_entries str.S.total_entries;
-              Alcotest.(check int)
-                (cell ^ ": sent") rec_.S.sent_total str.S.sent_total;
-              Alcotest.(check int)
-                (cell ^ ": wrapper sends")
-                rec_.S.wrapper_sends str.S.wrapper_sends;
-              Alcotest.(check int)
-                (cell ^ ": delivered") rec_.S.delivered str.S.delivered;
-              Alcotest.(check bool) (cell ^ ": no trace kept") true
-                (str.S.vtrace = []))
-            [ 1; 2; 3 ])
-        wrappers)
-    (List.filter
-       (fun (name, _) ->
-         List.mem name [ "ra"; "lamport"; "lamport-unmod"; "central" ])
-       protocols_under_test)
+    (fun (cell, proto, wrapper, faults, n, seed, steps) ->
+      let go streaming = S.run proto ~wrapper ~faults ~streaming ~n ~seed ~steps in
+      let rec_ = go false and str = go true in
+      Alcotest.(check bool)
+        (cell ^ ": analysis") true
+        (str.S.analysis = rec_.S.analysis);
+      Alcotest.(check (option int))
+        (cell ^ ": latency")
+        rec_.S.recovery_latency str.S.recovery_latency;
+      Alcotest.(check bool)
+        (cell ^ ": entry log") true
+        (str.S.entry_log = rec_.S.entry_log);
+      Alcotest.(check bool)
+        (cell ^ ": epoch verdicts") true
+        (str.S.epoch_spec = rec_.S.epoch_spec);
+      Alcotest.(check int)
+        (cell ^ ": entries")
+        rec_.S.total_entries str.S.total_entries;
+      Alcotest.(check int)
+        (cell ^ ": sent") rec_.S.sent_total str.S.sent_total;
+      Alcotest.(check int)
+        (cell ^ ": wrapper sends")
+        rec_.S.wrapper_sends str.S.wrapper_sends;
+      Alcotest.(check int)
+        (cell ^ ": delivered") rec_.S.delivered str.S.delivered;
+      Alcotest.(check bool) (cell ^ ": no trace kept") true
+        (str.S.vtrace = []))
+    streaming_inputs
 
 let test_streaming_deadlock_early_exit () =
   (* the §4 deadlock: streaming stops once permanently quiescent, yet

@@ -120,7 +120,8 @@ let test_wrapper_recovers_lamport_deadlock () =
 
 let test_unrefined_wrapper_also_recovers () =
   recovers ra
-    ~wrapper:(Scenarios.wrapped ~variant:Graybox.Wrapper.Unrefined ~delta:8 ())
+    ~wrapper:
+      (Scenarios.wrapped_term ~term:Graybox.Wrapper.w_unrefined ~delta:8 ())
     ~faults:deadlock_faults ~seed:2 ()
 
 (* ------------------------------------------------------------------ *)
@@ -208,13 +209,13 @@ let test_timeout_reduces_wrapper_traffic () =
     (lazy_ * 4 < eager)
 
 let test_refined_cheaper_than_unrefined () =
-  let sends variant =
+  let sends term =
     (Scenarios.run ra ~n:4 ~seed:7 ~steps:5000
-       ~wrapper:(Scenarios.wrapped ~variant ~delta:4 ()))
+       ~wrapper:(Scenarios.wrapped_term ~term ~delta:4 ()))
       .wrapper_sends
   in
   Alcotest.(check bool) "refined <= unrefined" true
-    (sends Graybox.Wrapper.Refined <= sends Graybox.Wrapper.Unrefined)
+    (sends Graybox.Wrapper.w_refined <= sends Graybox.Wrapper.w_unrefined)
 
 (* ------------------------------------------------------------------ *)
 (* Message complexity sanity                                            *)

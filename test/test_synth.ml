@@ -3,8 +3,9 @@
    for every synthesizable registry entry, the transcript is invariant
    under the pool width, the oracle's verdicts (and counterexample
    traces) are invariant under jobs/shards/memory budget and equal a
-   fresh oracle's on a reused checker, and the DSL terms evaluate
-   exactly as the historical variant surface. *)
+   fresh oracle's on a reused checker, and the wrapper's guard
+   evaluator agrees with a list-based reference over the whole search
+   space. *)
 
 module W = Graybox.Wrapper
 module O = Mcheck.Oracle
@@ -255,7 +256,7 @@ let reuse_cases =
           (", near bound", max_int, 1_500) ])
     [ (1, 1); (2, 3) ]
 
-(* -- DSL / variant equivalence -------------------------------------- *)
+(* -- DSL evaluation ------------------------------------------------- *)
 
 let harvest_views () =
   (* views from a faulty wrapped run: covers all three modes and
@@ -269,48 +270,53 @@ let harvest_views () =
     (fun snap -> Array.to_list snap.Sim.Trace.states)
     r.S.vtrace
 
-let test_variant_term_agreement () =
+(* The reference for [Wrapper.guard_holds]: the same semantics, with
+   the quantifiers read as [List.exists] / [List.for_all] over the
+   [Pid.others] list. *)
+let rec reference_guard g (v : Graybox.View.t) ~timer ~peers =
+  let peer_holds test k =
+    match test with
+    | W.Any_peer -> true
+    | W.Peer_lt_own -> Graybox.View.earlier v ~than:v.req k
+    | W.Own_lt_peer ->
+      Clocks.Timestamp.lt v.req (Graybox.View.local_req v k)
+  in
+  match g with
+  | W.Mode W.Is_thinking -> Graybox.View.thinking v
+  | W.Mode W.Is_hungry -> Graybox.View.hungry v
+  | W.Mode W.Is_eating -> Graybox.View.eating v
+  | W.Timer_zero -> timer = 0
+  | W.Not g -> not (reference_guard g v ~timer ~peers)
+  | W.And (a, b) ->
+    reference_guard a v ~timer ~peers && reference_guard b v ~timer ~peers
+  | W.Or (a, b) ->
+    reference_guard a v ~timer ~peers || reference_guard b v ~timer ~peers
+  | W.Exists_peer t -> List.exists (peer_holds t) peers
+  | W.Forall_peer t -> List.for_all (peer_holds t) peers
+
+let test_guard_holds_reference () =
   let views = harvest_views () in
+  let terms = Synth.candidates (Synth.config ()) in
+  Alcotest.(check int) "the whole search space" 351 (List.length terms);
   Alcotest.(check bool) "harvested a real sample" true
     (List.length views > 100);
+  let n = 4 in
   List.iter
-    (fun variant ->
-      let term = W.term_of_variant variant in
+    (fun (t : W.t) ->
       List.iter
-        (fun v ->
-          Alcotest.(check (list int))
-            "targets variant == term_targets of its term"
-            (W.targets variant v ~n:4)
-            (W.term_targets term v ~n:4 ~timer:0);
-          Alcotest.(check bool) "fire variant == eval of its term" true
-            (W.fire variant v ~n:4 = W.eval term v ~n:4 ~timer:0))
+        (fun (v : Graybox.View.t) ->
+          let peers = Sim.Pid.others ~self:v.self ~n in
+          List.iter
+            (fun timer ->
+              if
+                W.guard_holds t.guard v ~timer ~n
+                <> reference_guard t.guard v ~timer ~peers
+              then
+                Alcotest.failf "guard_holds disagrees on %s at timer %d"
+                  (W.to_string t) timer)
+            [ 0; 1 ])
         views)
-    [ W.Refined; W.Unrefined ]
-
-let test_on_vs_on_term_trace_equal () =
-  (* at delta = 0 the [On Refined] and [On_term w_refined] harness
-     modes have identical enablement and identical sends, so the whole
-     scenario must agree event for event *)
-  let run wrapper =
-    S.run ra ~n:4 ~seed:11 ~steps:6000 ~wrapper
-      ~faults:[ S.Drop_requests_window { from_t = 800; until_t = 860 } ]
-  in
-  let a = run (S.wrapped ~variant:W.Refined ~delta:0 ()) in
-  let b = run (S.wrapped_term ~term:W.w_refined ~delta:0 ()) in
-  Alcotest.(check int) "wrapper sends equal" a.S.wrapper_sends b.S.wrapper_sends;
-  Alcotest.(check int) "total sends equal" a.S.sent_total b.S.sent_total;
-  Alcotest.(check int) "deliveries equal" a.S.delivered b.S.delivered;
-  Alcotest.(check int) "entries equal" a.S.total_entries b.S.total_entries;
-  Alcotest.(check bool) "analyses equal" true (a.S.analysis = b.S.analysis);
-  Alcotest.(check bool) "recovery latency equal" true
-    (a.S.recovery_latency = b.S.recovery_latency);
-  Alcotest.(check bool) "view traces equal" true
-    (List.for_all2
-       (fun (x : _ Sim.Trace.snapshot) (y : _ Sim.Trace.snapshot) ->
-         x.Sim.Trace.time = y.Sim.Trace.time
-         && x.Sim.Trace.event = y.Sim.Trace.event
-         && x.Sim.Trace.states = y.Sim.Trace.states)
-       a.S.vtrace b.S.vtrace)
+    (W.w_timed :: terms)
 
 let () =
   Alcotest.run "synth"
@@ -332,7 +338,5 @@ let () =
           Alcotest.test_case "cex differential" `Slow oracle_cex ]
         @ reuse_cases );
       ( "dsl",
-        [ Alcotest.test_case "variant == term evaluation" `Quick
-            test_variant_term_agreement;
-          Alcotest.test_case "On == On_term at delta 0" `Quick
-            test_on_vs_on_term_trace_equal ] ) ]
+        [ Alcotest.test_case "guard_holds == list reference" `Quick
+            test_guard_holds_reference ] ) ]
