@@ -755,7 +755,10 @@ let load_bench () =
     (e, n, r, supported)
   in
   let rows =
-    List.concat_map (fun e -> List.map (measure e) sizes) references
+    Pool.map ~jobs:!jobs
+      (fun (e, size) -> measure e size)
+      (List.concat_map (fun e -> List.map (fun size -> (e, size)) sizes)
+         references)
   in
   let table =
     Tabular.create

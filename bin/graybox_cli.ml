@@ -24,64 +24,105 @@ open Cmdliner
 (* Fault-spec parsing: KIND:ARGS, e.g. burst:1000, drop-requests:500-560 *)
 
 let parse_fault s =
-  let fail msg = Error (`Msg msg) in
-  let parse_groups spec =
-    (* "0,1|2,3" — pids grouped by '|'; unlisted pids form the
-       implicit remainder group (Sim.Faults.split_groups) *)
-    let group g =
-      List.filter_map int_of_string_opt (String.split_on_char ',' g)
-    in
-    match List.map group (String.split_on_char '|' spec) with
-    | groups when List.for_all (fun g -> g <> []) groups && groups <> [] ->
-      Some groups
-    | _ -> None
+  let fail msg = Error (`Msg (s ^ ": " ^ msg)) in
+  let ( let* ) = Result.bind in
+  let time t =
+    match int_of_string_opt t with
+    | Some t when t >= 0 -> Ok t
+    | Some _ -> fail ("negative time " ^ t)
+    | None -> fail ("not a time: " ^ t)
   in
-  let parse_split ~mode range groups =
+  (* "FROM-TO", with FROM <= TO, or FROM < TO when [strict] *)
+  let window ~strict range =
     match String.split_on_char '-' range with
     | [ a; b ] ->
-      (match int_of_string_opt a, int_of_string_opt b, parse_groups groups with
-       | Some from_t, Some until_t, Some groups ->
-         Ok [ Tme.Scenarios.Split { groups; from_t; until_t; mode } ]
-       | _ -> fail "split: expected split:FROM-TO:0,1|2,3")
-    | _ -> fail "split: expected split:FROM-TO:0,1|2,3"
+      let* from_t = time a in
+      let* until_t = time b in
+      if until_t < from_t || (strict && until_t = from_t) then
+        fail
+          (Printf.sprintf "empty window %s (need FROM %s TO)" range
+             (if strict then "<" else "<="))
+      else Ok (from_t, until_t)
+    | _ -> fail "expected a window FROM-TO"
+  in
+  let rec map_ok f = function
+    | [] -> Ok []
+    | x :: xs ->
+      let* y = f x in
+      let* ys = map_ok f xs in
+      Ok (y :: ys)
+  in
+  let rec repeated = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+    | _ -> None
+  in
+  let parse_groups spec =
+    (* "0,1|2,3" — pids grouped by '|'; unlisted pids form the
+       implicit remainder group (Sim.Faults.split_groups).  Whether a
+       pid is below -n is checked once -n is known ([check_faults]). *)
+    let pid p =
+      match int_of_string_opt p with
+      | Some p when p >= 0 -> Ok p
+      | _ -> fail ("not a process id: " ^ p)
+    in
+    let* groups =
+      map_ok
+        (fun g -> map_ok pid (String.split_on_char ',' g))
+        (String.split_on_char '|' spec)
+    in
+    match repeated (List.sort compare (List.concat groups)) with
+    | Some p -> fail (Printf.sprintf "process %d is in two groups" p)
+    | None -> Ok groups
+  in
+  let parse_split ~mode range groups =
+    let* from_t, until_t = window ~strict:true range in
+    let* groups = parse_groups groups in
+    Ok [ Tme.Scenarios.Split { groups; from_t; until_t; mode } ]
   in
   match String.split_on_char ':' s with
   | [ "split"; range; groups ] -> parse_split ~mode:Sim.Faults.Lossy range groups
   | [ "split-buf"; range; groups ] ->
     parse_split ~mode:Sim.Faults.Buffered range groups
+  | [ ("split" | "split-buf"); _ ] -> fail "expected split:FROM-TO:0,1|2,3"
   | [ "burst"; at ] ->
-    (match int_of_string_opt at with
-     | Some at -> Ok (Tme.Scenarios.burst ~at)
-     | None -> fail "burst: expected burst:TIME")
+    let* at = time at in
+    Ok (Tme.Scenarios.burst ~at)
   | [ "drop-requests"; range ] ->
-    (match String.split_on_char '-' range with
-     | [ a; b ] ->
-       (match int_of_string_opt a, int_of_string_opt b with
-        | Some from_t, Some until_t ->
-          Ok [ Tme.Scenarios.Drop_requests_window { from_t; until_t } ]
-        | _ -> fail "drop-requests: expected drop-requests:FROM-TO")
-     | _ -> fail "drop-requests: expected drop-requests:FROM-TO")
+    let* from_t, until_t = window ~strict:false range in
+    Ok [ Tme.Scenarios.Drop_requests_window { from_t; until_t } ]
   | [ kind; at ] ->
-    (match int_of_string_opt at with
-     | None -> fail (kind ^ ": expected " ^ kind ^ ":TIME")
-     | Some at ->
-       (match kind with
-        | "drop" -> Ok [ Tme.Scenarios.Drop_any { at; per_chan = 3 } ]
-        | "duplicate" -> Ok [ Tme.Scenarios.Duplicate { at; per_chan = 3 } ]
-        | "corrupt-msgs" ->
-          Ok [ Tme.Scenarios.Corrupt_messages { at; per_chan = 3 } ]
-        | "reorder" -> Ok [ Tme.Scenarios.Reorder { at; per_chan = 3 } ]
-        | "flush" -> Ok [ Tme.Scenarios.Flush { at } ]
-        | "corrupt-state" ->
-          Ok [ Tme.Scenarios.Corrupt_state { at; procs = Sim.Faults.Any_proc } ]
-        | "reset" ->
-          Ok [ Tme.Scenarios.Reset_state { at; procs = Sim.Faults.Any_proc } ]
-        | _ -> fail ("unknown fault kind: " ^ kind)))
+    let* at = time at in
+    (match kind with
+     | "drop" -> Ok [ Tme.Scenarios.Drop_any { at; per_chan = 3 } ]
+     | "duplicate" -> Ok [ Tme.Scenarios.Duplicate { at; per_chan = 3 } ]
+     | "corrupt-msgs" ->
+       Ok [ Tme.Scenarios.Corrupt_messages { at; per_chan = 3 } ]
+     | "reorder" -> Ok [ Tme.Scenarios.Reorder { at; per_chan = 3 } ]
+     | "flush" -> Ok [ Tme.Scenarios.Flush { at } ]
+     | "corrupt-state" ->
+       Ok [ Tme.Scenarios.Corrupt_state { at; procs = Sim.Faults.Any_proc } ]
+     | "reset" ->
+       Ok [ Tme.Scenarios.Reset_state { at; procs = Sim.Faults.Any_proc } ]
+     | _ -> fail ("unknown fault kind " ^ kind))
   | _ ->
     fail
       "expected KIND:TIME (burst, drop, duplicate, corrupt-msgs, reorder, \
        flush, corrupt-state, reset), drop-requests:FROM-TO, or \
        split[-buf]:FROM-TO:0,1|2,3"
+
+(* The fault check that needs -n: every pid a split names exists. *)
+let check_faults ~n faults =
+  let pids =
+    List.concat_map
+      (function
+        | Tme.Scenarios.Split { groups; _ } -> List.concat groups
+        | _ -> [])
+      faults
+  in
+  match List.find_opt (fun p -> p >= n) pids with
+  | Some p ->
+    Error (Printf.sprintf "fault split: process %d does not exist (-n %d)" p n)
+  | None -> Ok ()
 
 let fault_conv =
   Arg.conv
@@ -185,7 +226,10 @@ let wrapper_mode delta unrefined =
 
 let run_cmd =
   let action protocol n seed steps delta unrefined faults =
-    match resolve_protocol protocol with
+    let faults = List.concat faults in
+    match
+      Result.bind (check_faults ~n faults) (fun () -> resolve_protocol protocol)
+    with
     | Error e -> `Error (false, e)
     | Ok proto ->
       (* analysed online by engine observers: no trace is recorded, and
@@ -194,7 +238,7 @@ let run_cmd =
         Tme.Scenarios.run proto ~n ~seed ~steps ~streaming:true
           ~live_monitors:true
           ~wrapper:(wrapper_mode delta unrefined)
-          ~faults:(List.concat faults)
+          ~faults
       in
       Printf.printf "protocol          : %s\n" r.protocol;
       Format.printf "%a@." Graybox.Stabilize.pp r.analysis;

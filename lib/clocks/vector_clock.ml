@@ -21,9 +21,14 @@ let tick v i =
   v'
 
 let merge a b =
-  if Array.length a <> Array.length b then
+  let n = Array.length a in
+  if n <> Array.length b then
     invalid_arg "Vector_clock.merge: dimension mismatch";
-  Array.mapi (fun i x -> max x b.(i)) a
+  let c = Array.copy a in
+  for i = 0 to n - 1 do
+    if b.(i) > c.(i) then c.(i) <- b.(i)
+  done;
+  c
 
 let leq (a : t) (b : t) =
   let n = Array.length a in

@@ -153,21 +153,24 @@ module Online = struct
      hold); but every criterion only ever marks *bad* indices — an ME1
      violation, or a hungry/eating interval that closes unresolved —
      and the suffix start is just [max bad index + 1].  So the fold
-     tracks the largest known-bad index, the open interval per process,
-     the trailing hungry run, and the post-fault service round; the
-     final record is provably equal to the offline one on the same
-     snapshot sequence (asserted over the protocol grid in the test
-     suite). *)
+     tracks the largest known-bad index, each process's current mode
+     and the index its run of that mode started at (an open
+     hungry/eating interval, and the trailing hungry run), the eater
+     count, and the post-fault service round; the final record is
+     provably equal to the offline one on the same snapshot sequence
+     (asserted over the protocol grid in the test suite).  Every
+     per-process criterion reacts only to a mode change, so a snapshot
+     that repeats the previous one's modes touches no process. *)
 
   type t = {
     tail_margin : int;
     mutable len : int;  (** snapshots fed so far *)
     mutable n : int;
-    (* per-process interval tracking, mirroring [resolution_ok] *)
-    mutable ivals : (int * View.mode) option array;
-        (** open interval per process: start index and kind *)
-    mutable hungry_run : int array;  (** trailing Hungry run length *)
-    mutable prev_eating : bool array;
+    mutable modes : View.mode array;  (** per process, at the latest snapshot *)
+    mutable since : int array;
+        (** per process, the index its current mode run started at:
+            the start of its open hungry/eating interval *)
+    mutable eaters : int;  (** eating processes at the latest snapshot *)
     (* convergence: the largest index known to violate the criteria *)
     mutable last_bad : int;  (** -1 when nothing bad was seen *)
     mutable suffix_time : int;  (** engine time at index [last_bad + 1] *)
@@ -189,9 +192,9 @@ module Online = struct
     { tail_margin;
       len = 0;
       n = 0;
-      ivals = [||];
-      hungry_run = [||];
-      prev_eating = [||];
+      modes = [||];
+      since = [||];
+      eaters = 0;
       last_bad = -1;
       suffix_time = 0;
       suffix_pending = false;
@@ -203,14 +206,46 @@ module Online = struct
       remaining = 0;
       round_latency = None }
 
-  let feed t ~time ~fault (views : View.t array) =
+  (* Process [j] moves from [old] to mode [m] at snapshot [idx]. *)
+  let change t ~idx ~time j old m =
+    (* a hungry interval must close into Eating, an eating interval
+       into Thinking; an unresolved close marks the whole interval —
+       whose largest index is its end, [idx - 1] — bad *)
+    let resolved =
+      match old with
+      | View.Hungry -> m = View.Eating
+      | View.Eating -> m = View.Thinking
+      | View.Thinking -> true
+    in
+    if (not resolved) && idx - 1 > t.last_bad then begin
+      t.last_bad <- idx - 1;
+      t.suffix_time <- time;
+      t.suffix_pending <- false
+    end;
+    t.modes.(j) <- m;
+    t.since.(j) <- idx;
+    if old = View.Eating then t.eaters <- t.eaters - 1;
+    if m = View.Eating then begin
+      t.eaters <- t.eaters + 1;
+      (* service round: first fresh entry per process after [base] *)
+      if idx > t.base && not t.served.(j) then begin
+        t.served.(j) <- true;
+        t.remaining <- t.remaining - 1;
+        if t.remaining = 0 && t.round_latency = None then
+          t.round_latency <- Some (time - t.base_time)
+      end
+    end
+
+  let feed t ~time ~fault ~repeat (views : View.t array) =
     let idx = t.len in
+    let repeat = repeat && idx > 0 in
     if idx = 0 then begin
       let n = Array.length views in
       t.n <- n;
-      t.ivals <- Array.make n None;
-      t.hungry_run <- Array.make n 0;
-      t.prev_eating <- Array.make n false;
+      (* every process starts as if thinking, so the first snapshot
+         opens the intervals of the processes that are not *)
+      t.modes <- Array.make n View.Thinking;
+      t.since <- Array.make n 0;
       t.served <- Array.make n false;
       t.remaining <- n;
       t.base_time <- time
@@ -228,51 +263,12 @@ module Online = struct
       t.remaining <- t.n;
       t.round_latency <- None
     end;
-    let eaters = ref 0 in
-    for j = 0 to t.n - 1 do
-      let m = views.(j).View.mode in
-      let eating = m = View.Eating in
-      if eating then incr eaters;
-      (* interval transitions: a hungry interval must close into
-         Eating, an eating interval into Thinking; an unresolved close
-         marks the whole interval — whose largest index is its end,
-         [idx - 1] — bad *)
-      (match t.ivals.(j) with
-       | Some (_, kind) when kind = m -> ()
-       | Some (_, kind) ->
-         let resolved =
-           match kind with
-           | View.Hungry -> m = View.Eating
-           | View.Eating -> m = View.Thinking
-           | View.Thinking -> true
-         in
-         if (not resolved) && idx - 1 > t.last_bad then begin
-           t.last_bad <- idx - 1;
-           t.suffix_time <- time;
-           t.suffix_pending <- false
-         end;
-         t.ivals.(j) <-
-           (if m = View.Hungry || m = View.Eating then Some (idx, m) else None)
-       | None ->
-         if m = View.Hungry || m = View.Eating then
-           t.ivals.(j) <- Some (idx, m));
-      t.hungry_run.(j) <-
-        (if m = View.Hungry then t.hungry_run.(j) + 1 else 0);
-      (* service round: first fresh entry per process after [base] *)
-      if
-        idx > t.base && idx >= 1
-        && (not t.served.(j))
-        && (not t.prev_eating.(j))
-        && eating
-      then begin
-        t.served.(j) <- true;
-        t.remaining <- t.remaining - 1;
-        if t.remaining = 0 && t.round_latency = None then
-          t.round_latency <- Some (time - t.base_time)
-      end;
-      t.prev_eating.(j) <- eating
-    done;
-    if !eaters > 1 then begin
+    if not repeat then
+      for j = 0 to t.n - 1 do
+        let m = views.(j).View.mode and old = t.modes.(j) in
+        if m <> old then change t ~idx ~time j old m
+      done;
+    if t.eaters > 1 then begin
       t.me1_bad <- t.me1_bad + 1;
       if idx > t.last_bad then begin
         t.last_bad <- idx;
@@ -296,12 +292,11 @@ module Online = struct
       let len = t.len in
       (* an interval still open at the end is acceptable only within
          the tail margin; otherwise it marks bad up to [len - 1] *)
+      let run_len j = len - t.since.(j) in
       let tail_bad =
-        Array.exists
-          (function
-            | Some (start, _) -> len - 1 - start >= t.tail_margin
-            | None -> false)
-          t.ivals
+        List.exists
+          (fun j -> t.modes.(j) <> View.Thinking && run_len j - 1 >= t.tail_margin)
+          (Sim.Pid.range t.n)
       in
       let last_bad = if tail_bad then len - 1 else t.last_bad in
       let suffix_start = last_bad + 1 in
@@ -318,7 +313,7 @@ module Online = struct
       in
       let starving =
         List.filter
-          (fun j -> t.hungry_run.(j) >= t.tail_margin)
+          (fun j -> t.modes.(j) = View.Hungry && run_len j >= t.tail_margin)
           (Sim.Pid.range t.n)
       in
       { trace_len = len;
@@ -339,7 +334,8 @@ module Online = struct
           | Sim.Trace.Fault _ -> true
           | _ -> false
         in
-        feed t ~time:snap.Sim.Trace.time ~fault snap.Sim.Trace.states)
+        feed t ~time:snap.Sim.Trace.time ~fault ~repeat:false
+          snap.Sim.Trace.states)
       tr;
     t
 end

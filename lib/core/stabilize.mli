@@ -48,10 +48,14 @@ module Online : sig
   val create : ?tail_margin:int -> unit -> t
   (** Same [tail_margin] default (300) as {!analyse}. *)
 
-  val feed : t -> time:int -> fault:bool -> View.t array -> unit
-  (** [feed t ~time ~fault views] consumes the next snapshot: its
-      engine [time], whether it is a fault event, and the post-event
-      views.  The array is read during the call only (safe to reuse). *)
+  val feed : t -> time:int -> fault:bool -> repeat:bool -> View.t array -> unit
+  (** [feed t ~time ~fault ~repeat views] consumes the next snapshot:
+      its engine [time], whether it is a fault event, and the
+      post-event views.  The array is read during the call only (safe
+      to reuse).  [~repeat:true] promises that every view has the mode
+      it had in the previous snapshot fed: such a snapshot costs O(1)
+      (a fault adds O(n)), any other O(n).  [~repeat:false] is always
+      correct. *)
 
   val analysis : t -> analysis
   (** The analysis of the snapshots fed so far. *)
@@ -61,7 +65,8 @@ module Online : sig
       the start), maintained incrementally. *)
 
   val of_trace : ?tail_margin:int -> vtrace -> t
-  (** Fold a recorded trace — the equivalence bridge used in tests. *)
+  (** Fold a recorded trace, every snapshot fed with [~repeat:false] —
+      the equivalence bridge used in tests. *)
 end
 
 val pp : Format.formatter -> analysis -> unit

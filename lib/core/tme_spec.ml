@@ -119,18 +119,27 @@ module Epoch = struct
   }
 
   (* The fold updates arrays in place: a snapshot costs O(n) reads and
-     allocates nothing unless a process's hungry run breaks.  ME1 counts
-     eaters per group of the current epoch; ME2 keeps each process's
-     open obligations — the snapshot indices at which it was hungry in
-     a global epoch and has not eaten since — as index intervals: the
-     current run [\[me2_start, me2_last\]], extended in place, and the
-     runs closed by a snapshot that opened nothing. *)
+     allocates nothing unless a process's hungry run breaks, and a
+     snapshot that repeats the previous one's modes within its epoch
+     costs O(1).  ME1 counts eaters per group of the current epoch;
+     ME2 keeps each process's open obligations — the snapshot indices
+     at which it was hungry in a global epoch and has not eaten
+     since — as index intervals: the current run
+     [\[me2_start, me2_last\]] and the runs closed by a snapshot that
+     opened nothing.  A repeated snapshot changes no verdict, so only
+     the open runs move: a run that reached the latest fully fed
+     snapshot ([full_idx]) extends lazily through every repeat since,
+     and settles at the next fully fed snapshot or at [report].  ME3
+     keeps, instead of every earlier entry, the maximal request stamps
+     of the entries an entry may be compared with (see
+     [feed_entry]). *)
   type t = {
     n : int;
     cursor : Sim.Regime.cursor;
     rows : row_state array;
     mutable cur_epoch : int;
     mutable idx : int;  (** snapshots fed so far *)
+    mutable full_idx : int;  (** the latest snapshot not fed as a repeat *)
     mutable obligation : obligation option;
     group_eaters : int array;  (** eaters per group, current snapshot *)
     me2_start : int array;  (** per process; -1 when no run is open *)
@@ -139,7 +148,13 @@ module Epoch = struct
         (** per process, closed runs as (start, last), most recent
             first *)
     mutable me3 : Temporal.verdict;
-    mutable earlier : (Harness.entry_record * Sim.Regime.topo) list;
+    mutable me3_all : Vector_clock.t list;
+        (** maximal request stamps of all entries so far *)
+    mutable me3_global : Vector_clock.t list;
+        (** maximal request stamps of the entries made in global
+            epochs *)
+    me3_by_pid : Vector_clock.t list array;
+        (** per process, the maximal request stamps of its entries *)
     mutable entry_idx : int;
     mutable split_entries : int;
   }
@@ -157,13 +172,16 @@ module Epoch = struct
       rows = Array.of_list (List.map row (Sim.Regime.epochs timeline));
       cur_epoch = 0;
       idx = 0;
+      full_idx = -1;
       obligation = None;
       group_eaters = Array.make n 0;
       me2_start = Array.make n (-1);
       me2_last = Array.make n (-1);
       me2_closed = Array.make n [];
       me3 = Temporal.Holds;
-      earlier = [];
+      me3_all = [];
+      me3_global = [];
+      me3_by_pid = Array.make n [];
       entry_idx = 0;
       split_entries = 0 }
 
@@ -198,8 +216,15 @@ module Epoch = struct
               (pids_label (eater_pids views))
               (pids_label (List.nth topo.Sim.Regime.groups !bad)) }
 
-  let feed m ~time views =
-    let topo = Sim.Regime.advance m.cursor time in
+  (* The last index of process [j]'s open ME2 run: one that reached
+     the latest fully fed snapshot has been extended by every repeat
+     since. *)
+  let run_last m j =
+    let last = m.me2_last.(j) in
+    if m.me2_start.(j) >= 0 && last = m.full_idx then m.idx - 1 else last
+
+  (* A snapshot fed in full: O(n). *)
+  let feed_full m ~time (topo : Sim.Regime.topo) views =
     let row = m.rows.(topo.Sim.Regime.epoch) in
     (* ME1: at most one eater per connected group *)
     Array.fill m.group_eaters 0 m.n 0;
@@ -233,47 +258,67 @@ module Epoch = struct
       | _ -> ()
     end;
     (* ME2: eating discharges a process's obligations; being hungry
-       opens one, but only while the regime is global *)
+       opens one, but only while the regime is global.  A run still
+       extending lazily settles here. *)
     let global = topo.Sim.Regime.phase = Sim.Regime.Global in
     for j = 0 to m.n - 1 do
       let v = views.(j) in
+      let last = run_last m j in
       if View.eating v then begin
         m.me2_start.(j) <- -1;
         if m.me2_closed.(j) <> [] then m.me2_closed.(j) <- []
       end
       else if global && View.hungry v then begin
         let start = m.me2_start.(j) in
-        if start < 0 || m.me2_last.(j) < m.idx - 1 then begin
+        if start < 0 || last < m.idx - 1 then begin
           if start >= 0 then
-            m.me2_closed.(j) <- (start, m.me2_last.(j)) :: m.me2_closed.(j);
+            m.me2_closed.(j) <- (start, last) :: m.me2_closed.(j);
           m.me2_start.(j) <- m.idx
         end;
         m.me2_last.(j) <- m.idx
       end
+      else m.me2_last.(j) <- last
     done;
+    m.full_idx <- m.idx
+
+  let feed m ~time ~repeat views =
+    let topo = Sim.Regime.advance m.cursor time in
+    (* a repeat within its epoch changes no verdict: the open ME2 runs
+       extend lazily ([run_last]) *)
+    if not (repeat && m.idx > 0 && topo.Sim.Regime.epoch = m.cur_epoch) then
+      feed_full m ~time topo views;
     m.idx <- m.idx + 1
 
+  (* [stamps] with [vc] added, kept to its maximal elements *)
+  let add_maximal vc stamps =
+    if List.exists (fun s -> Vector_clock.leq vc s) stamps then stamps
+    else vc :: List.filter (fun s -> not (Vector_clock.leq s vc)) stamps
+
+  (* An entry violates FCFS iff its request happened-before the request
+     of an earlier entry it is comparable with — and so iff it
+     happened-before a maximal one of those: every earlier stamp lies
+     under a maximal one.  An entry in a global epoch is comparable
+     with every earlier entry; one in a split epoch with those made in
+     global epochs and those of processes in its own group (entries in
+     different groups of a split could not have communicated; FCFS
+     scopes to intra-group requests). *)
   let feed_entry m ~time (e : Harness.entry_record) =
     let topo = Sim.Regime.advance m.cursor time in
     let row = m.rows.(topo.Sim.Regime.epoch) in
     row.r_entries <- row.r_entries + 1;
-    if topo.Sim.Regime.phase = Sim.Regime.Split then
-      m.split_entries <- m.split_entries + 1;
+    let global = topo.Sim.Regime.phase = Sim.Regime.Global in
+    if not global then m.split_entries <- m.split_entries + 1;
     (match m.me3 with
      | Temporal.Holds ->
+       let vc = e.entry_req_vc in
+       let below stamps = List.exists (Vector_clock.lt vc) stamps in
        let bad =
-         List.exists
-           (fun ((prev : Harness.entry_record), prev_topo) ->
-             let comparable =
-               (* entries in different groups of a split could not have
-                  communicated; FCFS scopes to intra-group requests *)
-               topo.Sim.Regime.phase = Sim.Regime.Global
-               || prev_topo.Sim.Regime.phase = Sim.Regime.Global
-               || Sim.Regime.same_group topo e.entry_pid prev.entry_pid
-             in
-             comparable
-             && Clocks.Vector_clock.lt e.entry_req_vc prev.entry_req_vc)
-           m.earlier
+         if global then below m.me3_all
+         else
+           below m.me3_global
+           || List.exists
+                (fun k -> below m.me3_by_pid.(k))
+                (Sim.Regime.group_members topo e.entry_pid)
        in
        if bad then
          m.me3 <-
@@ -284,8 +329,13 @@ module Epoch = struct
                    "entry %d by process %d served a request that \
                     happened-before an already-served one"
                    m.entry_idx e.entry_pid }
+       else begin
+         m.me3_all <- add_maximal vc m.me3_all;
+         if global then m.me3_global <- add_maximal vc m.me3_global;
+         m.me3_by_pid.(e.entry_pid) <-
+           add_maximal vc m.me3_by_pid.(e.entry_pid)
+       end
      | _ -> ());
-    m.earlier <- (e, topo) :: m.earlier;
     m.entry_idx <- m.entry_idx + 1
 
   (* The sorted, deduplicated union of the open obligations — what
@@ -297,7 +347,7 @@ module Epoch = struct
       Bytes.fill open_at start (last - start + 1) '\001'
     in
     for j = 0 to m.n - 1 do
-      if m.me2_start.(j) >= 0 then mark (m.me2_start.(j), m.me2_last.(j));
+      if m.me2_start.(j) >= 0 then mark (m.me2_start.(j), run_last m j);
       List.iter mark m.me2_closed.(j)
     done;
     let obligations = ref [] in
@@ -355,7 +405,7 @@ module Epoch = struct
              remaining := rest
            | [] -> ())
          | _ -> ());
-        feed m ~time:snap.time snap.states)
+        feed m ~time:snap.time ~repeat:false snap.states)
       tr;
     report m
 

@@ -97,17 +97,27 @@ module Epoch : sig
   val create : n:int -> timeline:Sim.Regime.timeline -> t
   (** [timeline] must be over the same [n] processes. *)
 
-  val feed : t -> time:int -> View.t array -> unit
+  val feed : t -> time:int -> repeat:bool -> View.t array -> unit
   (** Consume the next snapshot's [n] views (read during the call
-      only).  Costs O(n); a snapshot allocates only when it resumes a
-      process's ME2 obligations after a gap (one closed interval), so
-      a long hungry run costs nothing per step. *)
+      only).  [~repeat:true] promises that every view has the mode it
+      had in the previous snapshot fed; such a snapshot costs O(1)
+      when it falls in the same epoch as that one (an open hungry run
+      extends lazily, settling at the next snapshot fed without the
+      promise or at {!report}).  Any other snapshot costs O(n), and
+      allocates only when it resumes a process's ME2 obligations after
+      a gap (one closed interval).  [~repeat:false] is always
+      correct. *)
 
   val feed_entry : t -> time:int -> Harness.entry_record -> unit
   (** Consume the next oracle CS entry, before the snapshot of the
-      event that produced it. *)
+      event that produced it.  ME3 compares the entry's request stamp
+      with the maximal stamps of the earlier entries it may be
+      compared with, not with every earlier entry, so an entry costs
+      O(n) per maximal stamp: one process's requests are causally
+      ordered, so there are few. *)
 
   val report : t -> report
+  (** O(n + snapshots). *)
 
   val safe : report -> bool
   (** The safety half alone: every epoch's ME1 holds and the
@@ -126,7 +136,8 @@ module Epoch : sig
     vtrace ->
     report
   (** Offline recomputation: replay a recorded trace (entries fed at
-      their ["enter-cs"] events) through the same fold. *)
+      their ["enter-cs"] events) through the same fold, every snapshot
+      fed with [~repeat:false]. *)
 
   val pp : Format.formatter -> report -> unit
 end

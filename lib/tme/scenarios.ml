@@ -173,9 +173,14 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
         else None
       in
       let stuttering = ref false in
+      (* whether the step being observed moved some process's mode: a
+         snapshot that moved none is fed to the folds as a repeat *)
+      let moved = ref false in
       let refresh (nodes : Run.node array) p =
+        let before = views.(p).Graybox.View.mode in
         views.(p) <- Run.view nodes.(p);
-        req_vcs.(p) <- nodes.(p).Run.req_vc
+        req_vcs.(p) <- nodes.(p).Run.req_vc;
+        if views.(p).Graybox.View.mode <> before then moved := true
       in
       let feed_monitors () =
         if live_monitors then begin
@@ -185,9 +190,11 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
       in
       let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
         let nodes = s.Sim.Observer.states in
+        moved := false;
         (match s.Sim.Observer.event with
          | Sim.Trace.Init ->
-           for p = 0 to n - 1 do refresh nodes p done
+           for p = 0 to n - 1 do refresh nodes p done;
+           moved := true
          | Sim.Trace.Deliver { dst; _ } -> refresh nodes dst
          | Sim.Trace.Internal { pid; label } ->
            if label = "enter-cs" then begin
@@ -217,27 +224,31 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
           | _ -> (false, false)
         in
         stuttering := stutter;
-        Graybox.Stabilize.Online.feed ol ~time:s.Sim.Observer.time ~fault views;
+        let repeat = not !moved in
+        Graybox.Stabilize.Online.feed ol ~time:s.Sim.Observer.time ~fault
+          ~repeat views;
         feed_monitors ();
         match em with
         | Some em ->
-          Graybox.Tme_spec.Epoch.feed em ~time:s.Sim.Observer.time views
+          Graybox.Tme_spec.Epoch.feed em ~time:s.Sim.Observer.time ~repeat
+            views
         | None -> ()
       in
       Run.Run.add_observer engine on_step;
       (* A stutter with no crash window left is permanent: exit early
-         and feed the remaining horizon synthetically, so the analysis
-         stays byte-identical to the full run at a fraction of the
-         cost. *)
+         and feed the remaining horizon synthetically — repeats of the
+         last snapshot — so the analysis stays byte-identical to the
+         full run at a fraction of the cost. *)
       let stop eng = !stuttering && Run.Run.quiescent eng in
       (match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
        | None -> ()
        | Some exit_time ->
          for time = exit_time + 1 to steps do
-           Graybox.Stabilize.Online.feed ol ~time ~fault:false views;
+           Graybox.Stabilize.Online.feed ol ~time ~fault:false ~repeat:true
+             views;
            feed_monitors ();
            match em with
-           | Some em -> Graybox.Tme_spec.Epoch.feed em ~time views
+           | Some em -> Graybox.Tme_spec.Epoch.feed em ~time ~repeat:true views
            | None -> ()
          done);
       let live =

@@ -191,6 +191,72 @@ let test_experiments_mcheck_section () =
      @ R.por_safe_names ())
 
 (* ------------------------------------------------------------------ *)
+(* EXPERIMENTS.md: the measured-tables block quotes bench/expected/    *)
+
+(* The fenced block under the "## Measured tables" heading, as lines. *)
+let measured_block () =
+  let rec heading = function
+    | [] -> Alcotest.fail "EXPERIMENTS.md: no \"## Measured tables\" heading"
+    | l :: rest when String.starts_with ~prefix:"## Measured tables" l -> rest
+    | _ :: rest -> heading rest
+  in
+  let rec fence = function
+    | [] -> Alcotest.fail "EXPERIMENTS.md: measured tables are not fenced"
+    | "```" :: rest -> rest
+    | _ :: rest -> fence rest
+  in
+  let rec body acc = function
+    | [] -> Alcotest.fail "EXPERIMENTS.md: measured-tables fence not closed"
+    | "```" :: _ -> List.rev acc
+    | l :: rest -> body (l :: acc) rest
+  in
+  body [] (fence (heading (lines (Lazy.force experiments))))
+
+(* "T9b: ..." -> Some "t9": the golden file a quoted title belongs to *)
+let golden_of_title l =
+  match String.index_opt l ':' with
+  | Some i when i >= 2 && l.[0] = 'T' ->
+    let id = String.sub l 1 (i - 1) in
+    let id =
+      if id.[String.length id - 1] = 'b' then
+        String.sub id 0 (String.length id - 1)
+      else id
+    in
+    if String.for_all (fun c -> c >= '0' && c <= '9') id then Some ("t" ^ id)
+    else None
+  | _ -> None
+
+(* Each golden file opens with a blank line and ends with a newline, so
+   the block is their concatenation, in the order its titles name
+   them. *)
+let test_experiments_measured_tables () =
+  let block = measured_block () in
+  let files =
+    List.fold_left
+      (fun acc l ->
+        match golden_of_title l with
+        | Some f when not (List.mem f acc) -> f :: acc
+        | _ -> acc)
+      [] block
+    |> List.rev
+  in
+  Alcotest.(check bool) "the block quotes some table" true (files <> []);
+  let quoted = String.concat "\n" block ^ "\n" in
+  let golden =
+    List.map (fun f -> (f, read_file ("../bench/expected/" ^ f ^ ".txt"))) files
+  in
+  List.iter
+    (fun (f, table) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "EXPERIMENTS.md quotes bench/expected/%s.txt verbatim" f)
+        true (contains quoted table))
+    golden;
+  Alcotest.(check string)
+    "the block is exactly the quoted golden tables"
+    (String.concat "" (List.map snd golden))
+    quoted
+
+(* ------------------------------------------------------------------ *)
 (* DESIGN.md: the inventory covers the partition fault model           *)
 
 let test_design_inventory () =
@@ -263,7 +329,9 @@ let () =
           Alcotest.test_case "mcheck section present and named" `Quick
             test_experiments_mcheck_section;
           Alcotest.test_case "synth section present and named" `Quick
-            test_experiments_synth_section ] );
+            test_experiments_synth_section;
+          Alcotest.test_case "measured tables equal bench/expected" `Quick
+            test_experiments_measured_tables ] );
       ( "design",
         [ Alcotest.test_case "inventory covers the partition model" `Quick
             test_design_inventory;

@@ -150,10 +150,17 @@ let test_online_fold_equals_offline () =
     protocols_under_test
 
 (* The streaming path's inputs: a grid of protocols, wrapper modes and
-   plans at n = 4, plus one large run — 16 RA processes under W take a
-   burst and then a lossy split, so the recorded run reads every
-   channel snapshot through the network's capture mirror while the
-   streaming run reads online observers and regime-epoch monitors. *)
+   plans at n = 4, plus three more runs.  In the large one, 16 RA
+   processes under W take a burst and then a lossy split, so the
+   recorded run reads every channel snapshot through the network's
+   capture mirror while the streaming run reads online observers and
+   regime-epoch monitors.  In the wedged one, unwrapped RA loses the
+   messages that cross a lossy split and deadlocks: the streaming run
+   exits early just after the heal, and the folds take the remaining
+   3,400 snapshots as repeats, every process's ME2 run among them
+   extending until the report settles it.  In the last one, Lamport
+   under W'(8) lets two processes hold the CS together after a lossy
+   heal, so ME1 is counted over snapshots that repeat a dual holder. *)
 let streaming_inputs =
   let grid =
     List.concat_map
@@ -177,9 +184,22 @@ let streaming_inputs =
       { groups = [ List.init 8 Fun.id; List.init 8 (fun i -> i + 8) ];
         from_t = 3000; until_t = 3300; mode = Sim.Faults.Lossy }
   in
+  let wedge =
+    S.Split
+      { groups = [ [ 0; 1 ] ]; from_t = 300; until_t = 600;
+        mode = Sim.Faults.Lossy }
+  in
   grid
   @ [ ( "ra/W/n=16 burst+split", List.assoc "ra" protocols_under_test,
-        S.wrapped ~delta:0 (), S.burst ~at:1000 @ [ split ], 16, 1, 8000 ) ]
+        S.wrapped ~delta:0 (), S.burst ~at:1000 @ [ split ], 16, 1, 8000 );
+      ( "ra/off/wedged by a lossy split", List.assoc "ra" protocols_under_test,
+        H.Off, [ wedge ], n, 1, 4000 );
+      ( "lamport/W'(8)/dual holders after a lossy heal",
+        List.assoc "lamport" protocols_under_test, S.wrapped ~delta:8 (),
+        [ S.Split
+            { groups = [ [ 0; 1; 2 ]; [ 3 ] ]; from_t = 742; until_t = 805;
+              mode = Sim.Faults.Lossy } ],
+        n, 7, 4000 ) ]
 
 let test_streaming_run_equals_recorded () =
   (* the full streaming path: observer-fed analysis, entry log, epoch

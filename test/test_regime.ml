@@ -315,8 +315,14 @@ end
 
 (* A random run as the monitors see it: a timeline of 1-3 split
    windows and up to two crash windows over n in 2..6, then stretches
-   of constant modes (long ones, like a wedged run's tail) with random
-   CS entries fed before a stretch's first snapshot. *)
+   of constant modes (long ones, like a wedged run's tail, which the
+   windows' ends mostly fall inside) with random CS entries fed before
+   a stretch's first snapshot.  An entry's request vector clock is
+   random noise over a floor that rises by [drift] per stretch.  With
+   no drift, some entry soon lands below an earlier one; with drift the
+   stamps are mostly ordered, so ME3 keeps checking over longer
+   histories of incomparable stamps and stamps from other groups of a
+   split. *)
 type stretch = {
   modes : Graybox.View.mode array;
   len : int;
@@ -327,11 +333,13 @@ type fold_input = {
   fn : int;
   plan : (unit, unit) Faults.plan;
   stretches : stretch list;
+  drift : int;
 }
 
 let gen_fold_input =
   let open QCheck2.Gen in
   let* fn = 2 -- 6 in
+  let* drift = 0 -- 2 in
   let* stretches =
     list_size (1 -- 12)
       (let* modes =
@@ -368,7 +376,7 @@ let gen_fold_input =
          (Faults.at from_t
             (Faults.Crash { proc; until_t; lose_deliveries = false })))
   in
-  return { fn; plan = splits @ crashes; stretches }
+  return { fn; plan = splits @ crashes; stretches; drift }
 
 let print_fold_input i =
   let timeline = Regime.of_plan ~n:i.fn i.plan in
@@ -378,24 +386,29 @@ let print_fold_input i =
       @ Array.to_list (Array.map Graybox.View.mode_to_string st.modes))
     ^ Printf.sprintf "x%d" st.len
   in
-  Printf.sprintf "n=%d timeline: %s\nstretches: %s" i.fn
+  Printf.sprintf "n=%d drift=%d timeline: %s\nstretches: %s" i.fn i.drift
     (timeline_label timeline)
     (String.concat " " (List.map stretch i.stretches))
 
+(* The fold is fed as the streaming observer feeds it: a snapshot
+   whose modes repeat the previous snapshot's is flagged a repeat. *)
 let feed_both i =
   let timeline = Regime.of_plan ~n:i.fn i.plan in
   let m = Epoch.create ~n:i.fn ~timeline in
   let r = Reference.create ~n:i.fn ~timeline in
   let time = ref 0 in
-  List.iter
-    (fun st ->
+  let prev_modes = ref [||] in
+  List.iteri
+    (fun k st ->
       List.iter
         (fun (pid, vc) ->
           let e =
             { Graybox.Harness.entry_time = !time;
               entry_pid = pid;
               entry_req = Clocks.Timestamp.zero ~pid;
-              entry_req_vc = Clocks.Vector_clock.of_list vc }
+              entry_req_vc =
+                Clocks.Vector_clock.of_list
+                  (List.map (fun c -> c + (k * i.drift)) vc) }
           in
           Epoch.feed_entry m ~time:!time e;
           Reference.feed_entry r ~time:!time e)
@@ -408,11 +421,13 @@ let feed_both i =
               ~local_req:Sim.Pid.Map.empty ~clock:0)
           st.modes
       in
-      for _ = 1 to st.len do
-        Epoch.feed m ~time:!time views;
+      for s = 1 to st.len do
+        let repeat = s > 1 || st.modes = !prev_modes in
+        Epoch.feed m ~time:!time ~repeat views;
         Reference.feed r ~time:!time views;
         incr time
-      done)
+      done;
+      prev_modes := st.modes)
     i.stretches;
   (Epoch.report m, Reference.report r)
 
@@ -457,7 +472,7 @@ let test_me2_run_across_split () =
   let m = Epoch.create ~n ~timeline in
   let r = Reference.create ~n ~timeline in
   let feed time mode =
-    Epoch.feed m ~time (views mode);
+    Epoch.feed m ~time ~repeat:false (views mode);
     Reference.feed r ~time (views mode)
   in
   let verdict =
