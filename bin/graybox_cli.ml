@@ -110,19 +110,26 @@ let parse_fault s =
        flush, corrupt-state, reset), drop-requests:FROM-TO, or \
        split[-buf]:FROM-TO:0,1|2,3"
 
-(* The fault check that needs -n: every pid a split names exists. *)
+(* The fault checks that need -n: every pid a split names exists, and
+   the split cuts the processes into at least two groups (a split that
+   cuts nothing would still fire its Split and Heal events as faults,
+   while the regime timeline ignores it). *)
 let check_faults ~n faults =
-  let pids =
-    List.concat_map
-      (function
-        | Tme.Scenarios.Split { groups; _ } -> List.concat groups
-        | _ -> [])
-      faults
+  let check = function
+    | Tme.Scenarios.Split { groups; _ } -> (
+      match List.find_opt (fun p -> p >= n) (List.concat groups) with
+      | Some p ->
+        Error
+          (Printf.sprintf "fault split: process %d does not exist (-n %d)" p n)
+      | None when List.length (Sim.Faults.split_groups ~n groups) < 2 ->
+        Error
+          (Printf.sprintf
+             "fault split: cuts nothing at -n %d (need at least 2 groups)" n)
+      | None -> Ok ())
+    | _ -> Ok ()
   in
-  match List.find_opt (fun p -> p >= n) pids with
-  | Some p ->
-    Error (Printf.sprintf "fault split: process %d does not exist (-n %d)" p n)
-  | None -> Ok ()
+  List.fold_left (fun acc f -> Result.bind acc (fun () -> check f)) (Ok ())
+    faults
 
 let fault_conv =
   Arg.conv
@@ -214,6 +221,22 @@ let resolve_entry name =
 let resolve_protocol name =
   Result.map (fun e -> e.Graybox.Registry.proto) (resolve_entry name)
 
+(* A registry capability gate: a subcommand or mode that the entry
+   does not support fails before any work, naming the entries that do
+   support it. *)
+let require ~mode ~lacks ~names ~label ok (e : Graybox.Registry.entry) =
+  if ok e then Ok e
+  else
+    Error
+      (Printf.sprintf "%s: %S %s (%s: %s)" mode e.Graybox.Registry.name lacks
+         label
+         (String.concat ", " (names ())))
+
+(* --jobs, for the subcommands that fan work over domains *)
+let jobs_arg ?absent ?(default = 1) doc =
+  Arg.(value & opt (int_at_least 1) default
+       & info [ "j"; "jobs" ] ?absent ~docv:"JOBS" ~doc)
+
 let wrapper_mode delta unrefined =
   match delta with
   | None -> Graybox.Harness.Off
@@ -236,7 +259,6 @@ let run_cmd =
          a permanently deadlocked run exits early *)
       let r =
         Tme.Scenarios.run proto ~n ~seed ~steps ~streaming:true
-          ~live_monitors:true
           ~wrapper:(wrapper_mode delta unrefined)
           ~faults
       in
@@ -251,16 +273,17 @@ let run_cmd =
       if r.sim_steps < r.steps then
         Printf.printf "early exit        : permanently quiescent at step %d/%d\n"
           r.sim_steps r.steps;
-      (match r.live_spec with
-       | None -> ()
-       | Some report ->
-         print_endline "-- TME_Spec online monitors --";
-         print_endline (Unityspec.Report.to_string report));
-      (match r.epoch_spec with
-       | None -> ()
-       | Some ep ->
+      (* one TME_Spec report: the classical clauses on a one-epoch
+         timeline, one row per epoch otherwise *)
+      (match r.epoch_spec.Graybox.Tme_spec.Epoch.rows with
+       | [ _ ] ->
+         print_endline "-- TME_Spec monitors --";
+         print_endline
+           (Unityspec.Report.to_string
+              (Graybox.Tme_spec.Epoch.tme_report r.epoch_spec))
+       | _ ->
          print_endline "-- Regime-epoch monitors --";
-         Format.printf "%a@." Graybox.Tme_spec.Epoch.pp ep);
+         Format.printf "%a@." Graybox.Tme_spec.Epoch.pp r.epoch_spec);
       (* exit nonzero on a non-recovering run so `run` can gate CI *)
       `Ok (if r.analysis.Graybox.Stabilize.recovered then 0 else 1)
   in
@@ -377,7 +400,9 @@ let check_cmd =
       print_endline (Unityspec.Report.to_string (Tme.Scenarios.lspec_report r));
       print_endline "";
       print_endline "-- TME_Spec monitors --";
-      print_endline (Unityspec.Report.to_string (Tme.Scenarios.tme_report r));
+      print_endline
+        (Unityspec.Report.to_string
+           (Graybox.Tme_spec.Epoch.tme_report r.epoch_spec));
       print_endline "";
       Printf.printf
         "(liveness clauses may be 'pending' at the trace tail: the run \
@@ -512,11 +537,9 @@ let synth_cmd =
                 (keep small: each check is an exhaustive exploration).")
   in
   let jobs_arg =
-    Arg.(value & opt (int_at_least 1) 1
-         & info [ "j"; "jobs" ] ~docv:"JOBS"
-             ~doc:
-               "Pool width for fanning candidate checks.  The transcript \
-                and the synthesized term are identical for every value.")
+    jobs_arg
+      "Pool width for fanning candidate checks.  The transcript and the \
+       synthesized term are identical for every value."
   in
   let max_size_arg =
     Arg.(value & opt (int_at_least 3) 5
@@ -552,17 +575,13 @@ let synth_cmd =
   in
   let action protocol n jobs max_size max_checks safety_depth recovery_depth
       max_states json =
-    match resolve_entry protocol with
+    match
+      Result.bind (resolve_entry protocol)
+        (require ~mode:"synth" ~lacks:"is not a synthesis target"
+           ~label:"synthesizable" ~names:Graybox.Registry.synthesizable_names
+           (fun e -> e.Graybox.Registry.synthesizable))
+    with
     | Error e -> `Error (false, e)
-    | Result.Ok entry when not entry.Graybox.Registry.synthesizable ->
-      (* same shape as mcheck's --everywhere/--por gates: the
-         capability lives in the registry, the error names who has it *)
-      `Error
-        ( false,
-          Printf.sprintf
-            "synth: %S is not a synthesis target (synthesizable: %s)"
-            protocol
-            (String.concat ", " (Graybox.Registry.synthesizable_names ())) )
     | Result.Ok entry ->
       let cfg =
         Synth.config ~n ~jobs ~max_size ~max_checks ~safety_depth
@@ -707,11 +726,9 @@ let mcheck_cmd =
            ~doc:"Number of processes, 1-64 (keep small: exhaustive search).")
   in
   let jobs_arg =
-    Arg.(value & opt (int_at_least 1) 1
-         & info [ "j"; "jobs" ] ~docv:"JOBS"
-             ~doc:
-               "Worker domains for frontier expansion.  Every value \
-                returns identical results.")
+    jobs_arg
+      "Worker domains for frontier expansion.  Every value returns \
+       identical results."
   in
   let max_states_arg =
     Arg.(value & opt (int_at_least 1) 200_000
@@ -759,27 +776,21 @@ let mcheck_cmd =
   in
   let action protocol n depth jobs shards max_states mem_budget spill_dir por
       everywhere =
-    match resolve_entry protocol with
+    let gates =
+      (* --everywhere fails here rather than deep in Mcheck on a
+         protocol whose perturb has nothing to enumerate *)
+      let ( >>= ) = Result.bind in
+      resolve_entry protocol
+      >>= require ~mode:"--everywhere" ~lacks:"does not enumerate perturbations"
+            ~label:"supported"
+            ~names:Graybox.Registry.everywhere_checkable_names (fun e ->
+              (not everywhere) || e.Graybox.Registry.everywhere_checkable)
+      >>= require ~mode:"--por" ~lacks:"keeps exhaustive semantics"
+            ~label:"por-safe" ~names:Graybox.Registry.por_safe_names (fun e ->
+              (not por) || e.Graybox.Registry.por_safe)
+    in
+    match gates with
     | Error e -> `Error (false, e)
-    | Result.Ok entry
-      when everywhere && not entry.Graybox.Registry.everywhere_checkable ->
-      (* fail here, with the capability listing, rather than deep in
-         Mcheck on a protocol whose perturb has nothing to enumerate *)
-      `Error
-        ( false,
-          Printf.sprintf
-            "--everywhere: %S does not enumerate perturbations (supported: %s)"
-            protocol
-            (String.concat ", " (Graybox.Registry.everywhere_checkable_names ()))
-        )
-    | Result.Ok entry when por && not entry.Graybox.Registry.por_safe ->
-      (* same shape as the --everywhere gate: the capability lives in
-         the registry, the error names who has it *)
-      `Error
-        ( false,
-          Printf.sprintf
-            "--por: %S keeps exhaustive semantics (por-safe: %s)" protocol
-            (String.concat ", " (Graybox.Registry.por_safe_names ())) )
     | Result.Ok entry ->
       let proto = entry.Graybox.Registry.proto in
       let t0 = Unix.gettimeofday () in
@@ -980,14 +991,10 @@ let chaos_cmd =
       & info [ "no-shrink" ] ~doc:"Report failures without shrinking them.")
   in
   let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the sweep (default: the number of cores). \
-             The report is identical for every value; $(docv) = 1 runs \
-             serially.")
+    jobs_arg ~absent:"the number of cores"
+      ~default:(Stdext.Pool.default_jobs ())
+      "Worker domains for the sweep.  The report is identical for every \
+       value; $(docv) = 1 runs serially."
   in
   let partitions_arg =
     Arg.(
@@ -1001,10 +1008,7 @@ let chaos_cmd =
   in
   let action seed seeds budget n steps delta protocols json no_unwrapped
       no_canary no_shrink jobs partitions =
-    let jobs = Option.value jobs ~default:(Stdext.Pool.default_jobs ()) in
-    if jobs < 1 then
-      `Error (false, Printf.sprintf "--jobs: need at least 1 worker, got %d" jobs)
-    else begin try
+    try
       let cfg =
         Chaos.Campaign.config ~base_seed:seed ~seeds ~budget ~n ~steps ~delta
           ~protocols ~include_unwrapped:(not no_unwrapped)
@@ -1049,7 +1053,6 @@ let chaos_cmd =
     | Chaos.Campaign.Unknown_protocol name ->
       `Error (false, Graybox.Registry.unknown_protocol_message name)
     | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
-    end
   in
   let term =
     Term.(

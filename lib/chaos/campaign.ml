@@ -46,18 +46,6 @@ let config ?(base_seed = 1) ?(seeds = 50) ?(budget = 6) ?(n = 4) ?(steps = 4000)
     deadlock_canary; shrink; shrink_max_runs; max_counterexamples; jobs;
     partitions }
 
-(* Protocols that are not everywhere-implementations of Lspec: the
-   wrapper is not expected to rescue them (the paper's negative
-   controls and ablations), so their cells are never gated on
-   recovery.  Derived from the registry's expectation metadata — this
-   list and the resolver can no longer drift apart. *)
-let negative_controls =
-  List.filter_map
-    (fun (e : Registry.entry) ->
-      if e.Registry.expectation = Expect_failure then Some e.Registry.name
-      else None)
-    (Registry.all ())
-
 exception Unknown_protocol of string
 
 let resolve = Registry.find_protocol
@@ -148,21 +136,23 @@ let split_plans cfg ~mode =
       (seed, Plan_gen.split_plan (Rng.create (plan_seed seed)) gen_cfg ~mode))
 
 (* The row of one scenario run, with the epoch verdict whenever the
-   run has one; cells that do not gate on it drop it again. *)
+   plan cuts the run into more than one regime epoch; cells that do not
+   gate on it drop it again. *)
 let run_row ~cfg ~proto ~wrapper (seed, plan) =
   let r =
     S.run proto ~wrapper ~faults:plan ~streaming:true ~n:cfg.n ~seed
       ~steps:cfg.steps
   in
+  let module E = Graybox.Tme_spec.Epoch in
+  let e = r.S.epoch_spec in
   { row_seed = seed;
     row_plan = plan;
     row_verdict = Outcome.classify ~n:cfg.n r.S.analysis;
     row_latency = r.S.recovery_latency;
     row_epoch =
-      Option.map
-        (fun (e : Graybox.Tme_spec.Epoch.report) ->
-          (Graybox.Tme_spec.Epoch.safe e, e.Graybox.Tme_spec.Epoch.split_entries))
-        r.S.epoch_spec }
+      (match e.E.rows with
+       | [ _ ] -> None
+       | _ -> Some (E.safe e, e.E.split_entries)) }
 
 let latency_stats rows =
   (* One sorted pass serves median, p95, and max (p100 is the maximum

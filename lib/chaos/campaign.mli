@@ -96,10 +96,6 @@ val known_protocols : unit -> string list
     error messages; by construction it cannot drift from the
     resolver. *)
 
-val negative_controls : string list
-(** Protocol names whose cells expect failure rather than recovery —
-    the registry entries whose expectation is [Expect_failure]. *)
-
 type row = {
   row_seed : int;
   row_plan : Tme.Scenarios.fault_spec list;

@@ -235,11 +235,6 @@ let init_spec ~n tr =
     if ok then Temporal.Holds
     else Temporal.Violated { at = 0; reason = "Init conditions fail" }
 
-let clause_names =
-  [ "structural"; "flow"; "cs"; "request-safety"; "request-liveness";
-    "reply-liveness"; "cs-entry-safety"; "cs-entry-liveness"; "cs-release";
-    "timestamp"; "communication-fifo"; "init" ]
-
 let check_all ~n tr =
   Report.of_list
     [ ("structural", structural ~n tr);

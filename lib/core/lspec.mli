@@ -71,5 +71,3 @@ val init_spec : n:int -> vtrace -> Unityspec.Temporal.verdict
 
 val check_all : n:int -> vtrace -> Unityspec.Report.t
 (** All clauses, as a named report. *)
-
-val clause_names : string list

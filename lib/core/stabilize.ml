@@ -398,41 +398,6 @@ let service_times ?(after = 0) (tr : vtrace) =
     List.rev !samples
   end
 
-let time_to_quiescent_consistency (tr : vtrace) ~after =
-  let snaps = Array.of_list tr in
-  let len = Array.length snaps in
-  if len = 0 || after >= len then None
-  else begin
-    let n = Array.length snaps.(0).Sim.Trace.states in
-    let consistent (snap : (View.t, Msg.t) Sim.Trace.snapshot) =
-      let eaters = ref 0 in
-      Array.iter (fun v -> if View.eating v then incr eaters) snap.states;
-      !eaters <= 1
-      && List.for_all
-           (fun j ->
-             let vj = snap.states.(j) in
-             (not (View.hungry vj))
-             || List.for_all
-                  (fun k ->
-                    not
-                      (Clocks.Timestamp.lt
-                         (View.local_req snap.states.(k) j)
-                         vj.View.req))
-                  (Sim.Pid.others ~self:j ~n))
-           (Sim.Pid.range n)
-    in
-    let answer = ref None in
-    (try
-       for i = after to len - 1 do
-         if consistent snaps.(i) then begin
-           answer := Some (snaps.(i).Sim.Trace.time - snaps.(after).Sim.Trace.time);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !answer
-  end
-
 let pp ppf a =
   Format.fprintf ppf
     "@[<v>trace length      : %d@,last fault        : %a@,\

@@ -40,7 +40,10 @@ val analyse : ?tail_margin:int -> vtrace -> analysis
     the same snapshot sequence, {!Online.analysis} equals {!analyse}
     and {!Online.latency} equals {!service_round_latency} at
     [after = last fault index (or 0)] — field for field; the test
-    suite asserts this across the protocol × wrapper × seed grid. *)
+    suite asserts this across the protocol × wrapper × seed grid.
+    This fold is what the product runs, streamed or over a recorded
+    trace ({!Online.of_trace}); {!analyse} and {!service_round_latency}
+    are its test oracles. *)
 module Online : sig
   type t
   (** Mutable accumulator — create one per run. *)
@@ -65,8 +68,8 @@ module Online : sig
       the start), maintained incrementally. *)
 
   val of_trace : ?tail_margin:int -> vtrace -> t
-  (** Fold a recorded trace, every snapshot fed with [~repeat:false] —
-      the equivalence bridge used in tests. *)
+  (** Fold a recorded trace, every snapshot fed with [~repeat:false]:
+      how a recorded scenario run computes its analysis. *)
 end
 
 val pp : Format.formatter -> analysis -> unit
@@ -84,10 +87,3 @@ val service_times : ?after:int -> vtrace -> int list
     of every completed hungry-to-eating interval that starts at or
     after snapshot index [after] (default 0) — the per-request service
     latencies, for percentile reporting. *)
-
-val time_to_quiescent_consistency : vtrace -> after:int -> int option
-(** [time_to_quiescent_consistency tr ~after] is the number of steps
-    from [after] to the first subsequent snapshot at which no process
-    is eating together with another (ME1 holds) and every hungry
-    process's request is known to all peers — a cheap spot check of
-    restored mutual consistency.  [None] if never reached. *)

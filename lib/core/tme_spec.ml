@@ -11,9 +11,6 @@ let eaters (snap : (View.t, Msg.t) Sim.Trace.snapshot) =
 let me1 tr =
   Temporal.invariant ~name:"ME1" (fun snap -> eaters snap <= 1) tr
 
-let me1_violations tr =
-  List.fold_left (fun acc snap -> if eaters snap > 1 then acc + 1 else acc) 0 tr
-
 let me2 ~n tr =
   Temporal.forall
     (fun j ->
@@ -47,33 +44,15 @@ let me3 entries =
   in
   scan 0 [] entries
 
-let report_of_verdicts ~me1 ~me2 ~me3 =
+(* the clause labels of every TME_Spec report *)
+let tme_clauses ~me1 ~me2 ~me3 =
   Report.of_list
     [ ("ME1 (mutual exclusion)", me1);
       ("ME2 (starvation freedom)", me2);
       ("ME3 (FCFS)", me3) ]
 
 let check_all ~n ~entries tr =
-  report_of_verdicts ~me1:(me1 tr) ~me2:(me2 ~n tr) ~me3:(me3 entries)
-
-(* ------------------------------------------------------------------ *)
-(* Online monitors: the same three clauses as incremental folds over
-   view arrays (ME1, ME2) and the oracle entry stream (ME3), with the
-   same verdicts — index for index, reason for reason — as the offline
-   operators above on the corresponding prefix. *)
-
-let eaters_of views =
-  Array.fold_left (fun acc v -> if View.eating v then acc + 1 else acc) 0 views
-
-let me1_online () =
-  Online.invariant ~name:"ME1" (fun views -> eaters_of views <= 1)
-
-let me2_online ~n =
-  Online.all
-    (List.init n (fun j ->
-         Online.leads_to ~name:(Printf.sprintf "ME2.%d" j)
-           (fun (views : View.t array) -> View.hungry views.(j))
-           (fun views -> View.eating views.(j))))
+  tme_clauses ~me1:(me1 tr) ~me2:(me2 ~n tr) ~me3:(me3 entries)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-indexed monitors: the same spec, weakened per regime.  During
@@ -87,7 +66,9 @@ let me2_online ~n =
    per side of a heal); it is tolerated as long as it only shrinks,
    and must reach a topology-legal state before the run ends — a
    dual-holder surviving heal-complete is the violation the classical
-   ME1 would have charged to the wrong epoch. *)
+   ME1 would have charged to the wrong epoch.  On a one-epoch
+   timeline nothing weakens and no obligation opens: the fold is the
+   classical spec, the one monitor the product runs for TME_Spec. *)
 
 module Epoch = struct
   type row = {
@@ -135,6 +116,10 @@ module Epoch = struct
      [feed_entry]). *)
   type t = {
     n : int;
+    split : bool;
+        (** the timeline has a [Split] epoch: only then does an
+            entry's ME3 check read the global-epoch and per-process
+            stamp sets, so only then are they kept *)
     cursor : Sim.Regime.cursor;
     rows : row_state array;
     mutable cur_epoch : int;
@@ -167,9 +152,14 @@ module Epoch = struct
         topo.Sim.Regime.groups;
       { r_topo = topo; r_group; r_me1 = Temporal.Holds; r_entries = 0 }
     in
+    let epochs = Sim.Regime.epochs timeline in
     { n;
+      split =
+        List.exists
+          (fun (t : Sim.Regime.topo) -> t.Sim.Regime.phase = Sim.Regime.Split)
+          epochs;
       cursor = Sim.Regime.cursor timeline;
-      rows = Array.of_list (List.map row (Sim.Regime.epochs timeline));
+      rows = Array.of_list (List.map row epochs);
       cur_epoch = 0;
       idx = 0;
       full_idx = -1;
@@ -331,9 +321,11 @@ module Epoch = struct
                    m.entry_idx e.entry_pid }
        else begin
          m.me3_all <- add_maximal vc m.me3_all;
-         if global then m.me3_global <- add_maximal vc m.me3_global;
-         m.me3_by_pid.(e.entry_pid) <-
-           add_maximal vc m.me3_by_pid.(e.entry_pid)
+         if m.split then begin
+           if global then m.me3_global <- add_maximal vc m.me3_global;
+           m.me3_by_pid.(e.entry_pid) <-
+             add_maximal vc m.me3_by_pid.(e.entry_pid)
+         end
        end
      | _ -> ());
     m.entry_idx <- m.entry_idx + 1
@@ -381,6 +373,11 @@ module Epoch = struct
       split_entries = m.split_entries;
       snapshots = m.idx }
 
+  let tme_report (r : report) =
+    tme_clauses
+      ~me1:(Temporal.all (List.map (fun row -> row.me1) r.rows))
+      ~me2:r.me2 ~me3:r.me3
+
   let safe (r : report) =
     List.for_all (fun row -> Temporal.is_ok row.me1) r.rows
     && Temporal.is_ok r.heal
@@ -427,25 +424,3 @@ module Epoch = struct
     Format.fprintf ppf "ME3 (intra-group): %a@," Temporal.pp_verdict r.me3;
     Format.fprintf ppf "during-split entries: %d" r.split_entries
 end
-
-let me3_online () =
-  Online.stateful ~init:(0, [])
-    ~step:(fun (idx, earlier) (e : Harness.entry_record) ->
-      let bad =
-        List.exists
-          (fun (prev : Harness.entry_record) ->
-            Vector_clock.lt e.entry_req_vc prev.entry_req_vc)
-          earlier
-      in
-      let verdict =
-        if bad then
-          Temporal.Violated
-            { at = idx;
-              reason =
-                Printf.sprintf
-                  "entry %d by process %d served a request that \
-                   happened-before an already-served one"
-                  idx e.entry_pid }
-        else Temporal.Holds
-      in
-      ((idx + 1, e :: earlier), verdict))

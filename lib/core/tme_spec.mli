@@ -6,16 +6,21 @@
     TME_Spec from initial states; these monitors are the empirical
     check — they must hold on every fault-free trace of a conforming
     implementation, and (by Theorem 8) on a suffix of every faulty
-    trace of a wrapped one. *)
+    trace of a wrapped one.
+
+    The spec is computed one way in the product: {!Epoch}, one fold
+    over a run's snapshots and CS entries, fed as the engine runs or
+    replayed over a recorded trace.  On a one-epoch timeline (a plan
+    without effective split or crash windows) its report is the
+    classical TME_Spec report ({!Epoch.tme_report}).  {!me1}, {!me2},
+    {!me3} and {!check_all} restate the clauses with the {!Unityspec}
+    operators over a recorded trace: they are the test oracles the
+    fold is held to. *)
 
 type vtrace = (View.t, Msg.t) Sim.Trace.t
 
 val me1 : vtrace -> Unityspec.Temporal.verdict
 (** [(∀j,k :: e.j ∧ e.k ⇒ j = k)]: at most one process eats. *)
-
-val me1_violations : vtrace -> int
-(** Number of snapshots with two or more eaters (for recovery
-    accounting rather than a verdict). *)
 
 val me2 : n:int -> vtrace -> Unityspec.Temporal.verdict
 (** [(∀j :: h.j ↝ e.j)]: every hungry process eventually eats. *)
@@ -27,28 +32,6 @@ val me3 : Harness.entry_record list -> Unityspec.Temporal.verdict
 
 val check_all :
   n:int -> entries:Harness.entry_record list -> vtrace -> Unityspec.Report.t
-
-val report_of_verdicts :
-  me1:Unityspec.Temporal.verdict ->
-  me2:Unityspec.Temporal.verdict ->
-  me3:Unityspec.Temporal.verdict -> Unityspec.Report.t
-(** The report shape shared by {!check_all} and the streaming path:
-    the three clause labels paired with the given verdicts. *)
-
-(** {2 Online monitors}
-
-    The same clauses as incremental {!Unityspec.Online} monitors, fed
-    while the engine runs instead of over a recorded trace.  ME1 and
-    ME2 consume the per-snapshot view array (one feed per trace
-    snapshot, in order); ME3 consumes the oracle entry stream.  On
-    equal input prefixes the verdicts equal the offline operators —
-    including [at] indices and reasons (asserted in tests). *)
-
-val me1_online : unit -> View.t array Unityspec.Online.t
-
-val me2_online : n:int -> View.t array Unityspec.Online.t
-
-val me3_online : unit -> Harness.entry_record Unityspec.Online.t
 
 (** {2 Epoch-indexed monitors}
 
@@ -64,7 +47,8 @@ val me3_online : unit -> Harness.entry_record Unityspec.Online.t
     transition may violate the new topology (one holder per side of a
     heal); it is tolerated while it only shrinks and must reach a
     topology-legal state before the run ends — no dual-holder
-    survives heal-complete.
+    survives heal-complete.  A one-epoch timeline weakens nothing:
+    the monitor then checks TME_Spec itself.
 
     One monitor serves both observation modes: {!Epoch.feed}/
     {!Epoch.feed_entry} stream snapshots as the engine runs, and
@@ -114,10 +98,20 @@ module Epoch : sig
       with the maximal stamps of the earlier entries it may be
       compared with, not with every earlier entry, so an entry costs
       O(n) per maximal stamp: one process's requests are causally
-      ordered, so there are few. *)
+      ordered, so there are few.  The per-group stamp sets a split
+      epoch needs are kept only when the timeline has one. *)
 
   val report : t -> report
   (** O(n + snapshots). *)
+
+  val tme_report : report -> Unityspec.Report.t
+  (** ME1–ME3 under {!check_all}'s clause labels: ME1 is the
+      violation of the first epoch that has one, if any, and ME2 and
+      ME3 are the report's own.  On a one-epoch timeline this is the
+      classical report: ME1's index, ME2's obligations and ME3's
+      verdict equal {!check_all}'s on the same run (asserted across
+      the registry in tests); only ME1's reason is worded per
+      epoch. *)
 
   val safe : report -> bool
   (** The safety half alone: every epoch's ME1 holds and the

@@ -181,11 +181,6 @@ module Make (N : NODE) = struct
     Vec.push t.observers f;
     f { Observer.time = t.time; event = Trace.Init; states = t.states }
 
-  let observe t o =
-    let feed, peek = Observer.sink o in
-    add_observer t feed;
-    peek
-
   (* Indexed mode: drop the processes whose crash window has elapsed
      from [crashed_pids], retiring their lose flag (so a later
      buffer-mode crash is not contaminated) and dirtying their action

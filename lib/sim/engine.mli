@@ -116,17 +116,15 @@ module Make (N : NODE) : sig
       Observers receive one {!Observer.step} at exactly the points a
       snapshot would be recorded — [Init] on attachment, each [step],
       each [apply_fault] — so the step stream equals the trace the
-      engine would record, independently of [cfg.record]. *)
+      engine would record, independently of [cfg.record].  An observer
+      is a step sink; the folds it feeds keep their own state (see
+      [Tme.Scenarios.run]). *)
 
   val add_observer : t -> (N.state, N.msg) Observer.sink -> unit
   (** [add_observer t f] registers [f] (called in registration order)
       and immediately feeds it an [Init] step of the current state:
       attached right after {!create}, [f] sees exactly the recorded
       trace, snapshot for snapshot. *)
-
-  val observe : t -> (N.state, N.msg, 'a) Observer.t -> unit -> 'a
-  (** [observe t o] attaches the pure observer [o]; the returned thunk
-      reads its current accumulator at any moment (mid-run verdicts). *)
 
   (** {2 Mutation} *)
 

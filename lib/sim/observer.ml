@@ -4,38 +4,4 @@ type ('s, 'm) step = {
   states : 's array;
 }
 
-type ('s, 'm, 'a) t = {
-  value : 'a;
-  on_step : ('s, 'm) step -> ('s, 'm, 'a) t;
-}
-
-let value o = o.value
-
-let observe o step = o.on_step step
-
-let rec fold ~init ~f =
-  { value = init; on_step = (fun s -> fold ~init:(f init s) ~f) }
-
-let rec map g o =
-  { value = g o.value; on_step = (fun s -> map g (o.on_step s)) }
-
-let rec pair a b =
-  { value = (a.value, b.value);
-    on_step = (fun s -> pair (a.on_step s) (b.on_step s)) }
-
-let rec premap g o = { value = o.value; on_step = (fun s -> premap g (o.on_step (g s))) }
-
-let feed_all o steps = List.fold_left observe o steps
-
-let run o steps = value (feed_all o steps)
-
-let of_snapshot (snap : ('s, 'm) Trace.snapshot) =
-  { time = snap.Trace.time; event = snap.Trace.event; states = snap.Trace.states }
-
 type ('s, 'm) sink = ('s, 'm) step -> unit
-
-let sink o =
-  let cur = ref o in
-  let feed s = cur := observe !cur s in
-  let peek () = value !cur in
-  (feed, peek)

@@ -6,7 +6,9 @@
     verdicts are available mid-run and nothing needs to be retained.
     The step stream an engine delivers to its observers is exactly the
     snapshot sequence it would record (asserted in the test suite), so
-    any trace analysis can be restated as an observer fold.
+    any trace analysis can be restated as a fold over it: the product's
+    folds are [Graybox.Stabilize.Online] and [Graybox.Tme_spec.Epoch],
+    which [Tme.Scenarios] feeds from one sink.
 
     [step.states] is the engine's {e live} state array: it is valid
     (and immutable) for the duration of the callback only.  An observer
@@ -18,42 +20,6 @@ type ('s, 'm) step = {
   states : 's array;  (** live array — copy before retaining *)
 }
 
-(** A pure observer: a fold over the step stream carrying its
-    accumulator.  Persistent — [observe] returns a new observer — so
-    snapshotting mid-run is free. *)
-type ('s, 'm, 'a) t
-
-val value : ('s, 'm, 'a) t -> 'a
-(** The accumulator over the steps observed so far. *)
-
-val observe : ('s, 'm, 'a) t -> ('s, 'm) step -> ('s, 'm, 'a) t
-
-val fold : init:'a -> f:('a -> ('s, 'm) step -> 'a) -> ('s, 'm, 'a) t
-(** [fold ~init ~f] is the primitive observer: [value] after steps
-    [s1 .. sk] is [f (... (f init s1) ...) sk]. *)
-
-val map : ('a -> 'b) -> ('s, 'm, 'a) t -> ('s, 'm, 'b) t
-
-val pair : ('s, 'm, 'a) t -> ('s, 'm, 'b) t -> ('s, 'm, 'a * 'b) t
-(** Run two observers over one stream. *)
-
-val premap : (('s, 'm) step -> ('s, 'm) step) -> ('s, 'm, 'a) t -> ('s, 'm, 'a) t
-(** Pre-process each step (e.g. project states) before observing. *)
-
-val feed_all : ('s, 'm, 'a) t -> ('s, 'm) step list -> ('s, 'm, 'a) t
-
-val run : ('s, 'm, 'a) t -> ('s, 'm) step list -> 'a
-(** [run o steps] = [value (feed_all o steps)]. *)
-
-val of_snapshot : ('s, 'm) Trace.snapshot -> ('s, 'm) step
-(** Replay glue: the step a recorded snapshot would have produced
-    (channels are dropped — observers see states and events only). *)
-
 type ('s, 'm) sink = ('s, 'm) step -> unit
-(** What an engine actually calls: an imperative step consumer
-    ({!Engine.Make.add_observer}). *)
-
-val sink : ('s, 'm, 'a) t -> ('s, 'm) sink * (unit -> 'a)
-(** [sink o] wraps a pure observer for engine attachment: the returned
-    function feeds it in place, and the second component reads the
-    current accumulator at any time. *)
+(** What an engine calls ({!Engine.Make.add_observer}): an imperative
+    step consumer. *)

@@ -143,14 +143,3 @@ let groups_label topo =
        (fun g ->
          "{" ^ String.concat "," (List.map string_of_int g) ^ "}")
        topo.groups)
-
-let pp_topo ppf topo =
-  let phase = match topo.phase with Global -> "global" | Split -> "split" in
-  let dead =
-    Array.to_list topo.live
-    |> List.mapi (fun i l -> if l then None else Some (string_of_int i))
-    |> List.filter_map Fun.id
-  in
-  Format.fprintf ppf "epoch %d: %s %s since %d%s" topo.epoch phase
-    (groups_label topo) topo.since
-    (if dead = [] then "" else " dead:" ^ String.concat "," dead)

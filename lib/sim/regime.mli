@@ -81,5 +81,3 @@ val advance : cursor -> int -> topo
 
 val groups_label : topo -> string
 (** ["{0,1}|{2}"]-style rendering of [groups]. *)
-
-val pp_topo : Format.formatter -> topo -> unit

@@ -52,8 +52,6 @@ let map_msgs f tr =
                (Lazy.force snap.channels)) })
     tr
 
-let states_seq tr = List.map (fun snap -> snap.states) tr
-
 let length = List.length
 
 let nth = List.nth
@@ -76,11 +74,3 @@ let rec suffix_from tr i =
   | rest when i <= 0 -> rest
   | [] -> []
   | _ :: rest -> suffix_from rest (i - 1)
-
-let pp_event ~msg ppf = function
-  | Init -> Format.fprintf ppf "init"
-  | Deliver { src; dst; msg = m } ->
-    Format.fprintf ppf "deliver %d->%d %a" src dst msg m
-  | Internal { pid; label } -> Format.fprintf ppf "internal %d %s" pid label
-  | Fault { label } -> Format.fprintf ppf "fault %s" label
-  | Stutter -> Format.fprintf ppf "stutter"

@@ -39,9 +39,6 @@ val map_msgs : ('m -> 'p) -> ('s, 'm) t -> ('s, 'p) t
 (** [map_msgs f tr] maps every message in events and channel snapshots,
     e.g. stripping oracle metadata from envelopes. *)
 
-val states_seq : ('s, 'm) t -> 's array list
-(** [states_seq tr] is the bare global-state sequence. *)
-
 val length : ('s, 'm) t -> int
 
 val nth : ('s, 'm) t -> int -> ('s, 'm) snapshot
@@ -54,7 +51,3 @@ val last_fault_index : ('s, 'm) t -> int option
 
 val suffix_from : ('s, 'm) t -> int -> ('s, 'm) t
 (** [suffix_from tr i] drops the first [i] snapshots. *)
-
-val pp_event :
-  msg:(Format.formatter -> 'm -> unit) ->
-  Format.formatter -> ('s, 'm) event -> unit

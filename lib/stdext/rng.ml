@@ -49,10 +49,6 @@ let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | xs -> List.nth xs (int t (List.length xs))
 
-let pick_arr t xs =
-  if Array.length xs = 0 then invalid_arg "Rng.pick_arr: empty array";
-  xs.(int t (Array.length xs))
-
 let pick_weighted t choices =
   let total =
     List.fold_left (fun acc (_, w) -> if w > 0 then acc + w else acc) 0 choices

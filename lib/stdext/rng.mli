@@ -46,10 +46,6 @@ val pick : t -> 'a list -> 'a
 (** [pick t xs] returns a uniform element of [xs].
     @raise Invalid_argument on the empty list. *)
 
-val pick_arr : t -> 'a array -> 'a
-(** [pick_arr t xs] returns a uniform element of [xs].
-    @raise Invalid_argument on the empty array. *)
-
 val pick_weighted : t -> ('a * int) list -> 'a
 (** [pick_weighted t choices] picks proportionally to the (positive)
     integer weights.  Entries with weight [<= 0] are never picked.

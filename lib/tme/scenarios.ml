@@ -39,8 +39,7 @@ type result = {
   total_entries : int;
   analysis : Graybox.Stabilize.analysis;
   recovery_latency : int option;
-  live_spec : Unityspec.Report.t option;
-  epoch_spec : Graybox.Tme_spec.Epoch.report option;
+  epoch_spec : Graybox.Tme_spec.Epoch.report;
   sent_total : int;
   wrapper_sends : int;
   protocol_sends : int;
@@ -49,13 +48,10 @@ type result = {
 }
 
 let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
-    ?(live_monitors = false) ?tail_margin ?(think = (2, 8)) ?(eat = (1, 3))
-    ?(passive = []) ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~steps =
+    ?tail_margin ?(passive = []) ?indexed (module P : Graybox.Protocol.S) ~n
+    ~seed ~steps =
   let module Run = H.Make (P) in
-  let think_min, think_max = think and eat_min, eat_max = eat in
-  let params =
-    H.params ~wrapper ~think_min ~think_max ~eat_min ~eat_max ~passive ~n ()
-  in
+  let params = H.params ~wrapper ~passive ~n () in
   let record = record && not streaming in
   let engine = Run.make_engine ~record ?indexed params ~seed in
   let lower = function
@@ -107,17 +103,16 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
   let plan = List.concat_map lower faults in
   (* regime epochs: the piecewise-constant topology this plan induces.
      A plan without effective split/crash windows has the one-epoch
-     trivial timeline — no epoch monitor, no extra fault events, and
-     byte-identical reports to the pre-epoch code. *)
+     trivial timeline, on which the epoch fold is the classical
+     TME_Spec and no extra fault events are planned. *)
   let timeline = Sim.Regime.of_plan ~n plan in
-  let epochal = Sim.Regime.nontrivial timeline in
   let plan =
     (* the group membership service: membership-aware protocols hear
        about every topology change via [on_view_change].  Appended
        after the base plan so same-time events fire after the
        Split/Heal that caused them; classical protocols get no events
        and keep their exact pre-GMS plans. *)
-    if epochal && P.membership_aware then
+    if Sim.Regime.nontrivial timeline && P.membership_aware then
       plan
       @ (Sim.Regime.epochs timeline
         |> List.filter (fun (t : Sim.Regime.topo) -> t.Sim.Regime.since > 0)
@@ -128,50 +123,34 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
                       Sim.Regime.group_members topo self))))
     else plan
   in
-  let vtrace, entry_log, analysis, recovery_latency, live_spec, epoch_spec =
+  (* Every verdict comes from two folds: [Stabilize.Online] (the
+     analysis and the recovery latency) and [Tme_spec.Epoch] (ME1-ME3
+     per epoch).  A streaming run feeds them as the engine runs; a
+     recorded run replays its trace through their [of_trace]; a run
+     neither streamed nor recorded feeds them nothing. *)
+  let vtrace, entry_log, ol, epoch_spec =
     if not streaming then begin
-      (* record-then-analyse: run the horizon, then fold the trace *)
       Run.Run.run ~plan ~steps engine;
       let vtrace = if record then Run.view_trace engine else [] in
       let entry_log = if record then Run.entry_log engine else [] in
-      let analysis = Graybox.Stabilize.analyse ?tail_margin vtrace in
-      let recovery_latency =
-        let after =
-          match analysis.Graybox.Stabilize.last_fault_index with
-          | Some i -> i
-          | None -> 0
-        in
-        Graybox.Stabilize.service_round_latency vtrace ~after
-      in
-      let epoch_spec =
-        if epochal && record then
-          Some
-            (Graybox.Tme_spec.Epoch.of_trace ~timeline ~n ~entries:entry_log
-               vtrace)
-        else None
-      in
-      (vtrace, entry_log, analysis, recovery_latency, None, epoch_spec)
+      ( vtrace,
+        entry_log,
+        Graybox.Stabilize.Online.of_trace ?tail_margin vtrace,
+        Graybox.Tme_spec.Epoch.of_trace ~timeline ~n ~entries:entry_log vtrace )
     end
     else begin
       (* Streaming: no trace.  One observer keeps the spec-level
          projection (views, oracle request stamps) current — only the
          process an event touched is re-projected — and fans each step
-         out to the incremental analysis, the entry stream, and (when
-         asked) the live TME_Spec monitors.  The analysis, latency,
-         and entry log equal the offline ones on the same run, seed
-         for seed; the equivalence is asserted in the test suite. *)
+         out to both folds and the entry stream.  They equal the
+         recorded run's, seed for seed; the equivalence is asserted in
+         the test suite. *)
       let ol = Graybox.Stabilize.Online.create ?tail_margin () in
+      let em = Graybox.Tme_spec.Epoch.create ~n ~timeline in
       let nodes0 = Run.Run.states engine in
       let views = Array.map Run.view nodes0 in
       let req_vcs = Array.map (fun (nd : Run.node) -> nd.Run.req_vc) nodes0 in
       let entries = ref [] in
-      let me1 = ref (Graybox.Tme_spec.me1_online ()) in
-      let me2 = ref (Graybox.Tme_spec.me2_online ~n) in
-      let me3 = ref (Graybox.Tme_spec.me3_online ()) in
-      let em =
-        if epochal then Some (Graybox.Tme_spec.Epoch.create ~n ~timeline)
-        else None
-      in
       let stuttering = ref false in
       (* whether the step being observed moved some process's mode: a
          snapshot that moved none is fed to the folds as a repeat *)
@@ -182,11 +161,9 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
         req_vcs.(p) <- nodes.(p).Run.req_vc;
         if views.(p).Graybox.View.mode <> before then moved := true
       in
-      let feed_monitors () =
-        if live_monitors then begin
-          me1 := Unityspec.Online.feed !me1 views;
-          me2 := Unityspec.Online.feed !me2 views
-        end
+      let feed ~time ~fault ~repeat =
+        Graybox.Stabilize.Online.feed ol ~time ~fault ~repeat views;
+        Graybox.Tme_spec.Epoch.feed em ~time ~repeat views
       in
       let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
         let nodes = s.Sim.Observer.states in
@@ -207,11 +184,7 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
                  entry_req_vc = req_vcs.(pid) }
              in
              entries := e :: !entries;
-             if live_monitors then me3 := Unityspec.Online.feed !me3 e;
-             match em with
-             | Some em ->
-               Graybox.Tme_spec.Epoch.feed_entry em ~time:s.Sim.Observer.time e
-             | None -> ()
+             Graybox.Tme_spec.Epoch.feed_entry em ~time:s.Sim.Observer.time e
            end;
            refresh nodes pid
          | Sim.Trace.Fault _ ->
@@ -224,48 +197,21 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
           | _ -> (false, false)
         in
         stuttering := stutter;
-        let repeat = not !moved in
-        Graybox.Stabilize.Online.feed ol ~time:s.Sim.Observer.time ~fault
-          ~repeat views;
-        feed_monitors ();
-        match em with
-        | Some em ->
-          Graybox.Tme_spec.Epoch.feed em ~time:s.Sim.Observer.time ~repeat
-            views
-        | None -> ()
+        feed ~time:s.Sim.Observer.time ~fault ~repeat:(not !moved)
       in
       Run.Run.add_observer engine on_step;
       (* A stutter with no crash window left is permanent: exit early
          and feed the remaining horizon synthetically — repeats of the
-         last snapshot — so the analysis stays byte-identical to the
+         last snapshot — so the verdicts stay byte-identical to the
          full run at a fraction of the cost. *)
       let stop eng = !stuttering && Run.Run.quiescent eng in
       (match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
        | None -> ()
        | Some exit_time ->
          for time = exit_time + 1 to steps do
-           Graybox.Stabilize.Online.feed ol ~time ~fault:false ~repeat:true
-             views;
-           feed_monitors ();
-           match em with
-           | Some em -> Graybox.Tme_spec.Epoch.feed em ~time ~repeat:true views
-           | None -> ()
+           feed ~time ~fault:false ~repeat:true
          done);
-      let live =
-        if live_monitors then
-          Some
-            (Graybox.Tme_spec.report_of_verdicts
-               ~me1:(Unityspec.Online.verdict !me1)
-               ~me2:(Unityspec.Online.verdict !me2)
-               ~me3:(Unityspec.Online.verdict !me3))
-        else None
-      in
-      ( [],
-        List.rev !entries,
-        Graybox.Stabilize.Online.analysis ol,
-        Graybox.Stabilize.Online.latency ol,
-        live,
-        Option.map Graybox.Tme_spec.Epoch.report em )
+      ([], List.rev !entries, ol, Graybox.Tme_spec.Epoch.report em)
     end
   in
   let metrics = Run.Run.metrics engine in
@@ -281,9 +227,8 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
     vtrace;
     entry_log;
     total_entries = Run.total_entries engine;
-    analysis;
-    recovery_latency;
-    live_spec;
+    analysis = Graybox.Stabilize.Online.analysis ol;
+    recovery_latency = Graybox.Stabilize.Online.latency ol;
     epoch_spec;
     sent_total;
     wrapper_sends;

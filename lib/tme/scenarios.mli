@@ -4,7 +4,13 @@
     harness — runs experiments through this module, so a scenario is
     described once: protocol (as a first-class module), wrapper mode,
     process count, seed, horizon, and a protocol-independent fault
-    script that is lowered onto the protocol's own corruption hooks. *)
+    script that is lowered onto the protocol's own corruption hooks.
+
+    Every verdict a run reports comes from two folds:
+    {!Graybox.Stabilize.Online} (the stabilization analysis and the
+    recovery latency) and {!Graybox.Tme_spec.Epoch} (ME1–ME3, per
+    regime epoch).  A streaming run feeds them from an engine observer;
+    a recorded run replays its trace through their [of_trace]. *)
 
 type fault_spec =
   | Drop_requests of { at : int; per_chan : int }
@@ -71,22 +77,24 @@ type result = {
   entry_log : Graybox.Harness.entry_record list;
   total_entries : int;
   analysis : Graybox.Stabilize.analysis;
+      (** equal to {!Graybox.Stabilize.analyse} over the recorded trace
+          (asserted in tests); empty on a run neither streamed nor
+          recorded *)
   recovery_latency : int option;
       (** steps from the last fault until every process completed a
-          fresh CS entry ({!Graybox.Stabilize.service_round_latency});
-          measured from the trace start on fault-free runs *)
-  live_spec : Unityspec.Report.t option;
-      (** ME1/ME2/ME3 verdicts from the online monitors, present only
-          on streaming runs with [~live_monitors:true]; equal to
-          {!tme_report} of the same scenario recorded *)
-  epoch_spec : Graybox.Tme_spec.Epoch.report option;
-      (** the regime-epoch report ({!Graybox.Tme_spec.Epoch}): present
-          exactly when the lowered plan induces a nontrivial
-          {!Sim.Regime} timeline (an effective split or crash window).
-          Streaming runs feed the monitor online; recorded runs replay
-          the trace through {!Graybox.Tme_spec.Epoch.of_trace} — equal
-          either way (asserted in tests).  [None] on no-partition
-          plans, whose results are byte-identical to pre-epoch code. *)
+          fresh CS entry (equal to
+          {!Graybox.Stabilize.service_round_latency}); measured from
+          the trace start on fault-free runs *)
+  epoch_spec : Graybox.Tme_spec.Epoch.report;
+      (** the TME_Spec report, one row per regime epoch of the
+          {!Sim.Regime} timeline the lowered plan induces.  A plan
+          without effective split or crash windows has one epoch, and
+          the report is then the classical one
+          ({!Graybox.Tme_spec.Epoch.tme_report}, equal to {!tme_report}
+          in ME1's index, ME2's obligations and ME3's verdict).
+          Streaming and recorded runs report it equally (asserted in
+          tests); like [analysis] it is always present, and empty
+          (no snapshots) on a run neither streamed nor recorded. *)
   sent_total : int;
   wrapper_sends : int;
   protocol_sends : int;  (** [sent_total - wrapper_sends] *)
@@ -99,36 +107,34 @@ val run :
   ?faults:fault_spec list ->
   ?record:bool ->
   ?streaming:bool ->
-  ?live_monitors:bool ->
   ?tail_margin:int ->
-  ?think:(int * int) ->
-  ?eat:(int * int) ->
   ?passive:Sim.Pid.t list ->
   ?indexed:bool ->
   (module Graybox.Protocol.S) ->
   n:int -> seed:int -> steps:int -> result
 (** [run proto ~n ~seed ~steps] executes one scenario.  With
     [~record:false] the view trace and entry log are empty and the
-    analysis is degenerate — use it for throughput measurements
-    only.
+    analysis and epoch report are degenerate — use it for throughput
+    measurements only.  Clients think for 2–8 steps and eat for 1–3
+    ({!Graybox.Harness.params}' defaults).
 
     With [~streaming:true] trace recording is forced off and the
-    analysis, recovery latency, and entry log are computed online by
-    an engine observer while the run proceeds; they equal the recorded
-    run's results field for field (asserted in the test suite), but
-    [vtrace] is empty.  Streaming runs also exit early once the system
-    is permanently quiescent (deadlocked with no pending recovery),
-    feeding the rest of the horizon synthetically — [sim_steps] then
-    reports how far the engine actually ran.  [~live_monitors:true]
-    additionally folds the {!Graybox.Tme_spec} online monitors over
-    the run and fills [live_spec]. *)
+    analysis, recovery latency, epoch report and entry log are
+    computed online by an engine observer while the run proceeds;
+    they equal the recorded run's results field for field (asserted in
+    the test suite), but [vtrace] is empty.  Streaming runs also exit
+    early once the system is permanently quiescent (deadlocked with no
+    pending recovery), feeding the rest of the horizon synthetically —
+    [sim_steps] then reports how far the engine actually ran. *)
 
 val lspec_report : result -> Unityspec.Report.t
 (** Lspec clause verdicts over the scenario's recorded trace — only
     meaningful on fault-free runs (see {!Graybox.Lspec}). *)
 
 val tme_report : result -> Unityspec.Report.t
-(** ME1/ME2/ME3 verdicts over the recorded trace. *)
+(** ME1/ME2/ME3 verdicts over the recorded trace by
+    {!Graybox.Tme_spec.check_all}: the test oracle [epoch_spec] is
+    held to. *)
 
 val find_protocol : string -> (module Graybox.Protocol.S) option
 (** Alias for {!Graybox.Registry.find_protocol}.  This module is the

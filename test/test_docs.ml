@@ -257,6 +257,69 @@ let test_experiments_measured_tables () =
     quoted
 
 (* ------------------------------------------------------------------ *)
+(* EXPERIMENTS.md: numbers quoted in prose come from bench/expected/   *)
+
+(* A Tabular row's cells: cells are separated by two spaces or more,
+   and no cell holds two spaces in a row. *)
+let row_cells l =
+  let close cur cells =
+    if cur = [] then cells else String.concat " " (List.rev cur) :: cells
+  in
+  let cells, cur =
+    List.fold_left
+      (fun (cells, cur) tok ->
+        if tok = "" then (close cur cells, []) else (cells, tok :: cur))
+      ([], [])
+      (String.split_on_char ' ' l)
+  in
+  List.rev (close cur cells)
+
+(* The cell of bench/expected/[table].txt in the row whose first cell
+   is [row] and the column whose header is [col]; the header is the
+   line above the first dashed rule. *)
+let golden_cell table ~row ~col =
+  let file = "bench/expected/" ^ table ^ ".txt" in
+  let ls = lines (read_file ("../" ^ file)) in
+  let rec header = function
+    | h :: rule :: _ when String.starts_with ~prefix:"--" rule -> row_cells h
+    | _ :: rest -> header rest
+    | [] -> Alcotest.failf "%s: no header" file
+  in
+  let rec index i = function
+    | c :: _ when c = col -> i
+    | _ :: rest -> index (i + 1) rest
+    | [] -> Alcotest.failf "%s: no column %S" file col
+  in
+  let i = index 0 (header ls) in
+  match List.find_opt (fun l -> List.nth_opt (row_cells l) 0 = Some row) ls
+  with
+  | Some l -> List.nth (row_cells l) i
+  | None -> Alcotest.failf "%s: no row %S" file row
+
+let test_experiments_quoted_numbers () =
+  let t4 row =
+    float_of_string (golden_cell "t4" ~row ~col:"msgs/1k steps (fault-free)")
+  in
+  let w = t4 "W (refined)" and w64 = t4 "W'(64)" in
+  let refined = t4 "W'(4)" and unrefined = t4 "W'(4) unrefined (ablation)" in
+  let t10 row = golden_cell "t10" ~row ~col:"recovery steps" in
+  let synth col = golden_cell "synth" ~row:"ra" ~col in
+  Alcotest.(check string)
+    "SYNTH: the synthesized term sends what the hand-written one does"
+    (synth "sends/1k (hand)") (synth "sends/1k (synth)");
+  check_mentions "EXPERIMENTS.md" (Lazy.force experiments)
+    [ Printf.sprintf "(%.0f→%.0f msgs/1k steps over δ=0..64)" w w64;
+      Printf.sprintf "costs ~%.1f× the refined one at δ=4"
+        (unrefined /. refined);
+      Printf.sprintf
+        "in ~%s steps (n=5); RA+W from full state corruption in ~%s"
+        (t10 "Dijkstra K-state ring (n=5)")
+        (t10 "RA + graybox wrapper (n=5)");
+      Printf.sprintf "`w_refined`: %s per 1k" (synth "sends/1k (synth)") ];
+  check_mentions "README.md" (Lazy.force readme)
+    [ Printf.sprintf "(%.0f → %.0f msgs per" w w64 ]
+
+(* ------------------------------------------------------------------ *)
 (* DESIGN.md: the inventory covers the partition fault model           *)
 
 let test_design_inventory () =
@@ -331,7 +394,9 @@ let () =
           Alcotest.test_case "synth section present and named" `Quick
             test_experiments_synth_section;
           Alcotest.test_case "measured tables equal bench/expected" `Quick
-            test_experiments_measured_tables ] );
+            test_experiments_measured_tables;
+          Alcotest.test_case "quoted numbers equal bench/expected" `Quick
+            test_experiments_quoted_numbers ] );
       ( "design",
         [ Alcotest.test_case "inventory covers the partition model" `Quick
             test_design_inventory;

@@ -1,50 +1,15 @@
-(* Tests for the streaming observation layer: observer combinators,
-   the engine's step stream, and — the load-bearing property — exact
-   equivalence between the online analyses and the offline
-   trace-then-analyse path, across protocols, wrapper modes, and
-   seeded fault plans (crashes included). *)
+(* Tests for the streaming observation layer: the engine's step
+   stream, and — the load-bearing property — exact equivalence between
+   the two folds every run reports from ([Stabilize.Online],
+   [Tme_spec.Epoch]) and the offline trace operators they replace
+   ([Stabilize.analyse], [Tme_spec.check_all]), streamed and recorded,
+   across protocols, wrapper modes, and seeded fault plans (crashes
+   included). *)
 
 module H = Graybox.Harness
 module S = Tme.Scenarios
 module Stz = Graybox.Stabilize
 module Ob = Sim.Observer
-
-(* ------------------------------------------------------------------ *)
-(* Observer combinators                                                *)
-
-let dummy_step time : (int, unit) Ob.step =
-  { Ob.time; event = Sim.Trace.Stutter; states = [||] }
-
-let steps k = List.init k dummy_step
-
-let counter () = Ob.fold ~init:0 ~f:(fun acc _ -> acc + 1)
-
-let test_fold () =
-  Alcotest.(check int) "counts steps" 5 (Ob.run (counter ()) (steps 5));
-  Alcotest.(check int) "initial value" 0 (Ob.value (counter ()))
-
-let test_map () =
-  let o = Ob.map string_of_int (counter ()) in
-  Alcotest.(check string) "mapped" "3" (Ob.run o (steps 3))
-
-let test_pair () =
-  let latest = Ob.fold ~init:(-1) ~f:(fun _ s -> s.Ob.time) in
-  let c, t = Ob.run (Ob.pair (counter ()) latest) (steps 4) in
-  Alcotest.(check (pair int int)) "both components" (4, 3) (c, t)
-
-let test_premap () =
-  (* shift times before they reach the inner observer *)
-  let shifted = Ob.premap (fun s -> { s with Ob.time = s.Ob.time + 10 }) in
-  let latest = Ob.fold ~init:(-1) ~f:(fun _ s -> s.Ob.time) in
-  Alcotest.(check int) "premapped" 12 (Ob.run (shifted latest) (steps 3))
-
-let test_sink () =
-  let feed, peek = Ob.sink (counter ()) in
-  Alcotest.(check int) "empty" 0 (peek ());
-  List.iter feed (steps 3);
-  Alcotest.(check int) "mid-stream" 3 (peek ());
-  List.iter feed (steps 2);
-  Alcotest.(check int) "after more" 5 (peek ())
 
 (* ------------------------------------------------------------------ *)
 (* Engine step stream                                                  *)
@@ -89,13 +54,14 @@ let test_stream_equals_trace () =
       Alcotest.(check bool) "same views" true (rv = ov))
     recorded observed
 
-let test_observe_thunk () =
+let test_sink_sees_init () =
   let params = H.params ~n:3 () in
   let engine = R.make_engine ~record:false params ~seed:7 in
-  let peek = R.Run.observe engine (counter ()) in
-  Alcotest.(check int) "init replayed on attach" 1 (peek ());
+  let steps = ref 0 in
+  R.Run.add_observer engine (fun _ -> incr steps);
+  Alcotest.(check int) "init replayed on attach" 1 !steps;
   R.Run.run ~steps:50 engine;
-  Alcotest.(check int) "one step per move" 51 (peek ())
+  Alcotest.(check int) "one step per move" 51 !steps
 
 (* ------------------------------------------------------------------ *)
 (* Online analysis == offline analysis                                 *)
@@ -125,8 +91,9 @@ let crash_plan =
 let seeds = List.init 10 (fun i -> i + 1)
 
 let test_online_fold_equals_offline () =
-  (* Stabilize.Online over a recorded trace reproduces analyse and
-     service_round_latency exactly, on every grid cell *)
+  (* a recorded run's analysis and latency (Stabilize.Online over its
+     trace) reproduce analyse and service_round_latency exactly, on
+     every grid cell *)
   List.iter
     (fun (pname, proto) ->
       List.iter
@@ -138,13 +105,14 @@ let test_online_fold_equals_offline () =
               in
               let r = S.run proto ~wrapper ~faults ~n ~seed ~steps:horizon in
               let cell = Printf.sprintf "%s/%s/seed %d" pname wname seed in
-              let ol = Stz.Online.of_trace r.S.vtrace in
+              let a = Stz.analyse r.S.vtrace in
               Alcotest.(check bool)
-                (cell ^ ": same analysis") true
-                (Stz.Online.analysis ol = r.S.analysis);
+                (cell ^ ": same analysis") true (a = r.S.analysis);
+              let after = Option.value a.Stz.last_fault_index ~default:0 in
               Alcotest.(check (option int))
                 (cell ^ ": same latency")
-                r.S.recovery_latency (Stz.Online.latency ol))
+                (Stz.service_round_latency r.S.vtrace ~after)
+                r.S.recovery_latency)
             seeds)
         wrappers)
     protocols_under_test
@@ -249,29 +217,65 @@ let test_streaming_deadlock_early_exit () =
     (str.S.sim_steps < horizon);
   Alcotest.(check int) "recorded runs the full horizon" horizon rec_.S.sim_steps
 
-let test_live_monitors_equal_offline_report () =
+(* A plan without split or crash windows has a one-epoch timeline, on
+   which the epoch fold is the classical TME_Spec: every registry
+   entry, unwrapped and under W'(8), ten window-free plans each,
+   streamed and recorded, against [Tme_spec.check_all] over the
+   recorded trace.  Only ME1's reason is worded per epoch. *)
+let window_free seed =
+  List.filter
+    (function S.Crash _ | S.Split _ -> false | _ -> true)
+    (plan_for seed)
+
+let test_epoch_fold_is_classical () =
+  let me1_at = function
+    | Unityspec.Temporal.Violated { at; _ } -> Some at
+    | _ -> None
+  in
   List.iter
     (fun (pname, proto) ->
       List.iter
-        (fun seed ->
-          let faults = plan_for seed in
-          let rec_ = S.run proto ~faults ~n ~seed ~steps:horizon in
-          let str =
-            S.run proto ~faults ~streaming:true ~live_monitors:true ~n ~seed
-              ~steps:horizon
-          in
-          let cell = Printf.sprintf "%s/seed %d" pname seed in
-          match str.S.live_spec with
-          | None -> Alcotest.fail (cell ^ ": live_spec missing")
-          | Some live ->
-            Alcotest.(check string)
-              (cell ^ ": same TME_Spec report")
-              (Unityspec.Report.to_string (S.tme_report rec_))
-              (Unityspec.Report.to_string live))
-        [ 1; 2; 3 ])
-    (List.filter
-       (fun (name, _) -> List.mem name [ "ra"; "lamport" ])
-       protocols_under_test)
+        (fun (wname, wrapper) ->
+          List.iter
+            (fun seed ->
+              let faults = window_free seed in
+              let go streaming =
+                S.run proto ~wrapper ~faults ~streaming ~n ~seed ~steps:horizon
+              in
+              let rec_ = go false in
+              let oracle =
+                List.map
+                  (fun (e : Unityspec.Report.entry) -> e.verdict)
+                  (S.tme_report rec_)
+              in
+              List.iter
+                (fun (mode, (r : S.result)) ->
+                  let cell =
+                    Printf.sprintf "%s/%s/seed %d %s" pname wname seed mode
+                  in
+                  let ep = r.S.epoch_spec in
+                  Alcotest.(check int)
+                    (cell ^ ": one epoch") 1
+                    (List.length ep.Graybox.Tme_spec.Epoch.rows);
+                  Alcotest.(check bool)
+                    (cell ^ ": heal holds") true
+                    (ep.Graybox.Tme_spec.Epoch.heal = Unityspec.Temporal.Holds);
+                  match
+                    ( oracle,
+                      List.map
+                        (fun (e : Unityspec.Report.entry) -> e.verdict)
+                        (Graybox.Tme_spec.Epoch.tme_report ep) )
+                  with
+                  | [ me1; me2; me3 ], [ e1; e2; e3 ] ->
+                    Alcotest.(check (option int))
+                      (cell ^ ": ME1 index") (me1_at me1) (me1_at e1);
+                    Alcotest.(check bool) (cell ^ ": ME2") true (me2 = e2);
+                    Alcotest.(check bool) (cell ^ ": ME3") true (me3 = e3)
+                  | _ -> Alcotest.fail (cell ^ ": not three clauses"))
+                [ ("recorded", rec_); ("streamed", go true) ])
+            seeds)
+        wrappers)
+    protocols_under_test
 
 (* ------------------------------------------------------------------ *)
 (* Cached views                                                        *)
@@ -359,37 +363,53 @@ let test_cached_view_never_stale () =
    run that wedges in a lossy split (and feeds the rest of its horizon
    synthetically, with thousands of ME2 obligations open) stays within
    100 minor words per horizon step, projection, monitors and verdict
-   included. *)
+   included.  A fault-free run never exits early, and its engine alone
+   allocates about 110 words a step, so there the same bound holds
+   what observing it adds: the one-epoch fold and the analysis, from
+   end to end. *)
 let test_streaming_allocation_bounded () =
   let steps = 4000 in
-  let faults =
+  let split =
     [ S.Split
         { groups = [ [ 0; 1 ] ]; from_t = 300; until_t = 600;
           mode = Sim.Faults.Lossy } ]
   in
-  let run name =
+  let run name faults =
     S.run (List.assoc name protocols_under_test) ~faults ~streaming:true ~n
       ~seed:1 ~steps
   in
-  ignore (run "ra");
+  ignore (run "ra" split);
   List.iter
-    (fun (name, obligations) ->
+    (fun (label, name, faults, obligations) ->
       let before = Gc.minor_words () in
-      let r = run name in
+      let r = run name faults in
       let words = Gc.minor_words () -. before in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.0f minor words <= %d" name words (100 * steps))
+        (Printf.sprintf "%s: %.0f minor words <= %d" label words (100 * steps))
         true
         (words <= float_of_int (100 * steps));
       let open_obligations =
-        match r.S.epoch_spec with
-        | Some { Graybox.Tme_spec.Epoch.me2 = Unityspec.Temporal.Pending p; _ } ->
-          List.length p.obligations
+        match r.S.epoch_spec.Graybox.Tme_spec.Epoch.me2 with
+        | Unityspec.Temporal.Pending p -> List.length p.obligations
         | _ -> 0
       in
-      Alcotest.(check int) (name ^ ": open ME2 obligations") obligations
+      Alcotest.(check int) (label ^ ": open ME2 obligations") obligations
         open_obligations)
-    [ ("ra", 3424); ("lamport", 3417) ]
+    [ ("ra wedged by a split", "ra", split, 3424);
+      ("lamport wedged by a split", "lamport", split, 3417) ];
+  let words streaming =
+    let before = Gc.minor_words () in
+    ignore
+      (S.run (List.assoc "ra" protocols_under_test) ~streaming ~record:false
+         ~n ~seed:1 ~steps);
+    Gc.minor_words () -. before
+  in
+  let observing = words true -. words false in
+  Alcotest.(check bool)
+    (Printf.sprintf "ra without faults: observing adds %.0f minor words <= %d"
+       observing (100 * steps))
+    true
+    (observing <= float_of_int (100 * steps))
 
 let test_stateful_monitor_latches () =
   let open Unityspec in
@@ -414,17 +434,13 @@ let test_stateful_monitor_latches () =
 let () =
   Alcotest.run "observe"
     [ ( "combinators",
-        [ Alcotest.test_case "fold" `Quick test_fold;
-          Alcotest.test_case "map" `Quick test_map;
-          Alcotest.test_case "pair" `Quick test_pair;
-          Alcotest.test_case "premap" `Quick test_premap;
-          Alcotest.test_case "sink" `Quick test_sink;
-          Alcotest.test_case "stateful latches" `Quick
+        [ Alcotest.test_case "stateful latches" `Quick
             test_stateful_monitor_latches ] );
       ( "engine",
         [ Alcotest.test_case "step stream == recorded trace" `Quick
             test_stream_equals_trace;
-          Alcotest.test_case "observe thunk" `Quick test_observe_thunk ] );
+          Alcotest.test_case "sink sees init on attach" `Quick
+            test_sink_sees_init ] );
       ( "equivalence",
         [ Alcotest.test_case "online fold == offline analyse (full grid)"
             `Quick test_online_fold_equals_offline;
@@ -432,8 +448,8 @@ let () =
             test_streaming_run_equals_recorded;
           Alcotest.test_case "deadlock early exit" `Quick
             test_streaming_deadlock_early_exit;
-          Alcotest.test_case "live monitors == offline report" `Quick
-            test_live_monitors_equal_offline_report ] );
+          Alcotest.test_case "one-epoch fold == classical report" `Quick
+            test_epoch_fold_is_classical ] );
       ( "cached-view",
         [ Alcotest.test_case "never stale (registry x wrapper x seed)" `Quick
             test_cached_view_never_stale ] );

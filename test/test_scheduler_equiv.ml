@@ -40,7 +40,7 @@ let stress_faults =
 
 let run_both proto ~wrapper ~faults ~n ~seed ~steps =
   let go indexed =
-    S.run proto ~wrapper ~faults ~indexed ~live_monitors:true ~n ~seed ~steps
+    S.run proto ~wrapper ~faults ~indexed ~n ~seed ~steps
   in
   (go true, go false)
 
