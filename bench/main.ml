@@ -657,7 +657,7 @@ let partition_bench () =
         (fun seed ->
           Tme.Scenarios.run e.Registry.proto ~n ~seed ~steps ~streaming:true
             ~tail_margin
-            ~wrapper:(Tme.Scenarios.wrapped ~delta:e.Registry.default_delta ())
+            ~wrapper:(Tme.Scenarios.wrapped_entry e ~delta:e.Registry.default_delta)
             ~faults)
         seeds
     in

@@ -1,6 +1,6 @@
 (* Command-line driver for the graybox stabilization library.
 
-     graybox-cli run   --protocol ra --n 4 --wrapper 8 --fault burst:1000
+     graybox-cli run   --protocol ra -n 4 --wrapper 8 --fault burst@1000
      graybox-cli load  --protocol ra --n 1000
      graybox-cli check --protocol lamport
      graybox-cli fig1
@@ -21,120 +21,12 @@
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
-(* Fault-spec parsing: KIND:ARGS, e.g. burst:1000, drop-requests:500-560 *)
-
-let parse_fault s =
-  let fail msg = Error (`Msg (s ^ ": " ^ msg)) in
-  let ( let* ) = Result.bind in
-  let time t =
-    match int_of_string_opt t with
-    | Some t when t >= 0 -> Ok t
-    | Some _ -> fail ("negative time " ^ t)
-    | None -> fail ("not a time: " ^ t)
-  in
-  (* "FROM-TO", with FROM <= TO, or FROM < TO when [strict] *)
-  let window ~strict range =
-    match String.split_on_char '-' range with
-    | [ a; b ] ->
-      let* from_t = time a in
-      let* until_t = time b in
-      if until_t < from_t || (strict && until_t = from_t) then
-        fail
-          (Printf.sprintf "empty window %s (need FROM %s TO)" range
-             (if strict then "<" else "<="))
-      else Ok (from_t, until_t)
-    | _ -> fail "expected a window FROM-TO"
-  in
-  let rec map_ok f = function
-    | [] -> Ok []
-    | x :: xs ->
-      let* y = f x in
-      let* ys = map_ok f xs in
-      Ok (y :: ys)
-  in
-  let rec repeated = function
-    | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
-    | _ -> None
-  in
-  let parse_groups spec =
-    (* "0,1|2,3" — pids grouped by '|'; unlisted pids form the
-       implicit remainder group (Sim.Faults.split_groups).  Whether a
-       pid is below -n is checked once -n is known ([check_faults]). *)
-    let pid p =
-      match int_of_string_opt p with
-      | Some p when p >= 0 -> Ok p
-      | _ -> fail ("not a process id: " ^ p)
-    in
-    let* groups =
-      map_ok
-        (fun g -> map_ok pid (String.split_on_char ',' g))
-        (String.split_on_char '|' spec)
-    in
-    match repeated (List.sort compare (List.concat groups)) with
-    | Some p -> fail (Printf.sprintf "process %d is in two groups" p)
-    | None -> Ok groups
-  in
-  let parse_split ~mode range groups =
-    let* from_t, until_t = window ~strict:true range in
-    let* groups = parse_groups groups in
-    Ok [ Tme.Scenarios.Split { groups; from_t; until_t; mode } ]
-  in
-  match String.split_on_char ':' s with
-  | [ "split"; range; groups ] -> parse_split ~mode:Sim.Faults.Lossy range groups
-  | [ "split-buf"; range; groups ] ->
-    parse_split ~mode:Sim.Faults.Buffered range groups
-  | [ ("split" | "split-buf"); _ ] -> fail "expected split:FROM-TO:0,1|2,3"
-  | [ "burst"; at ] ->
-    let* at = time at in
-    Ok (Tme.Scenarios.burst ~at)
-  | [ "drop-requests"; range ] ->
-    let* from_t, until_t = window ~strict:false range in
-    Ok [ Tme.Scenarios.Drop_requests_window { from_t; until_t } ]
-  | [ kind; at ] ->
-    let* at = time at in
-    (match kind with
-     | "drop" -> Ok [ Tme.Scenarios.Drop_any { at; per_chan = 3 } ]
-     | "duplicate" -> Ok [ Tme.Scenarios.Duplicate { at; per_chan = 3 } ]
-     | "corrupt-msgs" ->
-       Ok [ Tme.Scenarios.Corrupt_messages { at; per_chan = 3 } ]
-     | "reorder" -> Ok [ Tme.Scenarios.Reorder { at; per_chan = 3 } ]
-     | "flush" -> Ok [ Tme.Scenarios.Flush { at } ]
-     | "corrupt-state" ->
-       Ok [ Tme.Scenarios.Corrupt_state { at; procs = Sim.Faults.Any_proc } ]
-     | "reset" ->
-       Ok [ Tme.Scenarios.Reset_state { at; procs = Sim.Faults.Any_proc } ]
-     | _ -> fail ("unknown fault kind " ^ kind))
-  | _ ->
-    fail
-      "expected KIND:TIME (burst, drop, duplicate, corrupt-msgs, reorder, \
-       flush, corrupt-state, reset), drop-requests:FROM-TO, or \
-       split[-buf]:FROM-TO:0,1|2,3"
-
-(* The fault checks that need -n: every pid a split names exists, and
-   the split cuts the processes into at least two groups (a split that
-   cuts nothing would still fire its Split and Heal events as faults,
-   while the regime timeline ignores it). *)
-let check_faults ~n faults =
-  let check = function
-    | Tme.Scenarios.Split { groups; _ } -> (
-      match List.find_opt (fun p -> p >= n) (List.concat groups) with
-      | Some p ->
-        Error
-          (Printf.sprintf "fault split: process %d does not exist (-n %d)" p n)
-      | None when List.length (Sim.Faults.split_groups ~n groups) < 2 ->
-        Error
-          (Printf.sprintf
-             "fault split: cuts nothing at -n %d (need at least 2 groups)" n)
-      | None -> Ok ())
-    | _ -> Ok ()
-  in
-  List.fold_left (fun acc f -> Result.bind acc (fun () -> check f)) (Ok ())
-    faults
+(* Fault plans: the labels chaos reports print (Chaos.Plan_gen)        *)
 
 let fault_conv =
-  Arg.conv
-    ( parse_fault,
-      fun ppf _ -> Format.pp_print_string ppf "<fault>" )
+  let parse s = Result.map_error (fun e -> `Msg e) (Chaos.Plan_gen.parse s) in
+  let print ppf plan = Format.pp_print_string ppf (Chaos.Plan_gen.plan_label plan) in
+  Arg.conv (parse, print)
 
 (* ------------------------------------------------------------------ *)
 (* Shared options                                                      *)
@@ -208,8 +100,9 @@ let unrefined_arg =
 
 let faults_arg =
   let doc =
-    "Fault to inject (repeatable), e.g. burst:1000, drop-requests:500-560, \
-     corrupt-state:700."
+    "Faults to inject (repeatable): one label or a space-separated plan, \
+     as chaos reports print them, e.g. burst@1000, drop-requests@500-560, \
+     'corrupt-state@700(p1) split@900-980({0,1}|{2,3},lossy)'."
   in
   Arg.(value & opt_all fault_conv [] & info [ "f"; "fault" ] ~docv:"SPEC" ~doc)
 
@@ -237,12 +130,12 @@ let jobs_arg ?absent ?(default = 1) doc =
   Arg.(value & opt (int_at_least 1) default
        & info [ "j"; "jobs" ] ?absent ~docv:"JOBS" ~doc)
 
-let wrapper_mode delta unrefined =
+let wrapper_mode entry delta unrefined =
   match delta with
   | None -> Graybox.Harness.Off
   | Some delta when unrefined ->
     Tme.Scenarios.wrapped_term ~term:Graybox.Wrapper.w_unrefined ~delta ()
-  | Some delta -> Tme.Scenarios.wrapped ~delta ()
+  | Some delta -> Tme.Scenarios.wrapped_entry entry ~delta
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
@@ -251,15 +144,17 @@ let run_cmd =
   let action protocol n seed steps delta unrefined faults =
     let faults = List.concat faults in
     match
-      Result.bind (check_faults ~n faults) (fun () -> resolve_protocol protocol)
+      Result.bind (Chaos.Plan_gen.check ~n ~steps faults) (fun () ->
+          resolve_entry protocol)
     with
     | Error e -> `Error (false, e)
-    | Ok proto ->
+    | Ok entry ->
       (* analysed online by engine observers: no trace is recorded, and
          a permanently deadlocked run exits early *)
       let r =
-        Tme.Scenarios.run proto ~n ~seed ~steps ~streaming:true
-          ~wrapper:(wrapper_mode delta unrefined)
+        Tme.Scenarios.run entry.Graybox.Registry.proto ~n ~seed ~steps
+          ~streaming:true
+          ~wrapper:(wrapper_mode entry delta unrefined)
           ~faults
       in
       Printf.printf "protocol          : %s\n" r.protocol;
@@ -776,20 +671,12 @@ let mcheck_cmd =
   in
   let action protocol n depth jobs shards max_states mem_budget spill_dir por
       everywhere =
-    let gates =
-      (* --everywhere fails here rather than deep in Mcheck on a
-         protocol whose perturb has nothing to enumerate *)
-      let ( >>= ) = Result.bind in
-      resolve_entry protocol
-      >>= require ~mode:"--everywhere" ~lacks:"does not enumerate perturbations"
-            ~label:"supported"
-            ~names:Graybox.Registry.everywhere_checkable_names (fun e ->
-              (not everywhere) || e.Graybox.Registry.everywhere_checkable)
-      >>= require ~mode:"--por" ~lacks:"keeps exhaustive semantics"
-            ~label:"por-safe" ~names:Graybox.Registry.por_safe_names (fun e ->
-              (not por) || e.Graybox.Registry.por_safe)
-    in
-    match gates with
+    match
+      Result.bind (resolve_entry protocol)
+        (require ~mode:"--por" ~lacks:"keeps exhaustive semantics"
+           ~label:"por-safe" ~names:Graybox.Registry.por_safe_names (fun e ->
+             (not por) || e.Graybox.Registry.por_safe))
+    with
     | Error e -> `Error (false, e)
     | Result.Ok entry ->
       let proto = entry.Graybox.Registry.proto in
@@ -874,7 +761,6 @@ let protocols_cmd =
             ( "during_partition",
               Chaos.Jsonx.String (during_partition_label e.during_partition) );
             ("default_delta", Chaos.Jsonx.Int e.default_delta);
-            ("everywhere_checkable", Chaos.Jsonx.Bool e.everywhere_checkable);
             ("lspec_monitorable", Chaos.Jsonx.Bool e.lspec_monitorable);
             ("por_safe", Chaos.Jsonx.Bool e.por_safe);
             ("synthesizable", Chaos.Jsonx.Bool e.synthesizable);
@@ -888,7 +774,7 @@ let protocols_cmd =
       print_endline
         (Chaos.Jsonx.to_string
            (Chaos.Jsonx.Obj
-              [ ("schema", Chaos.Jsonx.String "graybox-protocols/4");
+              [ ("schema", Chaos.Jsonx.String "graybox-protocols/5");
                 ( "protocols",
                   Chaos.Jsonx.List (List.map entry_json entries) ) ]))
     end
@@ -896,7 +782,7 @@ let protocols_cmd =
       let t =
         Stdext.Tabular.create
           [ "name"; "role"; "expect"; "partition"; "during"; "delta";
-            "everywhere"; "lspec"; "por"; "synth"; "sweep"; "description" ]
+            "lspec"; "por"; "synth"; "sweep"; "description" ]
       in
       List.iter
         (fun e ->
@@ -907,7 +793,6 @@ let protocols_cmd =
               partition_expectation_label e.partition_expectation;
               during_partition_label e.during_partition;
               Stdext.Tabular.cell_int e.default_delta;
-              Stdext.Tabular.cell_bool e.everywhere_checkable;
               Stdext.Tabular.cell_bool e.lspec_monitorable;
               Stdext.Tabular.cell_bool e.por_safe;
               Stdext.Tabular.cell_bool e.synthesizable;
@@ -1031,7 +916,7 @@ let chaos_cmd =
       end;
       List.iter
         (fun cx ->
-          Format.printf "%a@.@." Chaos.Campaign.pp_counterexample cx)
+          Format.printf "%a@.@." (Chaos.Campaign.pp_counterexample cfg) cx)
         report.Chaos.Campaign.counterexamples;
       (match json with
        | None -> ()

@@ -220,14 +220,6 @@ let canary_plan cfg =
   let from_t = max 1 (cfg.steps / 10) in
   [ S.Drop_requests_window { from_t; until_t = from_t + 60 } ]
 
-(* The wrapper a wrapped cell composes: the hand-written W'(δ) unless
-   the entry registers a synthesized term — then that term under the
-   same δ-timer, so [ra-synth] faces exactly the gates [ra] does. *)
-let wrapper_of cfg (e : Registry.entry) =
-  match e.Registry.wrapper_term with
-  | None -> S.wrapped ~delta:cfg.delta ()
-  | Some term -> S.wrapped_term ~term ~delta:cfg.delta ()
-
 (* One planned cell: everything [run] needs to execute and label it. *)
 type cell_spec = {
   sp_label : string;
@@ -249,7 +241,7 @@ let cells_of_config cfg =
         | None -> raise (Unknown_protocol name)
         | Some e ->
           let proto = e.Registry.proto in
-          let wrapped = wrapper_of cfg e in
+          let wrapped = S.wrapped_entry e ~delta:cfg.delta in
           let wrapped_cell =
             { sp_label = Printf.sprintf "%s+W'(%d)" name cfg.delta;
               sp_protocol = name;
@@ -284,7 +276,7 @@ let cells_of_config cfg =
           match Registry.find name with
           | None -> raise (Unknown_protocol name)
           | Some e ->
-            let wrapped = wrapper_of cfg e in
+            let wrapped = S.wrapped_entry e ~delta:cfg.delta in
             let heal_expect =
               Registry.expectation_of_partition e.Registry.partition_expectation
             in
@@ -375,7 +367,7 @@ let counterexamples_of cfg cells =
            in
            let entry = Option.get (Registry.find c.cell_protocol) in
            let wrapper =
-             if c.cell_wrapped then wrapper_of cfg entry
+             if c.cell_wrapped then S.wrapped_entry entry ~delta:cfg.delta
              else Graybox.Harness.Off
            in
            let scenario =
@@ -518,18 +510,29 @@ let during_table report =
 let has_during_cells report =
   List.exists (fun c -> c.cell_during <> None) report.cells
 
-let pp_counterexample ppf cx =
+(* The [graybox-cli run] line that replays the shrunk plan: [run -w]
+   picks the entry's wrapper as the campaign does, and labels hold no
+   single quote. *)
+let run_line cfg cx =
+  let plan = cx.cx_shrink.Shrink.shrunk in
+  Printf.sprintf "graybox-cli run -p %s -n %d --seed %d --steps %d%s%s"
+    cx.cx_protocol cfg.n cx.cx_seed cfg.steps
+    (match cx.cx_wrapper with
+     | Graybox.Harness.Off -> ""
+     | Graybox.Harness.On { delta; _ } -> Printf.sprintf " -w %d" delta)
+    (if plan = [] then "" else " -f '" ^ Plan_gen.plan_label plan ^ "'")
+
+let pp_counterexample cfg ppf cx =
   Format.fprintf ppf
     "@[<v>counterexample: %s (seed %d, verdict %s)@,\
      original (%d events): %s@,\
-     shrunk   (%d events, %d runs, confirmed %b):@,  @[%a@]@]"
+     shrunk   (%d events, %d runs, confirmed %b):@,  %s@]"
     cx.cx_cell cx.cx_seed
     (Outcome.label cx.cx_verdict)
     (List.length cx.cx_shrink.Shrink.original)
     (Plan_gen.plan_label cx.cx_shrink.Shrink.original)
     (List.length cx.cx_shrink.Shrink.shrunk)
-    cx.cx_shrink.Shrink.runs cx.cx_shrink.Shrink.confirmed Plan_gen.pp_plan
-    cx.cx_shrink.Shrink.shrunk
+    cx.cx_shrink.Shrink.runs cx.cx_shrink.Shrink.confirmed (run_line cfg cx)
 
 let json_of_row r =
   Jsonx.Obj

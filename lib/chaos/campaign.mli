@@ -177,8 +177,11 @@ val during_table : report -> Stdext.Tabular.t
 val has_during_cells : report -> bool
 (** Whether {!during_table} has any rows to show. *)
 
-val pp_counterexample : Format.formatter -> counterexample -> unit
-(** Human-readable rendering ending in the ready-to-paste OCaml plan. *)
+val pp_counterexample : config -> Format.formatter -> counterexample -> unit
+(** Human-readable rendering, ending in the [graybox-cli run] line
+    (shell-quoted plan labels, {!Plan_gen.parse}'s syntax) that
+    replays the shrunk plan under the campaign's [n], [steps], seed and
+    wrapper. *)
 
 val to_json : report -> Jsonx.t
 (** The machine-readable report (config, cells with per-run rows,

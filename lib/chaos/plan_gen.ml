@@ -51,11 +51,14 @@ let gen_chan rng n =
   | 2 -> Sim.Faults.From (Rng.int rng n)
   | _ -> Sim.Faults.Into (Rng.int rng n)
 
+(* labels print only a heavy tail's mean: [parse] restores this cap *)
+let heavy_tail_cap = 120
+
 let gen_dist rng =
   match Rng.int rng 3 with
   | 0 -> Sim.Faults.Fixed (Rng.int_in rng 1 6)
   | 1 -> Sim.Faults.Uniform (0, Rng.int_in rng 4 20)
-  | _ -> Sim.Faults.Heavy_tail { mean = Rng.int_in rng 5 30; cap = 120 }
+  | _ -> Sim.Faults.Heavy_tail { mean = Rng.int_in rng 5 30; cap = heavy_tail_cap }
 
 let gen_spec rng cfg =
   let at = Rng.int_in rng 1 (latest_fault cfg) in
@@ -96,8 +99,8 @@ let split_plan rng cfg ~mode =
   [ gen_split rng cfg ~at:(Rng.int_in rng 1 (latest_fault cfg)) ~mode ]
 
 (* ------------------------------------------------------------------ *)
-(* Printing: compact labels for tables, and ready-to-paste OCaml for
-   shrunk counterexamples.                                             *)
+(* Labels: the one text form of a plan.  Reports print them and
+   [graybox-cli run -f] reads them back through [parse].              *)
 
 let procs_label = function
   | Sim.Faults.Any_proc -> "any"
@@ -150,6 +153,156 @@ let spec_label = function
     Printf.sprintf "delay@%d(%s,%s)" at (chan_label chan) (dist_label dist)
 
 let plan_label plan = String.concat " " (List.map spec_label plan)
+
+exception Bad of string
+
+let fail what fmt = Printf.ksprintf (fun m -> raise (Bad (what ^ ": " ^ m))) fmt
+
+let syntax =
+  "a label as chaos reports print it, e.g. drop@700/3, crash@120-160(p2,lose), \
+   split@742-805({0,1,2}|{3},lossy), delay@80(p0->p2,~exp30), or burst@TIME"
+
+(* The inverse of [spec_label], plus the input-only [burst@T]. *)
+let parse_spec tok =
+  let bad fmt = fail tok fmt in
+  let cut ?(last = false) c s =
+    match (if last then String.rindex_opt else String.index_opt) s c with
+    | Some i ->
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+    | None -> (s, None)
+  in
+  let chop ?(prefix = "") ?(suffix = "") s =
+    let k = String.length s - String.length prefix - String.length suffix in
+    if k >= 0 && String.starts_with ~prefix s && String.ends_with ~suffix s
+    then Some (String.sub s (String.length prefix) k)
+    else None
+  in
+  let num s =
+    match int_of_string_opt s with
+    | Some v when String.for_all (fun c -> '0' <= c && c <= '9') s -> v
+    | Some v when v < 0 -> bad "negative number %s" s
+    | _ -> bad "not a number: %s" s
+  in
+  let pid s =
+    match chop ~prefix:"p" s with Some p -> num p | None -> bad "not a pN: %s" s
+  in
+  let procs s = if s = "any" then Sim.Faults.Any_proc else Sim.Faults.Proc (pid s) in
+  let chan s =
+    match cut '-' s with
+    | "*", None -> Sim.Faults.Any_chan
+    | src, Some dst when String.starts_with ~prefix:">" dst -> (
+      match (src, String.sub dst 1 (String.length dst - 1)) with
+      | "*", dst -> Sim.Faults.Into (pid dst)
+      | src, "*" -> Sim.Faults.From (pid src)
+      | src, dst -> Sim.Faults.Chan (pid src, pid dst))
+    | _ -> bad "not a channel: %s" s
+  in
+  let dist s =
+    match (chop ~prefix:"=" s, chop ~prefix:"~u" s, chop ~prefix:"~exp" s) with
+    | Some d, _, _ -> Sim.Faults.Fixed (num d)
+    | _, Some r, _ -> (
+      match cut '-' r with
+      | lo, Some hi when num lo <= num hi -> Sim.Faults.Uniform (num lo, num hi)
+      | _ -> bad "not a range LO-HI: %s" r)
+    | _, _, Some m ->
+      Sim.Faults.Heavy_tail { mean = num m; cap = heavy_tail_cap }
+    | _ -> bad "not a delay distribution: %s" s
+  in
+  let groups s =
+    let group g =
+      match chop ~prefix:"{" ~suffix:"}" g with
+      | Some g -> List.map num (String.split_on_char ',' g)
+      | None -> bad "not a group {P,...}: %s" g
+    in
+    let groups = List.map group (String.split_on_char '|' s) in
+    let rec disjoint = function
+      | a :: (b :: _ as rest) ->
+        if a = b then bad "process %d is in two groups" a else disjoint rest
+      | _ -> groups
+    in
+    disjoint (List.sort compare (List.concat groups))
+  in
+  (* KIND@TIME, KIND@TIME/COUNT or KIND@FROM-TO, then (ARG[,ARG]) *)
+  let kind, body =
+    match cut '@' tok with k, Some b -> (k, b) | _ -> bad "expected %s" syntax
+  in
+  let body, args = cut '(' body in
+  let args =
+    match Option.map (chop ~suffix:")") args with
+    | Some (Some a) -> Some (cut ~last:true ',' a)
+    | Some None -> bad "unclosed ("
+    | None -> None
+  in
+  let time =
+    match (cut '/' body, cut '-' body) with
+    | (t, Some k), _ when num k > 0 -> `Count (num t, num k)
+    | (_, Some k), _ -> bad "count %s is not positive" k
+    | _, (f, Some u) when f <> "" ->
+      if num u < num f then bad "empty window %s" body else `Window (num f, num u)
+    | _ -> `At (num body)
+  in
+  match (kind, time, args) with
+  | ("crash" | "split"), `Window (f, u), _ when f = u ->
+    bad "empty window %s (the window is half-open)" body
+  | "drop-requests", `Count (at, per_chan), None -> [ S.Drop_requests { at; per_chan } ]
+  | "drop-requests", `Window (from_t, until_t), None ->
+    [ S.Drop_requests_window { from_t; until_t } ]
+  | "drop", `Count (at, per_chan), None -> [ S.Drop_any { at; per_chan } ]
+  | "duplicate", `Count (at, per_chan), None -> [ S.Duplicate { at; per_chan } ]
+  | "corrupt-msgs", `Count (at, per_chan), None ->
+    [ S.Corrupt_messages { at; per_chan } ]
+  | "reorder", `Count (at, per_chan), None -> [ S.Reorder { at; per_chan } ]
+  | "flush", `At at, None -> [ S.Flush { at } ]
+  | "burst", `At at, None -> S.burst ~at
+  | "partition", `Window (from_t, until_t), Some (p, None) ->
+    [ S.Partition { pid = pid p; from_t; until_t } ]
+  | "corrupt-state", `At at, Some (p, None) ->
+    [ S.Corrupt_state { at; procs = procs p } ]
+  | "reset", `At at, Some (p, None) -> [ S.Reset_state { at; procs = procs p } ]
+  | "crash", `Window (from_t, until_t), Some (p, (None | Some "lose" as lose)) ->
+    [ S.Crash { procs = procs p; from_t; until_t; lose = lose <> None } ]
+  | "split", `Window (from_t, until_t), Some (g, Some ("lossy" | "buf" as m)) ->
+    let mode = if m = "buf" then Sim.Faults.Buffered else Sim.Faults.Lossy in
+    [ S.Split { groups = groups g; from_t; until_t; mode } ]
+  | "delay", `At at, Some (c, Some d) ->
+    [ S.Delay { at; chan = chan c; dist = dist d } ]
+  | _ -> bad "expected %s" syntax
+
+let parse s =
+  match
+    List.concat_map parse_spec
+      (List.filter (( <> ) "") (String.split_on_char ' ' s))
+  with
+  | plan -> Ok plan
+  | exception Bad msg -> Error msg
+
+(* A fault at or after the last step never fires, yet its window would
+   shape the regime timeline; a split that cuts nothing still fires its
+   Split and Heal events as faults, while the timeline ignores it. *)
+let check ~n ~steps plan =
+  let named = function
+    | S.Partition { pid = p; _ }
+    | S.Corrupt_state { procs = Sim.Faults.Proc p; _ }
+    | S.Reset_state { procs = Sim.Faults.Proc p; _ }
+    | S.Crash { procs = Sim.Faults.Proc p; _ }
+    | S.Delay { chan = Sim.Faults.From p | Sim.Faults.Into p; _ } -> [ p ]
+    | S.Delay { chan = Sim.Faults.Chan (src, dst); _ } -> [ src; dst ]
+    | S.Split { groups; _ } -> List.concat groups
+    | _ -> []
+  in
+  let fits spec =
+    let bad fmt = fail (spec_label spec) fmt in
+    if spec_time spec >= steps then bad "starts at or after step %d, the run's end" steps;
+    List.iter (fun p -> if p >= n then bad "no process %d at n = %d" p n) (named spec);
+    match spec with
+    | S.Split { groups; _ } when List.length (Sim.Faults.split_groups ~n groups) < 2 ->
+      bad "cuts nothing at n = %d (need at least 2 groups)" n
+    | _ -> ()
+  in
+  match List.iter fits plan with () -> Ok () | exception Bad msg -> Error msg
+
+(* ------------------------------------------------------------------ *)
+(* OCaml syntax, for the JSON report's [shrunk_ocaml]                  *)
 
 let pp_procs ppf = function
   | Sim.Faults.Any_proc -> Format.pp_print_string ppf "Sim.Faults.Any_proc"

@@ -45,16 +45,40 @@ val split_plan :
 val spec_time : Tme.Scenarios.fault_spec -> int
 (** Injection time of a spec (the window start for windowed kinds). *)
 
+(** {2 Labels: the one text form of a plan}
+
+    Campaign reports print {!spec_label}s and [graybox-cli run -f]
+    reads them back with {!parse}: [parse (plan_label p) = Ok p] for
+    every generated plan.  Per constructor: [drop-requests@T/K],
+    [drop-requests@F-U], [drop@T/K], [duplicate@T/K],
+    [corrupt-msgs@T/K], [reorder@T/K], [flush@T], [partition@F-U(pP)],
+    [corrupt-state@T(PROCS)], [reset@T(PROCS)],
+    [crash@F-U(PROCS[,lose])], [split@F-U({P,..}|..,lossy|buf)] and
+    [delay@T(CHAN,DIST)], where PROCS is [any] or [pN], CHAN is [*],
+    [pS->pD], [pS->*] or [*->pD], and DIST is [=D], [~uLO-HI] or
+    [~expMEAN] (a label omits the heavy-tail cap; [parse] restores the
+    generator's). *)
+
 val spec_label : Tme.Scenarios.fault_spec -> string
 (** Compact one-token rendering, e.g. [crash@120-160(p2,lose)]. *)
 
 val plan_label : Tme.Scenarios.fault_spec list -> string
 (** Space-separated {!spec_label}s — the table/JSON rendering. *)
 
-val pp_spec : Format.formatter -> Tme.Scenarios.fault_spec -> unit
-(** Ready-to-paste OCaml syntax for one spec. *)
+val parse : string -> (Tme.Scenarios.fault_spec list, string) result
+(** [parse s] reads a space-separated plan of labels, and [burst@T] as
+    the shorthand for {!Tme.Scenarios.burst}.  A negative number, a
+    zero count, an empty window (crash and split windows are
+    half-open, the others include [U]), a pid that is not a number or
+    is in two split groups, and any other token that is not a label
+    are errors whose message names the token and the accepted form. *)
+
+val check :
+  n:int -> steps:int -> Tme.Scenarios.fault_spec list -> (unit, string) result
+(** [check ~n ~steps plan] holds when every fault starts before step
+    [steps], every process a spec names is below [n], and every split
+    cuts the [n] processes into at least two groups. *)
 
 val pp_plan : Format.formatter -> Tme.Scenarios.fault_spec list -> unit
-(** Ready-to-paste OCaml syntax for a whole plan — what the shrinker
-    prints so a minimal counterexample can be dropped straight into a
-    test or an [examples/] program. *)
+(** OCaml syntax for a whole plan (the JSON report's [shrunk_ocaml]),
+    ready to drop into a test or an [examples/] program. *)

@@ -26,10 +26,6 @@ type wrapper_mode =
 type params = {
   n : int;
   wrapper : wrapper_mode;
-  think_min : int;
-  think_max : int;  (** thinking lasts a uniform number of client ticks *)
-  eat_min : int;
-  eat_max : int;  (** CS occupancy in client ticks (CS Spec: finite) *)
   passive : Sim.Pid.t list;
       (** processes whose client never requests the critical section;
           they still participate in the protocol (receive, reply).
@@ -38,14 +34,11 @@ type params = {
           {!Tme.Lamport_core}) *)
 }
 
-let params ?(wrapper = Off) ?(think_min = 2) ?(think_max = 8) ?(eat_min = 1)
-    ?(eat_max = 3) ?(passive = []) ~n () =
+let params ?(wrapper = Off) ?(passive = []) ~n () =
   if n <= 1 then invalid_arg "Harness.params: need at least two processes";
-  if think_min < 0 || think_max < think_min || eat_min < 0 || eat_max < eat_min
-  then invalid_arg "Harness.params: bad client ranges";
   if List.exists (fun p -> p < 0 || p >= n) passive then
     invalid_arg "Harness.params: passive pid out of range";
-  { n; wrapper; think_min; think_max; eat_min; eat_max; passive }
+  { n; wrapper; passive }
 
 (** One CS entry, as recorded by the oracle for the FCFS monitor. *)
 type entry_record = {
@@ -74,8 +67,9 @@ module Make (P : Protocol.S) = struct
 
   let view node = node.view
 
-  let draw_think p rng = Rng.int_in rng p.think_min p.think_max
-  let draw_eat p rng = Rng.int_in rng p.eat_min p.eat_max
+  (* a client thinks for 2-8 ticks and eats for 1-3 (CS Spec: finite) *)
+  let draw_think rng = Rng.int_in rng 2 8
+  let draw_eat rng = Rng.int_in rng 1 3
 
   let make params ~client_seed self proto =
     let client_rng = Rng.create (client_seed + (7919 * (self + 1))) in
@@ -84,7 +78,7 @@ module Make (P : Protocol.S) = struct
       proto;
       view = P.view proto;
       timer = 0;
-      think_left = draw_think params client_rng;
+      think_left = draw_think client_rng;
       eat_left = 0;
       client_rng;
       ovc = Vector_clock.create ~n:params.n;
@@ -147,7 +141,7 @@ module Make (P : Protocol.S) = struct
                  view = P.view proto;
                  ovc = Vector_clock.tick node.ovc node.self;
                  entries = node.entries + 1;
-                 eat_left = draw_eat node.params node.client_rng }
+                 eat_left = draw_eat node.client_rng }
              in
              (node, wrap_sends node sends)) ]
 
@@ -163,7 +157,7 @@ module Make (P : Protocol.S) = struct
                proto;
                view = P.view proto;
                ovc = Vector_clock.tick node.ovc node.self;
-               think_left = draw_think node.params node.client_rng }
+               think_left = draw_think node.client_rng }
            in
            (node, wrap_sends node sends)) ]
 
@@ -219,8 +213,8 @@ module Make (P : Protocol.S) = struct
 
   module Run = Sim.Engine.Make (Node)
 
-  let make_engine ?(record = true) ?indexed ?deliver_weight params ~seed =
-    let cfg = Run.config ?deliver_weight ?indexed ~record ~n:params.n ~seed () in
+  let make_engine ?(record = true) ?indexed params ~seed =
+    let cfg = Run.config ?indexed ~record ~n:params.n ~seed () in
     Run.create cfg ~init:(init params ~client_seed:(seed * 31 + 17))
 
   let view_trace engine =

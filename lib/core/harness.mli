@@ -31,10 +31,6 @@ type wrapper_mode =
 type params = {
   n : int;
   wrapper : wrapper_mode;
-  think_min : int;
-  think_max : int;  (** thinking lasts a uniform number of client ticks *)
-  eat_min : int;
-  eat_max : int;  (** CS occupancy in client ticks (CS Spec: finite) *)
   passive : Sim.Pid.t list;
       (** processes whose client never requests the critical section;
           they still participate in the protocol (receive, reply).
@@ -44,12 +40,11 @@ type params = {
 }
 
 val params :
-  ?wrapper:wrapper_mode -> ?think_min:int -> ?think_max:int -> ?eat_min:int ->
-  ?eat_max:int -> ?passive:Sim.Pid.t list -> n:int -> unit -> params
-(** [params ~n ()] with defaults: no wrapper, think 2–8 ticks, eat 1–3
-    ticks, no passive processes.
-    @raise Invalid_argument on nonsensical ranges, [n < 2], or passive
-    pids out of range. *)
+  ?wrapper:wrapper_mode -> ?passive:Sim.Pid.t list -> n:int -> unit -> params
+(** [params ~n ()] with defaults: no wrapper, no passive processes.
+    Every client thinks for a uniform 2–8 ticks and occupies the CS for
+    1–3 (CS Spec: finite).
+    @raise Invalid_argument on [n < 2] or passive pids out of range. *)
 
 (** One CS entry, as recorded by the oracle for the FCFS monitor. *)
 type entry_record = {
@@ -98,8 +93,7 @@ module Make (P : Protocol.S) : sig
 
   module Run : module type of Sim.Engine.Make (Node)
 
-  val make_engine : ?record:bool -> ?indexed:bool -> ?deliver_weight:int ->
-    params -> seed:int -> Run.t
+  val make_engine : ?record:bool -> ?indexed:bool -> params -> seed:int -> Run.t
   (** [?indexed] selects the engine's move-index implementation (see
       {!Sim.Engine.Make.config}); the default maintains O(log n)
       incremental indexes, [~indexed:false] keeps the scanning

@@ -14,7 +14,6 @@ type entry = {
   partition_expectation : partition_expectation;
   during_partition : during_partition;
   default_delta : int;
-  everywhere_checkable : bool;
   lspec_monitorable : bool;
   por_safe : bool;
   synthesizable : bool;
@@ -24,8 +23,7 @@ type entry = {
 }
 
 let entry ?(role = Reference) ?expectation ?partition_expectation
-    ?during_partition ?(delta = 8) ?(everywhere_checkable = true)
-    ?(lspec_monitorable = true) ?por_safe ?synthesizable ?wrapper_term
+    ?during_partition ?(delta = 8) ?(lspec_monitorable = true) ?wrapper_term
     ?sweep_rank ~doc (module P : Protocol.S) =
   let expectation =
     match expectation with
@@ -60,26 +58,16 @@ let entry ?(role = Reference) ?expectation ?partition_expectation
       | Reference | Ablation | Synthesized -> Wedge
       | Negative_control -> Unsafe)
   in
-  let por_safe =
-    match por_safe with
-    | Some b -> b
-    (* references are verified exhaustively elsewhere and their
-       expected verdict is Ok, so trading interleavings for reach is
-       safe; controls and ablations exist to be caught, and their
-       counterexamples are compared across runs — keep those sweeps
-       exhaustive unless a registration opts in explicitly.  A
-       synthesized entry's wrapper is box-composed by the checker, and
-       wrapper moves are outside the ample-set argument *)
-    | None -> role = Reference
-  in
-  let synthesizable =
-    match synthesizable with
-    | Some b -> b
-    (* synthesis needs the full oracle: perturbation seeds for the
-       safety leg (everywhere_checkable) and spec-level views the
-       monitors understand (lspec_monitorable) *)
-    | None -> role = Reference && everywhere_checkable && lspec_monitorable
-  in
+  (* references are verified exhaustively elsewhere and their expected
+     verdict is Ok, so trading interleavings for reach is safe;
+     controls and ablations exist to be caught, and their
+     counterexamples are compared across runs — keep those sweeps
+     exhaustive.  A synthesized entry's wrapper is box-composed by the
+     checker, and wrapper moves are outside the ample-set argument *)
+  let por_safe = role = Reference in
+  (* synthesis needs spec-level views the oracle's monitors understand;
+     every [perturb] enumerates the safety leg's seeds *)
+  let synthesizable = role = Reference && lspec_monitorable in
   { name = P.name;
     proto = (module P);
     role;
@@ -87,7 +75,6 @@ let entry ?(role = Reference) ?expectation ?partition_expectation
     partition_expectation;
     during_partition;
     default_delta = delta;
-    everywhere_checkable;
     lspec_monitorable;
     por_safe;
     synthesizable;
@@ -127,11 +114,6 @@ let default_sweep () =
 
 let default_reference () =
   List.find_opt (fun e -> e.role = Reference) !table
-
-let everywhere_checkable_names () =
-  List.filter_map
-    (fun e -> if e.everywhere_checkable then Some e.name else None)
-    !table
 
 let por_safe_names () =
   List.filter_map (fun e -> if e.por_safe then Some e.name else None) !table

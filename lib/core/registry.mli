@@ -93,27 +93,25 @@ type entry = {
       (** how the campaign's during-split cells are gated: the
           regime-epoch verdict expected while a partition is open *)
   default_delta : int;  (** wrapper timeout for default sweeps *)
-  everywhere_checkable : bool;
-      (** [perturb] enumerates a real corruption set, so everywhere-mode
-          model checking ([mcheck --everywhere]) is meaningful *)
   lspec_monitorable : bool;
       (** the Lspec / TME_Spec monitors apply to this implementation's
           views (false for the central-coordinator baseline, whose
           coordinator is not a specification-level process) *)
   por_safe : bool;
       (** partial-order reduction ([mcheck --por]) may be applied when
-          model-checking mode-level invariants of this entry.  The
-          reduction itself guards its ample sets dynamically; this
-          flag is {e policy}: negative controls and ablations exist to
-          produce comparable counterexamples, so their sweeps stay
-          exhaustive *)
+          model-checking mode-level invariants of this entry: [role =
+          Reference].  The reduction itself guards its ample sets
+          dynamically; this flag is {e policy}: negative controls and
+          ablations exist to produce comparable counterexamples, so
+          their sweeps stay exhaustive *)
   synthesizable : bool;
       (** [graybox-cli synth] accepts this entry as a synthesis
           target: the CEGIS loop ([Synth]) can enumerate wrapper
           candidates and certify one against the model-checking oracle
-          ({!Mcheck.Oracle}).  Requires real perturbation seeds
-          ([everywhere_checkable]) and spec-level views
-          ([lspec_monitorable]) *)
+          ({!Mcheck.Oracle}).  [role = Reference &&
+          lspec_monitorable]: the oracle's monitors need spec-level
+          views (every [perturb] enumerates the safety leg's
+          seeds) *)
   wrapper_term : Wrapper.t option;
       (** for [Synthesized] entries: the wrapper-DSL term this entry
           is run under — scenarios and the campaign use
@@ -131,10 +129,7 @@ val entry :
   ?partition_expectation:partition_expectation ->
   ?during_partition:during_partition ->
   ?delta:int ->
-  ?everywhere_checkable:bool ->
   ?lspec_monitorable:bool ->
-  ?por_safe:bool ->
-  ?synthesizable:bool ->
   ?wrapper_term:Wrapper.t ->
   ?sweep_rank:int ->
   doc:string ->
@@ -149,12 +144,9 @@ val entry :
     certified against wedges, not partitions); [during_partition]
     likewise ([Reference | Ablation | Synthesized -> Wedge] — the
     classical programs block on severed quorums — [Negative_control ->
-    Unsafe]); [delta = 8]; [everywhere_checkable = true];
-    [lspec_monitorable = true]; [por_safe] follows the role
-    ([Reference -> true], otherwise [false]); [synthesizable] defaults
-    to [role = Reference && everywhere_checkable &&
-    lspec_monitorable]; [wrapper_term] defaults to [None]; no sweep
-    rank. *)
+    Unsafe]); [delta = 8]; [lspec_monitorable = true];
+    [wrapper_term] defaults to [None]; no sweep rank.  [por_safe] and
+    [synthesizable] are derived, never set (see their fields). *)
 
 val register : entry -> unit
 (** Append to the table.  Registration order is the listing order of
@@ -180,10 +172,6 @@ val default_sweep : unit -> string list
 val default_reference : unit -> entry option
 (** The first registered [Reference] — the canonical demo protocol
     (used for CLI defaults and the campaign's deadlock canary). *)
-
-val everywhere_checkable_names : unit -> string list
-(** Names of the entries whose [perturb] supports everywhere-mode
-    checking; for capability error messages. *)
 
 val por_safe_names : unit -> string list
 (** Names of the entries for which [mcheck --por] is allowed; for

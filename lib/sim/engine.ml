@@ -12,28 +12,16 @@ module type NODE = sig
 end
 
 module Make (N : NODE) = struct
-  type policy = Weighted_random | Round_robin
+  type config = { n : int; seed : int; record : bool; indexed : bool }
 
-  type config = {
-    n : int;
-    seed : int;
-    deliver_weight : int;
-    internal_weight : int;
-    policy : policy;
-    record : bool;
-    indexed : bool;
-  }
-
-  let config ?(deliver_weight = 2) ?(internal_weight = 1)
-      ?(policy = Weighted_random) ?(record = true) ?(indexed = true) ~n ~seed
-      () =
+  let config ?(record = true) ?(indexed = true) ~n ~seed () =
     if n <= 0 then invalid_arg "Engine.config: need n > 0";
-    (* a nonpositive weight is excluded from the draw: stored as 0 *)
-    let deliver_weight = Int.max 0 deliver_weight
-    and internal_weight = Int.max 0 internal_weight in
-    if policy = Weighted_random && deliver_weight = 0 && internal_weight = 0
-    then invalid_arg "Engine.config: Weighted_random needs a positive weight";
-    { n; seed; deliver_weight; internal_weight; policy; record; indexed }
+    { n; seed; record; indexed }
+
+  (* scheduling weights: a pending delivery is drawn twice as often as
+     an enabled internal action *)
+  let deliver_weight = 2
+  let internal_weight = 1
 
   type t = {
     cfg : config;
@@ -388,44 +376,34 @@ module Make (N : NODE) = struct
         Trace.Stutter
       end
       else begin
-        let chosen =
-          match t.cfg.policy with
-          | Weighted_random ->
-            (* [config] stores nonpositive weights as 0: such moves add
-               nothing to the total and can never be drawn *)
-            let dw = t.cfg.deliver_weight and iw = t.cfg.internal_weight in
-            let total = (dw * d) + (iw * i) in
-            if total = 0 then
-              invalid_arg "Engine.step: no enabled move has a positive weight";
-            let stop = Rng.int t.sched_rng total in
-            if stop < dw * d then `Deliver (stop / dw)
-            else `Internal ((stop - (dw * d)) / iw)
-          | Round_robin ->
-            let idx = t.time mod (d + i) in
-            if idx < d then `Deliver idx else `Internal (idx - d)
+        let stop =
+          Rng.int t.sched_rng ((deliver_weight * d) + (internal_weight * i))
         in
-        match chosen with
-        | `Deliver k ->
-          let src, dst = nth_delivery t k in
-          (match Network.deliver t.net ~src ~dst with
-           | None -> Trace.Stutter (* cannot happen: channel was nonempty *)
-           | Some msg ->
-             Metrics.note_delivery t.metrics;
-             let state', outbox =
-               N.receive ~self:dst ~from:src msg t.states.(dst)
-             in
-             t.states.(dst) <- state';
-             mark_dirty t dst;
-             dispatch t ~src:dst ~label:"deliver" outbox;
-             Trace.Deliver { src; dst; msg })
-        | `Internal k ->
-          let p, (label, f) = nth_internal t k in
+        if stop < deliver_weight * d then begin
+          let src, dst = nth_delivery t (stop / deliver_weight) in
+          match Network.deliver t.net ~src ~dst with
+          | None -> Trace.Stutter (* cannot happen: channel was nonempty *)
+          | Some msg ->
+            Metrics.note_delivery t.metrics;
+            let state', outbox =
+              N.receive ~self:dst ~from:src msg t.states.(dst)
+            in
+            t.states.(dst) <- state';
+            mark_dirty t dst;
+            dispatch t ~src:dst ~label:"deliver" outbox;
+            Trace.Deliver { src; dst; msg }
+        end
+        else begin
+          let p, (label, f) =
+            nth_internal t ((stop - (deliver_weight * d)) / internal_weight)
+          in
           Metrics.note_internal t.metrics;
           let state', outbox = f t.states.(p) in
           t.states.(p) <- state';
           mark_dirty t p;
           dispatch t ~src:p ~label outbox;
           Trace.Internal { pid = p; label }
+        end
       end
     in
     t.time <- t.time + 1;

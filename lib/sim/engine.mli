@@ -35,25 +35,9 @@ module type NODE = sig
 end
 
 module Make (N : NODE) : sig
-  type policy =
-    | Weighted_random
-        (** pick uniformly among enabled moves, weighted — the default;
-            probabilistically fair *)
-    | Round_robin
-        (** rotate deterministically through the enabled-move list —
-            deterministic fairness, useful for debugging (still
-            seed-reproducible: the rotation depends only on time) *)
-
   type config = private {
     n : int;  (** number of processes *)
     seed : int;  (** master seed; equal seeds give equal executions *)
-    deliver_weight : int;
-        (** scheduling weight of each pending delivery (default 2);
-            never negative *)
-    internal_weight : int;
-        (** scheduling weight of each enabled internal action (default
-            1); never negative *)
-    policy : policy;
     record : bool;  (** keep a full trace (costs memory) *)
     indexed : bool;
         (** maintain incremental move indexes (a Fenwick tree of
@@ -65,14 +49,11 @@ module Make (N : NODE) : sig
             across the two (the equivalence suite checks this). *)
   }
 
-  val config : ?deliver_weight:int -> ?internal_weight:int -> ?policy:policy ->
-    ?record:bool -> ?indexed:bool -> n:int -> seed:int -> unit -> config
-  (** [config ~n ~seed ()] validates and builds a configuration.  A
-      nonpositive weight is stored as 0: moves of that kind are never
-      drawn by [Weighted_random] (a step where only such moves are
-      enabled raises [Invalid_argument]).
-      @raise Invalid_argument if [n <= 0], or if the policy is
-      [Weighted_random] and neither weight is positive. *)
+  val config : ?record:bool -> ?indexed:bool -> n:int -> seed:int -> unit -> config
+  (** [config ~n ~seed ()] validates and builds a configuration.  Each
+      step draws one enabled move at random, a pending delivery with
+      weight 2 and an enabled internal action with weight 1.
+      @raise Invalid_argument if [n <= 0]. *)
 
   type t
 

@@ -304,3 +304,8 @@ let find_protocol = Graybox.Registry.find_protocol
 let wrapped_term ~term ~delta () = H.On { term; delta }
 
 let wrapped ~delta () = wrapped_term ~term:Graybox.Wrapper.w_refined ~delta ()
+
+let wrapped_entry (e : Graybox.Registry.entry) ~delta =
+  match e.Graybox.Registry.wrapper_term with
+  | None -> wrapped ~delta ()
+  | Some term -> wrapped_term ~term ~delta ()

@@ -116,7 +116,7 @@ val run :
     [~record:false] the view trace and entry log are empty and the
     analysis and epoch report are degenerate — use it for throughput
     measurements only.  Clients think for 2–8 steps and eat for 1–3
-    ({!Graybox.Harness.params}' defaults).
+    (as every {!Graybox.Harness} client does).
 
     With [~streaming:true] trace recording is forced off and the
     analysis, recovery latency, epoch report and entry log are
@@ -158,3 +158,9 @@ val wrapped_term : term:Graybox.Wrapper.t -> delta:int -> unit ->
 (** [On {term; delta}] — any wrapper-DSL term (a registry entry's
     [wrapper_term], a synthesized candidate, {!Graybox.Wrapper.w_unrefined})
     under the same [δ]-timer discipline as {!wrapped}. *)
+
+val wrapped_entry :
+  Graybox.Registry.entry -> delta:int -> Graybox.Harness.wrapper_mode
+(** The wrapper an entry runs under: its registered [wrapper_term]
+    ([ra-synth]), else {!wrapped}.  The campaign, [graybox-cli run -w]
+    and bench PARTITION all choose an entry's wrapper here. *)

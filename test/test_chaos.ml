@@ -140,6 +140,272 @@ let test_plan_gen_split_plan () =
   | _ -> Alcotest.fail "split_plan must hold exactly one Split"
 
 (* ------------------------------------------------------------------ *)
+(* The text form of a plan: labels parse back                          *)
+
+let prop_labels_round_trip =
+  (* every plan the campaign can draw, at every process count, prints
+     to labels that parse back to the same plan *)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"parse (plan_label p) = p"
+       QCheck2.Gen.(
+         quad small_nat (int_range 2 8) (int_range 10 20_000) (int_range 0 3))
+       (fun (seed, n, horizon, variant) ->
+         let cfg =
+           Plan_gen.config ~partitions:(variant = 1) ~n ~horizon ~budget:6 ()
+         in
+         let rng = Rng.create seed in
+         let plan =
+           match variant with
+           | 0 | 1 -> Plan_gen.generate rng cfg
+           | 2 -> Plan_gen.split_plan rng cfg ~mode:Sim.Faults.Lossy
+           | _ -> Plan_gen.split_plan rng cfg ~mode:Sim.Faults.Buffered
+         in
+         Plan_gen.parse (Plan_gen.plan_label plan) = Ok plan))
+
+let test_parse_accepts () =
+  let parses s want =
+    Alcotest.(check bool) (s ^ " parses") true (Plan_gen.parse s = Ok want)
+  in
+  parses "burst@1000" (Tme.Scenarios.burst ~at:1000);
+  parses "" [];
+  parses "  flush@3   corrupt-state@5(any) "
+    [ Tme.Scenarios.Flush { at = 3 };
+      Tme.Scenarios.Corrupt_state { at = 5; procs = Sim.Faults.Any_proc } ];
+  (* unlisted pids join the remainder group when the split is lowered *)
+  parses "split@5-10({0},lossy)"
+    [ Tme.Scenarios.Split
+        { groups = [ [ 0 ] ]; from_t = 5; until_t = 10; mode = Sim.Faults.Lossy } ];
+  (* a request-loss or isolation window includes its last step *)
+  parses "drop-requests@50-50"
+    [ Tme.Scenarios.Drop_requests_window { from_t = 50; until_t = 50 } ]
+
+let test_parse_rejects () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Plan_gen.parse s)))
+    [ "burst:1000"; "burst"; "burst@"; "burst@-5"; "burst@0x10"; "nope@5";
+      "flush@5(p1)"; "crash@5-10"; "drop@5"; "drop@5/0"; "drop@5/-1";
+      "drop-requests@60-50"; "partition@9-5(p1)"; "crash@5-5(p1)";
+      "split@5-5({0}|{1},lossy)"; "split@10-5({0}|{1},buf)";
+      "split@5-10({0,x}|{1},lossy)"; "split@5-10({0}|{0},lossy)";
+      "split@5-10(0|1,lossy)"; "split@5-10({0}|{1},leaky)";
+      "split@5-10({0}|{1})"; "crash@5-10(p1,keep)"; "crash@5-10(1)";
+      "crash@5-10(p1"; "corrupt-state@5(px)"; "delay@5(p0->p1)";
+      "delay@5(p0-p1,=3)"; "delay@5(*->*,=3)"; "delay@5(*,~u9)";
+      "delay@5(*,~u9-3)"; "delay@5(*,exp3)" ];
+  match Plan_gen.parse "flush@3 burst:1000" with
+  | Error msg ->
+    Alcotest.(check bool) "the message names the token and the form" true
+      (String.starts_with ~prefix:"burst:1000: expected" msg
+      && String.ends_with ~suffix:"burst@TIME" msg)
+  | Ok _ -> Alcotest.fail "old spelling accepted"
+
+let test_plan_check () =
+  let check ?(n = 4) ?(steps = 1000) s =
+    match Plan_gen.parse s with
+    | Ok plan -> Result.is_ok (Plan_gen.check ~n ~steps plan)
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " fits n=4, 1000 steps") true (check s))
+    [ "split@5-10({0}|{1,2,3},lossy)"; "split@5-10({0},buf)"; "crash@5-10(p3)";
+      "corrupt-state@999(any)"; "delay@5(p0->p3,=2)"; "drop@5/3";
+      "split@900-5000({0}|{1},lossy)" ];
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " does not fit") false (check s))
+    [ "split@5-10({4}|{0},lossy)"; "split@5-10({0,1,2,3},lossy)";
+      "crash@5-10(p4)"; "partition@5-9(p4)"; "corrupt-state@5(p4)";
+      "reset@5(p9)"; "delay@5(p4->*,=3)"; "delay@5(*->p4,=3)";
+      "delay@5(p0->p4,=3)"; "flush@1000"; "burst@1000";
+      "split@5000-6000({0}|{1,2,3},lossy)" ]
+
+(* The committed golden reports, read back through a minimal JSON
+   reader (enough for Jsonx's output: no exponents, simple escapes). *)
+type json =
+  | Null
+  | Bool of bool
+  | Num of int
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+let read_json s =
+  let pos = ref 0 in
+  let next () =
+    let c = s.[!pos] in
+    incr pos;
+    c
+  in
+  let rec ws () =
+    if !pos < String.length s && s.[!pos] <= ' ' then begin
+      incr pos;
+      ws ()
+    end
+  in
+  let str () =
+    let b = Buffer.create 16 in
+    let rec go () =
+      match next () with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+        Buffer.add_char b
+          (match next () with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | c -> c);
+        go ()
+      | c ->
+        Buffer.add_char b c;
+        go ()
+    in
+    go ()
+  in
+  (* comma-separated items up to [close] *)
+  let rec items : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close item ->
+    ws ();
+    if s.[!pos] = close then begin
+      incr pos;
+      []
+    end
+    else
+      let x = item () in
+      ws ();
+      if next () = ',' then x :: items close item else [ x ]
+  in
+  let rec value () =
+    ws ();
+    match next () with
+    | '{' ->
+      Obj
+        (items '}' (fun () ->
+             ignore (next ());
+             let k = str () in
+             ws ();
+             ignore (next ());
+             (k, value ())))
+    | '[' -> Arr (items ']' value)
+    | '"' -> Str (str ())
+    | _ -> (
+      let start = !pos - 1 in
+      while !pos < String.length s && not (String.contains ",]}" s.[!pos]) do
+        incr pos
+      done;
+      match String.sub s start (!pos - start) with
+      | "true" -> Bool true
+      | "false" -> Bool false
+      | "null" -> Null
+      | w ->
+        (* floats (latency statistics) are never read here *)
+        Num (Option.value ~default:0 (int_of_string_opt w)))
+  in
+  value ()
+
+let field k = function
+  | Obj kv -> (match List.assoc_opt k kv with Some v -> v | None -> Null)
+  | _ -> Null
+
+let to_str = function Str s -> s | _ -> Alcotest.fail "expected a string"
+let to_int = function Num i -> i | _ -> Alcotest.fail "expected a number"
+let to_list = function Arr l -> l | _ -> Alcotest.fail "expected a list"
+
+let golden_reports =
+  lazy
+  (List.map
+    (fun path ->
+      let ic = open_in_bin path in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (path, read_json s))
+    [ "golden_campaign.json"; "golden_partition_campaign.json" ])
+
+let parse_labels labels =
+  match Plan_gen.parse (String.concat " " (List.map to_str labels)) with
+  | Ok plan -> plan
+  | Error e -> Alcotest.fail e
+
+let test_golden_labels_round_trip () =
+  List.iter
+    (fun (path, report) ->
+      let plans =
+        List.concat_map
+          (fun cell -> List.map (field "plan") (to_list (field "runs" cell)))
+          (to_list (field "cells" report))
+        @ List.concat_map
+            (fun cx -> [ field "original" cx; field "shrunk" cx ])
+            (to_list (field "counterexamples" report))
+      in
+      List.iter
+        (fun labels ->
+          List.iter
+            (fun l ->
+              let printed =
+                match Plan_gen.parse (to_str l) with
+                | Ok plan -> Plan_gen.plan_label plan
+                | Error e -> e
+              in
+              Alcotest.(check string) (path ^ ": label prints back") (to_str l)
+                printed)
+            (to_list labels))
+        plans;
+      (* the OCaml rendering of a shrunk plan is the parsed labels' *)
+      List.iter
+        (fun cx ->
+          Alcotest.(check string) (path ^ ": shrunk_ocaml")
+            (to_str (field "shrunk_ocaml" cx))
+            (Format.asprintf "%a" Plan_gen.pp_plan
+               (parse_labels (to_list (field "shrunk" cx)))))
+        (to_list (field "counterexamples" report)))
+    (Lazy.force golden_reports)
+
+let test_golden_rows_rerun () =
+  (* every row, rerun from its parsed plan with its cell's protocol,
+     wrapper and seed, gives its recorded verdict, latency and epoch
+     fields: a report's labels are enough to replay it *)
+  List.iter
+    (fun (path, report) ->
+      let cfg = field "config" report in
+      let n = to_int (field "n" cfg) and steps = to_int (field "steps" cfg) in
+      let delta = to_int (field "delta" cfg) in
+      List.iter
+        (fun cell ->
+          let entry =
+            Option.get (Graybox.Registry.find (to_str (field "protocol" cell)))
+          in
+          let wrapper =
+            if field "wrapped" cell = Bool true then
+              Tme.Scenarios.wrapped_entry entry ~delta
+            else Graybox.Harness.Off
+          in
+          List.iter
+            (fun row ->
+              let seed = to_int (field "seed" row) in
+              let r =
+                Tme.Scenarios.run entry.Graybox.Registry.proto ~wrapper
+                  ~faults:(parse_labels (to_list (field "plan" row)))
+                  ~streaming:true ~n ~seed ~steps
+              in
+              let what = Printf.sprintf "%s: %s seed %d" path
+                  (to_str (field "cell" cell)) seed in
+              Alcotest.(check string) (what ^ " verdict")
+                (to_str (field "verdict" row))
+                (Outcome.label (Outcome.classify ~n r.Tme.Scenarios.analysis));
+              Alcotest.(check (option int)) (what ^ " latency")
+                (match field "recovery_latency" row with
+                 | Num l -> Some l
+                 | _ -> None)
+                r.Tme.Scenarios.recovery_latency;
+              match field "epoch_safe" row with
+              | Null -> ()
+              | safe ->
+                let e = r.Tme.Scenarios.epoch_spec in
+                Alcotest.(check (pair bool int)) (what ^ " epoch fields")
+                  (safe = Bool true, to_int (field "split_entries" row))
+                  ( Graybox.Tme_spec.Epoch.safe e,
+                    e.Graybox.Tme_spec.Epoch.split_entries ))
+            (to_list (field "runs" cell)))
+        (to_list (field "cells" report)))
+    (Lazy.force golden_reports)
+
+(* ------------------------------------------------------------------ *)
 (* Outcome classification                                              *)
 
 let analysis ?(me1 = 0) ?(starving = []) ~recovered () =
@@ -548,6 +814,15 @@ let () =
           Alcotest.test_case "partition labels" `Quick
             test_plan_gen_partition_labels;
           Alcotest.test_case "split_plan" `Quick test_plan_gen_split_plan ] );
+      ( "plan-syntax",
+        [ prop_labels_round_trip;
+          Alcotest.test_case "parse accepts" `Quick test_parse_accepts;
+          Alcotest.test_case "parse rejects" `Quick test_parse_rejects;
+          Alcotest.test_case "check against n and steps" `Quick test_plan_check;
+          Alcotest.test_case "golden labels print back" `Quick
+            test_golden_labels_round_trip;
+          Alcotest.test_case "golden rows rerun from labels" `Quick
+            test_golden_rows_rerun ] );
       ( "outcome",
         [ Alcotest.test_case "classify" `Quick test_outcome_classify;
           Alcotest.test_case "labels" `Quick test_outcome_labels ] );

@@ -35,7 +35,8 @@ let check_mentions doc text needles =
         (contains text needle))
     needles
 
-(* "| `ra` | reference | ... |" -> ["ra"; "reference"; ...] *)
+(* "| `ra` | reference | ... |" -> ["ra"; "reference"; ...]; an escaped
+   "\|" stays inside its cell as "|" *)
 let cells line =
   let untick c =
     let n = String.length c in
@@ -43,6 +44,14 @@ let cells line =
     else c
   in
   String.split_on_char '|' line
+  |> List.fold_left
+       (fun acc c ->
+         match acc with
+         | prev :: rest when String.ends_with ~suffix:"\\" prev ->
+           (String.sub prev 0 (String.length prev - 1) ^ "|" ^ c) :: rest
+         | _ -> c :: acc)
+       []
+  |> List.rev
   |> List.map String.trim
   |> List.filter (fun c -> c <> "")
   |> List.map untick
@@ -123,6 +132,21 @@ let fault_spec_names =
     "Corrupt_messages"; "Reorder"; "Flush"; "Partition"; "Corrupt_state";
     "Reset_state"; "Crash"; "Split"; "Delay" ]
 
+let constructor_name = function
+  | Tme.Scenarios.Drop_requests _ -> "Drop_requests"
+  | Tme.Scenarios.Drop_requests_window _ -> "Drop_requests_window"
+  | Tme.Scenarios.Drop_any _ -> "Drop_any"
+  | Tme.Scenarios.Duplicate _ -> "Duplicate"
+  | Tme.Scenarios.Corrupt_messages _ -> "Corrupt_messages"
+  | Tme.Scenarios.Reorder _ -> "Reorder"
+  | Tme.Scenarios.Flush _ -> "Flush"
+  | Tme.Scenarios.Partition _ -> "Partition"
+  | Tme.Scenarios.Corrupt_state _ -> "Corrupt_state"
+  | Tme.Scenarios.Reset_state _ -> "Reset_state"
+  | Tme.Scenarios.Crash _ -> "Crash"
+  | Tme.Scenarios.Split _ -> "Split"
+  | Tme.Scenarios.Delay _ -> "Delay"
+
 let test_readme_fault_model_table () =
   let rows =
     table_rows ~doc:"README.md"
@@ -137,6 +161,21 @@ let test_readme_fault_model_table () =
          | name :: _ -> name
          | [] -> Alcotest.fail "empty fault-model row")
        rows);
+  (* each row's label is a concrete example that `run -f` parses into
+     that constructor and that prints back unchanged *)
+  List.iter
+    (function
+      | name :: label :: _ -> (
+        match Chaos.Plan_gen.parse label with
+        | Ok [ spec ] ->
+          Alcotest.(check string) (label ^ " constructor") name
+            (constructor_name spec);
+          Alcotest.(check string) (label ^ " prints back") label
+            (Chaos.Plan_gen.spec_label spec)
+        | Ok _ -> Alcotest.fail (label ^ ": not one spec")
+        | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail "fault-model row without a label")
+    rows;
   (* the isolation-vs-group-partition distinction must stay documented *)
   check_mentions "README.md" (Lazy.force readme)
     [ "isolation"; "split-lossy"; "split-buf"; "--partitions" ]

@@ -427,9 +427,6 @@ let test_harness_params_validation () =
   Alcotest.check_raises "n too small"
     (Invalid_argument "Harness.params: need at least two processes")
     (fun () -> ignore (Harness.params ~n:1 ()));
-  Alcotest.check_raises "bad ranges"
-    (Invalid_argument "Harness.params: bad client ranges") (fun () ->
-      ignore (Harness.params ~think_min:5 ~think_max:2 ~n:3 ()));
   Alcotest.check_raises "bad passive"
     (Invalid_argument "Harness.params: passive pid out of range") (fun () ->
       ignore (Harness.params ~passive:[ 7 ] ~n:3 ()))

@@ -1055,39 +1055,6 @@ let test_engine_planned_faults_fire () =
   in
   Alcotest.(check (list int)) "at the right times" [ 3; 7 ] fault_times
 
-(* Nonpositive weights are stored as 0; with none positive the weighted
-   draw has nothing to pick, which [config] refuses up front. *)
-let test_engine_config_weights () =
-  let cfg = E.config ~deliver_weight:(-3) ~n:2 ~seed:1 () in
-  Alcotest.(check (pair int int)) "clamped" (0, 1)
-    (cfg.E.deliver_weight, cfg.E.internal_weight);
-  Alcotest.check_raises "no positive weight"
-    (Invalid_argument "Engine.config: Weighted_random needs a positive weight")
-    (fun () ->
-      ignore (E.config ~deliver_weight:0 ~internal_weight:(-1) ~n:2 ~seed:1 ()));
-  ignore
-    (E.config ~policy:E.Round_robin ~deliver_weight:0 ~internal_weight:0 ~n:2
-       ~seed:1 ())
-
-let test_engine_round_robin () =
-  let e =
-    E.create
-      (E.config ~policy:E.Round_robin ~n:3 ~seed:1 ())
-      ~init:(fun self ->
-        { Token_node.self; n = 3; has_token = self = 0; passes = 0 })
-  in
-  E.run ~steps:300 e;
-  Alcotest.(check bool) "token circulates" true (total_passes e > 10);
-  (* deterministic: replaying gives the identical execution *)
-  let e2 =
-    E.create
-      (E.config ~policy:E.Round_robin ~n:3 ~seed:1 ())
-      ~init:(fun self ->
-        { Token_node.self; n = 3; has_token = self = 0; passes = 0 })
-  in
-  E.run ~steps:300 e2;
-  Alcotest.(check int) "replay identical" (total_passes e) (total_passes e2)
-
 let prop_engine_deterministic =
   qtest "equal seeds give equal executions" ~count:25 QCheck2.Gen.small_int
     (fun seed ->
@@ -1178,6 +1145,4 @@ let () =
             test_engine_run_until_timeout;
           Alcotest.test_case "planned faults" `Quick
             test_engine_planned_faults_fire;
-          Alcotest.test_case "round robin" `Quick test_engine_round_robin;
-          Alcotest.test_case "config weights" `Quick test_engine_config_weights;
           prop_engine_deterministic ] ) ]
