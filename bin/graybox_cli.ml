@@ -89,10 +89,11 @@ let steps_arg =
 
 let wrapper_arg =
   let doc =
-    "Wrapper timeout delta; 0 is the paper's W, omit the flag to run \
-     unwrapped."
+    "Wrapper timeout delta, at least 0; 0 is the paper's W, omit the flag \
+     to run unwrapped."
   in
-  Arg.(value & opt (some int) None & info [ "w"; "wrapper" ] ~docv:"DELTA" ~doc)
+  Arg.(value & opt (some (int_at_least 0)) None
+       & info [ "w"; "wrapper" ] ~docv:"DELTA" ~doc)
 
 let unrefined_arg =
   let doc = "Use the unrefined wrapper (send to all peers)." in
@@ -129,6 +130,24 @@ let require ~mode ~lacks ~names ~label ok (e : Graybox.Registry.entry) =
 let jobs_arg ?absent ?(default = 1) doc =
   Arg.(value & opt (int_at_least 1) default
        & info [ "j"; "jobs" ] ?absent ~docv:"JOBS" ~doc)
+
+(* Wall-clock seconds of [f ()], for the human-readable rate lines
+   only: no machine-readable output carries a time. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* --json FILE: the document and a newline, "-" for stdout *)
+let write_json path doc =
+  let s = Chaos.Jsonx.to_string doc in
+  if path = "-" then print_endline s
+  else begin
+    let oc = open_out path in
+    output_string oc s;
+    output_char oc '\n';
+    close_out oc
+  end
 
 let wrapper_mode entry delta unrefined =
   match delta with
@@ -209,12 +228,11 @@ let load_cmd =
            a 400*n drain tail *)
         match max_steps with Some s -> s | None -> ((5 * requests) + 400) * n
       in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Tme.Load.run proto ~n ~seed ~rate ~max_requests:requests ~max_steps
-          ()
+      let r, dt =
+        timed (fun () ->
+            Tme.Load.run proto ~n ~seed ~rate ~max_requests:requests
+              ~max_steps ())
       in
-      let dt = Unix.gettimeofday () -. t0 in
       let ps = Tme.Load.percentiles r [ 50.; 99.; 99.9 ] in
       Printf.printf "protocol       : %s (n=%d, seed %d)\n" r.Tme.Load.protocol
         r.Tme.Load.n r.Tme.Load.seed;
@@ -482,9 +500,9 @@ let synth_cmd =
         Synth.config ~n ~jobs ~max_size ~max_checks ~safety_depth
           ~recovery_depth ~max_states ()
       in
-      let t0 = Unix.gettimeofday () in
-      let r = Synth.synthesize entry.Graybox.Registry.proto cfg in
-      let dt = Unix.gettimeofday () -. t0 in
+      let r, dt =
+        timed (fun () -> Synth.synthesize entry.Graybox.Registry.proto cfg)
+      in
       let term_size w = Graybox.Wrapper.size w in
       let matches =
         match r.Synth.synthesized with
@@ -536,15 +554,8 @@ let synth_cmd =
                  Chaos.Jsonx.List (List.map attempt_json r.Synth.attempts) )
              ]
          in
-         let s = Chaos.Jsonx.to_string doc in
-         if path = "-" then print_endline s
-         else begin
-           let oc = open_out path in
-           output_string oc s;
-           output_char oc '\n';
-           close_out oc;
-           Printf.eprintf "wrote %s\n%!" path
-         end);
+         write_json path doc;
+         if path <> "-" then Printf.eprintf "wrote %s\n%!" path);
       let t =
         Stdext.Tabular.create [ "#"; "size"; "outcome"; "candidate" ]
       in
@@ -680,17 +691,16 @@ let mcheck_cmd =
     | Error e -> `Error (false, e)
     | Result.Ok entry ->
       let proto = entry.Graybox.Registry.proto in
-      let t0 = Unix.gettimeofday () in
       let mem_budget = Option.value mem_budget ~default:max_int in
-      let result =
-        if everywhere then
-          Mcheck.check_me1_everywhere proto ~n ~jobs ?shards ~max_depth:depth
-            ~max_states ~mem_budget ?spill_dir ~por ()
-        else
-          Mcheck.check_me1 proto ~n ~jobs ?shards ~max_depth:depth ~max_states
-            ~mem_budget ?spill_dir ~por ()
+      let result, dt =
+        timed (fun () ->
+            if everywhere then
+              Mcheck.check_me1_everywhere proto ~n ~jobs ?shards
+                ~max_depth:depth ~max_states ~mem_budget ?spill_dir ~por ()
+            else
+              Mcheck.check_me1 proto ~n ~jobs ?shards ~max_depth:depth
+                ~max_states ~mem_budget ?spill_dir ~por ())
       in
-      let dt = Unix.gettimeofday () -. t0 in
       let print_stats (s : Mcheck.stats) =
         Printf.printf
           "  invariant       : %s (%s mode%s)\n\
@@ -746,60 +756,63 @@ let protocols_cmd =
       & info [ "json" ]
           ~doc:"Emit the registry as machine-readable JSON on stdout.")
   in
-  let action json =
+  (* one (JSON key, table column, value) per field; a field without a
+     column is JSON-only *)
+  let fields =
     let open Graybox.Registry in
-    let entries = all () in
-    if json then begin
-      let entry_json e =
-        Chaos.Jsonx.Obj
-          [ ("name", Chaos.Jsonx.String e.name);
-            ("role", Chaos.Jsonx.String (role_label e.role));
-            ("expect", Chaos.Jsonx.String (expectation_label e.expectation));
-            ( "partition_expect",
-              Chaos.Jsonx.String
-                (partition_expectation_label e.partition_expectation) );
-            ( "during_partition",
-              Chaos.Jsonx.String (during_partition_label e.during_partition) );
-            ("default_delta", Chaos.Jsonx.Int e.default_delta);
-            ("lspec_monitorable", Chaos.Jsonx.Bool e.lspec_monitorable);
-            ("por_safe", Chaos.Jsonx.Bool e.por_safe);
-            ("synthesizable", Chaos.Jsonx.Bool e.synthesizable);
-            ( "wrapper_term",
-              match e.wrapper_term with
-              | Some w -> Chaos.Jsonx.String (Graybox.Wrapper.to_string w)
-              | None -> Chaos.Jsonx.Null );
-            ("sweep_rank", Chaos.Jsonx.of_int_option e.sweep_rank);
-            ("doc", Chaos.Jsonx.String e.doc) ]
+    let open Chaos.Jsonx in
+    [ ("name", Some "name", fun e -> String e.name);
+      ("role", Some "role", fun e -> String (role_label e.role));
+      ( "expect",
+        Some "expect",
+        fun e -> String (expectation_label e.expectation) );
+      ( "partition_expect",
+        Some "partition",
+        fun e -> String (partition_expectation_label e.partition_expectation) );
+      ( "during_partition",
+        Some "during",
+        fun e -> String (during_partition_label e.during_partition) );
+      ("default_delta", Some "delta", fun e -> Int e.default_delta);
+      ("lspec_monitorable", Some "lspec", fun e -> Bool e.lspec_monitorable);
+      ("por_safe", Some "por", fun e -> Bool e.por_safe);
+      ("synthesizable", Some "synth", fun e -> Bool e.synthesizable);
+      ( "wrapper_term",
+        None,
+        fun e ->
+          match e.wrapper_term with
+          | Some w -> String (Graybox.Wrapper.to_string w)
+          | None -> Null );
+      ("sweep_rank", Some "sweep", fun e -> of_int_option e.sweep_rank);
+      ("doc", Some "description", fun e -> String e.doc) ]
+  in
+  let cell = function
+    | Chaos.Jsonx.String s -> s
+    | Chaos.Jsonx.Int i -> Stdext.Tabular.cell_int i
+    | Chaos.Jsonx.Bool b -> Stdext.Tabular.cell_bool b
+    | _ -> "-"
+  in
+  let action json =
+    let entries = Graybox.Registry.all () in
+    if json then
+      let entry e =
+        Chaos.Jsonx.Obj (List.map (fun (key, _, v) -> (key, v e)) fields)
       in
-      print_endline
-        (Chaos.Jsonx.to_string
-           (Chaos.Jsonx.Obj
-              [ ("schema", Chaos.Jsonx.String "graybox-protocols/5");
-                ( "protocols",
-                  Chaos.Jsonx.List (List.map entry_json entries) ) ]))
-    end
+      write_json "-"
+        (Chaos.Jsonx.Obj
+           [ ("schema", Chaos.Jsonx.String "graybox-protocols/5");
+             ("protocols", Chaos.Jsonx.List (List.map entry entries)) ])
     else begin
       let t =
         Stdext.Tabular.create
-          [ "name"; "role"; "expect"; "partition"; "during"; "delta";
-            "lspec"; "por"; "synth"; "sweep"; "description" ]
+          (List.filter_map (fun (_, column, _) -> column) fields)
       in
       List.iter
         (fun e ->
           Stdext.Tabular.add_row t
-            [ e.name;
-              role_label e.role;
-              expectation_label e.expectation;
-              partition_expectation_label e.partition_expectation;
-              during_partition_label e.during_partition;
-              Stdext.Tabular.cell_int e.default_delta;
-              Stdext.Tabular.cell_bool e.lspec_monitorable;
-              Stdext.Tabular.cell_bool e.por_safe;
-              Stdext.Tabular.cell_bool e.synthesizable;
-              (match e.sweep_rank with
-               | Some r -> Stdext.Tabular.cell_int r
-               | None -> "-");
-              e.doc ])
+            (List.filter_map
+               (fun (_, column, value) ->
+                 Option.map (fun _ -> cell (value e)) column)
+               fields))
         entries;
       Stdext.Tabular.print
         ~title:
@@ -838,9 +851,9 @@ let chaos_cmd =
   in
   let delta_arg =
     Arg.(
-      value & opt int 8
+      value & opt (int_at_least 0) 8
       & info [ "w"; "wrapper" ] ~docv:"DELTA"
-          ~doc:"Wrapper timeout delta for the wrapped cells.")
+          ~doc:"Wrapper timeout delta for the wrapped cells, at least 0.")
   in
   let protocols_arg =
     Arg.(
@@ -857,7 +870,8 @@ let chaos_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable report to $(docv).")
+          ~doc:
+            "Also write the machine-readable report to $(docv); - is stdout.")
   in
   let no_unwrapped_arg =
     Arg.(
@@ -921,10 +935,7 @@ let chaos_cmd =
       (match json with
        | None -> ()
        | Some file ->
-         let oc = open_out file in
-         output_string oc (Chaos.Jsonx.to_string (Chaos.Campaign.to_json report));
-         output_char oc '\n';
-         close_out oc;
+         write_json file (Chaos.Campaign.to_json report);
          Printf.printf "json report       : %s\n" file);
       Printf.printf "scenario runs     : %d for %d rows\n"
         report.Chaos.Campaign.scenario_runs

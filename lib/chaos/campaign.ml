@@ -42,6 +42,7 @@ let config ?(base_seed = 1) ?(seeds = 50) ?(budget = 6) ?(n = 4) ?(steps = 4000)
   if steps < 100 then invalid_arg "Campaign.config: need steps >= 100";
   if protocols = [] then invalid_arg "Campaign.config: need a protocol";
   if jobs < 1 then invalid_arg "Campaign.config: need jobs >= 1";
+  if delta < 0 then invalid_arg "Campaign.config: need delta >= 0";
   { base_seed; seeds; budget; n; steps; delta; protocols; include_unwrapped;
     deadlock_canary; shrink; shrink_max_runs; max_counterexamples; jobs;
     partitions }

@@ -81,7 +81,7 @@ val config :
     by engine observers ({!Tme.Scenarios.run}[ ~streaming:true]): no
     trace is recorded, and a permanently deadlocked run exits early.
     @raise Invalid_argument on an empty protocol list, [seeds <= 0],
-    [steps < 100], or [jobs < 1]. *)
+    [steps < 100], [jobs < 1], or [delta < 0]. *)
 
 exception Unknown_protocol of string
 (** Raised by {!run} when a configured protocol name does not

@@ -51,7 +51,8 @@ let gen_chan rng n =
   | 2 -> Sim.Faults.From (Rng.int rng n)
   | _ -> Sim.Faults.Into (Rng.int rng n)
 
-(* labels print only a heavy tail's mean: [parse] restores this cap *)
+(* the generator's heavy-tail cap: a label prints a cap only when it
+   differs, and [parse] restores this one when the label has none *)
 let heavy_tail_cap = 120
 
 let gen_dist rng =
@@ -124,7 +125,9 @@ let mode_label = function Sim.Faults.Lossy -> "lossy" | Sim.Faults.Buffered -> "
 let dist_label = function
   | Sim.Faults.Fixed d -> Printf.sprintf "=%d" d
   | Sim.Faults.Uniform (lo, hi) -> Printf.sprintf "~u%d-%d" lo hi
-  | Sim.Faults.Heavy_tail { mean; _ } -> Printf.sprintf "~exp%d" mean
+  | Sim.Faults.Heavy_tail { mean; cap } when cap = heavy_tail_cap ->
+    Printf.sprintf "~exp%d" mean
+  | Sim.Faults.Heavy_tail { mean; cap } -> Printf.sprintf "~exp%d/%d" mean cap
 
 let spec_label = function
   | S.Drop_requests { at; per_chan } ->
@@ -204,8 +207,10 @@ let parse_spec tok =
       match cut '-' r with
       | lo, Some hi when num lo <= num hi -> Sim.Faults.Uniform (num lo, num hi)
       | _ -> bad "not a range LO-HI: %s" r)
-    | _, _, Some m ->
-      Sim.Faults.Heavy_tail { mean = num m; cap = heavy_tail_cap }
+    | _, _, Some m -> (
+      match cut '/' m with
+      | m, None -> Sim.Faults.Heavy_tail { mean = num m; cap = heavy_tail_cap }
+      | m, Some cap -> Sim.Faults.Heavy_tail { mean = num m; cap = num cap })
     | _ -> bad "not a delay distribution: %s" s
   in
   let groups s =

@@ -55,9 +55,10 @@ val spec_time : Tme.Scenarios.fault_spec -> int
     [corrupt-state@T(PROCS)], [reset@T(PROCS)],
     [crash@F-U(PROCS[,lose])], [split@F-U({P,..}|..,lossy|buf)] and
     [delay@T(CHAN,DIST)], where PROCS is [any] or [pN], CHAN is [*],
-    [pS->pD], [pS->*] or [*->pD], and DIST is [=D], [~uLO-HI] or
-    [~expMEAN] (a label omits the heavy-tail cap; [parse] restores the
-    generator's). *)
+    [pS->pD], [pS->*] or [*->pD], and DIST is [=D], [~uLO-HI],
+    [~expMEAN/CAP] or [~expMEAN].  A heavy tail's label prints its cap
+    only when the cap is not the generator's 120, and [parse] reads a
+    label without one as cap 120, so every heavy tail round-trips. *)
 
 val spec_label : Tme.Scenarios.fault_spec -> string
 (** Compact one-token rendering, e.g. [crash@120-160(p2,lose)]. *)

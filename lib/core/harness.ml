@@ -38,6 +38,10 @@ let params ?(wrapper = Off) ?(passive = []) ~n () =
   if n <= 1 then invalid_arg "Harness.params: need at least two processes";
   if List.exists (fun p -> p < 0 || p >= n) passive then
     invalid_arg "Harness.params: passive pid out of range";
+  (match wrapper with
+   | On { delta; _ } when delta < 0 ->
+     invalid_arg "Harness.params: wrapper delta must be >= 0"
+   | On _ | Off -> ());
   { n; wrapper; passive }
 
 (** One CS entry, as recorded by the oracle for the FCFS monitor. *)

@@ -44,7 +44,8 @@ val params :
 (** [params ~n ()] with defaults: no wrapper, no passive processes.
     Every client thinks for a uniform 2–8 ticks and occupies the CS for
     1–3 (CS Spec: finite).
-    @raise Invalid_argument on [n < 2] or passive pids out of range. *)
+    @raise Invalid_argument on [n < 2], passive pids out of range, or
+    a wrapper [delta < 0]. *)
 
 (** One CS entry, as recorded by the oracle for the FCFS monitor. *)
 type entry_record = {

@@ -75,6 +75,4 @@ module type S = sig
       seeds {e exhaustive} exploration from non-initial states (the
       paper's [C ⇒ A] as opposed to [C ⇒ A]init), so it must be small
       (O(10) states) and identical on every call. *)
-
-  val pp : Format.formatter -> state -> unit
 end

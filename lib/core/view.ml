@@ -32,11 +32,9 @@ let mode_to_string = function
   | Hungry -> "h"
   | Eating -> "e"
 
-let pp_mode ppf m = Format.pp_print_string ppf (mode_to_string m)
-
 let pp ppf v =
-  Format.fprintf ppf "@[<h>%d:%a req=%a lc=%d [%a]@]" v.self pp_mode v.mode
-    Timestamp.pp v.req v.clock
+  Format.fprintf ppf "@[<h>%d:%s req=%a lc=%d [%a]@]" v.self
+    (mode_to_string v.mode) Timestamp.pp v.req v.clock
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
        (fun ppf (k, ts) -> Format.fprintf ppf "%d:%a" k Timestamp.pp ts))

@@ -46,6 +46,4 @@ val earliest : t -> peers:Sim.Pid.t list -> bool
 
 val mode_to_string : mode -> string
 
-val pp_mode : Format.formatter -> mode -> unit
-
 val pp : Format.formatter -> t -> unit

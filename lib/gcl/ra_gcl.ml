@@ -154,5 +154,3 @@ let perturb ~n s =
     Store.set_set (Store.set_mode s v_mode View.Hungry) v_received all_received;
     Store.set_set s v_received all_received;
     reset ~n (Store.self s) ]
-
-let pp = Store.pp

@@ -9,14 +9,6 @@ module Domain = struct
     | D_own_ts
     | D_peer_ts_map
     | D_pid_set
-
-  let pp ppf = function
-    | D_bool -> Format.pp_print_string ppf "bool"
-    | D_nat k -> Format.fprintf ppf "nat[0..%d]" k
-    | D_mode -> Format.pp_print_string ppf "mode"
-    | D_own_ts -> Format.pp_print_string ppf "own-ts"
-    | D_peer_ts_map -> Format.pp_print_string ppf "peer-ts-map"
-    | D_pid_set -> Format.pp_print_string ppf "pid-set"
 end
 
 module Value = struct
@@ -76,24 +68,6 @@ module Value = struct
         (List.fold_left
            (fun s k -> if Rng.bool rng then Sim.Pid.Set.add k s else s)
            Sim.Pid.Set.empty (peers ~self ~n))
-
-  let pp ppf = function
-    | V_bool b -> Format.pp_print_bool ppf b
-    | V_nat x -> Format.pp_print_int ppf x
-    | V_mode m -> Graybox.View.pp_mode ppf m
-    | V_own_ts ts -> Timestamp.pp ppf ts
-    | V_peer_ts_map m ->
-      Format.fprintf ppf "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           (fun ppf (k, ts) -> Format.fprintf ppf "%d:%a" k Timestamp.pp ts))
-        (Sim.Pid.Map.bindings m)
-    | V_pid_set s ->
-      Format.fprintf ppf "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           Format.pp_print_int)
-        (Sim.Pid.Set.elements s)
 end
 
 type schema = (string * Domain.t) list
@@ -145,8 +119,6 @@ let type_error name = invalid_arg (Printf.sprintf "Store: %s wrong type" name)
 let get_bool t name =
   match fetch t name with Value.V_bool b -> b | _ -> type_error name
 
-let set_bool t name b = update t name (Value.V_bool b)
-
 let get_nat t name =
   match fetch t name with Value.V_nat x -> x | _ -> type_error name
 
@@ -164,8 +136,6 @@ let set_ts t name ts = update t name (Value.V_own_ts ts)
 
 let get_map t name =
   match fetch t name with Value.V_peer_ts_map m -> m | _ -> type_error name
-
-let set_map t name m = update t name (Value.V_peer_ts_map m)
 
 let map_entry t name k =
   if k < 0 || k >= t.n || k = t.self then
@@ -207,12 +177,4 @@ let well_formed t =
   List.for_all
     (fun (name, domain) ->
       Value.in_domain ~self:t.self ~n:t.n domain (fetch t name))
-    t.schema
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>{%a}@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf (name, _) ->
-         Format.fprintf ppf "%s=%a" name Value.pp (fetch t name)))
     t.schema

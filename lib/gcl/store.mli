@@ -24,8 +24,6 @@ module Domain : sig
     | D_own_ts  (** a timestamp stamped by the owner's clock *)
     | D_peer_ts_map  (** one timestamp per peer (any pid inside) *)
     | D_pid_set  (** a subset of the peers *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 module Value : sig
@@ -45,8 +43,6 @@ module Value : sig
   val random : Stdext.Rng.t -> self:Sim.Pid.t -> n:int -> Domain.t -> t
   (** [random rng ~self ~n d] draws an arbitrary inhabitant of [d] —
       the transient-corruption generator. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type schema = (string * Domain.t) list
@@ -70,7 +66,6 @@ val schema : t -> schema
     is a programming error, not a runtime condition. *)
 
 val get_bool : t -> string -> bool
-val set_bool : t -> string -> bool -> t
 
 val get_nat : t -> string -> int
 val set_nat : t -> string -> int -> t
@@ -83,7 +78,6 @@ val set_ts : t -> string -> Clocks.Timestamp.t -> t
 (** Own timestamps: [set_ts] enforces the owner-pid constraint. *)
 
 val get_map : t -> string -> Clocks.Timestamp.t Sim.Pid.Map.t
-val set_map : t -> string -> Clocks.Timestamp.t Sim.Pid.Map.t -> t
 val map_entry : t -> string -> Sim.Pid.t -> Clocks.Timestamp.t
 val set_map_entry : t -> string -> Sim.Pid.t -> Clocks.Timestamp.t -> t
 
@@ -100,5 +94,3 @@ val corrupt : Stdext.Rng.t -> t -> t
 val well_formed : t -> bool
 (** [well_formed t]: every value inhabits its domain (holds by
     construction; exposed for property tests). *)
-
-val pp : Format.formatter -> t -> unit

@@ -65,6 +65,3 @@ let corrupt rng t =
 let pp ppf t =
   Format.fprintf ppf "rvc[%d e=%d %a%s]" t.self t.epoch Vector_clock.pp t.vec
     (if well_formed t then "" else " ILL")
-
-let pp_stamp ppf (s : stamp) =
-  Format.fprintf ppf "(e=%d,%a)" s.epoch Vector_clock.pp s.vec

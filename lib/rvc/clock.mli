@@ -76,4 +76,3 @@ val corrupt : Stdext.Rng.t -> t -> t
     (fault injection hook). *)
 
 val pp : Format.formatter -> t -> unit
-val pp_stamp : Format.formatter -> stamp -> unit

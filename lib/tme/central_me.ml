@@ -112,8 +112,3 @@ let perturb ~n s =
       reset ~n s.self ]
   in
   if s.self = coordinator then { s with busy = true } :: base else base
-
-let pp ppf s =
-  Format.fprintf ppf "central[%d %a req=%a granted=%b busy=%b |q|=%d]" s.self
-    View.pp_mode s.mode Timestamp.pp s.req s.granted s.busy
-    (List.length s.pending)

@@ -285,17 +285,4 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
       { s with mode = View.Hungry; grant = phantom_grants };
       { s with queue = sort_queue (phantom_entry @ s.queue) };
       reset ~n:s.n s.self ]
-
-  let pp ppf s =
-    Format.fprintf ppf "%s[%d %a req=%a lc=%d q=[%a] g={%a}]" C.name s.self
-      View.pp_mode s.mode Timestamp.pp s.req
-      (Logical_clock.now s.clock)
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ";")
-         Timestamp.pp)
-      s.queue
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-         (fun ppf (k, g) -> Format.fprintf ppf "%d:%a" k Timestamp.pp g))
-      (Sim.Pid.Map.bindings s.grant)
 end

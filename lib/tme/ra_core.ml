@@ -1,27 +1,90 @@
-(** The common machinery of Ricart-Agrawala, shared by the correct
-    implementation ({!Ra_me}) and a deliberately faulty mutant
-    ({!Ra_mutant}) used to validate the bounded model checker's
-    discrimination (see test/test_mcheck.ml).  The single configuration
-    point is the receive-request reply condition:
+(** Ricart-Agrawala (paper §5.1): the one program behind [ra], its
+    mutant [ra-mutant], [ra-synth], and the partition-tolerant
+    [ra-lease] with its ablation [ra-lease-stale].  A {!variant}
+    decides the three rules where they part, and nothing else:
 
-    - the paper's rule replies iff [t.j \/ REQ_k lt REQ_j] — an eating
-      process defers every later request until release;
-    - the mutant replies whenever it is not hungry — including while
-      eating — which lets two processes eat at once.  This is a real
-      bug this repository had during development; the model checker
-      finds it within a dozen steps. *)
+    - what an eater answers a request.  The paper replies iff
+      [t.j \/ REQ_k lt REQ_j], so an eater defers every later request
+      until release.  The mutant replies whenever it is not hungry —
+      including while eating — which lets two processes eat at once:
+      a real bug this repository had during development, which the
+      model checker finds within a dozen steps.  A leased eater defers
+      every request, earlier ones included (see below);
+    - which deferred requests a release answers: under the paper's
+      rule those later than its own request, under a lease all;
+    - membership leases, which only [Leased] keeps.
+
+    {b Leases.}  The paper's program wedges during a group partition:
+    a hungry process waits on grants from peers it can no longer
+    reach.  [Leased] subscribes to the simulated group membership
+    service ({!Graybox.Protocol.S.on_view_change}) and degrades
+    explicitly to {e per-group} mutual exclusion, the weak-ME1 regime
+    the epoch monitors check:
+
+    - the entry quorum is the {e current view}, not all peers: a
+      severed group keeps serving its own requests;
+    - grants are {e leases} on continuous co-membership: each view
+      change bumps a view epoch and restarts the continuity clock of
+      every (re)joining peer, and a grant counts only if it was
+      recorded at or after that epoch.  A pre-partition grant from a
+      peer that left and rejoined is void (it may have entered its own
+      group's CS meanwhile), so the heal forces a fresh round with the
+      peers that crossed it;
+    - an eater defers {e every} request.  From legitimate states the
+      paper's eater-replies-to-earlier branch is unreachable, and after
+      transient faults it is self-stabilizing repair; after a heal it
+      is a live hazard: the severed groups' timestamp orders never
+      interleaved, so an "earlier" request from across the heal is a
+      real competitor.  Deferring it until release keeps heal-crossing
+      grants serialized, and release answers everything deferred.
+
+    With no view change ever applied the quorum is all peers and every
+    epoch is 0: the program is the paper's with a more patient eater.
+    [sticky] is the split-brain ablation: it applies views that shrink
+    but never one that grows, so each side keeps excluding only within
+    its stale membership and the first post-heal contention produces
+    concurrent holders in a global epoch.
+
+    {b Known limit — buffered heals.}  The lease is enforced at
+    {e receive} time: a grant recorded after the heal counts as fresh.
+    Under a {e lossy} partition that is sound — nothing sent across
+    the cut survives it.  Under a {e buffered} one, a reply sent across
+    the cut during the split is delivered at the heal, stamped with the
+    post-heal epoch and counted, and the requester can combine it with
+    own-group grants and enter against the other side's standing
+    holder (the partition bench's post-heal dual holders under
+    [split-buf]).  Closing the hole needs an epoch fence {e on the
+    message}: the fixed Request/Reply/Release alphabet cannot carry
+    one, and receive-time stamping cannot reconstruct it, so the limit
+    is documented and measured rather than patched around.  The
+    during-split campaign gates run the lossy stream, where the lease
+    is sound. *)
+
+type variant =
+  | Paper
+  | Reply_while_eating  (** the mutant *)
+  | Leased of { sticky : bool }
+      (** membership leases; [sticky] never applies a growing view *)
 
 module type CONFIG = sig
   val name : string
-
-  val defer_while_eating : bool
-  (** [true] is the paper's rule; [false] is the mutant. *)
+  val variant : variant
 end
 
 module Make (C : CONFIG) : Graybox.Protocol.S = struct
   open Clocks
   module View = Graybox.View
   module Msg = Graybox.Msg
+
+  type lease = {
+    members : Sim.Pid.Set.t;  (* the current view, self included *)
+    view_epoch : int;  (* bumped at every applied view change *)
+    co_since : int Sim.Pid.Map.t;
+        (* epoch since which a peer has been continuously co-membered;
+           absent reads 0 (together since the beginning) *)
+    granted_in : int Sim.Pid.Map.t;
+        (* epoch at which j.REQ_k was last written; absent reads 0 *)
+  }
 
   type state = {
     self : Sim.Pid.t;
@@ -34,6 +97,10 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
            large systems start sparse (see {!Sim.Pid.dense_threshold})
            without changing a single observable value *)
     received : Sim.Pid.Set.t;  (* received(j.REQ_k): request pending reply *)
+    lease : lease option;
+        (* [None] until a view change applies: the view is then the full
+           pid range and every epoch 0, so the lease checks are skipped
+           and a process that never sees a view pays one word for them *)
   }
 
   let name = C.name
@@ -44,6 +111,8 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     match Sim.Pid.Map.find_opt k s.local_req with
     | Some ts -> ts
     | None -> Timestamp.zero ~pid:k
+
+  let epoch_of m k = match Sim.Pid.Map.find_opt k m with Some e -> e | None -> 0
 
   let init ~n self =
     { self;
@@ -58,7 +127,8 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
              Sim.Pid.Map.empty
              (Sim.Pid.others ~self ~n)
          else Sim.Pid.Map.empty);
-      received = Sim.Pid.Set.empty }
+      received = Sim.Pid.Set.empty;
+      lease = None }
 
   let view s =
     View.make ~self:s.self ~mode:s.mode ~req:s.req ~local_req:s.local_req
@@ -69,15 +139,23 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     let s = { s with clock; req = ts; mode = View.Hungry } in
     (s, List.map (fun k -> (k, Msg.Request ts)) (peers s))
 
-  (* ∀k ≠ j: REQ_j lt j.REQ_k — an early-exit loop over the pid range
-     rather than a materialized peers list: across the n-1 attempts a
-     grant takes as replies trickle in, the expected total is O(n log n)
+  (* Peer k lets us in: REQ_j lt j.REQ_k, and under a lease only a
+     co-member counts, with a grant recorded no earlier than the epoch
+     since which it has been one.  Severed peers are not waited for. *)
+  let admits s k =
+    match s.lease with
+    | None -> Timestamp.lt s.req (local_req_of s k)
+    | Some l ->
+      (not (Sim.Pid.Set.mem k l.members))
+      || Timestamp.lt s.req (local_req_of s k)
+         && epoch_of l.co_since k <= epoch_of l.granted_in k
+
+  (* ∀k ≠ j: k admits us — an early-exit loop over the pid range rather
+     than a materialized peers list: across the n-1 attempts a grant
+     takes as replies trickle in, the expected total is O(n log n)
      reads (the failing k moves right as replies arrive), not O(n^2). *)
   let earliest s =
-    let rec go k =
-      k >= s.n
-      || ((k = s.self || Timestamp.lt s.req (local_req_of s k)) && go (k + 1))
-    in
+    let rec go k = k >= s.n || ((k = s.self || admits s k) && go (k + 1)) in
     go 0
 
   let try_enter s =
@@ -88,17 +166,22 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     else None
 
   (* Walking [received] (ascending, like the peers list it replaces)
-     costs O(deferred), not O(n) — only processes that actually sent a
-     pending request are candidates. *)
-  let deferred_set s =
-    Sim.Pid.Set.fold
-      (fun k acc ->
-        if Timestamp.lt s.req (local_req_of s k) then k :: acc else acc)
-      s.received []
-    |> List.rev
+     costs O(deferred), not O(n).  A leased eater deferred earlier
+     requests too, so its release answers all of them (a reply that
+     turns out stale is absorbed by the postdating check on the other
+     side). *)
+  let deferred s =
+    match C.variant with
+    | Leased _ -> Sim.Pid.Set.elements s.received
+    | Paper | Reply_while_eating ->
+      Sim.Pid.Set.fold
+        (fun k acc ->
+          if Timestamp.lt s.req (local_req_of s k) then k :: acc else acc)
+        s.received []
+      |> List.rev
 
   let release_cs s =
-    let deferred = deferred_set s in
+    let deferred = deferred s in
     let clock, ts = Logical_clock.tick s.clock in
     let s =
       { s with
@@ -108,6 +191,13 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
         received = Sim.Pid.Set.empty }
     in
     (s, List.map (fun k -> (k, Msg.Reply ts)) deferred)
+
+  (* the lease after a write of j.REQ_k: stamped with the current epoch *)
+  let leased_write s k =
+    match s.lease with
+    | None -> None
+    | Some l ->
+      Some { l with granted_in = Sim.Pid.Map.add k l.view_epoch l.granted_in }
 
   let on_message ~from msg s =
     let clock = Logical_clock.receive_event s.clock (Msg.timestamp msg) in
@@ -120,34 +210,78 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
       (* Assignment, not max: receipt of the owner's (or its wrapper's)
          request repairs an arbitrarily corrupted copy. *)
       let local_req = Sim.Pid.Map.add from req_k s.local_req in
-      (* Reply iff t.j ∨ REQ_k lt REQ_j: an eating process defers every
-         later request until it releases.  The mutant (defer_while_eating
-         = false) also replies while eating — the seeded safety bug. *)
+      (* Thinking: reply.  Hungry: reply only to earlier requests.
+         Eating: the variant's rule (see the module comment). *)
       let replies_now =
-        if C.defer_while_eating then
-          s.mode = View.Thinking || Timestamp.lt req_k req
-        else s.mode <> View.Hungry || Timestamp.lt req_k req
+        match (s.mode, C.variant) with
+        | View.Thinking, _ | View.Eating, Reply_while_eating -> true
+        | View.Hungry, _ | View.Eating, Paper -> Timestamp.lt req_k req
+        | View.Eating, Leased _ -> false
       in
       let received =
         if replies_now then Sim.Pid.Set.remove from s.received
         else Sim.Pid.Set.add from s.received
       in
-      ( { s with clock; req; local_req; received },
+      ( { s with clock; req; local_req; received; lease = leased_write s from },
         if replies_now then [ (from, Msg.Reply (Logical_clock.read clock)) ]
         else [] )
     | Msg.Reply r | Msg.Release r ->
       (* A reply counts as a grant only if it postdates our request;
          stale replies (pre-fault leftovers, duplicates) are absorbed. *)
       if Timestamp.lt req r then
-        ( { s with clock; req; local_req = Sim.Pid.Map.add from r s.local_req },
+        ( { s with
+            clock;
+            req;
+            local_req = Sim.Pid.Map.add from r s.local_req;
+            lease = leased_write s from },
           [] )
       else ({ s with clock; req }, [])
+
+  let membership_aware =
+    match C.variant with Leased _ -> true | Paper | Reply_while_eating -> false
+
+  let on_view_change ~members s =
+    match C.variant with
+    | Paper | Reply_while_eating -> s
+    | Leased { sticky } ->
+      let incoming = Sim.Pid.Set.add s.self (Sim.Pid.Set.of_list members) in
+      (* before the first view change the view is the full pid range *)
+      let l =
+        match s.lease with
+        | Some l -> l
+        | None ->
+          { members = Sim.Pid.Set.of_list (Sim.Pid.range s.n);
+            view_epoch = 0;
+            co_since = Sim.Pid.Map.empty;
+            granted_in = Sim.Pid.Map.empty }
+      in
+      let grows =
+        Sim.Pid.Set.cardinal incoming > Sim.Pid.Set.cardinal l.members
+      in
+      if Sim.Pid.Set.equal incoming l.members || (sticky && grows) then s
+      else begin
+        let view_epoch = l.view_epoch + 1 in
+        (* peers entering the view restart their continuity clock:
+           whatever they granted before they left is void *)
+        let co_since =
+          Sim.Pid.Set.fold
+            (fun k acc ->
+              if Sim.Pid.Set.mem k l.members then acc
+              else Sim.Pid.Map.add k view_epoch acc)
+            incoming l.co_since
+        in
+        let l = { l with members = incoming; view_epoch; co_since } in
+        { s with lease = Some l }
+      end
 
   let random_ts ~n rng =
     Timestamp.make
       ~clock:(Stdext.Rng.int rng 64)
       ~pid:(Stdext.Rng.int rng n)
 
+  (* The lease is left alone: it mirrors the fault injector's own
+     membership oracle, so corrupting it would corrupt the simulated
+     membership service, not this process. *)
   let corrupt rng s =
     let open Stdext in
     let mode =
@@ -186,9 +320,6 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
     let s = init ~n self in
     { s with mode = View.Hungry }
 
-  let membership_aware = false
-  let on_view_change ~members:_ s = s
-
   (* Everywhere-mode seeds: corruptions of the variables no message has
      justified — a mode nobody was told about, a received-set full of
      requests never sent.  Timestamps are left legitimate (zero-ish):
@@ -203,14 +334,4 @@ module Make (C : CONFIG) : Graybox.Protocol.S = struct
       { s with mode = View.Hungry; received = all_received };
       { s with received = all_received };
       reset ~n:s.n s.self ]
-
-  let pp ppf s =
-    Format.fprintf ppf "ra[%d %a req=%a lc=%d recv={%a}]" s.self View.pp_mode
-      s.mode Timestamp.pp s.req
-      (Logical_clock.now s.clock)
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-         Format.pp_print_int)
-      (Sim.Pid.Set.elements s.received)
-
 end

@@ -1,4 +1,4 @@
 include Ra_core.Make (struct
   let name = "ra"
-  let defer_while_eating = true
+  let variant = Ra_core.Paper
 end)

@@ -7,5 +7,5 @@
 
 include Ra_core.Make (struct
   let name = "ra-mutant"
-  let defer_while_eating = false
+  let variant = Ra_core.Reply_while_eating
 end)

@@ -1,7 +1,7 @@
 (** Ricart-Agrawala run under a {e synthesized} wrapper term.
 
-    The protocol is byte-for-byte {!Ra_me}'s (same [Ra_core] functor,
-    deferred replies); only the registration differs: {!Scenarios}
+    The protocol is byte-for-byte {!Ra_me}'s (the same {!Ra_core}
+    program, [Paper] variant); only the registration differs: {!Scenarios}
     registers it with [role = Synthesized] and {!wrapper_term}, so the
     campaign and scenario layer compose it with
     [Harness.On {term = wrapper_term; delta}] instead of the
@@ -15,7 +15,7 @@
 
 include Ra_core.Make (struct
   let name = "ra-synth"
-  let defer_while_eating = true
+  let variant = Ra_core.Paper
 end)
 
 let wrapper_term = Graybox.Wrapper.w_refined

@@ -177,7 +177,20 @@ let test_parse_accepts () =
         { groups = [ [ 0 ] ]; from_t = 5; until_t = 10; mode = Sim.Faults.Lossy } ];
   (* a request-loss or isolation window includes its last step *)
   parses "drop-requests@50-50"
-    [ Tme.Scenarios.Drop_requests_window { from_t = 50; until_t = 50 } ]
+    [ Tme.Scenarios.Drop_requests_window { from_t = 50; until_t = 50 } ];
+  (* a heavy tail prints its cap unless it is the generator's 120 *)
+  let heavy cap =
+    [ Tme.Scenarios.Delay
+        { at = 400;
+          chan = Sim.Faults.Any_chan;
+          dist = Sim.Faults.Heavy_tail { mean = 5; cap } } ]
+  in
+  Alcotest.(check string) "cap 40 printed" "delay@400(*,~exp5/40)"
+    (Plan_gen.plan_label (heavy 40));
+  parses "delay@400(*,~exp5/40)" (heavy 40);
+  Alcotest.(check string) "cap 120 omitted" "delay@400(*,~exp5)"
+    (Plan_gen.plan_label (heavy 120));
+  parses "delay@400(*,~exp5)" (heavy 120)
 
 let test_parse_rejects () =
   List.iter
@@ -193,7 +206,8 @@ let test_parse_rejects () =
       "split@5-10({0}|{1})"; "crash@5-10(p1,keep)"; "crash@5-10(1)";
       "crash@5-10(p1"; "corrupt-state@5(px)"; "delay@5(p0->p1)";
       "delay@5(p0-p1,=3)"; "delay@5(*->*,=3)"; "delay@5(*,~u9)";
-      "delay@5(*,~u9-3)"; "delay@5(*,exp3)" ];
+      "delay@5(*,~u9-3)"; "delay@5(*,exp3)"; "delay@5(*,~exp3/)";
+      "delay@5(*,~exp3/-40)"; "delay@5(*,~exp3/4/5)" ];
   match Plan_gen.parse "flush@3 burst:1000" with
   | Error msg ->
     Alcotest.(check bool) "the message names the token and the form" true
@@ -584,6 +598,11 @@ let test_campaign_jobs_validation () =
     (Invalid_argument "Campaign.config: need jobs >= 1") (fun () ->
       ignore (Campaign.config ~jobs:0 ()))
 
+let test_campaign_delta_validation () =
+  Alcotest.check_raises "delta < 0 rejected"
+    (Invalid_argument "Campaign.config: need delta >= 0") (fun () ->
+      ignore (Campaign.config ~delta:(-1) ()))
+
 let test_campaign_synth_rows_equal_hand_written () =
   (* one definition of a firing: the harness runs ra-synth's registered
      term exactly as it runs the hand-written W'(delta) on ra, so the two
@@ -846,6 +865,8 @@ let () =
             test_campaign_synth_rows_equal_hand_written;
           Alcotest.test_case "jobs validation" `Quick
             test_campaign_jobs_validation;
+          Alcotest.test_case "delta validation" `Quick
+            test_campaign_delta_validation;
           Alcotest.test_case "unknown protocol" `Quick
             test_campaign_unknown_protocol;
           Alcotest.test_case "partition cells" `Quick

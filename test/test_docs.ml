@@ -313,26 +313,32 @@ let row_cells l =
   in
   List.rev (close cur cells)
 
-(* The cell of bench/expected/[table].txt in the row whose first cell
-   is [row] and the column whose header is [col]; the header is the
-   line above the first dashed rule. *)
-let golden_cell table ~row ~col =
+(* bench/expected/[table].txt as its file name, a reader [cell col row]
+   and its rows' cells; the header is the line above the first dashed
+   rule, and the rows are the nonempty lines below it. *)
+let golden_table table =
   let file = "bench/expected/" ^ table ^ ".txt" in
-  let ls = lines (read_file ("../" ^ file)) in
-  let rec header = function
-    | h :: rule :: _ when String.starts_with ~prefix:"--" rule -> row_cells h
-    | _ :: rest -> header rest
+  let rec split = function
+    | h :: rule :: rows when String.starts_with ~prefix:"--" rule ->
+      (row_cells h, List.map row_cells (List.filter (( <> ) "") rows))
+    | _ :: rest -> split rest
     | [] -> Alcotest.failf "%s: no header" file
   in
-  let rec index i = function
-    | c :: _ when c = col -> i
-    | _ :: rest -> index (i + 1) rest
+  let header, rows = split (lines (read_file ("../" ^ file))) in
+  let rec index col i = function
+    | h :: _ when h = col -> i
+    | _ :: rest -> index col (i + 1) rest
     | [] -> Alcotest.failf "%s: no column %S" file col
   in
-  let i = index 0 (header ls) in
-  match List.find_opt (fun l -> List.nth_opt (row_cells l) 0 = Some row) ls
-  with
-  | Some l -> List.nth (row_cells l) i
+  let cell col row = List.nth row (index col 0 header) in
+  (file, cell, rows)
+
+(* The cell of bench/expected/[table].txt in the row whose first cell
+   is [row] and the column whose header is [col]. *)
+let golden_cell table ~row ~col =
+  let file, cell, rows = golden_table table in
+  match List.find_opt (fun r -> List.nth_opt r 0 = Some row) rows with
+  | Some r -> cell col r
   | None -> Alcotest.failf "%s: no row %S" file row
 
 let test_experiments_quoted_numbers () =
@@ -357,6 +363,52 @@ let test_experiments_quoted_numbers () =
       Printf.sprintf "`w_refined`: %s per 1k" (synth "sends/1k (synth)") ];
   check_mentions "README.md" (Lazy.force readme)
     [ Printf.sprintf "(%.0f → %.0f msgs per" w w64 ]
+
+(* EXPERIMENTS.md's heal-flood premium, in its index row and in the
+   PARTITION section, is the golden table's: per wrapped reference, the
+   range over widths of the buffered row's extra latency after heal
+   over the lossy row's, in whole percent rounded down. *)
+let test_experiments_heal_premium () =
+  let _, cell, rows = golden_table "partition" in
+  let premium proto =
+    (* (width, latency after heal) of each of [proto]'s [mode] rows *)
+    let latencies mode =
+      List.filter_map
+        (fun r ->
+          if cell "protocol+W'(delta)" r = proto ^ "+W'(8)"
+             && cell "heal mode" r = mode
+          then Some (cell "width" r, int_of_string (cell "latency after heal" r))
+          else None)
+        rows
+    in
+    let buffered = latencies "buffered" in
+    let premiums =
+      List.map
+        (fun (w, lossy) -> (List.assoc w buffered - lossy) * 100 / lossy)
+        (latencies "lossy")
+    in
+    Printf.sprintf "`%s` %+d %% to %+d %%" proto
+      (List.fold_left min max_int premiums)
+      (List.fold_left max min_int premiums)
+  in
+  let quoted = [ premium "lamport"; premium "ra" ] in
+  let ls = lines (Lazy.force experiments) in
+  check_mentions "EXPERIMENTS.md's PARTITION index row"
+    (List.find (String.starts_with ~prefix:"| PARTITION |") ls)
+    quoted;
+  (* the section: the lines from its heading to the next one *)
+  let rec section = function
+    | l :: rest when String.starts_with ~prefix:"## Partitions, heal" l ->
+      let rec body = function
+        | l :: _ when String.starts_with ~prefix:"## " l -> []
+        | l :: rest -> l :: body rest
+        | [] -> []
+      in
+      String.concat "\n" (body rest)
+    | _ :: rest -> section rest
+    | [] -> Alcotest.fail "EXPERIMENTS.md: no PARTITION section"
+  in
+  check_mentions "EXPERIMENTS.md's PARTITION section" (section ls) quoted
 
 (* ------------------------------------------------------------------ *)
 (* DESIGN.md: the inventory covers the partition fault model           *)
@@ -435,7 +487,9 @@ let () =
           Alcotest.test_case "measured tables equal bench/expected" `Quick
             test_experiments_measured_tables;
           Alcotest.test_case "quoted numbers equal bench/expected" `Quick
-            test_experiments_quoted_numbers ] );
+            test_experiments_quoted_numbers;
+          Alcotest.test_case "heal-flood premium equals bench/expected" `Quick
+            test_experiments_heal_premium ] );
       ( "design",
         [ Alcotest.test_case "inventory covers the partition model" `Quick
             test_design_inventory;

@@ -429,7 +429,13 @@ let test_harness_params_validation () =
     (fun () -> ignore (Harness.params ~n:1 ()));
   Alcotest.check_raises "bad passive"
     (Invalid_argument "Harness.params: passive pid out of range") (fun () ->
-      ignore (Harness.params ~passive:[ 7 ] ~n:3 ()))
+      ignore (Harness.params ~passive:[ 7 ] ~n:3 ()));
+  Alcotest.check_raises "negative wrapper delta"
+    (Invalid_argument "Harness.params: wrapper delta must be >= 0") (fun () ->
+      ignore
+        (Harness.params ~n:3
+           ~wrapper:(Harness.On { term = Wrapper.w_refined; delta = -1 })
+           ()))
 
 module HR = Harness.Make (Tme.Ra_me)
 

@@ -166,6 +166,86 @@ let test_ra_corrupt_reset_total () =
     (View.mode_to_string (Tme.Ra_me.view r).View.mode)
 
 (* ------------------------------------------------------------------ *)
+(* ra-lease and ra-lease-stale: the three rules where they part from
+   ra — what an eater answers, what a release answers, and membership
+   leases.  The model checker never announces a view, so these are the
+   lease rules' only direct tests.                                      *)
+
+module Lease_rules (P : Protocol.S) = struct
+  let replied sends =
+    List.filter_map (function k, Msg.Reply _ -> Some k | _, _ -> None) sends
+
+  (* p0 of three, hungry *)
+  let hungry () = fst (P.request_cs (P.init ~n:3 0))
+
+  let granted k s = fst (P.on_message ~from:k (Msg.Reply (ts 50 k)) s)
+
+  let enters s = P.try_enter s <> None
+
+  (* an eater receives a request stamped before its own: who it
+     answers at once, and who its release answers *)
+  let eater_answers () =
+    match P.try_enter (hungry () |> granted 1 |> granted 2) with
+    | None -> Alcotest.fail "expected entry on both grants"
+    | Some (s, _) ->
+      let s, now = P.on_message ~from:1 (Msg.Request (ts 0 1)) s in
+      (replied now, replied (snd (P.release_cs s)))
+
+  let view_is_the_quorum () =
+    Alcotest.(check bool) "full view: p1's grant alone is not enough" false
+      (enters (hungry () |> granted 1));
+    Alcotest.(check bool) "view {0,1}: p1's grant alone admits p0" true
+      (enters (P.on_view_change ~members:[ 0; 1 ] (hungry ()) |> granted 1))
+
+  let full_view_is_identity () =
+    List.iter
+      (fun s ->
+        Alcotest.(check bool) "full view leaves s unchanged" true
+          (P.on_view_change ~members:[ 0; 1; 2 ] s == s))
+      [ P.init ~n:3 0; hungry () ]
+
+  (* both grants taken before a split that cut p2 off *)
+  let split_off_p2 () =
+    hungry () |> granted 1 |> granted 2
+    |> P.on_view_change ~members:[ 0; 1 ]
+end
+
+module LR = Lease_rules (Tme.Ra_lease.Lease)
+module SR = Lease_rules (Tme.Ra_lease.Stale)
+module RR = Lease_rules (Tme.Ra_me)
+
+let test_lease_eater_defers_earlier () =
+  let answers = Alcotest.(pair (list int) (list int)) in
+  Alcotest.check answers "ra: replies at once" ([ 1 ], [])
+    (RR.eater_answers ());
+  Alcotest.check answers "ra-lease: release answers" ([], [ 1 ])
+    (LR.eater_answers ());
+  Alcotest.check answers "ra-lease-stale: release answers" ([], [ 1 ])
+    (SR.eater_answers ())
+
+let test_lease_view_is_the_quorum () =
+  LR.view_is_the_quorum ();
+  SR.view_is_the_quorum ()
+
+let test_lease_rejoin_voids_grants () =
+  let s =
+    Tme.Ra_lease.Lease.on_view_change ~members:[ 0; 1; 2 ] (LR.split_off_p2 ())
+  in
+  Alcotest.(check bool) "p2's pre-split grant no longer counts" false
+    (LR.enters s);
+  Alcotest.(check bool) "a fresh grant from p2 does" true
+    (LR.enters (LR.granted 2 s))
+
+let test_stale_ignores_growing_view () =
+  let s = SR.split_off_p2 () in
+  Alcotest.(check bool) "a growing view is ignored" true
+    (Tme.Ra_lease.Stale.on_view_change ~members:[ 0; 1; 2 ] s == s)
+
+let test_lease_full_view_is_identity () =
+  LR.full_view_is_identity ();
+  SR.full_view_is_identity ()
+
+(* ------------------------------------------------------------------ *)
 (* Lamport (modified)                                                   *)
 
 let test_lamport_request_and_grant_cycle () =
@@ -500,6 +580,17 @@ let () =
           Alcotest.test_case "request overwrites copy" `Quick
             test_ra_request_overwrites_local_copy_downward;
           Alcotest.test_case "corrupt/reset" `Quick test_ra_corrupt_reset_total ] );
+      ( "ra-lease",
+        [ Alcotest.test_case "eater defers an earlier request" `Quick
+            test_lease_eater_defers_earlier;
+          Alcotest.test_case "the view is the quorum" `Quick
+            test_lease_view_is_the_quorum;
+          Alcotest.test_case "rejoin voids pre-split grants" `Quick
+            test_lease_rejoin_voids_grants;
+          Alcotest.test_case "stale ignores a growing view" `Quick
+            test_stale_ignores_growing_view;
+          Alcotest.test_case "full view is the identity" `Quick
+            test_lease_full_view_is_identity ] );
       ( "lamport",
         [ Alcotest.test_case "request/grant cycle" `Quick
             test_lamport_request_and_grant_cycle;
