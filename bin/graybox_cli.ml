@@ -149,6 +149,19 @@ let write_json path doc =
     close_out oc
   end
 
+(* --corrupt-at, on the case studies: a time inside the run, checked
+   as `run -f` checks a fault's time — a negative one fails at parse
+   time, one at or after --steps in [fits_run] *)
+let corrupt_at_arg doc =
+  Arg.(value & opt (int_at_least 0) 500 & info [ "corrupt-at" ] ~docv:"TIME" ~doc)
+
+let fits_run ~steps at =
+  if at < steps then Ok ()
+  else
+    Error
+      (Printf.sprintf "--corrupt-at %d: starts at or after step %d, the run's end"
+         at steps)
+
 let wrapper_mode entry delta unrefined =
   match delta with
   | None -> Graybox.Harness.Off
@@ -172,7 +185,6 @@ let run_cmd =
          a permanently deadlocked run exits early *)
       let r =
         Tme.Scenarios.run entry.Graybox.Registry.proto ~n ~seed ~steps
-          ~streaming:true
           ~wrapper:(wrapper_mode entry delta unrefined)
           ~faults
       in
@@ -308,7 +320,8 @@ let check_cmd =
     match resolve_protocol protocol with
     | Error e -> `Error (false, e)
     | Ok proto ->
-      let r = Tme.Scenarios.run proto ~n ~seed ~steps in
+      (* Lspec's clauses are checked over the recorded view trace *)
+      let r = Tme.Scenarios.run proto ~n ~seed ~steps ~record:true in
       print_endline "-- Lspec clause monitors (fault-free run) --";
       print_endline (Unityspec.Report.to_string (Tme.Scenarios.lspec_report r));
       print_endline "";
@@ -360,11 +373,7 @@ let fig1_cmd =
 
 let rvc_cmd =
   let corrupt_at_arg =
-    Arg.(
-      value
-      & opt (some int) (Some 500)
-      & info [ "corrupt-at" ] ~docv:"TIME"
-          ~doc:"Corrupt every clock at this time (omit value for none).")
+    corrupt_at_arg "Corrupt every clock at this time, from 0 to below --steps."
   in
   let bound_arg =
     Arg.(value & opt (int_at_least 1) 60
@@ -374,20 +383,23 @@ let rvc_cmd =
     Arg.(value & flag & info [ "no-wrapper" ] ~doc:"Disable the reset wrapper.")
   in
   let action n seed steps corrupt_at bound no_wrapper =
-    let o =
-      Rvc.System.run ?corrupt_at
-        { Rvc.System.n; bound; wrapper = not no_wrapper }
-        ~seed ~steps
-    in
-    Printf.printf "recovered       : %b\n" o.Rvc.System.recovered;
-    (match o.Rvc.System.recovery_steps with
-     | Some s -> Printf.printf "recovery steps  : %d\n" s
-     | None -> print_endline "recovery steps  : -");
-    Printf.printf "wrapper resets  : %d\n" o.Rvc.System.resets;
-    Printf.printf "ill-formed at end: %d\n" o.Rvc.System.ill_at_end;
-    Printf.printf "final epoch     : %d\n" o.Rvc.System.final_epoch;
-    Printf.printf "hb sound        : %b\n" o.Rvc.System.hb_sound;
-    `Ok 0
+    match fits_run ~steps corrupt_at with
+    | Error e -> `Error (false, e)
+    | Ok () ->
+      let o =
+        Rvc.System.run ~corrupt_at
+          { Rvc.System.n; bound; wrapper = not no_wrapper }
+          ~seed ~steps
+      in
+      Printf.printf "recovered       : %b\n" o.Rvc.System.recovered;
+      (match o.Rvc.System.recovery_steps with
+       | Some s -> Printf.printf "recovery steps  : %d\n" s
+       | None -> print_endline "recovery steps  : -");
+      Printf.printf "wrapper resets  : %d\n" o.Rvc.System.resets;
+      Printf.printf "ill-formed at end: %d\n" o.Rvc.System.ill_at_end;
+      Printf.printf "final epoch     : %d\n" o.Rvc.System.final_epoch;
+      Printf.printf "hb sound        : %b\n" o.Rvc.System.hb_sound;
+      `Ok 0
   in
   let term =
     Term.(
@@ -407,27 +419,22 @@ let kstate_cmd =
     Arg.(value & opt int 6 & info [ "k" ] ~docv:"K" ~doc:"Counter domain size.")
   in
   let corrupt_at_arg =
-    Arg.(
-      value
-      & opt (some int) (Some 500)
-      & info [ "corrupt-at" ] ~docv:"TIME" ~doc:"Scramble all counters here.")
+    corrupt_at_arg "Scramble all counters at this time, from 0 to below --steps."
   in
   let action n seed steps k corrupt_at =
     if k < n + 1 then `Error (false, "need k >= n + 1")
-    else begin
-      let o = Kstate.run ?corrupt_at ~n ~k ~seed ~steps () in
-      Printf.printf "stabilized        : %b
-" (o.Kstate.stabilized_at <> None);
-      (match o.Kstate.recovery_steps with
-       | Some s -> Printf.printf "recovery steps    : %d
-" s
-       | None -> print_endline "recovery steps    : -");
-      Printf.printf "privileges at end : %d
-" o.Kstate.privileges_at_end;
-      Printf.printf "privilege passes  : %d
-" o.Kstate.moves;
-      `Ok 0
-    end
+    else
+      match fits_run ~steps corrupt_at with
+      | Error e -> `Error (false, e)
+      | Ok () ->
+        let o = Kstate.run ~corrupt_at ~n ~k ~seed ~steps () in
+        Printf.printf "stabilized        : %b\n" (o.Kstate.stabilized_at <> None);
+        (match o.Kstate.recovery_steps with
+         | Some s -> Printf.printf "recovery steps    : %d\n" s
+         | None -> print_endline "recovery steps    : -");
+        Printf.printf "privileges at end : %d\n" o.Kstate.privileges_at_end;
+        Printf.printf "privilege passes  : %d\n" o.Kstate.moves;
+        `Ok 0
   in
   let term =
     Term.(

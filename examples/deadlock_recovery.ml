@@ -46,7 +46,10 @@ let mutual_inconsistency views =
 let () =
   let protocol = Option.get (Tme.Scenarios.find_protocol "ra") in
   print_endline "== The paper's deadlock scenario (unwrapped) ==";
-  let bare = Tme.Scenarios.run protocol ~n:4 ~seed:7 ~steps:6000 ~faults in
+  (* recorded: the final views are read off the trace *)
+  let bare =
+    Tme.Scenarios.run protocol ~n:4 ~seed:7 ~steps:6000 ~faults ~record:true
+  in
   let views = hungry_views bare in
   show_views "Final views (t/h/e = thinking/hungry/eating):" views;
   (match mutual_inconsistency views with
@@ -65,7 +68,7 @@ let () =
 
   print_endline "== Same fault, with the graybox wrapper W ==";
   let wrapped =
-    Tme.Scenarios.run protocol ~n:4 ~seed:7 ~steps:6000 ~faults
+    Tme.Scenarios.run protocol ~n:4 ~seed:7 ~steps:6000 ~faults ~record:true
       ~wrapper:(Tme.Scenarios.wrapped ~delta:0 ())
   in
   show_views "Final views:" (hungry_views wrapped);

@@ -141,8 +141,7 @@ let split_plans cfg ~mode =
    gate on it drop it again. *)
 let run_row ~cfg ~proto ~wrapper (seed, plan) =
   let r =
-    S.run proto ~wrapper ~faults:plan ~streaming:true ~n:cfg.n ~seed
-      ~steps:cfg.steps
+    S.run proto ~wrapper ~faults:plan ~n:cfg.n ~seed ~steps:cfg.steps
   in
   let module E = Graybox.Tme_spec.Epoch in
   let e = r.S.epoch_spec in

@@ -78,8 +78,8 @@ val config :
     protocols [lamport; ra; lamport-unmod], unwrapped cells and the
     deadlock canary included, shrinking on (300 runs, 3 counterexamples),
     [jobs = 1] (serial), partitions off.  Every run is analysed online
-    by engine observers ({!Tme.Scenarios.run}[ ~streaming:true]): no
-    trace is recorded, and a permanently deadlocked run exits early.
+    by engine observers (a default {!Tme.Scenarios.run}): no trace is
+    recorded, and a permanently deadlocked run exits early.
     @raise Invalid_argument on an empty protocol list, [seeds <= 0],
     [steps < 100], [jobs < 1], or [delta < 0]. *)
 

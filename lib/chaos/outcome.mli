@@ -1,7 +1,7 @@
 (** Outcome classification of a chaos run.
 
-    {!Graybox.Stabilize.analyse} already answers "did the trace converge
-    to a legitimate suffix"; a campaign additionally wants to know {e
+    A run's {!Graybox.Stabilize.analysis} already answers "did the run
+    converge to a legitimate suffix"; a campaign additionally wants to know {e
     how} a run failed, so every run is bucketed into one of five
     verdicts. *)
 

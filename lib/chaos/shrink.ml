@@ -13,8 +13,8 @@ type scenario = {
    candidates — the common case while shrinking — exit early. *)
 let verdict sc plan =
   let r =
-    S.run sc.proto ~wrapper:sc.wrapper ~faults:plan ~streaming:true ~n:sc.n
-      ~seed:sc.seed ~steps:sc.steps
+    S.run sc.proto ~wrapper:sc.wrapper ~faults:plan ~n:sc.n ~seed:sc.seed
+      ~steps:sc.steps
   in
   Outcome.classify ~n:sc.n r.analysis
 

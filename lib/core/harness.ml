@@ -46,7 +46,7 @@ let params ?(wrapper = Off) ?(passive = []) ~n () =
 
 (** One CS entry, as recorded by the oracle for the FCFS monitor. *)
 type entry_record = {
-  entry_time : int;  (** engine time (filled in by trace analysis) *)
+  entry_time : int;  (** engine time of the entry step *)
   entry_pid : Sim.Pid.t;
   entry_req : Timestamp.t;  (** the request this entry served *)
   entry_req_vc : Vector_clock.t;  (** causal stamp of that request *)
@@ -176,9 +176,7 @@ module Make (P : Protocol.S) = struct
            | Off -> (node, []) (* unreachable: guarded by [wrapper_actions] *)
            | On { term; delta } ->
              (* enabled only once the timer has expired *)
-             let sends =
-               Wrapper.eval term node.view ~n:node.params.n ~timer:0
-             in
+             let sends = Wrapper.eval term node.view ~n:node.params.n in
              let node = { node with timer = delta } in
              (node, wrap_sends node sends)) ]
 
@@ -202,9 +200,9 @@ module Make (P : Protocol.S) = struct
            the timer then rate-limits firing, and at delta > 0 a firing
            with no target still resets it, as the paper's W' does *)
         let n = node.params.n in
-        if not (Wrapper.guard_holds term.guard v ~timer:0 ~n) then []
+        if not (Wrapper.guard_holds term.guard v ~n) then []
         else if node.timer > 0 then act_wrapper_tick
-        else if delta <> 0 || Wrapper.eval term v ~n ~timer:0 <> [] then
+        else if delta <> 0 || Wrapper.eval term v ~n <> [] then
           act_wrapper_fire
         else []
 
@@ -217,37 +215,16 @@ module Make (P : Protocol.S) = struct
 
   module Run = Sim.Engine.Make (Node)
 
-  let make_engine ?(record = true) ?indexed params ~seed =
-    let cfg = Run.config ?indexed ~record ~n:params.n ~seed () in
+  let make_engine ?indexed params ~seed =
+    let cfg = Run.config ?indexed ~n:params.n ~seed () in
     Run.create cfg ~init:(init params ~client_seed:(seed * 31 + 17))
 
-  let view_trace engine =
-    Run.trace engine
+  let view_trace trace =
+    trace
     |> Sim.Trace.map_states view
     |> Sim.Trace.map_msgs (fun e -> e.payload)
 
   let views engine = Array.map view (Run.states engine)
-
-  (** Entry records in trace order, for the FCFS (ME3) oracle. *)
-  let entry_log engine =
-    let snaps = Run.trace engine in
-    let rec go acc = function
-      | prev :: (next :: _ as rest) ->
-        let acc =
-          match next.Sim.Trace.event with
-          | Sim.Trace.Internal { pid; label = "enter-cs" } ->
-            let before = prev.Sim.Trace.states.(pid) in
-            { entry_time = next.Sim.Trace.time;
-              entry_pid = pid;
-              entry_req = (view before).View.req;
-              entry_req_vc = before.req_vc }
-            :: acc
-          | _ -> acc
-        in
-        go acc rest
-      | [] | [ _ ] -> List.rev acc
-    in
-    go [] snaps
 
   let total_entries engine =
     Array.fold_left (fun acc node -> acc + node.entries) 0 (Run.states engine)

@@ -94,21 +94,19 @@ module Make (P : Protocol.S) : sig
 
   module Run : module type of Sim.Engine.Make (Node)
 
-  val make_engine : ?record:bool -> ?indexed:bool -> params -> seed:int -> Run.t
+  val make_engine : ?indexed:bool -> params -> seed:int -> Run.t
   (** [?indexed] selects the engine's move-index implementation (see
       {!Sim.Engine.Make.config}); the default maintains O(log n)
       incremental indexes, [~indexed:false] keeps the scanning
-      scheduler.  Schedules are bit-identical either way. *)
+      scheduler.  Schedules are bit-identical either way.  Nothing is
+      recorded unless a caller attaches {!Run.recorder}. *)
 
-  val view_trace : Run.t -> (View.t, Msg.t) Sim.Trace.t
-  (** The recorded trace projected to spec level: views and bare
-      messages. *)
+  val view_trace : (node, envelope) Sim.Trace.t -> (View.t, Msg.t) Sim.Trace.t
+  (** A recorded trace ({!Run.recorder}) projected to spec level: views
+      and bare messages. *)
 
   val views : Run.t -> View.t array
   (** Current views of all processes. *)
-
-  val entry_log : Run.t -> entry_record list
-  (** Oracle CS-entry records in trace order (for {!Tme_spec.me3}). *)
 
   val total_entries : Run.t -> int
 

@@ -10,157 +10,24 @@ type analysis = {
   recovered : bool;
 }
 
-(* For process [j], mark every index [i] at which j's pending interval
-   (hungry awaiting service, or eating awaiting release) is known to
-   resolve correctly: hungry intervals must end in Eating, eating
-   intervals in Thinking.  Intervals cut off by the end of the trace
-   are acceptable only within [tail_margin]. *)
-let resolution_ok modes ~len ~tail_margin j =
-  let ok = Array.make len true in
-  let interval_start = ref None in
-  let mark a b value =
-    for i = a to b do
-      if not value then ok.(i) <- false
-    done
-  in
-  let close_interval endpoint current_end =
-    match !interval_start with
-    | None -> ()
-    | Some (start, kind) ->
-      let resolved =
-        match endpoint with
-        | Some next_mode ->
-          (match kind with
-           | View.Hungry -> next_mode = View.Eating
-           | View.Eating -> next_mode = View.Thinking
-           | View.Thinking -> true)
-        | None ->
-          (* trace ended mid-interval *)
-          current_end - start < tail_margin
-      in
-      mark start current_end resolved;
-      interval_start := None
-  in
-  for i = 0 to len - 1 do
-    let m = modes i j in
-    (match !interval_start with
-     | Some (_, kind) when kind = m -> ()
-     | Some _ ->
-       close_interval (Some m) (i - 1);
-       if m = View.Hungry || m = View.Eating then interval_start := Some (i, m)
-     | None ->
-       if m = View.Hungry || m = View.Eating then interval_start := Some (i, m))
-  done;
-  close_interval None (len - 1);
-  ok
-
-let analyse ?(tail_margin = 300) (tr : vtrace) =
-  let snaps = Array.of_list tr in
-  let len = Array.length snaps in
-  if len = 0 then
-    { trace_len = 0;
-      last_fault_index = None;
-      converged_index = None;
-      recovery_steps = None;
-      me1_violations = 0;
-      starving = [];
-      recovered = false }
-  else begin
-    let n = Array.length snaps.(0).Sim.Trace.states in
-    let modes i j = snaps.(i).Sim.Trace.states.(j).View.mode in
-    let me1_ok i =
-      let eaters = ref 0 in
-      Array.iter
-        (fun v -> if View.eating v then incr eaters)
-        snaps.(i).Sim.Trace.states;
-      !eaters <= 1
-    in
-    let last_fault_index =
-      let found = ref None in
-      Array.iteri
-        (fun i snap ->
-          match snap.Sim.Trace.event with
-          | Sim.Trace.Fault _ -> found := Some i
-          | _ -> ())
-        snaps;
-      !found
-    in
-    let per_proc =
-      Array.init n (fun j -> resolution_ok modes ~len ~tail_margin j)
-    in
-    (* good.(i): the criteria hold at snapshot i *)
-    let good i =
-      me1_ok i
-      &&
-      let rec all j = j >= n || (per_proc.(j).(i) && all (j + 1)) in
-      all 0
-    in
-    (* converged_index: earliest i with good holding on [i, len). *)
-    let converged_index =
-      let idx = ref None in
-      (try
-         for i = len - 1 downto 0 do
-           if good i then idx := Some i else raise Exit
-         done
-       with Exit -> ());
-      !idx
-    in
-    let base = match last_fault_index with Some f -> f | None -> 0 in
-    let converged_index =
-      match converged_index with
-      | Some i -> Some (max i base)
-      | None -> None
-    in
-    let recovery_steps =
-      match converged_index with
-      | None -> None
-      | Some i ->
-        Some (snaps.(i).Sim.Trace.time - snaps.(base).Sim.Trace.time)
-    in
-    let me1_violations =
-      let count = ref 0 in
-      for i = base to len - 1 do
-        if not (me1_ok i) then incr count
-      done;
-      !count
-    in
-    let starving =
-      List.filter
-        (fun j ->
-          let rec hungry_run i acc =
-            if i < 0 || modes i j <> View.Hungry then acc
-            else hungry_run (i - 1) (acc + 1)
-          in
-          hungry_run (len - 1) 0 >= tail_margin)
-        (Sim.Pid.range n)
-    in
-    { trace_len = len;
-      last_fault_index;
-      converged_index;
-      recovery_steps;
-      me1_violations;
-      starving;
-      recovered = converged_index <> None }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Streaming analysis                                                  *)
 
 module Online = struct
-  (* Incremental restatement of [analyse] + [service_round_latency].
-     The offline pipeline needs the whole trace because [converged_index]
-     is defined backwards (the earliest suffix on which the criteria
-     hold); but every criterion only ever marks *bad* indices — an ME1
-     violation, or a hungry/eating interval that closes unresolved —
-     and the suffix start is just [max bad index + 1].  So the fold
-     tracks the largest known-bad index, each process's current mode
-     and the index its run of that mode started at (an open
-     hungry/eating interval, and the trailing hungry run), the eater
-     count, and the post-fault service round; the final record is
-     provably equal to the offline one on the same snapshot sequence
-     (asserted over the protocol grid in the test suite).  Every
-     per-process criterion reacts only to a mode change, so a snapshot
-     that repeats the previous one's modes touches no process. *)
+  (* The analysis and the service round as one fold over snapshots.
+     Stated over a whole trace, [converged_index] is defined backwards
+     (the earliest suffix on which the criteria hold); but every
+     criterion only ever marks *bad* indices — an ME1 violation, or a
+     hungry/eating interval that closes unresolved — and the suffix
+     start is just [max bad index + 1].  So the fold tracks the largest
+     known-bad index, each process's current mode and the index its
+     run of that mode started at (an open hungry/eating interval, and
+     the trailing hungry run), the eater count, and the post-fault
+     service round; the final record equals the whole-trace oracles'
+     (test/oracle) on the same snapshot sequence, asserted over the
+     protocol grid in the test suite.  Every per-process criterion
+     reacts only to a mode change, so a snapshot that repeats the
+     previous one's modes touches no process. *)
 
   type t = {
     tail_margin : int;
@@ -182,7 +49,7 @@ module Online = struct
     mutable base_time : int;
     mutable have_fault : bool;
     mutable me1_bad : int;  (** ME1-violating snapshots since [base] *)
-    (* service round since [base] ([service_round_latency]) *)
+    (* service round since [base]: every process's first fresh entry *)
     mutable served : bool array;
     mutable remaining : int;
     mutable round_latency : int option;
@@ -324,53 +191,7 @@ module Online = struct
         starving;
         recovered = converged_index <> None }
     end
-
-  let of_trace ?tail_margin (tr : vtrace) =
-    let t = create ?tail_margin () in
-    List.iter
-      (fun (snap : (View.t, Msg.t) Sim.Trace.snapshot) ->
-        let fault =
-          match snap.Sim.Trace.event with
-          | Sim.Trace.Fault _ -> true
-          | _ -> false
-        in
-        feed t ~time:snap.Sim.Trace.time ~fault ~repeat:false
-          snap.Sim.Trace.states)
-      tr;
-    t
 end
-
-let service_round_latency (tr : vtrace) ~after =
-  let snaps = Array.of_list tr in
-  let len = Array.length snaps in
-  if len = 0 || after >= len then None
-  else begin
-    let n = Array.length snaps.(0).Sim.Trace.states in
-    let served = Array.make n false in
-    let remaining = ref n in
-    let answer = ref None in
-    (try
-       for i = max 1 (after + 1) to len - 1 do
-         for j = 0 to n - 1 do
-           if
-             (not served.(j))
-             && (not (View.eating snaps.(i - 1).Sim.Trace.states.(j)))
-             && View.eating snaps.(i).Sim.Trace.states.(j)
-           then begin
-             served.(j) <- true;
-             decr remaining;
-             if !remaining = 0 then begin
-               answer :=
-                 Some
-                   (snaps.(i).Sim.Trace.time - snaps.(after).Sim.Trace.time);
-               raise Exit
-             end
-           end
-         done
-       done
-     with Exit -> ());
-    !answer
-  end
 
 let service_times ?(after = 0) (tr : vtrace) =
   let snaps = Array.of_list tr in

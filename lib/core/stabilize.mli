@@ -2,12 +2,20 @@
 
     "C is stabilizing to A iff every computation of C has a suffix
     that is a suffix of some computation of A that starts at an
-    initial state of A."  Over a recorded trace we judge the suffix
+    initial state of A."  Over a run's snapshots we judge the suffix
     behaviourally: from the convergence point onward, mutual exclusion
     is never violated, every hungry process is served, and every eater
     releases.  Obligations still open within [tail_margin] snapshots
-    of the trace end are treated as in-progress rather than failed,
-    since a finite trace always truncates some computation. *)
+    of the run's end are treated as in-progress rather than failed,
+    since a finite run always truncates some computation.
+
+    The product computes the analysis one way: {!Online}, a fold fed
+    one view snapshot at a time, so a run needs no recorded trace
+    (O(n) state instead of O(steps × n)).  Its whole-trace
+    restatements live in the test suite's oracle library
+    ([test/oracle]); on the same snapshot sequence the fold equals
+    them field for field, asserted across the protocol × wrapper ×
+    seed grid. *)
 
 type vtrace = (View.t, Msg.t) Sim.Trace.t
 
@@ -30,26 +38,12 @@ type analysis = {
       (** [converged_index] exists — the headline verdict *)
 }
 
-val analyse : ?tail_margin:int -> vtrace -> analysis
-(** [analyse ?tail_margin tr] computes the analysis.  [tail_margin]
-    defaults to 300 snapshots. *)
-
-(** Streaming analysis: the incremental restatement of {!analyse} and
-    {!service_round_latency}, fed one view snapshot at a time so a run
-    needs no recorded trace (O(n) state instead of O(steps × n)).  On
-    the same snapshot sequence, {!Online.analysis} equals {!analyse}
-    and {!Online.latency} equals {!service_round_latency} at
-    [after = last fault index (or 0)] — field for field; the test
-    suite asserts this across the protocol × wrapper × seed grid.
-    This fold is what the product runs, streamed or over a recorded
-    trace ({!Online.of_trace}); {!analyse} and {!service_round_latency}
-    are its test oracles. *)
 module Online : sig
   type t
   (** Mutable accumulator — create one per run. *)
 
   val create : ?tail_margin:int -> unit -> t
-  (** Same [tail_margin] default (300) as {!analyse}. *)
+  (** [tail_margin] defaults to 300 snapshots. *)
 
   val feed : t -> time:int -> fault:bool -> repeat:bool -> View.t array -> unit
   (** [feed t ~time ~fault ~repeat views] consumes the next snapshot:
@@ -64,23 +58,15 @@ module Online : sig
   (** The analysis of the snapshots fed so far. *)
 
   val latency : t -> int option
-  (** {!service_round_latency} measured from the last fault fed (or
-      the start), maintained incrementally. *)
-
-  val of_trace : ?tail_margin:int -> vtrace -> t
-  (** Fold a recorded trace, every snapshot fed with [~repeat:false]:
-      how a recorded scenario run computes its analysis. *)
+  (** The service round since the last fault fed (or the start): the
+      simulated steps until every process has completed at least one
+      critical-section entry after it — a recovery-latency measure
+      that requires every process to be live again, so it scales with
+      contention and ring size.  [None] while some process has not
+      re-entered. *)
 end
 
 val pp : Format.formatter -> analysis -> unit
-
-val service_round_latency : vtrace -> after:int -> int option
-(** [service_round_latency tr ~after] is the number of simulated steps
-    from snapshot index [after] until every process has completed at
-    least one critical-section entry strictly after [after] — a
-    recovery-latency measure that requires every process to be live
-    again, so it scales with contention and ring size.  [None] if some
-    process never re-enters within the trace. *)
 
 val service_times : ?after:int -> vtrace -> int list
 (** [service_times ?after tr] lists the duration (in simulated steps)

@@ -1,62 +1,16 @@
 open Unityspec
 open Clocks
 
-type vtrace = (View.t, Msg.t) Sim.Trace.t
-
-let eaters (snap : (View.t, Msg.t) Sim.Trace.snapshot) =
-  Array.fold_left
-    (fun acc v -> if View.eating v then acc + 1 else acc)
-    0 snap.states
-
-let me1 tr =
-  Temporal.invariant ~name:"ME1" (fun snap -> eaters snap <= 1) tr
-
-let me2 ~n tr =
-  Temporal.forall
-    (fun j ->
-      Temporal.leads_to ~name:(Printf.sprintf "ME2.%d" j)
-        ~p:(fun snap -> View.hungry snap.Sim.Trace.states.(j))
-        ~q:(fun snap -> View.eating snap.Sim.Trace.states.(j))
-        tr)
-    n
-
-let me3 entries =
-  (* Entries are in trace order; an entry whose request causally
-     preceded an *earlier* entry's request violates FCFS. *)
-  let rec scan idx earlier = function
-    | [] -> Temporal.Holds
-    | (e : Harness.entry_record) :: rest ->
-      let bad =
-        List.exists
-          (fun (prev : Harness.entry_record) ->
-            Vector_clock.lt e.entry_req_vc prev.entry_req_vc)
-          earlier
-      in
-      if bad then
-        Temporal.Violated
-          { at = idx;
-            reason =
-              Printf.sprintf
-                "entry %d by process %d served a request that \
-                 happened-before an already-served one"
-                idx e.entry_pid }
-      else scan (idx + 1) (e :: earlier) rest
-  in
-  scan 0 [] entries
-
 (* the clause labels of every TME_Spec report *)
-let tme_clauses ~me1 ~me2 ~me3 =
+let clauses ~me1 ~me2 ~me3 =
   Report.of_list
     [ ("ME1 (mutual exclusion)", me1);
       ("ME2 (starvation freedom)", me2);
       ("ME3 (FCFS)", me3) ]
 
-let check_all ~n ~entries tr =
-  tme_clauses ~me1:(me1 tr) ~me2:(me2 ~n tr) ~me3:(me3 entries)
-
 (* ------------------------------------------------------------------ *)
 (* Epoch-indexed monitors: the same spec, weakened per regime.  During
-   a [Global] epoch the clauses above apply unchanged; during a
+   a [Global] epoch the classical clauses apply unchanged; during a
    [Split] epoch ME1 weakens to at-most-one-eater *per connected
    group*, ME2 stops opening obligations (a minority group may starve
    legitimately), and ME3 compares only entries that could have
@@ -374,37 +328,13 @@ module Epoch = struct
       snapshots = m.idx }
 
   let tme_report (r : report) =
-    tme_clauses
+    clauses
       ~me1:(Temporal.all (List.map (fun row -> row.me1) r.rows))
       ~me2:r.me2 ~me3:r.me3
 
   let safe (r : report) =
     List.for_all (fun row -> Temporal.is_ok row.me1) r.rows
     && Temporal.is_ok r.heal
-
-  let ok ?(margin = 300) (r : report) =
-    safe r && Temporal.is_ok r.me3
-    && Temporal.ok_with_tail ~trace_len:r.snapshots ~margin r.me2
-
-  let of_trace ~timeline ~n ~entries (tr : vtrace) =
-    let m = create ~n ~timeline in
-    let remaining = ref entries in
-    List.iter
-      (fun (snap : (View.t, Msg.t) Sim.Trace.snapshot) ->
-        (match snap.event with
-         | Sim.Trace.Internal { label = "enter-cs"; _ } -> (
-           (* the oracle logged one entry for this event; feed it
-              before the post-event snapshot, as the streaming path
-              does *)
-           match !remaining with
-           | e :: rest ->
-             feed_entry m ~time:snap.time e;
-             remaining := rest
-           | [] -> ())
-         | _ -> ());
-        feed m ~time:snap.time ~repeat:false snap.states)
-      tr;
-    report m
 
   let pp_row ppf row =
     let phase =

@@ -9,29 +9,20 @@
     trace of a wrapped one.
 
     The spec is computed one way in the product: {!Epoch}, one fold
-    over a run's snapshots and CS entries, fed as the engine runs or
-    replayed over a recorded trace.  On a one-epoch timeline (a plan
-    without effective split or crash windows) its report is the
-    classical TME_Spec report ({!Epoch.tme_report}).  {!me1}, {!me2},
-    {!me3} and {!check_all} restate the clauses with the {!Unityspec}
-    operators over a recorded trace: they are the test oracles the
-    fold is held to. *)
+    over a run's snapshots and CS entries, fed as the engine runs.  On
+    a one-epoch timeline (a plan without effective split or crash
+    windows) its report is the classical TME_Spec report
+    ({!Epoch.tme_report}).  The test suite's oracle library
+    ([test/oracle]) restates the clauses with the {!Unityspec}
+    operators over a recorded trace, and replays a recorded trace
+    through the fold; the fold is held to both. *)
 
-type vtrace = (View.t, Msg.t) Sim.Trace.t
-
-val me1 : vtrace -> Unityspec.Temporal.verdict
-(** [(∀j,k :: e.j ∧ e.k ⇒ j = k)]: at most one process eats. *)
-
-val me2 : n:int -> vtrace -> Unityspec.Temporal.verdict
-(** [(∀j :: h.j ↝ e.j)]: every hungry process eventually eats. *)
-
-val me3 : Harness.entry_record list -> Unityspec.Temporal.verdict
-(** FCFS over the oracle entry log: if [a]'s request happened-before
-    [b]'s request (exact, via oracle vector clocks), then [a]'s entry
-    precedes [b]'s in the trace.  The log must be in trace order. *)
-
-val check_all :
-  n:int -> entries:Harness.entry_record list -> vtrace -> Unityspec.Report.t
+val clauses :
+  me1:Unityspec.Temporal.verdict ->
+  me2:Unityspec.Temporal.verdict ->
+  me3:Unityspec.Temporal.verdict ->
+  Unityspec.Report.t
+(** The three verdicts under every TME_Spec report's clause labels. *)
 
 (** {2 Epoch-indexed monitors}
 
@@ -50,10 +41,9 @@ val check_all :
     survives heal-complete.  A one-epoch timeline weakens nothing:
     the monitor then checks TME_Spec itself.
 
-    One monitor serves both observation modes: {!Epoch.feed}/
-    {!Epoch.feed_entry} stream snapshots as the engine runs, and
-    {!Epoch.of_trace} replays a recorded trace through the same fold,
-    so the two reports are equal field-for-field (asserted across the
+    {!Epoch.feed}/{!Epoch.feed_entry} take snapshots and entries as
+    the engine runs; a streamed run that exits early and a recorded
+    run that does not report equal fields (asserted across the
     registry × partition-plan grid in tests). *)
 
 module Epoch : sig
@@ -105,33 +95,18 @@ module Epoch : sig
   (** O(n + snapshots). *)
 
   val tme_report : report -> Unityspec.Report.t
-  (** ME1–ME3 under {!check_all}'s clause labels: ME1 is the
-      violation of the first epoch that has one, if any, and ME2 and
-      ME3 are the report's own.  On a one-epoch timeline this is the
-      classical report: ME1's index, ME2's obligations and ME3's
-      verdict equal {!check_all}'s on the same run (asserted across
-      the registry in tests); only ME1's reason is worded per
-      epoch. *)
+  (** ME1–ME3 under the {!clauses} labels: ME1 is the violation of
+      the first epoch that has one, if any, and ME2 and ME3 are the
+      report's own.  On a one-epoch timeline this is the classical
+      report: ME1's index, ME2's obligations and ME3's verdict equal
+      the whole-trace oracle's on the same run (asserted across the
+      registry in tests); only ME1's reason is worded per epoch. *)
 
   val safe : report -> bool
   (** The safety half alone: every epoch's ME1 holds and the
       cross-epoch heal obligation holds.  This is the verdict the
       campaign's during-split cells gate on ({!Registry.during_partition}) —
       liveness and ordering are reported but not gated there. *)
-
-  val ok : ?margin:int -> report -> bool
-  (** [safe], ME3 holds, and ME2 is clean up to obligations opened
-      within the final [margin] snapshots (default 300). *)
-
-  val of_trace :
-    timeline:Sim.Regime.timeline ->
-    n:int ->
-    entries:Harness.entry_record list ->
-    vtrace ->
-    report
-  (** Offline recomputation: replay a recorded trace (entries fed at
-      their ["enter-cs"] events) through the same fold, every snapshot
-      fed with [~repeat:false]. *)
 
   val pp : Format.formatter -> report -> unit
 end

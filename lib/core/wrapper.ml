@@ -1,7 +1,8 @@
 (* The wrapper language.  A wrapper is one guarded send over the
-   specification-level View vocabulary; the hand-written W and W'(δ)
-   are two closed terms of this language, and the synthesizer
-   (lib/synth) enumerates the same language in size order. *)
+   specification-level View vocabulary; the hand-written W is a closed
+   term of this language (W'(δ) is that term under the harness's
+   timer), and the synthesizer (lib/synth) enumerates the same
+   language in size order. *)
 
 type mode_pred = Is_thinking | Is_hungry | Is_eating
 
@@ -9,7 +10,6 @@ type peer_test = Any_peer | Peer_lt_own | Own_lt_peer
 
 type guard =
   | Mode of mode_pred
-  | Timer_zero
   | Not of guard
   | And of guard * guard
   | Or of guard * guard
@@ -40,18 +40,17 @@ let rec some_peer test (v : View.t) ~want ~n from =
   && ((from <> v.self && peer_holds test v from = want)
       || some_peer test v ~want ~n (from + 1))
 
-let rec guard_holds g (v : View.t) ~timer ~n =
+let rec guard_holds g (v : View.t) ~n =
   match g with
   | Mode p -> mode_holds p v
-  | Timer_zero -> timer = 0
-  | Not g -> not (guard_holds g v ~timer ~n)
-  | And (a, b) -> guard_holds a v ~timer ~n && guard_holds b v ~timer ~n
-  | Or (a, b) -> guard_holds a v ~timer ~n || guard_holds b v ~timer ~n
+  | Not g -> not (guard_holds g v ~n)
+  | And (a, b) -> guard_holds a v ~n && guard_holds b v ~n
+  | Or (a, b) -> guard_holds a v ~n || guard_holds b v ~n
   | Exists_peer t -> some_peer t v ~want:true ~n 0
   | Forall_peer t -> not (some_peer t v ~want:false ~n 0)
 
-let term_targets t (v : View.t) ~n ~timer =
-  if guard_holds t.guard v ~timer ~n then
+let term_targets t (v : View.t) ~n =
+  if guard_holds t.guard v ~n then
     List.filter (peer_holds t.target v) (Sim.Pid.others ~self:v.self ~n)
   else []
 
@@ -65,8 +64,7 @@ let payload send (v : View.t) =
   | Send_reply -> Msg.Reply (Clocks.Timestamp.make ~clock:v.clock ~pid:v.self)
   | Send_release -> Msg.Release (Clocks.Timestamp.make ~clock:v.clock ~pid:v.self)
 
-let eval t v ~n ~timer =
-  List.map (fun k -> (k, payload t.send v)) (term_targets t v ~n ~timer)
+let eval t v ~n = List.map (fun k -> (k, payload t.send v)) (term_targets t v ~n)
 
 (* ------------------------------------------------------------------ *)
 (* The hand-written wrappers as closed terms                           *)
@@ -77,10 +75,6 @@ let w_unrefined =
 let w_refined =
   { guard = Mode Is_hungry; target = Peer_lt_own; send = Send_request }
 
-let timed t = { t with guard = And (Timer_zero, t.guard) }
-
-let w_timed = timed w_refined
-
 (* ------------------------------------------------------------------ *)
 (* Size measure: one per guard node, quantifiers pay for their test;
    every wrapper pays 2 for its target/send pair.  w_refined has
@@ -88,7 +82,7 @@ let w_timed = timed w_refined
    below it and must climb to it. *)
 
 let rec guard_size = function
-  | Mode _ | Timer_zero -> 1
+  | Mode _ -> 1
   | Not g -> 1 + guard_size g
   | And (a, b) | Or (a, b) -> 1 + guard_size a + guard_size b
   | Exists_peer _ | Forall_peer _ -> 2
@@ -114,7 +108,6 @@ let peer_test_to_string = function
 
 let rec guard_to_string = function
   | Mode p -> mode_pred_to_string p
-  | Timer_zero -> "timer.j = 0"
   | Not g -> Printf.sprintf "not (%s)" (guard_to_string g)
   | And (a, b) ->
     Printf.sprintf "%s and %s" (guard_operand a) (guard_operand b)

@@ -14,14 +14,16 @@
           (∀k : k ≠ j ∧ j.REQ_k lt REQ_j : send(REQ_j, j, k));
           timer.j := δ v}
 
-    Rather than hard-coding these two, this module defines the small
-    AST they live in — mode predicates, the timer gate, peer
-    timestamp tests, boolean connectives, and a guarded broadcast —
-    together with an evaluator, a printer in the paper's notation, and
-    a size measure.  {!w_refined}, {!w_unrefined} and {!w_timed} are
-    the hand-written wrappers as closed terms; the synthesizer
-    ([Synth]) enumerates the same language in size order and asks the
-    model-checking oracle to certify candidates.  The harness runs a
+    Rather than hard-coding [W_j], this module defines the small AST
+    it lives in — mode predicates, peer timestamp tests, boolean
+    connectives, and a guarded broadcast — together with an evaluator,
+    a printer in the paper's notation, and a size measure.
+    {!w_refined} and {!w_unrefined} are the hand-written wrappers as
+    closed terms; the synthesizer ([Synth]) enumerates the same
+    language in size order and asks the model-checking oracle to
+    certify candidates.  The timer is not part of the language: [W'_j]
+    is a term under the harness's δ timer,
+    [Harness.On { term = w_refined; delta }], and the harness runs a
     hand-written and a synthesized term the same way
     ({!Harness.wrapper_mode}).
 
@@ -43,7 +45,6 @@ type peer_test =
 
 type guard =
   | Mode of mode_pred
-  | Timer_zero  (** [timer.j = 0] — the [W'] gate; reads the harness timer *)
   | Not of guard
   | And of guard * guard
   | Or of guard * guard
@@ -65,18 +66,17 @@ type t = {
 
 (** {2 Evaluation} *)
 
-val guard_holds : guard -> View.t -> timer:int -> n:int -> bool
-(** [guard_holds g v ~timer ~n] evaluates [g] over the view of a
-    process among [n]; [timer] feeds {!Timer_zero}, and the quantifiers
-    range over the view's peers [k ≠ j], [0 ≤ k < n].  It allocates
-    nothing. *)
+val guard_holds : guard -> View.t -> n:int -> bool
+(** [guard_holds g v ~n] evaluates [g] over the view of a process
+    among [n]; the quantifiers range over the view's peers [k ≠ j],
+    [0 ≤ k < n].  It allocates nothing. *)
 
-val term_targets : t -> View.t -> n:int -> timer:int -> Sim.Pid.t list
+val term_targets : t -> View.t -> n:int -> Sim.Pid.t list
 (** The peers a term would correct: empty unless the guard holds,
     otherwise the peers passing [t.target]. *)
 
-val eval : t -> View.t -> n:int -> timer:int -> (Sim.Pid.t * Msg.t) list
-(** [eval t v ~n ~timer] is the term's send list — the wrapper.  This
+val eval : t -> View.t -> n:int -> (Sim.Pid.t * Msg.t) list
+(** [eval t v ~n] is the term's send list — the wrapper.  This
     function {e is} the wrapper: note its type mentions no
     implementation state. *)
 
@@ -87,14 +87,6 @@ val w_unrefined : t
 
 val w_refined : t
 (** The paper's final [W_j]: targets only [j.REQ_k lt REQ_j] peers. *)
-
-val timed : t -> t
-(** [timed t] conjoins the [timer.j = 0] gate — the [W'(δ)] shape; the
-    [timer.j := δ] reset on firing is the harness's side
-    ({!Harness.wrapper_mode}). *)
-
-val w_timed : t
-(** [timed w_refined] — the paper's [W'_j]. *)
 
 (** {2 Measure, order, printing} *)
 

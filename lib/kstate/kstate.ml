@@ -55,9 +55,10 @@ let run ?corrupt_at ~n ~k ~seed ~steps () =
   if k < n + 1 then invalid_arg "Kstate.run: need k >= n + 1";
   let engine =
     Run.create
-      (Run.config ~record:true ~n ~seed ())
+      (Run.config ~n ~seed ())
       ~init:(fun self -> { self; n; k; x = 0; pred_x = None; moves = 0 })
   in
+  let recorded = Run.recorder engine in
   let plan =
     match corrupt_at with
     | None -> []
@@ -68,7 +69,7 @@ let run ?corrupt_at ~n ~k ~seed ~steps () =
                f = (fun rng node -> { node with x = Rng.int rng node.k }) }) ]
   in
   Run.run ~plan ~steps engine;
-  let trace = Run.trace engine in
+  let trace = recorded () in
   let snaps = Array.of_list trace in
   let len = Array.length snaps in
   let privileges_of i =

@@ -861,7 +861,7 @@ module Search (P : Graybox.Protocol.S) = struct
     | Some r -> r
     | None ->
       let v = Vec.get ctx.view_of pid in
-      let r = intern_sends ctx (Graybox.Wrapper.eval w v ~n:ctx.n ~timer:0) in
+      let r = intern_sends ctx (Graybox.Wrapper.eval w v ~n:ctx.n) in
       cell := Some r;
       r
 

@@ -58,7 +58,7 @@ end
 module Run = Sim.Engine.Make (Node)
 
 let make_engine params ~seed =
-  let cfg = Run.config ~record:true ~n:params.n ~seed () in
+  let cfg = Run.config ~n:params.n ~seed () in
   Run.create cfg ~init:(fun self ->
       { params;
         clock = Clock.create ~n:params.n ~bound:params.bound ~self;
@@ -90,6 +90,7 @@ let hb_sound_over trace =
 
 let run ?corrupt_at params ~seed ~steps =
   let engine = make_engine params ~seed in
+  let recorded = Run.recorder engine in
   let plan =
     match corrupt_at with
     | None -> []
@@ -100,7 +101,7 @@ let run ?corrupt_at params ~seed ~steps =
                f = (fun rng node -> { node with clock = Clock.corrupt rng node.clock }) }) ]
   in
   Run.run ~plan ~steps engine;
-  let trace = Run.trace engine in
+  let trace = recorded () in
   let fault_index = Sim.Trace.last_fault_index trace in
   let snaps = Array.of_list trace in
   let stable_at =

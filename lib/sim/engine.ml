@@ -12,11 +12,11 @@ module type NODE = sig
 end
 
 module Make (N : NODE) = struct
-  type config = { n : int; seed : int; record : bool; indexed : bool }
+  type config = { n : int; seed : int; indexed : bool }
 
-  let config ?(record = true) ?(indexed = true) ~n ~seed () =
+  let config ?(indexed = true) ~n ~seed () =
     if n <= 0 then invalid_arg "Engine.config: need n > 0";
-    { n; seed; record; indexed }
+    { n; seed; indexed }
 
   (* scheduling weights: a pending delivery is drawn twice as often as
      an enabled internal action *)
@@ -79,26 +79,11 @@ module Make (N : NODE) = struct
            link-status check or delay draw, and the per-step
            [Network.advance] can be skipped — the network clock stays
            at 0 and the staging layer is invisible *)
-    mutable rev_trace : (N.state, N.msg) Trace.snapshot list;
     observers : (N.state, N.msg) Observer.sink Vec.t;
-        (* notified (in registration order) at exactly the points a
-           snapshot is recorded, so the step stream equals the trace *)
+        (* notified in registration order: once on attachment, then
+           after every step and every fault *)
     metrics : Metrics.t;
   }
-
-  (* A snapshot captures the network's contents through its persistent
-     mirror, which costs only the channels written since the previous
-     snapshot; the channel lists materialize lazily if an analysis reads
-     them.  Recording is therefore O(n) (the states copy) per step
-     instead of O(channels). *)
-  let record t event =
-    if t.cfg.record then
-      t.rev_trace <-
-        { Trace.time = t.time;
-          event;
-          states = Array.copy t.states;
-          channels = Network.capture t.net }
-        :: t.rev_trace
 
   (* Observers get the live states array — no copy.  [Observer.step]
      documents that it must not be retained across steps. *)
@@ -129,7 +114,6 @@ module Make (N : NODE) = struct
         crash_faults_seen = false;
         delay_dists = Hashtbl.create 7;
         net_faults_seen = false;
-        rev_trace = [];
         observers = Vec.create ();
         metrics = Metrics.create () }
     in
@@ -137,7 +121,6 @@ module Make (N : NODE) = struct
       for p = 0 to cfg.n - 1 do
         Vec.push t.dirty p
       done;
-    record t Trace.Init;
     t
 
   let time t = t.time
@@ -146,7 +129,6 @@ module Make (N : NODE) = struct
   let states t = Array.copy t.states
   let network t = t.net
   let metrics t = t.metrics
-  let trace t = List.rev t.rev_trace
 
   (* The false-to-true flip is the only push, so [dirty] never holds a
      process twice and the indexed refresh touches each at most once. *)
@@ -162,12 +144,28 @@ module Make (N : NODE) = struct
 
   let crashed t p = t.crash_until.(p) > t.time
 
-  (* An observer joins by seeing the current state as its Init step —
-     attached right after [create] (the normal case) that is exactly
-     the recorded Init snapshot. *)
+  (* An observer joins by seeing the current state as its Init step:
+     attached right after [create] (the normal case), the initial
+     state. *)
   let add_observer t f =
     Vec.push t.observers f;
     f { Observer.time = t.time; event = Trace.Init; states = t.states }
+
+  (* A snapshot captures the network's contents through its persistent
+     mirror, which costs only the channels written since the previous
+     snapshot; the channel lists materialize lazily if an analysis reads
+     them.  Recording is therefore O(n) (the states copy) per step
+     instead of O(channels). *)
+  let recorder t =
+    let rev = ref [] in
+    add_observer t (fun (s : (N.state, N.msg) Observer.step) ->
+        rev :=
+          { Trace.time = s.time;
+            event = s.event;
+            states = Array.copy s.states;
+            channels = Network.capture t.net }
+          :: !rev);
+    fun () -> List.rev !rev
 
   (* Indexed mode: drop the processes whose crash window has elapsed
      from [crashed_pids], retiring their lose flag (so a later
@@ -407,7 +405,6 @@ module Make (N : NODE) = struct
       end
     in
     t.time <- t.time + 1;
-    record t event;
     notify t event;
     event
 
@@ -520,9 +517,7 @@ module Make (N : NODE) = struct
           here re-bases recovery-latency measurement at the heal. *)
        ());
     Metrics.note_fault t.metrics;
-    let event = Trace.Fault { label = Faults.label kind } in
-    record t event;
-    notify t event
+    notify t (Trace.Fault { label = Faults.label kind })
 
   (* Duplicate-fault caveat: [duplicate_at] grows the matching set, so
      the loop above must not re-match the copy; [only:None] with

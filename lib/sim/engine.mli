@@ -38,7 +38,6 @@ module Make (N : NODE) : sig
   type config = private {
     n : int;  (** number of processes *)
     seed : int;  (** master seed; equal seeds give equal executions *)
-    record : bool;  (** keep a full trace (costs memory) *)
     indexed : bool;
         (** maintain incremental move indexes (a Fenwick tree of
             per-process action counts and the network's live-channel
@@ -49,7 +48,7 @@ module Make (N : NODE) : sig
             across the two (the equivalence suite checks this). *)
   }
 
-  val config : ?record:bool -> ?indexed:bool -> n:int -> seed:int -> unit -> config
+  val config : ?indexed:bool -> n:int -> seed:int -> unit -> config
   (** [config ~n ~seed ()] validates and builds a configuration.  Each
       step draws one enabled move at random, a pending delivery with
       weight 2 and an enabled internal action with weight 1.
@@ -74,9 +73,6 @@ module Make (N : NODE) : sig
       and mutate it only through {!apply_fault}. *)
 
   val metrics : t -> Metrics.t
-  val trace : t -> (N.state, N.msg) Trace.t
-  (** [trace t] is the chronological trace (empty unless
-      [cfg.record]). *)
 
   val crashed : t -> Pid.t -> bool
   (** [crashed t p] holds while a {!Faults.Crash} window covers [p]: the
@@ -94,18 +90,25 @@ module Make (N : NODE) : sig
 
   (** {2 Streaming observation}
 
-      Observers receive one {!Observer.step} at exactly the points a
-      snapshot would be recorded — [Init] on attachment, each [step],
-      each [apply_fault] — so the step stream equals the trace the
-      engine would record, independently of [cfg.record].  An observer
-      is a step sink; the folds it feeds keep their own state (see
-      [Tme.Scenarios.run]). *)
+      Observers are the engine's only output.  Each receives one
+      {!Observer.step} on attachment ([Init]), after each [step] and
+      after each [apply_fault].  An observer is a step sink; the folds
+      it feeds keep their own state (see [Tme.Scenarios.run]), and a
+      recorded trace is one more observer ({!recorder}). *)
 
   val add_observer : t -> (N.state, N.msg) Observer.sink -> unit
   (** [add_observer t f] registers [f] (called in registration order)
       and immediately feeds it an [Init] step of the current state:
-      attached right after {!create}, [f] sees exactly the recorded
-      trace, snapshot for snapshot. *)
+      attached right after {!create}, [f] sees the run from its
+      initial state. *)
+
+  val recorder : t -> unit -> (N.state, N.msg) Trace.t
+  (** [recorder t] attaches an observer that keeps one {!Trace.snapshot}
+      per step it sees (a copy of the states and the network's
+      contents, see {!Network.capture}) and returns the reader of the
+      chronological trace so far.  Attach it right after {!create} to
+      record from [Init]; recording costs O(n) per step in time and
+      memory. *)
 
   (** {2 Mutation} *)
 
@@ -113,12 +116,13 @@ module Make (N : NODE) : sig
   (** Direct state override — exposed for tests and custom faults. *)
 
   val step : t -> (N.state, N.msg) Trace.event
-  (** [step t] executes one scheduler move (or records [Stutter] when
-      nothing is enabled) and advances time by one. *)
+  (** [step t] executes one scheduler move (or a [Stutter] when
+      nothing is enabled), advances time by one, and notifies the
+      observers. *)
 
   val apply_fault : t -> (N.state, N.msg) Faults.kind -> unit
-  (** [apply_fault t k] injects [k] now, recording a [Fault] trace
-      event.  Does not advance time. *)
+  (** [apply_fault t k] injects [k] now and notifies the observers of
+      a [Fault] event.  Does not advance time. *)
 
   val run : ?plan:(N.state, N.msg) Faults.plan -> steps:int -> t -> unit
   (** [run ?plan ~steps t] executes [steps] scheduler steps, injecting

@@ -153,7 +153,8 @@ val capture : 'm t -> (Pid.t * Pid.t * 'm list) list Lazy.t
 (** [capture net] lists every nonempty channel with its contents as
     they are now — staged messages included, channels in (src, dst)
     order — computed on first force, and unaffected by anything done
-    to [net] afterwards: how the engine records trace snapshots.
+    to [net] afterwards: how the engine's recorder takes trace
+    snapshots.
     Taking it costs O(log n) per channel written since the previous
     capture, which it folds into the mirror — so capturing after every
     step adds O(log n) to each write — and nothing more; the first

@@ -1,14 +1,13 @@
 (** Streaming observation of an engine run.
 
-    The offline pipeline records a full {!Trace.t} and analyses it
-    afterwards; an observer sees the same information — one {!step} per
-    trace snapshot, in the same order — while the engine runs, so
-    verdicts are available mid-run and nothing needs to be retained.
-    The step stream an engine delivers to its observers is exactly the
-    snapshot sequence it would record (asserted in the test suite), so
-    any trace analysis can be restated as a fold over it: the product's
-    folds are [Graybox.Stabilize.Online] and [Graybox.Tme_spec.Epoch],
-    which [Tme.Scenarios] feeds from one sink.
+    An engine's only output is its observers: each sees one {!step} per
+    event while the engine runs, so verdicts are available mid-run and
+    nothing needs to be retained.  A recorded {!Trace.t} is one more
+    observer ([Engine.Make.recorder]), one snapshot per step, so any
+    trace analysis can be restated as a fold over the step stream: the
+    product's folds are [Graybox.Stabilize.Online] and
+    [Graybox.Tme_spec.Epoch], which [Tme.Scenarios] feeds from one
+    sink.
 
     [step.states] is the engine's {e live} state array: it is valid
     (and immutable) for the duration of the callback only.  An observer

@@ -18,8 +18,8 @@ type ('s, 'm) snapshot = {
   event : ('s, 'm) event;
   states : 's array;
   channels : (Pid.t * Pid.t * 'm list) list Lazy.t;
-      (** materialized on first access: the engine records the
-          network's persistent capture mirror ({!Network.capture}),
+      (** materialized on first access: the engine's recorder keeps
+          the network's persistent capture mirror ({!Network.capture}),
           brought up to date with just the channels written since the
           previous snapshot, and the per-channel lists are built only
           for analyses that read them (memoized thereafter) *)

@@ -59,10 +59,10 @@ let outcome_label = function
 let peer_tests = [ W.Peer_lt_own; W.Own_lt_peer; W.Any_peer ]
 let sends = [ W.Send_request; W.Send_reply; W.Send_release ]
 
-(* [Timer_zero] is excluded from the search space: the oracle
-   abstracts the harness timer to zero, so a timer gate is invisible
-   to certification — the δ rate limit is applied at registration
-   ([Harness.On]/[Wrapper.timed]), exactly as [W'] refines [W]. *)
+(* The language has no timer: the oracle abstracts the harness timer
+   to zero, so a timer gate would be invisible to certification — the
+   δ rate limit is applied at registration ([Harness.On]), exactly as
+   [W'] refines [W]. *)
 let guards_of_size =
   let memo : (int, W.guard list) Hashtbl.t = Hashtbl.create 8 in
   let rec go s =
@@ -127,7 +127,7 @@ let candidates cfg =
 type negative = { neg_send : W.send; neg_view : Graybox.View.t;
                   neg_targets : Sim.Pid.t list }
 
-let fires cfg c v = W.term_targets c v ~n:cfg.n ~timer:0 <> []
+let fires cfg c v = W.term_targets c v ~n:cfg.n <> []
 
 let pruned cfg ~positives ~negatives c =
   if
@@ -139,7 +139,7 @@ let pruned cfg ~positives ~negatives c =
     List.exists
       (fun neg ->
         c.W.send = neg.neg_send
-        && W.term_targets c neg.neg_view ~n:cfg.n ~timer:0 = neg.neg_targets)
+        && W.term_targets c neg.neg_view ~n:cfg.n = neg.neg_targets)
       negatives
   then Some Pruned_blamed
   else None
@@ -153,7 +153,7 @@ let learn cfg c (cex : O.cex) ~positives ~negatives =
         (fun ((_p : int), v) ->
           { neg_send = c.W.send;
             neg_view = v;
-            neg_targets = W.term_targets c v ~n:cfg.n ~timer:0 })
+            neg_targets = W.term_targets c v ~n:cfg.n })
         cex.O.fired
     in
     (positives, negs @ negatives)

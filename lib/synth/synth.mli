@@ -24,11 +24,10 @@
       any view of the stuck wedge are pruned — this single example
       eliminates whole guard families (wrong mode, never-true tests)
       after one oracle call;
-    - {!Graybox.Wrapper.Timer_zero} is excluded from the space: the
-      oracle abstracts the timer to zero, so the gate is invisible to
-      certification — δ rate-limiting is applied at registration
-      ([Wrapper.timed] / [Harness.On]), exactly as [W'] refines
-      [W] in the paper.
+    - the language has no timer: the oracle abstracts the timer to
+      zero, so a timer gate would be invisible to certification — δ
+      rate-limiting is applied at registration ([Harness.On]),
+      exactly as [W'] refines [W] in the paper.
 
     Determinism: candidates are dispatched in fixed-width batches over
     {!Stdext.Pool.map} (input-ordered results) and admitted against

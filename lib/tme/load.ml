@@ -103,7 +103,7 @@ let run ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests
   let module E = Sim.Engine.Make (Node) in
   let eng =
     E.create
-      (E.config ?indexed ~record:false ~n ~seed ())
+      (E.config ?indexed ~n ~seed ())
       ~init:(fun self ->
         { Node.proto = P.init ~n self;
           phase = Node.Idle;

@@ -47,13 +47,12 @@ type result = {
   sim_steps : int;
 }
 
-let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
+let run ?(wrapper = H.Off) ?(faults = []) ?(record = false) ?(streaming = true)
     ?tail_margin ?(passive = []) ?indexed (module P : Graybox.Protocol.S) ~n
     ~seed ~steps =
   let module Run = H.Make (P) in
   let params = H.params ~wrapper ~passive ~n () in
-  let record = record && not streaming in
-  let engine = Run.make_engine ~record ?indexed params ~seed in
+  let engine = Run.make_engine ?indexed params ~seed in
   let lower = function
     | Drop_requests { at; per_chan } ->
       [ Sim.Faults.at at
@@ -125,95 +124,85 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
   in
   (* Every verdict comes from two folds: [Stabilize.Online] (the
      analysis and the recovery latency) and [Tme_spec.Epoch] (ME1-ME3
-     per epoch).  A streaming run feeds them as the engine runs; a
-     recorded run replays its trace through their [of_trace]; a run
-     neither streamed nor recorded feeds them nothing. *)
-  let vtrace, entry_log, ol, epoch_spec =
-    if not streaming then begin
-      Run.Run.run ~plan ~steps engine;
-      let vtrace = if record then Run.view_trace engine else [] in
-      let entry_log = if record then Run.entry_log engine else [] in
-      ( vtrace,
-        entry_log,
-        Graybox.Stabilize.Online.of_trace ?tail_margin vtrace,
-        Graybox.Tme_spec.Epoch.of_trace ~timeline ~n ~entries:entry_log vtrace )
-    end
-    else begin
-      (* Streaming: no trace.  One observer keeps the spec-level
-         projection (views, oracle request stamps) current — only the
-         process an event touched is re-projected — and fans each step
-         out to both folds and the entry stream.  They equal the
-         recorded run's, seed for seed; the equivalence is asserted in
-         the test suite. *)
-      let ol = Graybox.Stabilize.Online.create ?tail_margin () in
-      let em = Graybox.Tme_spec.Epoch.create ~n ~timeline in
-      let nodes0 = Run.Run.states engine in
-      let views = Array.map Run.view nodes0 in
-      let req_vcs = Array.map (fun (nd : Run.node) -> nd.Run.req_vc) nodes0 in
-      let entries = ref [] in
-      let stuttering = ref false in
-      (* whether the step being observed moved some process's mode: a
-         snapshot that moved none is fed to the folds as a repeat *)
-      let moved = ref false in
-      let refresh (nodes : Run.node array) p =
-        let before = views.(p).Graybox.View.mode in
-        views.(p) <- Run.view nodes.(p);
-        req_vcs.(p) <- nodes.(p).Run.req_vc;
-        if views.(p).Graybox.View.mode <> before then moved := true
-      in
-      let feed ~time ~fault ~repeat =
-        Graybox.Stabilize.Online.feed ol ~time ~fault ~repeat views;
-        Graybox.Tme_spec.Epoch.feed em ~time ~repeat views
-      in
-      let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
-        let nodes = s.Sim.Observer.states in
-        moved := false;
-        (match s.Sim.Observer.event with
-         | Sim.Trace.Init ->
-           for p = 0 to n - 1 do refresh nodes p done;
-           moved := true
-         | Sim.Trace.Deliver { dst; _ } -> refresh nodes dst
-         | Sim.Trace.Internal { pid; label } ->
-           if label = "enter-cs" then begin
-             (* the arrays still hold the pre-step projection: the
-                request this entry served *)
-             let e =
-               { H.entry_time = s.Sim.Observer.time;
-                 entry_pid = pid;
-                 entry_req = views.(pid).Graybox.View.req;
-                 entry_req_vc = req_vcs.(pid) }
-             in
-             entries := e :: !entries;
-             Graybox.Tme_spec.Epoch.feed_entry em ~time:s.Sim.Observer.time e
-           end;
-           refresh nodes pid
-         | Sim.Trace.Fault _ ->
-           for p = 0 to n - 1 do refresh nodes p done
-         | Sim.Trace.Stutter -> ());
-        let fault, stutter =
-          match s.Sim.Observer.event with
-          | Sim.Trace.Fault _ -> (true, false)
-          | Sim.Trace.Stutter -> (false, true)
-          | _ -> (false, false)
-        in
-        stuttering := stutter;
-        feed ~time:s.Sim.Observer.time ~fault ~repeat:(not !moved)
-      in
-      Run.Run.add_observer engine on_step;
-      (* A stutter with no crash window left is permanent: exit early
-         and feed the remaining horizon synthetically — repeats of the
-         last snapshot — so the verdicts stay byte-identical to the
-         full run at a fraction of the cost. *)
-      let stop eng = !stuttering && Run.Run.quiescent eng in
-      (match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
-       | None -> ()
-       | Some exit_time ->
-         for time = exit_time + 1 to steps do
-           feed ~time ~fault:false ~repeat:true
-         done);
-      ([], List.rev !entries, ol, Graybox.Tme_spec.Epoch.report em)
-    end
+     per epoch).  One observer keeps the spec-level projection (views,
+     oracle request stamps) current — only the process an event
+     touched is re-projected — and fans each step out to both folds
+     and the entry stream.  A bare run attaches none and reports
+     empty verdicts. *)
+  let ol = Graybox.Stabilize.Online.create ?tail_margin () in
+  let em = Graybox.Tme_spec.Epoch.create ~n ~timeline in
+  let entries = ref [] in
+  let stuttering = ref false in
+  let feed ~time ~fault ~repeat views =
+    Graybox.Stabilize.Online.feed ol ~time ~fault ~repeat views;
+    Graybox.Tme_spec.Epoch.feed em ~time ~repeat views
   in
+  if streaming then begin
+    let nodes0 = Run.Run.states engine in
+    let views = Array.map Run.view nodes0 in
+    let req_vcs = Array.map (fun (nd : Run.node) -> nd.Run.req_vc) nodes0 in
+    (* whether the step being observed moved some process's mode: a
+       snapshot that moved none is fed to the folds as a repeat *)
+    let moved = ref false in
+    let refresh (nodes : Run.node array) p =
+      let before = views.(p).Graybox.View.mode in
+      views.(p) <- Run.view nodes.(p);
+      req_vcs.(p) <- nodes.(p).Run.req_vc;
+      if views.(p).Graybox.View.mode <> before then moved := true
+    in
+    let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
+      let nodes = s.Sim.Observer.states in
+      moved := false;
+      (match s.Sim.Observer.event with
+       | Sim.Trace.Init ->
+         for p = 0 to n - 1 do refresh nodes p done;
+         moved := true
+       | Sim.Trace.Deliver { dst; _ } -> refresh nodes dst
+       | Sim.Trace.Internal { pid; label } ->
+         if label = "enter-cs" then begin
+           (* the arrays still hold the pre-step projection: the
+              request this entry served *)
+           let e =
+             { H.entry_time = s.Sim.Observer.time;
+               entry_pid = pid;
+               entry_req = views.(pid).Graybox.View.req;
+               entry_req_vc = req_vcs.(pid) }
+           in
+           entries := e :: !entries;
+           Graybox.Tme_spec.Epoch.feed_entry em ~time:s.Sim.Observer.time e
+         end;
+         refresh nodes pid
+       | Sim.Trace.Fault _ ->
+         for p = 0 to n - 1 do refresh nodes p done
+       | Sim.Trace.Stutter -> ());
+      let fault, stutter =
+        match s.Sim.Observer.event with
+        | Sim.Trace.Fault _ -> (true, false)
+        | Sim.Trace.Stutter -> (false, true)
+        | _ -> (false, false)
+      in
+      stuttering := stutter;
+      feed ~time:s.Sim.Observer.time ~fault ~repeat:(not !moved) views
+    in
+    Run.Run.add_observer engine on_step
+  end;
+  let trace = if record then Run.Run.recorder engine else fun () -> [] in
+  if streaming && not record then begin
+    (* A stutter with no crash window left is permanent: exit early
+       and feed the remaining horizon synthetically — repeats of the
+       last snapshot — so the verdicts stay byte-identical to the
+       full run at a fraction of the cost.  A recorded run keeps its
+       trace to the horizon instead. *)
+    let stop eng = !stuttering && Run.Run.quiescent eng in
+    match Run.Run.run_until ~plan ~max_steps:steps ~stop engine with
+    | None -> ()
+    | Some exit_time ->
+      let views = Run.views engine in
+      for time = exit_time + 1 to steps do
+        feed ~time ~fault:false ~repeat:true views
+      done
+  end
+  else Run.Run.run ~plan ~steps engine;
   let metrics = Run.Run.metrics engine in
   let wrapper_sends =
     Sim.Metrics.sends_with_label metrics Graybox.Wrapper.action_label
@@ -224,22 +213,24 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = true) ?(streaming = false)
     seed;
     steps;
     wrapper;
-    vtrace;
-    entry_log;
+    vtrace = Run.view_trace (trace ());
+    entry_log = List.rev !entries;
     total_entries = Run.total_entries engine;
     analysis = Graybox.Stabilize.Online.analysis ol;
     recovery_latency = Graybox.Stabilize.Online.latency ol;
-    epoch_spec;
+    epoch_spec = Graybox.Tme_spec.Epoch.report em;
     sent_total;
     wrapper_sends;
     protocol_sends = sent_total - wrapper_sends;
     delivered = Sim.Metrics.delivered metrics;
     sim_steps = Run.Run.time engine }
 
-let lspec_report r = Graybox.Lspec.check_all ~n:r.n r.vtrace
-
-let tme_report r =
-  Graybox.Tme_spec.check_all ~n:r.n ~entries:r.entry_log r.vtrace
+let lspec_report r =
+  match r.vtrace with
+  | [] ->
+    (* an empty trace would vacuously satisfy every clause *)
+    invalid_arg "Scenarios.lspec_report: the run kept no trace (use ~record:true)"
+  | tr -> Graybox.Lspec.check_all ~n:r.n tr
 
 (* The registration site: the one place that knows which
    implementations exist.  Names are read off the modules themselves

@@ -9,8 +9,8 @@
     Every verdict a run reports comes from two folds:
     {!Graybox.Stabilize.Online} (the stabilization analysis and the
     recovery latency) and {!Graybox.Tme_spec.Epoch} (ME1–ME3, per
-    regime epoch).  A streaming run feeds them from an engine observer;
-    a recorded run replays its trace through their [of_trace]. *)
+    regime epoch), fed by one engine observer on every run, recorded
+    or not.  A run keeps its trace only on request ([~record:true]). *)
 
 type fault_spec =
   | Drop_requests of { at : int; per_chan : int }
@@ -74,27 +74,29 @@ type result = {
   steps : int;
   wrapper : Graybox.Harness.wrapper_mode;
   vtrace : (Graybox.View.t, Graybox.Msg.t) Sim.Trace.t;
+      (** the view trace, kept only by a [~record:true] run (else
+          empty) *)
   entry_log : Graybox.Harness.entry_record list;
+      (** the oracle's CS entries in run order *)
   total_entries : int;
   analysis : Graybox.Stabilize.analysis;
-      (** equal to {!Graybox.Stabilize.analyse} over the recorded trace
-          (asserted in tests); empty on a run neither streamed nor
-          recorded *)
+      (** equal to the whole-trace oracle's analysis of the recorded
+          trace (asserted in tests); empty on a bare run *)
   recovery_latency : int option;
       (** steps from the last fault until every process completed a
-          fresh CS entry (equal to
-          {!Graybox.Stabilize.service_round_latency}); measured from
-          the trace start on fault-free runs *)
+          fresh CS entry ({!Graybox.Stabilize.Online.latency});
+          measured from the trace start on fault-free runs *)
   epoch_spec : Graybox.Tme_spec.Epoch.report;
       (** the TME_Spec report, one row per regime epoch of the
           {!Sim.Regime} timeline the lowered plan induces.  A plan
           without effective split or crash windows has one epoch, and
           the report is then the classical one
-          ({!Graybox.Tme_spec.Epoch.tme_report}, equal to {!tme_report}
-          in ME1's index, ME2's obligations and ME3's verdict).
-          Streaming and recorded runs report it equally (asserted in
-          tests); like [analysis] it is always present, and empty
-          (no snapshots) on a run neither streamed nor recorded. *)
+          ({!Graybox.Tme_spec.Epoch.tme_report}, equal to the
+          whole-trace oracle's in ME1's index, ME2's obligations and
+          ME3's verdict).  Runs that exit early and recorded runs
+          report it equally (asserted in tests); like [analysis] it
+          is always present, and empty (no snapshots) on a bare
+          run. *)
   sent_total : int;
   wrapper_sends : int;
   protocol_sends : int;  (** [sent_total - wrapper_sends] *)
@@ -112,29 +114,27 @@ val run :
   ?indexed:bool ->
   (module Graybox.Protocol.S) ->
   n:int -> seed:int -> steps:int -> result
-(** [run proto ~n ~seed ~steps] executes one scenario.  With
-    [~record:false] the view trace and entry log are empty and the
-    analysis and epoch report are degenerate — use it for throughput
-    measurements only.  Clients think for 2–8 steps and eat for 1–3
-    (as every {!Graybox.Harness} client does).
+(** [run proto ~n ~seed ~steps] executes one scenario.  Clients think
+    for 2–8 steps and eat for 1–3 (as every {!Graybox.Harness} client
+    does).  The analysis, recovery latency, epoch report and entry log
+    are computed by an engine observer while the run proceeds.
 
-    With [~streaming:true] trace recording is forced off and the
-    analysis, recovery latency, epoch report and entry log are
-    computed online by an engine observer while the run proceeds;
-    they equal the recorded run's results field for field (asserted in
-    the test suite), but [vtrace] is empty.  Streaming runs also exit
-    early once the system is permanently quiescent (deadlocked with no
-    pending recovery), feeding the rest of the horizon synthetically —
-    [sim_steps] then reports how far the engine actually ran. *)
+    By default nothing is recorded ([vtrace] is empty), and the run
+    exits early once the system is permanently quiescent (deadlocked
+    with no pending recovery), feeding the rest of the horizon
+    synthetically — [sim_steps] then reports how far the engine
+    actually ran.  [~record:true] keeps the view trace (for
+    {!lspec_report}, {!Graybox.Stabilize.service_times} and the test
+    oracles) and runs the full horizon; every other field is the
+    same.  [~streaming:false] attaches no observer: a bare run whose
+    analysis and epoch report are empty and whose entry log is
+    empty — use it for throughput measurements only. *)
 
 val lspec_report : result -> Unityspec.Report.t
 (** Lspec clause verdicts over the scenario's recorded trace — only
-    meaningful on fault-free runs (see {!Graybox.Lspec}). *)
-
-val tme_report : result -> Unityspec.Report.t
-(** ME1/ME2/ME3 verdicts over the recorded trace by
-    {!Graybox.Tme_spec.check_all}: the test oracle [epoch_spec] is
-    held to. *)
+    meaningful on fault-free runs (see {!Graybox.Lspec}).
+    @raise Invalid_argument on a run that kept no trace (made without
+    [~record:true]). *)
 
 val find_protocol : string -> (module Graybox.Protocol.S) option
 (** Alias for {!Graybox.Registry.find_protocol}.  This module is the

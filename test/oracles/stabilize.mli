@@ -1,0 +1,26 @@
+(** The stabilization analysis over a whole recorded trace, and the
+    replay of a recorded trace through the product's fold.  These are
+    the test oracles {!Graybox.Stabilize.Online} is held to: on the
+    same snapshot sequence, [Online.analysis] equals {!analyse} and
+    [Online.latency] equals {!service_round_latency} at
+    [after = last fault index (or 0)], field for field. *)
+
+val analyse : ?tail_margin:int -> Graybox.Stabilize.vtrace -> Graybox.Stabilize.analysis
+(** [analyse ?tail_margin tr] computes the analysis.  [tail_margin]
+    defaults to 300 snapshots. *)
+
+val service_round_latency : Graybox.Stabilize.vtrace -> after:int -> int option
+(** [service_round_latency tr ~after] is the number of simulated steps
+    from snapshot index [after] until every process has completed at
+    least one critical-section entry strictly after [after] — a
+    recovery-latency measure that requires every process to be live
+    again, so it scales with contention and ring size.  [None] if some
+    process never re-enters within the trace. *)
+
+module Online : sig
+  val of_trace :
+    ?tail_margin:int -> Graybox.Stabilize.vtrace -> Graybox.Stabilize.Online.t
+  (** Fold a recorded trace, every snapshot fed with [~repeat:false]:
+      the fold's general O(n) path, against which the repeat path of a
+      streamed run is checked. *)
+end

@@ -395,7 +395,7 @@ let test_golden_rows_rerun () =
               let r =
                 Tme.Scenarios.run entry.Graybox.Registry.proto ~wrapper
                   ~faults:(parse_labels (to_list (field "plan" row)))
-                  ~streaming:true ~n ~seed ~steps
+                  ~n ~seed ~steps
               in
               let what = Printf.sprintf "%s: %s seed %d" path
                   (to_str (field "cell" cell)) seed in
@@ -760,12 +760,12 @@ let partition_faults =
         chan = Sim.Faults.Any_chan;
         dist = Sim.Faults.Heavy_tail { mean = 5; cap = 40 } } ]
 
-let lamport_run ~streaming =
+let lamport_run ~record =
   match Graybox.Registry.find "lamport" with
   | None -> Alcotest.fail "lamport missing"
   | Some e ->
     Tme.Scenarios.run e.Graybox.Registry.proto ~n:4 ~seed:9 ~steps:2500
-      ~streaming
+      ~record
       ~wrapper:(Tme.Scenarios.wrapped ~delta:8 ())
       ~faults:partition_faults
 
@@ -776,14 +776,14 @@ let test_scenarios_partition_deterministic () =
   (* same seed, same run — partitions and heavy-tail delays draw all
      their randomness from the seeded fault stream *)
   Alcotest.(check bool) "seed-deterministic" true
-    (key (lamport_run ~streaming:true) = key (lamport_run ~streaming:true));
-  (* and the streaming analysis agrees with the recorded one on the
+    (key (lamport_run ~record:false) = key (lamport_run ~record:false));
+  (* and the streamed analysis agrees with the recorded one on the
      new fault kinds, field for field *)
   Alcotest.(check bool) "streaming == recorded" true
-    (key (lamport_run ~streaming:false) = key (lamport_run ~streaming:true))
+    (key (lamport_run ~record:true) = key (lamport_run ~record:false))
 
 let test_scenarios_split_plants_heal_marker () =
-  let r = lamport_run ~streaming:false in
+  let r = lamport_run ~record:true in
   let faults =
     List.filter_map
       (fun s ->

@@ -453,7 +453,7 @@ let test_experiments_synth_section () =
 let test_design_synth_section () =
   check_mentions "DESIGN.md" (Lazy.force design)
     [ "## 9. Guard DSL and CEGIS wrapper synthesis"; "`Mcheck.Oracle`";
-      "Timer_zero"; "pid-symmetric"; "blame"; "`ra-synth`";
+      "has no timer gate"; "pid-symmetric"; "blame"; "`ra-synth`";
       "graybox-synth/1"; "bench/expected/synth.txt" ];
   (* the README must surface the synthesis entry points *)
   check_mentions "README.md" (Lazy.force readme)

@@ -141,11 +141,11 @@ let test_equivalent_under_drop_faults () =
     (fingerprint a = fingerprint b)
 
 let test_gcl_conformance_fault_free () =
-  let r = Tme.Scenarios.run ra_gcl ~n:4 ~seed:11 ~steps:5000 in
+  let r = Tme.Scenarios.run ra_gcl ~n:4 ~seed:11 ~steps:5000 ~record:true in
   let lspec = Tme.Scenarios.lspec_report r in
   Alcotest.(check bool) "Lspec safety" true (Unityspec.Report.safe lspec);
-  Alcotest.(check bool) "ME1" true (T.is_ok (Graybox.Tme_spec.me1 r.vtrace));
-  Alcotest.(check bool) "ME3" true (T.is_ok (Graybox.Tme_spec.me3 r.entry_log))
+  Alcotest.(check bool) "ME1" true (T.is_ok (Oracles.Tme_spec.me1 r.vtrace));
+  Alcotest.(check bool) "ME3" true (T.is_ok (Oracles.Tme_spec.me3 r.entry_log))
 
 let test_gcl_wrapper_stabilizes () =
   (* the same wrapper, over the store-based implementation, with the

@@ -74,7 +74,7 @@ let test_view_earliest () =
 (* ------------------------------------------------------------------ *)
 (* Wrapper: the paper's W                                               *)
 
-let targets term v ~n = Wrapper.term_targets term v ~n ~timer:0
+let targets term v ~n = Wrapper.term_targets term v ~n
 
 let test_wrapper_not_hungry_silent () =
   let v = mk_view ~self:0 ~mode:View.Thinking ~req:(ts 5 0) [ (1, ts 0 1) ] in
@@ -92,7 +92,7 @@ let test_wrapper_refined_targets () =
   in
   Alcotest.(check (list int)) "only stale peer" [ 1 ]
     (targets Wrapper.w_refined v ~n:3);
-  match Wrapper.eval Wrapper.w_refined v ~n:3 ~timer:0 with
+  match Wrapper.eval Wrapper.w_refined v ~n:3 with
   | [ (1, Msg.Request r) ] ->
     Alcotest.(check bool) "sends REQ_j" true (Timestamp.equal r (ts 5 0))
   | _ -> Alcotest.fail "expected a single request to 1"
@@ -142,7 +142,7 @@ let prop_wrapper_sends_own_request =
           match m with
           | Msg.Request r -> Timestamp.equal r (ts req_c 0)
           | Msg.Reply _ | Msg.Release _ -> false)
-        (Wrapper.eval Wrapper.w_refined v ~n:2 ~timer:0))
+        (Wrapper.eval Wrapper.w_refined v ~n:2))
 
 (* ------------------------------------------------------------------ *)
 (* Monitors over hand-built traces                                      *)
@@ -160,7 +160,7 @@ let test_me1_detects_double_eating () =
     [ snap 0 (two_views View.Thinking View.Thinking) [];
       snap 1 (two_views View.Eating View.Eating) [] ]
   in
-  match Tme_spec.me1 tr with
+  match Oracles.Tme_spec.me1 tr with
   | Unityspec.Temporal.Violated { at = 1; _ } -> ()
   | _ -> Alcotest.fail "expected ME1 violation at 1"
 
@@ -170,12 +170,12 @@ let test_me2_pending_and_discharged () =
       snap 1 (two_views View.Eating View.Thinking) [] ]
   in
   Alcotest.(check bool) "discharged" true
-    (Unityspec.Temporal.is_ok (Tme_spec.me2 ~n:2 tr));
+    (Unityspec.Temporal.is_ok (Oracles.Tme_spec.me2 ~n:2 tr));
   let stuck =
     [ snap 0 (two_views View.Hungry View.Thinking) [];
       snap 1 (two_views View.Hungry View.Thinking) [] ]
   in
-  match Tme_spec.me2 ~n:2 stuck with
+  match Oracles.Tme_spec.me2 ~n:2 stuck with
   | Unityspec.Temporal.Pending _ -> ()
   | _ -> Alcotest.fail "expected pending starvation"
 
@@ -189,12 +189,12 @@ let test_me3_causal_violation () =
       { entry_time = 2; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 } ]
   in
   Alcotest.(check bool) "causal order ok" true
-    (Unityspec.Temporal.is_ok (Tme_spec.me3 entries_ok));
+    (Unityspec.Temporal.is_ok (Oracles.Tme_spec.me3 entries_ok));
   let entries_bad =
     [ { Harness.entry_time = 1; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 };
       { Harness.entry_time = 2; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc0 } ]
   in
-  match Tme_spec.me3 entries_bad with
+  match Oracles.Tme_spec.me3 entries_bad with
   | Unityspec.Temporal.Violated _ -> ()
   | _ -> Alcotest.fail "expected FCFS violation"
 
@@ -206,7 +206,7 @@ let test_me3_concurrent_requests_any_order () =
       { entry_time = 2; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc_a } ]
   in
   Alcotest.(check bool) "concurrent: any order fine" true
-    (Unityspec.Temporal.is_ok (Tme_spec.me3 entries))
+    (Unityspec.Temporal.is_ok (Oracles.Tme_spec.me3 entries))
 
 let test_lspec_flow_catches_illegal_transition () =
   let tr =
@@ -309,7 +309,7 @@ let test_lspec_init_spec () =
 let test_stabilize_clean_trace () =
   let states = two_views View.Thinking View.Thinking in
   let tr = List.init 10 (fun i -> snap i states []) in
-  let a = Stabilize.analyse tr in
+  let a = Oracles.Stabilize.analyse tr in
   Alcotest.(check bool) "recovered" true a.Stabilize.recovered;
   Alcotest.(check (option int)) "no fault" None a.Stabilize.last_fault_index;
   Alcotest.(check int) "no violations" 0 a.Stabilize.me1_violations
@@ -317,7 +317,7 @@ let test_stabilize_clean_trace () =
 let test_stabilize_detects_starvation () =
   let stuck = two_views View.Hungry View.Thinking in
   let tr = List.init 50 (fun i -> snap i stuck []) in
-  let a = Stabilize.analyse ~tail_margin:10 tr in
+  let a = Oracles.Stabilize.analyse ~tail_margin:10 tr in
   Alcotest.(check bool) "not recovered" false a.Stabilize.recovered;
   Alcotest.(check (list int)) "process 0 starves" [ 0 ] a.Stabilize.starving
 
@@ -332,7 +332,7 @@ let test_stabilize_recovery_after_fault () =
       snap 4 thinking [];
       snap 5 thinking [] ]
   in
-  let a = Stabilize.analyse ~tail_margin:2 tr in
+  let a = Oracles.Stabilize.analyse ~tail_margin:2 tr in
   Alcotest.(check bool) "recovered" true a.Stabilize.recovered;
   Alcotest.(check (option int)) "fault at 1" (Some 1) a.Stabilize.last_fault_index;
   Alcotest.(check int) "violations counted" 2 a.Stabilize.me1_violations;
@@ -341,7 +341,7 @@ let test_stabilize_recovery_after_fault () =
   | None -> Alcotest.fail "expected recovery steps"
 
 let test_stabilize_empty_trace () =
-  let a = Stabilize.analyse [] in
+  let a = Oracles.Stabilize.analyse [] in
   Alcotest.(check bool) "not recovered" false a.Stabilize.recovered;
   Alcotest.(check int) "len" 0 a.Stabilize.trace_len
 
@@ -351,9 +351,9 @@ let test_service_round_latency () =
   let t = two_views View.Thinking View.Thinking in
   let tr = [ snap 0 t []; snap 1 e0 []; snap 2 t []; snap 3 e1 []; snap 4 t [] ] in
   Alcotest.(check (option int)) "both served by t=3" (Some 3)
-    (Stabilize.service_round_latency tr ~after:0);
+    (Oracles.Stabilize.service_round_latency tr ~after:0);
   Alcotest.(check (option int)) "never after 3" None
-    (Stabilize.service_round_latency tr ~after:3)
+    (Oracles.Stabilize.service_round_latency tr ~after:3)
 
 let test_lspec_timestamp_monotone_violation () =
   (* a clock going backwards must violate Timestamp Spec *)
@@ -438,26 +438,29 @@ let test_harness_params_validation () =
            ()))
 
 module HR = Harness.Make (Tme.Ra_me)
+module HO = Oracles.Harness.Make (Tme.Ra_me)
 
 let test_harness_entry_log_matches_counter () =
   let params = Harness.params ~n:3 () in
   let engine = HR.make_engine params ~seed:5 in
+  let trace = HR.Run.recorder engine in
   HR.Run.run ~steps:2500 engine;
+  let log = HO.entry_log (trace ()) in
   Alcotest.(check int) "entry log length = oracle counter"
-    (HR.total_entries engine)
-    (List.length (HR.entry_log engine));
+    (HR.total_entries engine) (List.length log);
   (* every logged entry carries the request active just before it *)
   List.iter
     (fun (e : Harness.entry_record) ->
       Alcotest.(check bool) "entry pid in range" true
         (e.entry_pid >= 0 && e.entry_pid < 3))
-    (HR.entry_log engine)
+    log
 
 let test_harness_view_trace_shape () =
   let params = Harness.params ~n:3 () in
   let engine = HR.make_engine params ~seed:5 in
+  let trace = HR.Run.recorder engine in
   HR.Run.run ~steps:500 engine;
-  let tr = HR.view_trace engine in
+  let tr = HR.view_trace (trace ()) in
   Alcotest.(check int) "init + steps snapshots" 501 (List.length tr);
   List.iter
     (fun (snapshot : (View.t, Msg.t) Sim.Trace.snapshot) ->

@@ -1,10 +1,9 @@
-(* Tests for the streaming observation layer: the engine's step
-   stream, and — the load-bearing property — exact equivalence between
-   the two folds every run reports from ([Stabilize.Online],
-   [Tme_spec.Epoch]) and the offline trace operators they replace
-   ([Stabilize.analyse], [Tme_spec.check_all]), streamed and recorded,
-   across protocols, wrapper modes, and seeded fault plans (crashes
-   included). *)
+(* Tests for the observation layer: the engine's step stream, and —
+   the load-bearing property — exact equivalence between the two folds
+   every run reports from ([Stabilize.Online], [Tme_spec.Epoch]) and
+   the whole-trace oracles they restate ([Oracles]), on recorded runs
+   and on runs that stream and exit early, across protocols, wrapper
+   modes, and seeded fault plans (crashes included). *)
 
 module H = Graybox.Harness
 module S = Tme.Scenarios
@@ -16,47 +15,9 @@ module Ob = Sim.Observer
 
 module R = H.Make (Tme.Ra_me)
 
-let project (states : R.node array) = Array.map R.view states
-
-let event_of = function
-  | Sim.Trace.Init -> "init"
-  | Sim.Trace.Deliver { src; dst; _ } -> Printf.sprintf "deliver(%d->%d)" src dst
-  | Sim.Trace.Internal { pid; label } -> Printf.sprintf "%s(%d)" label pid
-  | Sim.Trace.Fault { label } -> Printf.sprintf "fault(%s)" label
-  | Sim.Trace.Stutter -> "stutter"
-
-let test_stream_equals_trace () =
-  let params = H.params ~n:3 () in
-  let engine = R.make_engine ~record:true params ~seed:42 in
-  let seen = ref [] in
-  R.Run.add_observer engine (fun (s : (R.node, R.envelope) Ob.step) ->
-      (* the states array is live: project (= copy) before retaining *)
-      seen := (s.Ob.time, event_of s.Ob.event, project s.Ob.states) :: !seen);
-  let plan =
-    [ Sim.Faults.at 40 (R.fault_drop_any Sim.Faults.Any_chan ~count:2);
-      Sim.Faults.at 90 (R.fault_corrupt_process Sim.Faults.Any_proc) ]
-  in
-  R.Run.run ~plan ~steps:200 engine;
-  let observed = List.rev !seen in
-  let recorded =
-    List.map
-      (fun (snap : (R.node, R.envelope) Sim.Trace.snapshot) ->
-        (snap.Sim.Trace.time, event_of snap.Sim.Trace.event,
-         project snap.Sim.Trace.states))
-      (R.Run.trace engine)
-  in
-  Alcotest.(check int)
-    "one step per snapshot" (List.length recorded) (List.length observed);
-  List.iter2
-    (fun (rt, re, rv) (ot, oe, ov) ->
-      Alcotest.(check int) "same time" rt ot;
-      Alcotest.(check string) "same event" re oe;
-      Alcotest.(check bool) "same views" true (rv = ov))
-    recorded observed
-
 let test_sink_sees_init () =
   let params = H.params ~n:3 () in
-  let engine = R.make_engine ~record:false params ~seed:7 in
+  let engine = R.make_engine params ~seed:7 in
   let steps = ref 0 in
   R.Run.add_observer engine (fun _ -> incr steps);
   Alcotest.(check int) "init replayed on attach" 1 !steps;
@@ -91,9 +52,9 @@ let crash_plan =
 let seeds = List.init 10 (fun i -> i + 1)
 
 let test_online_fold_equals_offline () =
-  (* a recorded run's analysis and latency (Stabilize.Online over its
-     trace) reproduce analyse and service_round_latency exactly, on
-     every grid cell *)
+  (* a recorded run's analysis and latency (the observer's
+     Stabilize.Online) reproduce analyse and service_round_latency
+     over its trace exactly, on every grid cell *)
   List.iter
     (fun (pname, proto) ->
       List.iter
@@ -103,15 +64,17 @@ let test_online_fold_equals_offline () =
               let faults =
                 if seed = List.hd seeds then crash_plan else plan_for seed
               in
-              let r = S.run proto ~wrapper ~faults ~n ~seed ~steps:horizon in
+              let r =
+                S.run proto ~wrapper ~faults ~record:true ~n ~seed ~steps:horizon
+              in
               let cell = Printf.sprintf "%s/%s/seed %d" pname wname seed in
-              let a = Stz.analyse r.S.vtrace in
+              let a = Oracles.Stabilize.analyse r.S.vtrace in
               Alcotest.(check bool)
                 (cell ^ ": same analysis") true (a = r.S.analysis);
               let after = Option.value a.Stz.last_fault_index ~default:0 in
               Alcotest.(check (option int))
                 (cell ^ ": same latency")
-                (Stz.service_round_latency r.S.vtrace ~after)
+                (Oracles.Stabilize.service_round_latency r.S.vtrace ~after)
                 r.S.recovery_latency)
             seeds)
         wrappers)
@@ -170,12 +133,13 @@ let streaming_inputs =
         n, 7, 4000 ) ]
 
 let test_streaming_run_equals_recorded () =
-  (* the full streaming path: observer-fed analysis, entry log, epoch
-     verdicts and metrics equal the recorded run's, field for field *)
+  (* the default run streams and may exit early: its analysis, entry
+     log, epoch verdicts and metrics equal the recorded run's, field
+     for field *)
   List.iter
     (fun (cell, proto, wrapper, faults, n, seed, steps) ->
-      let go streaming = S.run proto ~wrapper ~faults ~streaming ~n ~seed ~steps in
-      let rec_ = go false and str = go true in
+      let go record = S.run proto ~wrapper ~faults ~record ~n ~seed ~steps in
+      let rec_ = go true and str = go false in
       Alcotest.(check bool)
         (cell ^ ": analysis") true
         (str.S.analysis = rec_.S.analysis);
@@ -207,8 +171,8 @@ let test_streaming_deadlock_early_exit () =
      reports the same analysis as the full recorded horizon *)
   let proto = List.assoc "ra" protocols_under_test in
   let faults = [ S.Drop_requests_window { from_t = 150; until_t = 210 } ] in
-  let go streaming = S.run proto ~faults ~streaming ~n ~seed:1 ~steps:horizon in
-  let rec_ = go false and str = go true in
+  let go record = S.run proto ~faults ~record ~n ~seed:1 ~steps:horizon in
+  let rec_ = go true and str = go false in
   Alcotest.(check bool) "same analysis" true (str.S.analysis = rec_.S.analysis);
   Alcotest.(check bool) "deadlocked" false str.S.analysis.Stz.recovered;
   Alcotest.(check bool)
@@ -220,7 +184,7 @@ let test_streaming_deadlock_early_exit () =
 (* A plan without split or crash windows has a one-epoch timeline, on
    which the epoch fold is the classical TME_Spec: every registry
    entry, unwrapped and under W'(8), ten window-free plans each,
-   streamed and recorded, against [Tme_spec.check_all] over the
+   streamed and recorded, against the oracle [check_all] over the
    recorded trace.  Only ME1's reason is worded per epoch. *)
 let window_free seed =
   List.filter
@@ -239,14 +203,14 @@ let test_epoch_fold_is_classical () =
           List.iter
             (fun seed ->
               let faults = window_free seed in
-              let go streaming =
-                S.run proto ~wrapper ~faults ~streaming ~n ~seed ~steps:horizon
+              let go record =
+                S.run proto ~wrapper ~faults ~record ~n ~seed ~steps:horizon
               in
-              let rec_ = go false in
+              let rec_ = go true in
               let oracle =
                 List.map
                   (fun (e : Unityspec.Report.entry) -> e.verdict)
-                  (S.tme_report rec_)
+                  (Oracles.Scenarios.tme_report rec_)
               in
               List.iter
                 (fun (mode, (r : S.result)) ->
@@ -272,10 +236,111 @@ let test_epoch_fold_is_classical () =
                     Alcotest.(check bool) (cell ^ ": ME2") true (me2 = e2);
                     Alcotest.(check bool) (cell ^ ": ME3") true (me3 = e3)
                   | _ -> Alcotest.fail (cell ^ ": not three clauses"))
-                [ ("recorded", rec_); ("streamed", go true) ])
+                [ ("recorded", rec_); ("streamed", go false) ])
             seeds)
         wrappers)
     protocols_under_test
+
+(* ------------------------------------------------------------------ *)
+(* One verdict path                                                    *)
+
+module RO = Oracles.Harness.Make (Tme.Ra_me)
+
+(* Every whole-trace oracle against the observer, on one recorded run:
+   RA under W'(8), corrupted at 300 and at 900, so the analysis is
+   re-based at a fault and the entry log spans both.  The entry log
+   needs the node trace, so the same run is made once more at node
+   level — the same params, seed and lowered plan — with a recorder
+   attached; its projection equals the scenario's view trace, snapshot
+   for snapshot. *)
+let test_oracles_equal_observer () =
+  let n = 4 and seed = 5 and steps = 2500 in
+  let wrapper = S.wrapped ~delta:8 () in
+  let faults =
+    [ S.Corrupt_state { at = 300; procs = Sim.Faults.Any_proc };
+      S.Corrupt_state { at = 900; procs = Sim.Faults.Proc 2 } ]
+  in
+  let r =
+    S.run (module Tme.Ra_me) ~wrapper ~faults ~record:true ~n ~seed ~steps
+  in
+  let tr = r.S.vtrace in
+  Alcotest.(check int) "recorded Init + every step + 2 faults" (steps + 3)
+    (List.length tr);
+  let a = Oracles.Stabilize.analyse tr in
+  Alcotest.(check bool) "analyse" true (a = r.S.analysis);
+  Alcotest.(check (option int)) "service_round_latency"
+    (Oracles.Stabilize.service_round_latency tr
+       ~after:(Option.get a.Stz.last_fault_index))
+    r.S.recovery_latency;
+  let ol = Oracles.Stabilize.Online.of_trace tr in
+  Alcotest.(check bool) "Stabilize.Online.of_trace" true
+    (Stz.Online.analysis ol = r.S.analysis
+    && Stz.Online.latency ol = r.S.recovery_latency);
+  Alcotest.(check bool) "Epoch.of_trace" true
+    (Oracles.Tme_spec.Epoch.of_trace ~timeline:(Sim.Regime.trivial ~n) ~n
+       ~entries:r.S.entry_log tr
+    = r.S.epoch_spec);
+  (* only ME1's reason is worded per epoch: violations compare by
+     index *)
+  let verdicts report =
+    List.map
+      (fun (e : Unityspec.Report.entry) ->
+        ( e.clause,
+          match e.verdict with
+          | Unityspec.Temporal.Violated { at; _ } ->
+            Unityspec.Temporal.Violated { at; reason = "" }
+          | v -> v ))
+      report
+  in
+  Alcotest.(check bool) "check_all" true
+    (verdicts (Oracles.Tme_spec.check_all ~n ~entries:r.S.entry_log tr)
+    = verdicts (Graybox.Tme_spec.Epoch.tme_report r.S.epoch_spec));
+  let engine = R.make_engine (H.params ~wrapper ~n ()) ~seed in
+  let trace = R.Run.recorder engine in
+  R.Run.run ~steps engine
+    ~plan:
+      [ Sim.Faults.at 300 (R.fault_corrupt_process Sim.Faults.Any_proc);
+        Sim.Faults.at 900 (R.fault_corrupt_process (Sim.Faults.Proc 2)) ];
+  let nodes = trace () in
+  Alcotest.(check bool) "the same run at node level" true
+    (List.map
+       (fun (sn : _ Sim.Trace.snapshot) -> (sn.Sim.Trace.time, sn.Sim.Trace.states))
+       (R.view_trace nodes)
+    = List.map
+        (fun (sn : _ Sim.Trace.snapshot) -> (sn.Sim.Trace.time, sn.Sim.Trace.states))
+        tr);
+  Alcotest.(check bool) "entry_log" true (RO.entry_log nodes = r.S.entry_log);
+  Alcotest.(check bool) "entries logged" true (r.S.entry_log <> [])
+
+(* A default run keeps no trace, yet reports what a recorded run of
+   the same scenario reports: a wrapped recovery, and an unwrapped §4
+   deadlock that exits early. *)
+let test_default_run_records_nothing () =
+  let ra = List.assoc "ra" protocols_under_test in
+  List.iter
+    (fun (cell, wrapper, faults) ->
+      let go record = S.run ra ~wrapper ~faults ~record ~n ~seed:3 ~steps:horizon in
+      let dflt = S.run ra ~wrapper ~faults ~n ~seed:3 ~steps:horizon
+      and recorded = go true in
+      Alcotest.(check int) (cell ^ ": no trace") 0 (List.length dflt.S.vtrace);
+      Alcotest.(check bool) (cell ^ ": the recorded run kept one") true
+        (List.length recorded.S.vtrace > horizon);
+      Alcotest.(check bool) (cell ^ ": analysis") true
+        (dflt.S.analysis = recorded.S.analysis);
+      Alcotest.(check (option int)) (cell ^ ": latency")
+        recorded.S.recovery_latency dflt.S.recovery_latency;
+      Alcotest.(check bool) (cell ^ ": epoch report") true
+        (dflt.S.epoch_spec = recorded.S.epoch_spec);
+      Alcotest.(check bool) (cell ^ ": entries") true
+        (dflt.S.entry_log = recorded.S.entry_log
+        && dflt.S.total_entries = recorded.S.total_entries);
+      Alcotest.(check (pair int int)) (cell ^ ": sends")
+        (recorded.S.sent_total, recorded.S.wrapper_sends)
+        (dflt.S.sent_total, dflt.S.wrapper_sends))
+    [ ("ra/W'(8)/burst", S.wrapped ~delta:8 (), S.burst ~at:400);
+      ( "ra/off/deadlock",
+        H.Off,
+        [ S.Drop_requests_window { from_t = 150; until_t = 210 } ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cached views                                                        *)
@@ -301,7 +366,7 @@ end
 let check_views_fresh (module P : Graybox.Protocol.S) ~wrapper ~seed =
   let module R = H.Make (P) in
   let params = H.params ~wrapper ~n () in
-  let engine = R.make_engine ~record:false params ~seed in
+  let engine = R.make_engine params ~seed in
   let split =
     if P.membership_aware then
       let members_of self = if self <= 1 then [ 0; 1 ] else [ 2; 3 ] in
@@ -411,35 +476,10 @@ let test_streaming_allocation_bounded () =
     true
     (observing <= float_of_int (100 * steps))
 
-let test_stateful_monitor_latches () =
-  let open Unityspec in
-  let m =
-    Online.stateful ~init:0 ~step:(fun sum x ->
-        let sum = sum + x in
-        ( sum,
-          if sum > 10 then Temporal.Violated { at = sum; reason = "overflow" }
-          else Temporal.Holds ))
-  in
-  Alcotest.(check bool) "holds initially" true
-    (Online.verdict m = Temporal.Holds);
-  let m = Online.feed_all m [ 4; 8 ] in
-  (match Online.verdict m with
-   | Temporal.Violated { at; _ } -> Alcotest.(check int) "at" 12 at
-   | _ -> Alcotest.fail "must be violated");
-  (* further input cannot repair a violated safety monitor *)
-  let m = Online.feed_all m [ -100 ] in
-  Alcotest.(check bool) "latched" true
-    (match Online.verdict m with Temporal.Violated _ -> true | _ -> false)
-
 let () =
   Alcotest.run "observe"
-    [ ( "combinators",
-        [ Alcotest.test_case "stateful latches" `Quick
-            test_stateful_monitor_latches ] );
-      ( "engine",
-        [ Alcotest.test_case "step stream == recorded trace" `Quick
-            test_stream_equals_trace;
-          Alcotest.test_case "sink sees init on attach" `Quick
+    [ ( "engine",
+        [ Alcotest.test_case "sink sees init on attach" `Quick
             test_sink_sees_init ] );
       ( "equivalence",
         [ Alcotest.test_case "online fold == offline analyse (full grid)"
@@ -449,7 +489,11 @@ let () =
           Alcotest.test_case "deadlock early exit" `Quick
             test_streaming_deadlock_early_exit;
           Alcotest.test_case "one-epoch fold == classical report" `Quick
-            test_epoch_fold_is_classical ] );
+            test_epoch_fold_is_classical;
+          Alcotest.test_case "every oracle == the observer (one run)" `Quick
+            test_oracles_equal_observer;
+          Alcotest.test_case "default run records nothing" `Quick
+            test_default_run_records_nothing ] );
       ( "cached-view",
         [ Alcotest.test_case "never stale (registry x wrapper x seed)" `Quick
             test_cached_view_never_stale ] );

@@ -245,6 +245,36 @@ let test_lease_full_view_is_identity () =
   LR.full_view_is_identity ();
   SR.full_view_is_identity ()
 
+(* Fault-free, no leased eater ever sees a request stamped before its
+   own (a peer that granted it replied from a later clock), so
+   ra-lease never uses the rules above and runs as ra, view for view:
+   the reason LOAD and T5 sweep ra alone.  Unwrapped and under
+   W'(16), at the sizes T5 measures. *)
+let test_lease_equals_ra_fault_free () =
+  let ra = Option.get (Registry.find_protocol "ra")
+  and lease = Option.get (Registry.find_protocol "ra-lease") in
+  let views (r : Tme.Scenarios.result) =
+    List.map
+      (fun (sn : (View.t, Msg.t) Sim.Trace.snapshot) ->
+        (sn.Sim.Trace.time, sn.Sim.Trace.event, sn.Sim.Trace.states))
+      r.Tme.Scenarios.vtrace
+  in
+  List.iter
+    (fun (n, seed, wrapper) ->
+      let go proto =
+        Tme.Scenarios.run proto ~n ~seed ~steps:3000 ~wrapper ~record:true
+      in
+      let a = go ra and b = go lease in
+      let cell = Printf.sprintf "n=%d seed %d" n seed in
+      Alcotest.(check bool) (cell ^ ": a trace was kept") true
+        (List.length a.Tme.Scenarios.vtrace > 3000);
+      Alcotest.(check bool) (cell ^ ": view for view") true (views a = views b);
+      Alcotest.(check (pair int int)) (cell ^ ": entries, sends")
+        (a.Tme.Scenarios.total_entries, a.Tme.Scenarios.sent_total)
+        (b.Tme.Scenarios.total_entries, b.Tme.Scenarios.sent_total))
+    [ (3, 101, Harness.Off); (5, 202, Harness.Off); (8, 303, Harness.Off);
+      (5, 101, Tme.Scenarios.wrapped ~delta:16 ()) ]
+
 (* ------------------------------------------------------------------ *)
 (* Lamport (modified)                                                   *)
 
@@ -590,7 +620,9 @@ let () =
           Alcotest.test_case "stale ignores a growing view" `Quick
             test_stale_ignores_growing_view;
           Alcotest.test_case "full view is the identity" `Quick
-            test_lease_full_view_is_identity ] );
+            test_lease_full_view_is_identity;
+          Alcotest.test_case "ra-lease == ra, fault-free (view for view)"
+            `Quick test_lease_equals_ra_fault_free ] );
       ( "lamport",
         [ Alcotest.test_case "request/grant cycle" `Quick
             test_lamport_request_and_grant_cycle;

@@ -113,22 +113,13 @@ let test_cursor_agrees_with_at () =
 (* ------------------------------------------------------------------ *)
 (* Online == offline equivalence                                       *)
 
-(* Every registered protocol, both heal modes, >= 10 seeds: the
-   streaming epoch monitors (Epoch.feed) and the offline recomputation
-   over the recorded trace (Epoch.of_trace) must produce the same
-   report — verdict for verdict, reason for reason.  Odd seeds run
-   unwrapped so the streaming early-exit (synthetic tail feed) is on
-   the tested path. *)
-let epoch_report ~streaming proto ~seed ~mode ~wrapper =
-  let faults =
-    [ S.Split { groups = [ [ 0; 1 ] ]; from_t = 300; until_t = 600; mode } ]
-  in
-  let r = S.run proto ~n:4 ~seed ~steps:1200 ~streaming ~wrapper ~faults in
-  let ep = r.S.epoch_spec in
-  if List.length ep.Epoch.rows < 2 then
-    Alcotest.fail "split plan produced a one-epoch report";
-  ep
-
+(* Every registered protocol, both heal modes, >= 10 seeds: a run that
+   streams (and may exit early), a recorded run of the full horizon,
+   and the recorded trace replayed through the fold without repeat
+   hints (the oracle [Epoch.of_trace]) must produce the same report —
+   verdict for verdict, reason for reason.  Odd seeds run unwrapped so
+   the streaming early-exit (synthetic tail feed) is on the tested
+   path. *)
 let test_online_offline_equivalence () =
   List.iter
     (fun (e : Registry.entry) ->
@@ -139,11 +130,19 @@ let test_online_offline_equivalence () =
               if seed mod 2 = 0 then S.wrapped ~delta:e.Registry.default_delta ()
               else Graybox.Harness.Off
             in
-            let off =
-              epoch_report ~streaming:false e.Registry.proto ~seed ~mode ~wrapper
+            let faults =
+              [ S.Split { groups = [ [ 0; 1 ] ]; from_t = 300; until_t = 600; mode } ]
             in
-            let on =
-              epoch_report ~streaming:true e.Registry.proto ~seed ~mode ~wrapper
+            let run record =
+              S.run e.Registry.proto ~n:4 ~seed ~steps:1200 ~record ~wrapper ~faults
+            in
+            let recorded = run true in
+            let on = (run false).S.epoch_spec in
+            let replayed =
+              Oracles.Tme_spec.Epoch.of_trace
+                ~timeline:
+                  (Regime.of_plan ~n:4 [ split ~mode ~from_t:300 ~until_t:600 [ [ 0; 1 ] ] ])
+                ~n:4 ~entries:recorded.S.entry_log recorded.S.vtrace
             in
             let label =
               Printf.sprintf "%s seed %d %s" e.Registry.name seed
@@ -151,11 +150,17 @@ let test_online_offline_equivalence () =
                  | Faults.Lossy -> "lossy"
                  | Faults.Buffered -> "buffered")
             in
-            Alcotest.(check string)
-              (label ^ " rendering")
-              (Format.asprintf "%a" Epoch.pp off)
-              (Format.asprintf "%a" Epoch.pp on);
-            Alcotest.(check bool) (label ^ " structurally") true (off = on)
+            if List.length on.Epoch.rows < 2 then
+              Alcotest.fail (label ^ ": split plan produced a one-epoch report");
+            List.iter
+              (fun (what, (off : Epoch.report)) ->
+                Alcotest.(check string)
+                  (label ^ " rendering (" ^ what ^ ")")
+                  (Format.asprintf "%a" Epoch.pp off)
+                  (Format.asprintf "%a" Epoch.pp on);
+                Alcotest.(check bool)
+                  (label ^ " structurally (" ^ what ^ ")") true (off = on))
+              [ ("recorded", recorded.S.epoch_spec); ("replayed", replayed) ]
           done)
         [ Faults.Lossy; Faults.Buffered ])
     (Registry.all ())
@@ -163,25 +168,15 @@ let test_online_offline_equivalence () =
 (* ------------------------------------------------------------------ *)
 (* The epoch fold against an independent reference                     *)
 
-(* [Epoch.feed]/[Epoch.of_trace] share one fold, so the equivalence
-   above cannot see that fold drift from the spec.  This reference
-   restates it the direct, list-based way: ME1 lists each snapshot's
-   eaters and filters them per group; ME2 conjoins one gated leads-to
-   monitor per process; ME3 compares vector clocks componentwise. *)
+(* The streamed and the replayed report share one fold, so the
+   equivalence above cannot see that fold drift from the spec.  This
+   reference restates it the direct, list-based way: ME1 lists each
+   snapshot's eaters and filters them per group; ME2 keeps, per
+   process, every index at which it was hungry in a global epoch and
+   has not eaten since (a gated leads-to), and conjoins the processes'
+   verdicts; ME3 compares vector clocks componentwise. *)
 module Reference = struct
   open Unityspec
-
-  (* [leads_to], except that a [p]-snapshot opens an obligation only
-     where [gate] holds; [q] discharges every open obligation *)
-  let leads_to_gated ~gate p q =
-    Online.stateful ~init:(0, [])
-      ~step:(fun (i, open_) x ->
-        let open_ = if q x then [] else open_ in
-        let open_ = if gate x && p x && not (q x) then i :: open_ else open_ in
-        ( (i + 1, open_),
-          match open_ with
-          | [] -> Temporal.Holds
-          | _ -> Temporal.Pending { obligations = List.rev open_ } ))
 
   let vc_lt a b =
     let xs = Clocks.Vector_clock.to_list a
@@ -206,7 +201,8 @@ module Reference = struct
     mutable cur_epoch : int;
     mutable idx : int;
     mutable obligation : (int list * int * int) option;
-    mutable me2 : (Regime.phase * Graybox.View.t array) Online.t;
+    me2_open : int list array;
+        (** per process, its open obligations, most recent first *)
     mutable me3 : Temporal.verdict;
     mutable earlier : (Graybox.Harness.entry_record * Regime.topo) list;
     mutable entry_idx : int;
@@ -223,13 +219,7 @@ module Reference = struct
       cur_epoch = 0;
       idx = 0;
       obligation = None;
-      me2 =
-        Online.all
-          (List.init n (fun j ->
-               leads_to_gated
-                 ~gate:(fun (ph, _) -> ph = Regime.Global)
-                 (fun (_, views) -> Graybox.View.hungry views.(j))
-                 (fun (_, views) -> Graybox.View.eating views.(j))));
+      me2_open = Array.make n [];
       me3 = Temporal.Holds;
       earlier = [];
       entry_idx = 0;
@@ -260,7 +250,12 @@ module Reference = struct
                 "ME1[epoch %d]: concurrent CS holders %s in group %s"
                 topo.Regime.epoch (label eaters)
                 (label (List.find (crowded eaters) topo.Regime.groups)) };
-    m.me2 <- Online.feed m.me2 (topo.Regime.phase, views);
+    Array.iteri
+      (fun j v ->
+        if Graybox.View.eating v then m.me2_open.(j) <- []
+        else if topo.Regime.phase = Regime.Global && Graybox.View.hungry v then
+          m.me2_open.(j) <- m.idx :: m.me2_open.(j))
+      views;
     m.idx <- m.idx + 1
 
   let feed_entry m ~time (e : Graybox.Harness.entry_record) =
@@ -308,7 +303,12 @@ module Reference = struct
                     never resolved to one"
                    (label held) time }
          | None -> Temporal.Holds);
-      me2 = Online.verdict m.me2;
+      me2 =
+        Temporal.all
+          (Array.to_list m.me2_open
+          |> List.map (function
+               | [] -> Temporal.Holds
+               | open_ -> Temporal.Pending { obligations = List.rev open_ }));
       me3 = m.me3;
       split_entries = m.split_entries;
       snapshots = m.idx }

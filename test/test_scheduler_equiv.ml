@@ -40,7 +40,7 @@ let stress_faults =
 
 let run_both proto ~wrapper ~faults ~n ~seed ~steps =
   let go indexed =
-    S.run proto ~wrapper ~faults ~indexed ~n ~seed ~steps
+    S.run proto ~wrapper ~faults ~indexed ~record:true ~n ~seed ~steps
   in
   (go true, go false)
 
@@ -67,7 +67,8 @@ let check_equal name (a : S.result) (b : S.result) =
   Alcotest.(check int) (name ^ ": sent") a.S.sent_total b.S.sent_total;
   Alcotest.(check int) (name ^ ": delivered") a.S.delivered b.S.delivered;
   Alcotest.(check bool) (name ^ ": ME verdicts identical") true
-    (S.tme_report a = S.tme_report b)
+    (a.S.epoch_spec = b.S.epoch_spec
+     && Oracles.Scenarios.tme_report a = Oracles.Scenarios.tme_report b)
 
 let test_grid () =
   List.iter

@@ -703,8 +703,8 @@ end
 
 module E = Engine.Make (Token_node)
 
-let token_engine ?(record = true) ~n ~seed () =
-  E.create (E.config ~record ~n ~seed ()) ~init:(fun self ->
+let token_engine ~n ~seed () =
+  E.create (E.config ~n ~seed ()) ~init:(fun self ->
       { Token_node.self; n; has_token = self = 0; passes = 0 })
 
 let total_passes e =
@@ -736,17 +736,28 @@ let test_engine_determinism () =
 
 let test_engine_trace_records () =
   let e = token_engine ~n:2 ~seed:3 () in
+  let trace = E.recorder e in
   E.run ~steps:10 e;
-  let tr = E.trace e in
+  let tr = trace () in
   Alcotest.(check int) "init + 10 steps" 11 (Trace.length tr);
   match tr with
   | { Trace.event = Trace.Init; time = 0; _ } :: _ -> ()
   | _ -> Alcotest.fail "first snapshot must be Init at time 0"
 
 let test_engine_no_record () =
-  let e = token_engine ~record:false ~n:2 ~seed:3 () in
+  (* nothing is recorded until a recorder attaches: one attached
+     mid-run starts from an Init of the state it finds *)
+  let e = token_engine ~n:2 ~seed:3 () in
   E.run ~steps:10 e;
-  Alcotest.(check int) "empty trace" 0 (Trace.length (E.trace e))
+  let found = E.states e in
+  let trace = E.recorder e in
+  E.run ~steps:5 e;
+  let tr = trace () in
+  Alcotest.(check int) "attachment + 5 steps" 6 (Trace.length tr);
+  match tr with
+  | { Trace.event = Trace.Init; time = 10; states; _ } :: _ ->
+    Alcotest.(check bool) "Init of the state found" true (states = found)
+  | _ -> Alcotest.fail "first snapshot must be Init at time 10"
 
 (* Each recorded snapshot holds the channels as they were when it was
    recorded, through later steps and channel faults: a recorded run's
@@ -755,6 +766,7 @@ let test_engine_no_record () =
    step [k]. *)
 let check_trace_channels ~n ~seed ~holders ~steps fault =
   let e = token_engine ~n ~seed () in
+  let trace = E.recorder e in
   List.iter
     (fun p ->
       E.set_state e p { Token_node.self = p; n; has_token = true; passes = 0 })
@@ -773,7 +785,7 @@ let check_trace_channels ~n ~seed ~holders ~steps fault =
        !seen);
   Alcotest.(check (list (list (triple int int int))))
     "recorded = channels at record time" (List.rev !seen)
-    (List.map (fun snap -> shape (Trace.channels snap)) (E.trace e))
+    (List.map (fun snap -> shape (Trace.channels snap)) (trace ()))
 
 let test_engine_trace_channels_survive () =
   check_trace_channels ~n:3 ~seed:5 ~holders:[ 1; 2 ] ~steps:80 (fun k ->
@@ -1039,6 +1051,7 @@ let test_engine_run_until_timeout () =
 
 let test_engine_planned_faults_fire () =
   let e = token_engine ~n:2 ~seed:4 () in
+  let trace = E.recorder e in
   let plan =
     [ Faults.at 3 (Faults.Flush Faults.Any_chan);
       Faults.at 7 (Faults.Flush Faults.Any_chan) ]
@@ -1051,7 +1064,7 @@ let test_engine_planned_faults_fire () =
         match s.Trace.event with
         | Trace.Fault _ -> Some s.Trace.time
         | _ -> None)
-      (E.trace e)
+      (trace ())
   in
   Alcotest.(check (list int)) "at the right times" [ 3; 7 ] fault_times
 

@@ -30,7 +30,7 @@ let deadlock_faults =
 (* Theorem 5: fault-free conformance                                    *)
 
 let check_fault_free_conformance proto name () =
-  let r = Scenarios.run proto ~n:4 ~seed:11 ~steps:5000 in
+  let r = Scenarios.run proto ~n:4 ~seed:11 ~steps:5000 ~record:true in
   let lspec = Scenarios.lspec_report r in
   List.iter
     (fun (e : Unityspec.Report.entry) ->
@@ -44,7 +44,7 @@ let check_fault_free_conformance proto name () =
           Alcotest.failf "%s: Lspec clause %s has early pending obligations"
             name e.clause)
     lspec;
-  let tme = Scenarios.tme_report r in
+  let tme = Oracles.Scenarios.tme_report r in
   List.iter
     (fun (e : Unityspec.Report.entry) ->
       match e.verdict with
@@ -56,8 +56,8 @@ let check_fault_free_conformance proto name () =
   Alcotest.(check bool) "made progress" true (r.total_entries > 50)
 
 let test_central_fault_free_me1 () =
-  let r = Scenarios.run central ~n:4 ~seed:11 ~steps:5000 in
-  Alcotest.(check bool) "ME1" true (T.is_ok (Graybox.Tme_spec.me1 r.Scenarios.vtrace))
+  let r = Scenarios.run central ~n:4 ~seed:11 ~steps:5000 ~record:true in
+  Alcotest.(check bool) "ME1" true (T.is_ok (Oracles.Tme_spec.me1 r.Scenarios.vtrace))
 [@@warning "-33"]
 
 (* Lemma 6 (interference freedom): Lspec box W everywhere implements
@@ -66,7 +66,7 @@ let test_central_fault_free_me1 () =
    disturb nothing. *)
 let test_interference_freedom proto name () =
   let r =
-    Scenarios.run proto ~n:4 ~seed:19 ~steps:5000
+    Scenarios.run proto ~n:4 ~seed:19 ~steps:5000 ~record:true
       ~wrapper:(Scenarios.wrapped ~delta:0 ())
   in
   (* the eager wrapper floods the network, so service latency (and
@@ -86,9 +86,9 @@ let test_interference_freedom proto name () =
           Alcotest.failf "%s+W: clause %s pending too early" name e.clause)
     (Scenarios.lspec_report r);
   Alcotest.(check bool) "ME1 under wrapper" true
-    (T.is_ok (Graybox.Tme_spec.me1 r.vtrace));
+    (T.is_ok (Oracles.Tme_spec.me1 r.vtrace));
   Alcotest.(check bool) "ME3 under wrapper" true
-    (T.is_ok (Graybox.Tme_spec.me3 r.entry_log));
+    (T.is_ok (Oracles.Tme_spec.me3 r.entry_log));
   Alcotest.(check bool) "wrapper did send" true (r.wrapper_sends > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -165,8 +165,8 @@ let test_reusability_same_wrapper () =
 (* Negative control                                                     *)
 
 let test_negative_control_fault_free_ok () =
-  let r = Scenarios.run unmod ~n:4 ~seed:11 ~steps:5000 in
-  Alcotest.(check bool) "ME1 fault-free" true (T.is_ok (Graybox.Tme_spec.me1 r.vtrace));
+  let r = Scenarios.run unmod ~n:4 ~seed:11 ~steps:5000 ~record:true in
+  Alcotest.(check bool) "ME1 fault-free" true (T.is_ok (Oracles.Tme_spec.me1 r.vtrace));
   Alcotest.(check bool) "recovered (trivially)" true r.analysis.recovered
 
 let test_negative_control_not_stabilized () =
@@ -259,8 +259,13 @@ let test_scenarios_deterministic () =
   Alcotest.(check bool) "identical replay" true (a = b)
 
 let test_no_record_mode () =
-  let r = Scenarios.run ra ~n:3 ~seed:1 ~steps:2000 ~record:false in
+  (* recording is on request: a default run keeps no trace *)
+  let r = Scenarios.run ra ~n:3 ~seed:1 ~steps:2000 in
   Alcotest.(check int) "no trace" 0 (List.length r.vtrace);
+  Alcotest.check_raises "no Lspec verdicts over a trace not kept"
+    (Invalid_argument
+       "Scenarios.lspec_report: the run kept no trace (use ~record:true)")
+    (fun () -> ignore (Scenarios.lspec_report r));
   Alcotest.(check bool) "still counts messages" true (r.sent_total > 0)
 
 let test_find_protocol () =
@@ -274,12 +279,12 @@ let test_me3_holds_fault_free_runs () =
       Alcotest.(check bool)
         (Printf.sprintf "ME3 (%s)" r.protocol)
         true
-        (T.is_ok (Graybox.Tme_spec.me3 r.entry_log)))
+        (T.is_ok (Oracles.Tme_spec.me3 r.entry_log)))
     [ ra; lamport ]
 
 let test_post_convergence_suffix_satisfies_safety () =
   let r =
-    Scenarios.run ra ~n:4 ~seed:3 ~steps:8000
+    Scenarios.run ra ~n:4 ~seed:3 ~steps:8000 ~record:true
       ~wrapper:(Scenarios.wrapped ~delta:4 ())
       ~faults:(Scenarios.burst ~at:1000)
   in
@@ -287,7 +292,7 @@ let test_post_convergence_suffix_satisfies_safety () =
   | None -> Alcotest.fail "expected convergence"
   | Some i ->
     let suffix = Sim.Trace.suffix_from r.vtrace i in
-    Alcotest.(check bool) "ME1 on suffix" true (T.is_ok (Graybox.Tme_spec.me1 suffix));
+    Alcotest.(check bool) "ME1 on suffix" true (T.is_ok (Oracles.Tme_spec.me1 suffix));
     (match Graybox.Lspec.flow ~n:4 suffix with
      | T.Violated _ -> Alcotest.fail "Flow Spec must hold after convergence"
      | _ -> ());
@@ -319,7 +324,7 @@ let test_release_echo_needed_with_passive_peer () =
     seeds
 
 let test_passive_process_never_requests () =
-  let r = Scenarios.run ra ~n:3 ~seed:4 ~steps:4000 ~passive:[ 2 ] in
+  let r = Scenarios.run ra ~n:3 ~seed:4 ~steps:4000 ~passive:[ 2 ] ~record:true in
   let always_thinking =
     List.for_all
       (fun (snap : (Graybox.View.t, Graybox.Msg.t) Sim.Trace.snapshot) ->

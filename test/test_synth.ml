@@ -262,7 +262,7 @@ let harvest_views () =
   (* views from a faulty wrapped run: covers all three modes and
      mutually-inconsistent timestamp states *)
   let r =
-    S.run ra ~n:4 ~seed:7 ~steps:4000
+    S.run ra ~n:4 ~seed:7 ~steps:4000 ~record:true
       ~wrapper:(S.wrapped ~delta:4 ())
       ~faults:(S.burst ~at:800)
   in
@@ -273,7 +273,7 @@ let harvest_views () =
 (* The reference for [Wrapper.guard_holds]: the same semantics, with
    the quantifiers read as [List.exists] / [List.for_all] over the
    [Pid.others] list. *)
-let rec reference_guard g (v : Graybox.View.t) ~timer ~peers =
+let rec reference_guard g (v : Graybox.View.t) ~peers =
   let peer_holds test k =
     match test with
     | W.Any_peer -> true
@@ -285,12 +285,9 @@ let rec reference_guard g (v : Graybox.View.t) ~timer ~peers =
   | W.Mode W.Is_thinking -> Graybox.View.thinking v
   | W.Mode W.Is_hungry -> Graybox.View.hungry v
   | W.Mode W.Is_eating -> Graybox.View.eating v
-  | W.Timer_zero -> timer = 0
-  | W.Not g -> not (reference_guard g v ~timer ~peers)
-  | W.And (a, b) ->
-    reference_guard a v ~timer ~peers && reference_guard b v ~timer ~peers
-  | W.Or (a, b) ->
-    reference_guard a v ~timer ~peers || reference_guard b v ~timer ~peers
+  | W.Not g -> not (reference_guard g v ~peers)
+  | W.And (a, b) -> reference_guard a v ~peers && reference_guard b v ~peers
+  | W.Or (a, b) -> reference_guard a v ~peers || reference_guard b v ~peers
   | W.Exists_peer t -> List.exists (peer_holds t) peers
   | W.Forall_peer t -> List.for_all (peer_holds t) peers
 
@@ -306,17 +303,10 @@ let test_guard_holds_reference () =
       List.iter
         (fun (v : Graybox.View.t) ->
           let peers = Sim.Pid.others ~self:v.self ~n in
-          List.iter
-            (fun timer ->
-              if
-                W.guard_holds t.guard v ~timer ~n
-                <> reference_guard t.guard v ~timer ~peers
-              then
-                Alcotest.failf "guard_holds disagrees on %s at timer %d"
-                  (W.to_string t) timer)
-            [ 0; 1 ])
+          if W.guard_holds t.guard v ~n <> reference_guard t.guard v ~peers
+          then Alcotest.failf "guard_holds disagrees on %s" (W.to_string t))
         views)
-    (W.w_timed :: terms)
+    terms
 
 let () =
   Alcotest.run "synth"

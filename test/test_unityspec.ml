@@ -153,73 +153,6 @@ let test_unless_with_q_true =
       ok (Temporal.unless ~p:(fun x -> x = 1) ~q:(fun _ -> true) tr))
 
 (* ------------------------------------------------------------------ *)
-(* Online monitors: exact equivalence with the offline operators       *)
-
-let same_verdict a b =
-  match a, b with
-  | Temporal.Holds, Temporal.Holds -> true
-  | Temporal.Violated { at = i; _ }, Temporal.Violated { at = j; _ } -> i = j
-  | Temporal.Pending { obligations = xs }, Temporal.Pending { obligations = ys }
-    -> xs = ys
-  | _ -> false
-
-let p x = x = 1
-let q x = x >= 2
-
-let online_equiv name offline online =
-  qtest ("online = offline: " ^ name) gen_trace (fun tr ->
-      same_verdict (offline tr) (Online.run online tr))
-
-let test_online_invariant =
-  online_equiv "invariant" (Temporal.invariant p) (Online.invariant p)
-
-let test_online_step_invariant =
-  online_equiv "step_invariant"
-    (Temporal.step_invariant ( <= ))
-    (Online.step_invariant ( <= ))
-
-let test_online_unless =
-  online_equiv "unless" (Temporal.unless ~p ~q) (Online.unless p q)
-
-let test_online_stable =
-  online_equiv "stable" (Temporal.stable q) (Online.stable q)
-
-let test_online_leads_to =
-  online_equiv "leads_to" (Temporal.leads_to ~p ~q) (Online.leads_to p q)
-
-let test_online_leads_to_always =
-  online_equiv "leads_to_always"
-    (Temporal.leads_to_always ~p ~q)
-    (Online.leads_to_always p q)
-
-let test_online_persistence () =
-  (* feeding a monitor must not mutate the original *)
-  let m = Online.invariant p in
-  let m1 = Online.feed m 1 in
-  let _bad = Online.feed m1 0 in
-  Alcotest.(check bool) "original unaffected" true
-    (Temporal.is_ok (Online.verdict m1))
-
-let test_online_contramap () =
-  let m = Online.contramap fst (Online.invariant p) in
-  let m = Online.feed_all m [ (1, "a"); (1, "b") ] in
-  Alcotest.(check bool) "adapted" true (Temporal.is_ok (Online.verdict m));
-  let m = Online.feed m (9, "c") in
-  Alcotest.(check bool) "violation seen" false
-    (Temporal.is_ok (Online.verdict m))
-
-let test_online_all () =
-  let m = Online.all [ Online.invariant p; Online.leads_to p q ] in
-  let m = Online.feed_all m [ 1; 1 ] in
-  (match Online.verdict m with
-   | Temporal.Pending _ -> ()
-   | _ -> Alcotest.fail "expected pending obligations");
-  let m = Online.feed m 0 in
-  match Online.verdict m with
-  | Temporal.Violated _ -> ()
-  | _ -> Alcotest.fail "violation must dominate"
-
-(* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 
 let test_report () =
@@ -262,14 +195,4 @@ let () =
           test_leads_to_reflexive;
           test_leads_to_weakening;
           test_unless_with_q_true ] );
-      ( "online",
-        [ test_online_invariant;
-          test_online_step_invariant;
-          test_online_unless;
-          test_online_stable;
-          test_online_leads_to;
-          test_online_leads_to_always;
-          Alcotest.test_case "persistence" `Quick test_online_persistence;
-          Alcotest.test_case "contramap" `Quick test_online_contramap;
-          Alcotest.test_case "all" `Quick test_online_all ] );
       ("report", [ Alcotest.test_case "report" `Quick test_report ]) ]
