@@ -215,9 +215,9 @@ module Make (P : Protocol.S) = struct
 
   module Run = Sim.Engine.Make (Node)
 
-  let make_engine ?indexed params ~seed =
-    let cfg = Run.config ?indexed ~n:params.n ~seed () in
-    Run.create cfg ~init:(init params ~client_seed:(seed * 31 + 17))
+  let make_engine params ~seed =
+    Run.create ~n:params.n ~seed
+      ~init:(init params ~client_seed:(seed * 31 + 17))
 
   let view_trace trace =
     trace

@@ -94,12 +94,10 @@ module Make (P : Protocol.S) : sig
 
   module Run : module type of Sim.Engine.Make (Node)
 
-  val make_engine : ?indexed:bool -> params -> seed:int -> Run.t
-  (** [?indexed] selects the engine's move-index implementation (see
-      {!Sim.Engine.Make.config}); the default maintains O(log n)
-      incremental indexes, [~indexed:false] keeps the scanning
-      scheduler.  Schedules are bit-identical either way.  Nothing is
-      recorded unless a caller attaches {!Run.recorder}. *)
+  val make_engine : params -> seed:int -> Run.t
+  (** [make_engine params ~seed] is a fresh engine over [params.n]
+      initial nodes.  Nothing is recorded unless a caller attaches
+      {!Run.recorder}. *)
 
   val view_trace : (node, envelope) Sim.Trace.t -> (View.t, Msg.t) Sim.Trace.t
   (** A recorded trace ({!Run.recorder}) projected to spec level: views

@@ -347,10 +347,13 @@ module Epoch = struct
       (Sim.Regime.groups_label row.topo)
       row.row_entries Temporal.pp_verdict row.me1
 
+  (* one line per row and per verdict: a vertical box breaks at every
+     cut, whatever the lines' widths *)
   let pp ppf (r : report) =
+    Format.fprintf ppf "@[<v>";
     List.iter (fun row -> Format.fprintf ppf "%a@," pp_row row) r.rows;
     Format.fprintf ppf "heal obligation: %a@," Temporal.pp_verdict r.heal;
     Format.fprintf ppf "ME2 (global epochs): %a@," Temporal.pp_verdict r.me2;
     Format.fprintf ppf "ME3 (intra-group): %a@," Temporal.pp_verdict r.me3;
-    Format.fprintf ppf "during-split entries: %d" r.split_entries
+    Format.fprintf ppf "during-split entries: %d@]" r.split_entries
 end

@@ -54,9 +54,8 @@ let run ?corrupt_at ~n ~k ~seed ~steps () =
   if n < 2 then invalid_arg "Kstate.run: need n >= 2";
   if k < n + 1 then invalid_arg "Kstate.run: need k >= n + 1";
   let engine =
-    Run.create
-      (Run.config ~n ~seed ())
-      ~init:(fun self -> { self; n; k; x = 0; pred_x = None; moves = 0 })
+    Run.create ~n ~seed ~init:(fun self ->
+        { self; n; k; x = 0; pred_x = None; moves = 0 })
   in
   let recorded = Run.recorder engine in
   let plan =

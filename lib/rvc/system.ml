@@ -58,8 +58,7 @@ end
 module Run = Sim.Engine.Make (Node)
 
 let make_engine params ~seed =
-  let cfg = Run.config ~n:params.n ~seed () in
-  Run.create cfg ~init:(fun self ->
+  Run.create ~n:params.n ~seed ~init:(fun self ->
       { params;
         clock = Clock.create ~n:params.n ~bound:params.bound ~self;
         rng = Rng.create ((seed * 131) + self);

@@ -12,19 +12,13 @@ module type NODE = sig
 end
 
 module Make (N : NODE) = struct
-  type config = { n : int; seed : int; indexed : bool }
-
-  let config ?(indexed = true) ~n ~seed () =
-    if n <= 0 then invalid_arg "Engine.config: need n > 0";
-    { n; seed; indexed }
-
   (* scheduling weights: a pending delivery is drawn twice as often as
      an enabled internal action *)
   let deliver_weight = 2
   let internal_weight = 1
 
   type t = {
-    cfg : config;
+    n : int;
     sched_rng : Rng.t;
     fault_rng : Rng.t;
     mutable time : int;
@@ -42,35 +36,24 @@ module Make (N : NODE) = struct
            crash status changed ([acts_dirty]). *)
     acts_dirty : bool array;
     dirty : int Vec.t;
-        (* indexed mode: the processes with [acts_dirty] set since the
-           last refresh, so the refresh touches only them instead of
-           scanning all n.  Invariant: [acts_dirty.(p)] iff [p] is in
-           [dirty] (exactly once) — [mark_dirty] pushes on the
-           false-to-true flip only. *)
+        (* the processes with [acts_dirty] set since the last refresh,
+           so the refresh touches only them instead of scanning all n.
+           Invariant: [acts_dirty.(p)] iff [p] is in [dirty] (exactly
+           once) — [mark_dirty] pushes on the false-to-true flip
+           only. *)
     act_counts : Fenwick.t;
-        (* indexed mode: per-process enabled-action counts, kept in
-           lockstep with [acts] — the internal-move half of the
-           weighted draw is [total] + [select] instead of a scan *)
+        (* per-process enabled-action counts, kept in lockstep with
+           [acts] — the internal-move half of the weighted draw is
+           [total] + [select] instead of a scan *)
     crashed_now : bool array;
-        (* crash status at the last refresh; [crashed] depends on
+        (* crash status as the scheduler sees it; [crashed] depends on
            [time], so a flip must dirty the cache even though no state
-           write happened.  Indexed mode maintains it eagerly (at fault
-           injection and at recovery detection). *)
+           write happened.  Set at fault injection, cleared when
+           [sync_recoveries] sees the window elapse. *)
     mutable crashed_pids : int list;
-        (* indexed mode: the processes currently inside a crash window
-           (those with [crashed_now] set), so crash bookkeeping costs
-           O(crashed), not O(n) — and nothing once every window has
-           elapsed *)
-    deliv : int array;
-        (* scan-mode scratch (empty when [cfg.indexed]): channel
-           indices (src * n + dst) of the deliverable messages found by
-           [refresh_moves], so the chosen delivery is an array lookup
-           rather than a second fold *)
-    mutable crash_faults_seen : bool;
-        (* no Crash fault has ever been applied: every live channel is
-           deliverable, so the per-step crash bookkeeping (the
-           crash-effects scan and the deliverable-channel filter) can
-           be skipped entirely *)
+        (* the processes currently inside a crash window (those with
+           [crashed_now] set), so crash bookkeeping costs O(crashed),
+           not O(n) — and nothing once every window has elapsed *)
     delay_dists : (int, Faults.delay_dist) Hashtbl.t;
         (* per-channel (src * n + dst) delivery-delay distribution,
            installed by Delay faults; absent means deliver immediately *)
@@ -93,49 +76,52 @@ module Make (N : NODE) = struct
       Vec.iter (fun f -> f step) t.observers
     end
 
-  let create cfg ~init =
-    let master = Rng.create cfg.seed in
+  let create ~n ~seed ~init =
+    if n <= 0 then invalid_arg "Engine.create: need n > 0";
+    let master = Rng.create seed in
+    (* the fault stream is the master's first split, the schedule
+       stream its second — every recorded schedule and digest depends
+       on this order *)
+    let fault_rng = Rng.split master in
+    let sched_rng = Rng.split master in
     let t =
-      { cfg;
-        sched_rng = Rng.split master;
-        fault_rng = Rng.split master;
+      { n;
+        sched_rng;
+        fault_rng;
         time = 0;
-        states = Array.init cfg.n init;
-        net = Network.create ~n:cfg.n;
-        crash_until = Array.make cfg.n 0;
-        crash_lose = Array.make cfg.n false;
-        acts = Array.make cfg.n [];
-        acts_dirty = Array.make cfg.n true;
+        states = Array.init n init;
+        net = Network.create ~n;
+        crash_until = Array.make n 0;
+        crash_lose = Array.make n false;
+        acts = Array.make n [];
+        acts_dirty = Array.make n true;
         dirty = Vec.create ();
-        act_counts = Fenwick.create cfg.n;
-        crashed_now = Array.make cfg.n false;
+        act_counts = Fenwick.create n;
+        crashed_now = Array.make n false;
         crashed_pids = [];
-        deliv = Array.make (if cfg.indexed then 0 else cfg.n * cfg.n) 0;
-        crash_faults_seen = false;
         delay_dists = Hashtbl.create 7;
         net_faults_seen = false;
         observers = Vec.create ();
         metrics = Metrics.create () }
     in
-    if cfg.indexed then
-      for p = 0 to cfg.n - 1 do
-        Vec.push t.dirty p
-      done;
+    for p = 0 to n - 1 do
+      Vec.push t.dirty p
+    done;
     t
 
   let time t = t.time
-  let n_processes t = t.cfg.n
+  let n_processes t = t.n
   let state t p = t.states.(p)
   let states t = Array.copy t.states
   let network t = t.net
   let metrics t = t.metrics
 
   (* The false-to-true flip is the only push, so [dirty] never holds a
-     process twice and the indexed refresh touches each at most once. *)
+     process twice and the refresh touches each at most once. *)
   let mark_dirty t p =
     if not t.acts_dirty.(p) then begin
       t.acts_dirty.(p) <- true;
-      if t.cfg.indexed then Vec.push t.dirty p
+      Vec.push t.dirty p
     end
 
   let set_state t p s =
@@ -167,11 +153,10 @@ module Make (N : NODE) = struct
           :: !rev);
     fun () -> List.rev !rev
 
-  (* Indexed mode: drop the processes whose crash window has elapsed
-     from [crashed_pids], retiring their lose flag (so a later
-     buffer-mode crash is not contaminated) and dirtying their action
-     cache — the same transitions the scan path discovers by comparing
-     [crashed] against [crashed_now] across all n. *)
+  (* Drop the processes whose crash window has elapsed from
+     [crashed_pids], retiring their lose flag (so a later buffer-mode
+     crash is not contaminated) and dirtying their action cache: a
+     recovered process's actions come back. *)
   let sync_recoveries t =
     match t.crashed_pids with
     | [] -> ()
@@ -193,7 +178,7 @@ module Make (N : NODE) = struct
      a later buffer-mode crash of the same process is not contaminated.
      The drain enumerates only the nonempty inbound channels (nothing
      at all when none is live or staged), skipping the unused
-     self-channel like the scan path's [Pid.others] walk. *)
+     self-channel. *)
   let drain_inbound t p =
     if t.crash_lose.(p) then begin
       let srcs =
@@ -211,16 +196,8 @@ module Make (N : NODE) = struct
     end
 
   let apply_crash_effects t =
-    if t.cfg.indexed then begin
-      sync_recoveries t;
-      List.iter (fun p -> drain_inbound t p) t.crashed_pids
-    end
-    else if t.crash_faults_seen then
-      Array.iteri
-        (fun p until ->
-          if until > t.time then drain_inbound t p
-          else t.crash_lose.(p) <- false)
-        t.crash_until
+    sync_recoveries t;
+    List.iter (fun p -> drain_inbound t p) t.crashed_pids
 
   let dispatch t ~src ~label outbox =
     Metrics.note_sends t.metrics ~label (List.length outbox);
@@ -238,7 +215,7 @@ module Make (N : NODE) = struct
                (readiness deferred to the heal); link delays compose
                on top of it *)
             let delay =
-              match Hashtbl.find_opt t.delay_dists ((src * t.cfg.n) + dst) with
+              match Hashtbl.find_opt t.delay_dists ((src * t.n) + dst) with
               | None -> None
               | Some dist -> Some (Faults.draw_delay dist t.fault_rng)
             in
@@ -253,50 +230,12 @@ module Make (N : NODE) = struct
      step.  A move is addressed by its position in that sequence, and
      the weighted draw consumes the RNG exactly as [Rng.pick_weighted]
      did on the materialized list, so schedules are seed-for-seed
-     unchanged.
-
-     Two implementations address that sequence.  The scan refresh
-     recounts all n processes (and, after a crash, all live channels)
-     every step.  The indexed refresh recounts only the dirtied
-     processes into the Fenwick tree and reads both totals in O(1) /
-     O(crashed); selection is then a Fenwick [select] or the network's
-     [nth_live] — O(log n) a step instead of O(n).  Both count the same
-     moves in the same order, so the draw below is mode-blind. *)
-  let refresh_scan t =
-    let d =
-      if not t.crash_faults_seen then
-        (* no crashes ever: every live channel is deliverable, and the
-           scratch index is not needed ([nth_delivery] walks the live
-           set directly) *)
-        Network.live_count t.net
-      else begin
-        let d = ref 0 in
-        Network.fold_nonempty
-          (fun () ~src ~dst ->
-            if not (crashed t dst) then begin
-              t.deliv.(!d) <- (src * t.cfg.n) + dst;
-              incr d
-            end)
-          () t.net;
-        !d
-      end
-    in
-    let i = ref 0 in
-    for p = 0 to t.cfg.n - 1 do
-      let c = crashed t p in
-      if c <> t.crashed_now.(p) then begin
-        t.crashed_now.(p) <- c;
-        t.acts_dirty.(p) <- true
-      end;
-      if t.acts_dirty.(p) then begin
-        t.acts.(p) <- (if c then [] else N.actions ~self:p t.states.(p));
-        t.acts_dirty.(p) <- false
-      end;
-      i := !i + List.length t.acts.(p)
-    done;
-    (d, !i)
-
-  let refresh_indexed t =
+     unchanged.  The refresh recounts only the dirtied processes into
+     the Fenwick tree and reads both totals in O(1) / O(crashed);
+     selection is then a Fenwick [select] or the network's [nth_live]
+     — O(log n) a step.  [Oracles.Schedule] in test/ rebuilds the
+     sequence from scratch every step and holds this to it. *)
+  let refresh_moves t =
     sync_recoveries t;
     Vec.iter
       (fun p ->
@@ -309,8 +248,7 @@ module Make (N : NODE) = struct
       t.dirty;
     Vec.clear t.dirty;
     let d =
-      (* subtracting crashed destinations' inbound live counts equals
-         the scan path's per-channel deliverability filter *)
+      (* a channel into a crashed process is not deliverable *)
       List.fold_left
         (fun d p -> d - Network.live_into t.net ~dst:p)
         (Network.live_count t.net)
@@ -318,51 +256,31 @@ module Make (N : NODE) = struct
     in
     (d, Fenwick.total t.act_counts)
 
-  let refresh_moves t =
-    if t.cfg.indexed then refresh_indexed t else refresh_scan t
-
   exception Nth_chan of Pid.t * Pid.t
 
   (* The k-th deliverable channel in (src, dst) order.  With no crash
-     window active every live channel qualifies: indexed mode selects
-     it in O(log n), scan mode walks to it (once per step, only for
-     the chosen move).  While a crash is active, both modes skip the
-     crashed destinations — the scan path from its scratch index, the
-     indexed path by walking the live set (crash windows are a
-     small-n chaos concern; the walk lasts only as long as they do). *)
-  let nth_live_walk t ~skip_crashed k =
-    let k = ref k in
-    try
-      Network.fold_nonempty
-        (fun () ~src ~dst ->
-          if skip_crashed && t.crashed_now.(dst) then ()
-          else if !k = 0 then raise (Nth_chan (src, dst))
-          else decr k)
-        () t.net;
-      assert false (* k < deliverable count *)
-    with Nth_chan (src, dst) -> (src, dst)
-
+     window active every live channel qualifies and [nth_live] selects
+     it in O(log n).  While a crash is active, the crashed
+     destinations are skipped by walking the live set (crash windows
+     are a small-n chaos concern; the walk lasts only as long as they
+     do). *)
   let nth_delivery t k =
-    if t.cfg.indexed then
-      if t.crashed_pids = [] then Network.nth_live t.net k
-      else nth_live_walk t ~skip_crashed:true k
-    else if t.crash_faults_seen then begin
-      let i = t.deliv.(k) in
-      (i / t.cfg.n, i mod t.cfg.n)
-    end
-    else nth_live_walk t ~skip_crashed:false k
+    if t.crashed_pids = [] then Network.nth_live t.net k
+    else
+      let k = ref k in
+      try
+        Network.fold_nonempty
+          (fun () ~src ~dst ->
+            if t.crashed_now.(dst) then ()
+            else if !k = 0 then raise (Nth_chan (src, dst))
+            else decr k)
+          () t.net;
+        assert false (* k < deliverable count *)
+      with Nth_chan (src, dst) -> (src, dst)
 
   let nth_internal t k =
-    if t.cfg.indexed then begin
-      let p, r = Fenwick.select_rem t.act_counts k in
-      (p, List.nth t.acts.(p) r)
-    end
-    else
-      let rec go p k =
-        let len = List.length t.acts.(p) in
-        if k < len then (p, List.nth t.acts.(p) k) else go (p + 1) (k - len)
-      in
-      go 0 k
+    let p, r = Fenwick.select_rem t.act_counts k in
+    (p, List.nth t.acts.(p) r)
 
   let step t =
     if t.net_faults_seen then Network.advance t.net ~now:t.time;
@@ -436,7 +354,7 @@ module Make (N : NODE) = struct
         do
           ()
         done)
-      (Faults.select_chans ~n:t.cfg.n chan);
+      (Faults.select_chans ~n:t.n chan);
     note t.metrics !applied
 
   let apply_fault t kind =
@@ -460,39 +378,34 @@ module Make (N : NODE) = struct
          (fun (src, dst) ->
            flushed := !flushed + Network.channel_length t.net ~src ~dst;
            Network.flush_channel t.net ~src ~dst)
-         (Faults.select_chans ~n:t.cfg.n chan);
+         (Faults.select_chans ~n:t.n chan);
        Metrics.note_flushed t.metrics !flushed
      | Mutate_state { proc; f } ->
        List.iter
          (fun p ->
            t.states.(p) <- f t.fault_rng t.states.(p);
            mark_dirty t p)
-         (Faults.select_procs ~n:t.cfg.n proc)
+         (Faults.select_procs ~n:t.n proc)
      | Reset_state { proc; f } ->
        List.iter
          (fun p ->
            t.states.(p) <- f p;
            mark_dirty t p)
-         (Faults.select_procs ~n:t.cfg.n proc)
+         (Faults.select_procs ~n:t.n proc)
      | Crash { proc; until_t; lose_deliveries } ->
-       t.crash_faults_seen <- true;
        List.iter
          (fun p ->
            if until_t > t.time then begin
              t.crash_until.(p) <- Int.max t.crash_until.(p) until_t;
              t.crash_lose.(p) <- t.crash_lose.(p) || lose_deliveries;
-             (* indexed mode tracks the crash flip here rather than by
-                rescanning at refresh; the scan path discovers it from
-                [crash_until] alone, so [crashed_now] must stay
-                untouched for it *)
-             if t.cfg.indexed && not t.crashed_now.(p) then begin
+             if not t.crashed_now.(p) then begin
                t.crashed_now.(p) <- true;
                t.crashed_pids <- p :: t.crashed_pids;
                mark_dirty t p
              end;
              Metrics.note_crashed t.metrics
            end)
-         (Faults.select_procs ~n:t.cfg.n proc)
+         (Faults.select_procs ~n:t.n proc)
      | Split { groups; from_t = _; until_t; mode } ->
        t.net_faults_seen <- true;
        Network.advance t.net ~now:t.time;
@@ -501,7 +414,7 @@ module Make (N : NODE) = struct
        in
        let lost =
          Network.apply_split t.net ~until:until_t ~mode
-           ~pairs:(Faults.cross_pairs ~n:t.cfg.n groups)
+           ~pairs:(Faults.cross_pairs ~n:t.n groups)
        in
        if lost > 0 then Metrics.note_dropped t.metrics lost
      | Delay { chan; dist } ->
@@ -509,8 +422,8 @@ module Make (N : NODE) = struct
        Network.advance t.net ~now:t.time;
        List.iter
          (fun (src, dst) ->
-           Hashtbl.replace t.delay_dists ((src * t.cfg.n) + dst) dist)
-         (Faults.select_chans ~n:t.cfg.n chan)
+           Hashtbl.replace t.delay_dists ((src * t.n) + dst) dist)
+         (Faults.select_chans ~n:t.n chan)
      | Heal ->
        (* a marker, not a mechanism: the heal itself is the partition
           mask expiring inside the network.  Recording the Fault event
@@ -530,11 +443,8 @@ module Make (N : NODE) = struct
      engine stutters forever — the one early-exit condition that
      preserves the rest of the run exactly. *)
   let quiescent t =
-    (if t.cfg.indexed then begin
-       sync_recoveries t;
-       t.crashed_pids = []
-     end
-     else not (Array.exists (fun until -> until > t.time) t.crash_until))
+    sync_recoveries t;
+    t.crashed_pids = []
     && begin
       (* staged messages become deliverable at a later step, so they
          are pending moves even though no channel is live yet *)

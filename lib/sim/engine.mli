@@ -35,30 +35,18 @@ module type NODE = sig
 end
 
 module Make (N : NODE) : sig
-  type config = private {
-    n : int;  (** number of processes *)
-    seed : int;  (** master seed; equal seeds give equal executions *)
-    indexed : bool;
-        (** maintain incremental move indexes (a Fenwick tree of
-            per-process action counts and the network's live-channel
-            index) so each step costs O(log n) instead of a full
-            O(n + channels) rescan — the default.  [false] keeps the
-            original scanning scheduler; both consume the RNG
-            identically, so schedules are seed-for-seed bit-identical
-            across the two (the equivalence suite checks this). *)
-  }
-
-  val config : ?indexed:bool -> n:int -> seed:int -> unit -> config
-  (** [config ~n ~seed ()] validates and builds a configuration.  Each
-      step draws one enabled move at random, a pending delivery with
-      weight 2 and an enabled internal action with weight 1.
-      @raise Invalid_argument if [n <= 0]. *)
-
   type t
 
-  val create : config -> init:(Pid.t -> N.state) -> t
-  (** [create cfg ~init] builds the initial global state with empty
-      channels ("Init" in the paper's Lspec). *)
+  val create : n:int -> seed:int -> init:(Pid.t -> N.state) -> t
+  (** [create ~n ~seed ~init] builds the initial global state of [n]
+      processes with empty channels ("Init" in the paper's Lspec).
+      Each step draws one enabled move at random from the [seed]'s
+      schedule stream, a pending delivery with weight 2 and an enabled
+      internal action with weight 1; equal seeds give equal
+      executions.  The engine keeps incremental move indexes (a Fenwick
+      tree of per-process action counts and the network's live-channel
+      index), so a step costs O(log n).
+      @raise Invalid_argument if [n <= 0]. *)
 
   (** {2 Observation} *)
 
@@ -118,7 +106,12 @@ module Make (N : NODE) : sig
   val step : t -> (N.state, N.msg) Trace.event
   (** [step t] executes one scheduler move (or a [Stutter] when
       nothing is enabled), advances time by one, and notifies the
-      observers. *)
+      observers.  The moves, in order, are the [d] channels with a
+      deliverable head into a process outside any crash window, by
+      (src, dst), then the [i] enabled actions of those processes, by
+      pid and then in [N.actions] order; a draw [r] of
+      [Rng.int (2d + i)] takes delivery [r / 2] when [r < 2d], else
+      action [r - 2d]. *)
 
   val apply_fault : t -> (N.state, N.msg) Faults.kind -> unit
   (** [apply_fault t k] injects [k] now and notifies the observers of

@@ -45,8 +45,8 @@ type result = {
       (* steps from intended arrival to CS entry, in grant order *)
 }
 
-let run ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests
-    ~max_steps () =
+let run (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests ~max_steps
+    () =
   if rate <= 0. then invalid_arg "Load.run: need rate > 0";
   let module Node = struct
     type phase = Idle | Waiting | Eating
@@ -102,9 +102,7 @@ let run ?indexed (module P : Graybox.Protocol.S) ~n ~seed ~rate ~max_requests
   end in
   let module E = Sim.Engine.Make (Node) in
   let eng =
-    E.create
-      (E.config ?indexed ~n ~seed ())
-      ~init:(fun self ->
+    E.create ~n ~seed ~init:(fun self ->
         { Node.proto = P.init ~n self;
           phase = Node.Idle;
           pending = Fqueue.empty;

@@ -31,7 +31,6 @@ type result = {
 }
 
 val run :
-  ?indexed:bool ->
   (module Graybox.Protocol.S) ->
   n:int ->
   seed:int ->
@@ -49,9 +48,7 @@ val run :
     measured rather than censored by the horizon, exiting as soon as
     every injected request has been granted.  A request still ungranted
     when the drain ends leaves [grants < requests] — for the reference
-    protocols that indicates a genuine liveness problem.
-    [?indexed] selects the engine's move-index implementation (see
-    {!Sim.Engine.Make.config}); results are identical either way. *)
+    protocols that indicates a genuine liveness problem. *)
 
 val percentiles : result -> float list -> float list
 (** [percentiles r ps] are the exact nearest-rank percentiles of the

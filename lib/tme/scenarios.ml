@@ -48,11 +48,11 @@ type result = {
 }
 
 let run ?(wrapper = H.Off) ?(faults = []) ?(record = false) ?(streaming = true)
-    ?tail_margin ?(passive = []) ?indexed (module P : Graybox.Protocol.S) ~n
-    ~seed ~steps =
+    ?tail_margin ?(passive = []) (module P : Graybox.Protocol.S) ~n ~seed
+    ~steps =
   let module Run = H.Make (P) in
   let params = H.params ~wrapper ~passive ~n () in
-  let engine = Run.make_engine ?indexed params ~seed in
+  let engine = Run.make_engine params ~seed in
   let lower = function
     | Drop_requests { at; per_chan } ->
       [ Sim.Faults.at at

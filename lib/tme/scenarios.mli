@@ -111,7 +111,6 @@ val run :
   ?streaming:bool ->
   ?tail_margin:int ->
   ?passive:Sim.Pid.t list ->
-  ?indexed:bool ->
   (module Graybox.Protocol.S) ->
   n:int -> seed:int -> steps:int -> result
 (** [run proto ~n ~seed ~steps] executes one scenario.  Clients think

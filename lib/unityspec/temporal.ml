@@ -10,11 +10,22 @@ let pp_verdict ppf = function
   | Violated { at; reason } ->
     Format.fprintf ppf "violated at %d: %s" at reason
   | Pending { obligations } ->
+    (* each run of consecutive indices as one interval [a-b] *)
+    let runs =
+      List.fold_left
+        (fun acc i ->
+          match acc with
+          | (a, b) :: rest when i = b + 1 -> (a, i) :: rest
+          | _ -> (i, i) :: acc)
+        [] obligations
+    in
     Format.fprintf ppf "pending obligations at %a"
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-         Format.pp_print_int)
-      obligations
+         (fun ppf (a, b) ->
+           if a = b then Format.pp_print_int ppf a
+           else Format.fprintf ppf "%d-%d" a b))
+      (List.rev runs)
 
 let describe name fallback =
   match name with Some n -> n | None -> fallback
@@ -40,19 +51,6 @@ let step_invariant ?name r tr =
   in
   go 0 tr
 
-let unless ?name ~p ~q tr =
-  let label = describe name "unless" in
-  let r a b = (not (p a && not (q a))) || p b || q b in
-  match step_invariant r tr with
-  | Violated { at; _ } -> Violated { at; reason = label ^ " fails" }
-  | v -> v
-
-let stable ?name p tr =
-  let label = describe name "stable" in
-  match unless ~p ~q:(fun _ -> false) tr with
-  | Violated { at; _ } -> Violated { at; reason = label ^ " fails" }
-  | v -> v
-
 let leads_to ?name ~p ~q tr =
   ignore name;
   (* Walk backwards: remember the nearest later-or-equal q-point. *)
@@ -65,12 +63,6 @@ let leads_to ?name ~p ~q tr =
     if p arr.(i) && not !q_ahead then pending := i :: !pending
   done;
   if !pending = [] then Holds else Pending { obligations = !pending }
-
-let leads_to_always ?name ~p ~q tr =
-  let label = describe name "leads-to-always" in
-  match stable ~name:(label ^ " (stability of target)") q tr with
-  | Violated _ as v -> v
-  | _ -> leads_to ?name ~p ~q tr
 
 let ok_with_tail ~trace_len ~margin = function
   | Holds -> true

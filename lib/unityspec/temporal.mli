@@ -1,16 +1,16 @@
 (** UNITY temporal operators, checked over finite recorded traces.
 
-    The paper states its specifications in UNITY (Chandy–Misra):
-    [p unless q], [stable p], [p is invariant], [p ↝ q] (leads-to) and
-    [p ↪ q] (leads-to-always).  A simulator produces finite prefixes of
-    computations, so the checkers come in two flavours:
+    The paper states its specifications in UNITY (Chandy–Misra).  The
+    clause monitors here need three operators: [p is invariant],
+    primed-variable step relations, and [p ↝ q] (leads-to).  A
+    simulator produces finite prefixes of computations, so the checkers
+    come in two flavours:
 
-    - {e safety} ([invariant], [unless], [stable], [step_invariant])
-      is decided definitively on a prefix — a violation is a violation;
-    - {e liveness} ([leads_to], [leads_to_always]) can only be
-      {e discharged} or left {e pending} on a prefix; the pending count
-      at the end of a long run (with the system quiescent) is the
-      empirical verdict.
+    - {e safety} ([invariant], [step_invariant]) is decided
+      definitively on a prefix — a violation is a violation;
+    - {e liveness} ([leads_to]) can only be {e discharged} or left
+      {e pending} on a prefix; the pending count at the end of a long
+      run (with the system quiescent) is the empirical verdict.
 
     All checkers work on ['a list] traces for any snapshot type; the
     graybox layer instantiates ['a] with arrays of spec-level views. *)
@@ -27,19 +27,14 @@ val is_ok : verdict -> bool
 (** [is_ok v] is [true] only for [Holds]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+(** [pp_verdict] prints [holds], [violated at I: REASON], or
+    [pending obligations at …] with each run of consecutive indices as
+    one interval: [3-5,9,12-20]. *)
 
 (** {2 Safety} *)
 
 val invariant : ?name:string -> ('a -> bool) -> 'a list -> verdict
 (** [invariant p tr]: [p] holds in every snapshot. *)
-
-val unless : ?name:string -> p:('a -> bool) -> q:('a -> bool) -> 'a list -> verdict
-(** [unless ~p ~q tr]: whenever [p ∧ ¬q] holds in a snapshot, [p ∨ q]
-    holds in the next one. *)
-
-val stable : ?name:string -> ('a -> bool) -> 'a list -> verdict
-(** [stable p tr] is [unless ~p ~q:(fun _ -> false)]: once [p], always
-    [p]. *)
 
 val step_invariant :
   ?name:string -> ('a -> 'a -> bool) -> 'a list -> verdict
@@ -53,13 +48,6 @@ val leads_to : ?name:string -> p:('a -> bool) -> q:('a -> bool) -> 'a list -> ve
 (** [leads_to ~p ~q tr]: every snapshot satisfying [p] is followed
     (inclusively) by one satisfying [q].  Undischarged obligations are
     reported as [Pending]. *)
-
-val leads_to_always :
-  ?name:string -> p:('a -> bool) -> q:('a -> bool) -> 'a list -> verdict
-(** [leads_to_always ~p ~q tr] is the paper's [p ↪ q]:
-    [leads_to p q] and, additionally, [q] never turns false once true
-    ([stable q]).  A [q]-point that later fails [q] is a safety
-    violation; an open [p]-obligation is [Pending]. *)
 
 val ok_with_tail : trace_len:int -> margin:int -> verdict -> bool
 (** [ok_with_tail ~trace_len ~margin v] accepts [Holds] and accepts

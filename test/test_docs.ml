@@ -212,7 +212,7 @@ let test_experiments_load_section () =
   check_mentions "EXPERIMENTS.md" text
     ([ "## Open-loop load (LOAD, `bench/expected/load.txt`)";
        "--max-steps"; "coordinated omission"; "open-loop";
-       "p50/p99/p999"; "~indexed:false" ]
+       "p50/p99/p999"; "Oracles.Schedule" ]
      @ List.map
          (fun (e : R.entry) -> e.R.name)
          (R.all ~role:R.Reference ()))
@@ -313,9 +313,10 @@ let row_cells l =
   in
   List.rev (close cur cells)
 
-(* bench/expected/[table].txt as its file name, a reader [cell col row]
-   and its rows' cells; the header is the line above the first dashed
-   rule, and the rows are the nonempty lines below it. *)
+(* bench/expected/[table].txt as its file name, its header cells, a
+   reader [cell col row] and its rows' cells; the header is the line
+   above the first dashed rule, and the rows are the nonempty lines
+   below it. *)
 let golden_table table =
   let file = "bench/expected/" ^ table ^ ".txt" in
   let rec split = function
@@ -331,12 +332,12 @@ let golden_table table =
     | [] -> Alcotest.failf "%s: no column %S" file col
   in
   let cell col row = List.nth row (index col 0 header) in
-  (file, cell, rows)
+  (file, header, cell, rows)
 
 (* The cell of bench/expected/[table].txt in the row whose first cell
    is [row] and the column whose header is [col]. *)
 let golden_cell table ~row ~col =
-  let file, cell, rows = golden_table table in
+  let file, _, cell, rows = golden_table table in
   match List.find_opt (fun r -> List.nth_opt r 0 = Some row) rows with
   | Some r -> cell col r
   | None -> Alcotest.failf "%s: no row %S" file row
@@ -364,12 +365,34 @@ let test_experiments_quoted_numbers () =
   check_mentions "README.md" (Lazy.force readme)
     [ Printf.sprintf "(%.0f → %.0f msgs per" w w64 ]
 
-(* EXPERIMENTS.md's heal-flood premium, in its index row and in the
-   PARTITION section, is the golden table's: per wrapped reference, the
-   range over widths of the buffered row's extra latency after heal
-   over the lossy row's, in whole percent rounded down. *)
+(* The lines of the EXPERIMENTS.md section whose heading starts with
+   [heading], up to the next "## " heading. *)
+let section ls ~heading =
+  let rec find = function
+    | l :: rest when String.starts_with ~prefix:heading l ->
+      let rec body = function
+        | l :: _ when String.starts_with ~prefix:"## " l -> []
+        | l :: rest -> l :: body rest
+        | [] -> []
+      in
+      body rest
+    | _ :: rest -> find rest
+    | [] -> Alcotest.failf "EXPERIMENTS.md: no section %S" heading
+  in
+  find ls
+
+let partition_index_row ls =
+  List.find (String.starts_with ~prefix:"| PARTITION |") ls
+
+let partition_section ls =
+  String.concat "\n" (section ls ~heading:"## Partitions, heal")
+
+(* The heal-flood premium, in EXPERIMENTS.md's index row and PARTITION
+   section and in the README, is the golden table's: per wrapped
+   reference, the range over widths of the buffered row's extra latency
+   after heal over the lossy row's, in whole percent rounded down. *)
 let test_experiments_heal_premium () =
-  let _, cell, rows = golden_table "partition" in
+  let _, _, cell, rows = golden_table "partition" in
   let premium proto =
     (* (width, latency after heal) of each of [proto]'s [mode] rows *)
     let latencies mode =
@@ -394,21 +417,45 @@ let test_experiments_heal_premium () =
   let quoted = [ premium "lamport"; premium "ra" ] in
   let ls = lines (Lazy.force experiments) in
   check_mentions "EXPERIMENTS.md's PARTITION index row"
-    (List.find (String.starts_with ~prefix:"| PARTITION |") ls)
+    (partition_index_row ls) quoted;
+  check_mentions "EXPERIMENTS.md's PARTITION section" (partition_section ls)
     quoted;
-  (* the section: the lines from its heading to the next one *)
-  let rec section = function
-    | l :: rest when String.starts_with ~prefix:"## Partitions, heal" l ->
-      let rec body = function
-        | l :: _ when String.starts_with ~prefix:"## " l -> []
-        | l :: rest -> l :: body rest
-        | [] -> []
-      in
-      String.concat "\n" (body rest)
-    | _ :: rest -> section rest
-    | [] -> Alcotest.fail "EXPERIMENTS.md: no PARTITION section"
+  check_mentions "README.md" (Lazy.force readme) quoted
+
+(* The negative control's partition figures, wherever quoted, are those
+   of CI's partition campaign (--partitions --seeds 25 --budget 4
+   --steps 1200, n = 4) run over lamport-unmod alone: a cell's plans
+   depend on the seeds, not on the protocol list. *)
+let test_partition_negative_control () =
+  let report =
+    Chaos.Campaign.run
+      (Chaos.Campaign.config ~seeds:25 ~budget:4 ~steps:1200 ~n:4
+         ~protocols:[ "lamport-unmod" ] ~shrink:false ~partitions:true ())
   in
-  check_mentions "EXPERIMENTS.md's PARTITION section" (section ls) quoted
+  let share label verdict =
+    let c =
+      List.find
+        (fun (c : Chaos.Campaign.cell) -> c.Chaos.Campaign.cell_label = label)
+        report.Chaos.Campaign.cells
+    in
+    Printf.sprintf "%d/%d"
+      (List.assoc verdict c.Chaos.Campaign.counts)
+      (List.length c.Chaos.Campaign.rows)
+  in
+  let lossy = share "lamport-unmod+W'(8)/split-lossy" Chaos.Outcome.Deadlock in
+  let buffered =
+    share "lamport-unmod+W'(8)/split-buf" Chaos.Outcome.Recovered
+  in
+  let ls = lines (Lazy.force experiments) in
+  check_mentions "EXPERIMENTS.md's PARTITION index row"
+    (partition_index_row ls)
+    [ Printf.sprintf "deadlocks %s lossy, recovers %s buffered" lossy buffered ];
+  check_mentions "EXPERIMENTS.md's PARTITION section" (partition_section ls)
+    [ Printf.sprintf "lossy-split failure is deadlock, %s" lossy;
+      Printf.sprintf "deadlocks on %s lossy partitions" lossy;
+      Printf.sprintf "from %s buffered ones" buffered ];
+  check_mentions "README.md" (Lazy.force readme)
+    [ Printf.sprintf "deadlocks (%s seeds at n = 4" lossy ]
 
 (* ------------------------------------------------------------------ *)
 (* DESIGN.md: the inventory covers the partition fault model           *)
@@ -422,10 +469,10 @@ let test_design_inventory () =
 let test_design_move_indexes () =
   check_mentions "DESIGN.md" (Lazy.force design)
     [ "move indexes"; "Fenwick"; "rank/select"; "bit-identical";
-      "~indexed:false"; "dense_threshold"; "Tme.Load" ];
+      "Oracles.Schedule"; "dense_threshold"; "Tme.Load" ];
   (* the README must tell the same scale story *)
   check_mentions "README.md" (Lazy.force readme)
-    [ "bench/expected/load.txt"; "p50/p99/p999"; "~indexed:false";
+    [ "bench/expected/load.txt"; "p50/p99/p999"; "Oracles.Schedule";
       "coordinated omission" ]
 
 let test_design_regime_section () =
@@ -440,6 +487,34 @@ let test_design_regime_section () =
 (* ------------------------------------------------------------------ *)
 (* EXPERIMENTS.md: the SYNTH section exists, names its golden table,   *)
 (* the one wrapper mode, the synthesized term, and every target        *)
+
+(* EXPERIMENTS.md's SYNTH table leaves out bench/expected/synth.txt's
+   [term] column and copies every other cell, row for row. *)
+let test_experiments_synth_table () =
+  let _, header, _, rows = golden_table "synth" in
+  let rec from_title = function
+    | l :: rest when String.starts_with ~prefix:"SYNTH: " l -> rest
+    | _ :: rest -> from_title rest
+    | [] -> Alcotest.fail "EXPERIMENTS.md: no SYNTH table"
+  in
+  let rec until_fence = function
+    | l :: _ when String.starts_with ~prefix:"```" l -> []
+    | l :: rest -> row_cells l :: until_fence rest
+    | [] -> []
+  in
+  let quoted =
+    until_fence
+      (from_title
+         (section (lines (Lazy.force experiments))
+            ~heading:"## Wrapper synthesis"))
+  in
+  let without_term cells =
+    List.filteri (fun i _ -> List.nth header i <> "term") cells
+  in
+  Alcotest.(check (list (list string)))
+    "EXPERIMENTS.md's SYNTH table = bench/expected/synth.txt without term"
+    (List.map without_term (header :: rows))
+    quoted
 
 let test_experiments_synth_section () =
   let text = Lazy.force experiments in
@@ -488,6 +563,10 @@ let () =
             test_experiments_measured_tables;
           Alcotest.test_case "quoted numbers equal bench/expected" `Quick
             test_experiments_quoted_numbers;
+          Alcotest.test_case "negative control's partition figures" `Quick
+            test_partition_negative_control;
+          Alcotest.test_case "synth table equals bench/expected" `Quick
+            test_experiments_synth_table;
           Alcotest.test_case "heal-flood premium equals bench/expected" `Quick
             test_experiments_heal_premium ] );
       ( "design",

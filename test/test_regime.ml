@@ -152,6 +152,11 @@ let test_online_offline_equivalence () =
             in
             if List.length on.Epoch.rows < 2 then
               Alcotest.fail (label ^ ": split plan produced a one-epoch report");
+            Alcotest.(check int)
+              (label ^ " prints a line per row and per verdict")
+              (List.length on.Epoch.rows + 4)
+              (List.length
+                 (String.split_on_char '\n' (Format.asprintf "%a" Epoch.pp on)));
             List.iter
               (fun (what, (off : Epoch.report)) ->
                 Alcotest.(check string)

@@ -704,7 +704,7 @@ end
 module E = Engine.Make (Token_node)
 
 let token_engine ~n ~seed () =
-  E.create (E.config ~n ~seed ()) ~init:(fun self ->
+  E.create ~n ~seed ~init:(fun self ->
       { Token_node.self; n; has_token = self = 0; passes = 0 })
 
 let total_passes e =

@@ -22,20 +22,6 @@ let test_invariant () =
   Alcotest.(check bool) "empty trace" true
     (ok (Temporal.invariant (fun _ -> false) []))
 
-let test_unless () =
-  (* p unless q: from p-and-not-q, next is p or q *)
-  let p x = x = 1 and q x = x = 2 in
-  Alcotest.(check bool) "p persists" true (ok (Temporal.unless ~p ~q [ 1; 1; 1 ]));
-  Alcotest.(check bool) "p to q" true (ok (Temporal.unless ~p ~q [ 1; 2; 0 ]));
-  Alcotest.(check bool) "p escapes" false (ok (Temporal.unless ~p ~q [ 1; 0 ]));
-  Alcotest.(check bool) "no p no constraint" true
-    (ok (Temporal.unless ~p ~q [ 0; 3; 0 ]))
-
-let test_stable () =
-  let p x = x >= 2 in
-  Alcotest.(check bool) "stays" true (ok (Temporal.stable p [ 0; 2; 3; 4 ]));
-  Alcotest.(check bool) "drops" false (ok (Temporal.stable p [ 2; 1 ]))
-
 let test_step_invariant () =
   Alcotest.(check bool) "monotone" true
     (ok (Temporal.step_invariant (fun a b -> a <= b) [ 1; 2; 2; 5 ]));
@@ -59,16 +45,6 @@ let test_leads_to () =
    | _ -> Alcotest.fail "expected pending");
   Alcotest.(check bool) "multiple discharged by one q" true
     (ok (Temporal.leads_to ~p ~q [ 1; 1; 1; 9 ]))
-
-let test_leads_to_always () =
-  let p x = x = 1 and q x = x >= 9 in
-  Alcotest.(check bool) "holds" true
-    (ok (Temporal.leads_to_always ~p ~q [ 1; 0; 9; 10 ]));
-  Alcotest.(check bool) "q unstable" false
-    (ok (Temporal.leads_to_always ~p ~q [ 1; 9; 0 ]));
-  (match Temporal.leads_to_always ~p ~q [ 1; 0 ] with
-   | Temporal.Pending _ -> ()
-   | _ -> Alcotest.fail "expected pending")
 
 let test_ok_with_tail () =
   let v = Temporal.Pending { obligations = [ 98; 99 ] } in
@@ -125,17 +101,6 @@ let test_forall_pairs () =
 
 let gen_trace = QCheck2.Gen.(list_size (1 -- 30) (0 -- 3))
 
-let test_stable_is_unless_false =
-  qtest "stable p = p unless false" gen_trace (fun tr ->
-      let p x = x >= 2 in
-      ok (Temporal.stable p tr)
-      = ok (Temporal.unless ~p ~q:(fun _ -> false) tr))
-
-let test_invariant_implies_stable =
-  qtest "invariant p implies stable p" gen_trace (fun tr ->
-      let p x = x >= 1 in
-      (not (ok (Temporal.invariant p tr))) || ok (Temporal.stable p tr))
-
 let test_leads_to_reflexive =
   qtest "p leads_to p" gen_trace (fun tr ->
       ok (Temporal.leads_to ~p:(fun x -> x = 2) ~q:(fun x -> x = 2) tr))
@@ -147,10 +112,6 @@ let test_leads_to_weakening =
       let q' x = x >= 2 in
       (not (ok (Temporal.leads_to ~p ~q tr)))
       || ok (Temporal.leads_to ~p ~q:q' tr))
-
-let test_unless_with_q_true =
-  qtest "p unless true always holds" gen_trace (fun tr ->
-      ok (Temporal.unless ~p:(fun x -> x = 1) ~q:(fun _ -> true) tr))
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -174,25 +135,30 @@ let test_report () =
   Alcotest.(check bool) "to_string nonempty" true
     (String.length (Report.to_string r) > 0)
 
+let test_pp_verdict () =
+  let show v = Format.asprintf "%a" Temporal.pp_verdict v in
+  let pending obligations = show (Temporal.Pending { obligations }) in
+  Alcotest.(check string) "holds" "holds" (show Temporal.Holds);
+  Alcotest.(check string) "violated" "violated at 3: ME1 fails"
+    (show (Temporal.Violated { at = 3; reason = "ME1 fails" }));
+  Alcotest.(check string) "one run" "pending obligations at 3602-4000"
+    (pending (List.init 399 (fun i -> 3602 + i)));
+  Alcotest.(check string) "runs and singles"
+    "pending obligations at 1,3-5,9-10,12" (pending [ 1; 3; 4; 5; 9; 10; 12 ])
+
 let () =
   Alcotest.run "unityspec"
     [ ( "safety",
         [ Alcotest.test_case "invariant" `Quick test_invariant;
-          Alcotest.test_case "unless" `Quick test_unless;
-          Alcotest.test_case "stable" `Quick test_stable;
           Alcotest.test_case "step_invariant" `Quick test_step_invariant ] );
       ( "liveness",
         [ Alcotest.test_case "leads_to" `Quick test_leads_to;
-          Alcotest.test_case "leads_to_always" `Quick test_leads_to_always;
           Alcotest.test_case "ok_with_tail" `Quick test_ok_with_tail ] );
       ( "combinators",
         [ Alcotest.test_case "both/all" `Quick test_both_and_all;
           Alcotest.test_case "forall" `Quick test_forall;
           Alcotest.test_case "forall_pairs" `Quick test_forall_pairs ] );
-      ( "laws",
-        [ test_stable_is_unless_false;
-          test_invariant_implies_stable;
-          test_leads_to_reflexive;
-          test_leads_to_weakening;
-          test_unless_with_q_true ] );
-      ("report", [ Alcotest.test_case "report" `Quick test_report ]) ]
+      ("laws", [ test_leads_to_reflexive; test_leads_to_weakening ]);
+      ( "report",
+        [ Alcotest.test_case "report" `Quick test_report;
+          Alcotest.test_case "pp_verdict intervals" `Quick test_pp_verdict ] ) ]
