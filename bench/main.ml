@@ -390,24 +390,27 @@ let t6 () =
     Tabular.create
       [ "protocol"; "Lspec safety"; "Lspec liveness"; "ME1"; "ME2"; "ME3" ]
   in
-  let verdict_cell ~trace_len v =
+  (* an obligation still open within the run's tail margin (see
+     Stabilize) is in progress, not missed *)
+  let verdict_cell ~trace_len ~margin v =
     match v with
     | Unityspec.Temporal.Violated _ -> "VIOLATED"
     | v ->
-      if Unityspec.Temporal.ok_with_tail ~trace_len ~margin:150 v then "ok"
+      if Unityspec.Temporal.ok_with_tail ~trace_len ~margin v then "ok"
       else "pending"
   in
   List.iter
     (fun (e : Registry.entry) ->
       let name = e.Registry.name and proto = e.Registry.proto in
       let r = Tme.Scenarios.run proto ~n:4 ~seed:11 ~steps:6000 ~record:true in
+      let margin = r.analysis.Graybox.Stabilize.tail_margin in
       let lspec = Tme.Scenarios.lspec_report r in
       let safety_ok = Unityspec.Report.safe lspec in
       let liveness_ok =
         List.for_all
           (fun (e : Unityspec.Report.entry) ->
             Unityspec.Temporal.ok_with_tail
-              ~trace_len:(List.length r.vtrace) ~margin:150 e.verdict)
+              ~trace_len:(List.length r.vtrace) ~margin e.verdict)
           lspec
       in
       (* ME1-ME3 from the run's one TME_Spec report: fault-free, so
@@ -420,7 +423,7 @@ let t6 () =
         @ List.map
             (fun (c : Unityspec.Report.entry) ->
               verdict_cell ~trace_len:ep.Graybox.Tme_spec.Epoch.snapshots
-                c.verdict)
+                ~margin c.verdict)
             (Graybox.Tme_spec.Epoch.tme_report ep)))
     (List.filter (fun e -> e.Registry.lspec_monitorable) (Registry.all ()));
   Tabular.print
@@ -628,13 +631,12 @@ let partition_bench () =
      re-establishing service.  The lossy mode is the discriminating
      case: protocols that are not everywhere-implementations stay stuck
      (lost releases leave phantom queue entries no wrapper retracts). *)
-  (* the long horizon and wide tail margin keep truncation out of the
-     verdicts: a slow-but-served hungry interval still open at the
-     trace end would otherwise read as starvation.  True deadlock is
-     unaffected — a lossy-split victim stays hungry for the entire
-     remaining horizon, far beyond any margin. *)
+  (* the long horizon keeps truncation out of the verdicts: a
+     slow-but-served hungry interval still open at the trace end would
+     otherwise read as starvation.  True deadlock is unaffected — a
+     lossy-split victim stays hungry for the entire remaining horizon,
+     far beyond any margin. *)
   let n = 6 and from_t = 800 and until_t = 1200 and steps = 20000 in
-  let tail_margin = 2000 in
   let widths = [ 1; 2; 3 ] in
   let modes = [ Sim.Faults.Lossy; Sim.Faults.Buffered ] in
   (* the default sweep plus every entry registered with a non-wedge
@@ -668,7 +670,7 @@ let partition_bench () =
     let runs =
       List.map
         (fun seed ->
-          Tme.Scenarios.run e.Registry.proto ~n ~seed ~steps ~tail_margin
+          Tme.Scenarios.run e.Registry.proto ~n ~seed ~steps
             ~wrapper:(Tme.Scenarios.wrapped_entry e ~delta:e.Registry.default_delta)
             ~faults)
         seeds

@@ -190,6 +190,8 @@ let run_cmd =
       in
       Printf.printf "protocol          : %s\n" r.protocol;
       Format.printf "%a@." Graybox.Stabilize.pp r.analysis;
+      Printf.printf "tail margin       : %d snapshots\n"
+        r.analysis.Graybox.Stabilize.tail_margin;
       Printf.printf "CS entries        : %d\n" r.total_entries;
       Printf.printf "messages sent     : %d (wrapper: %d)\n" r.sent_total
         r.wrapper_sends;

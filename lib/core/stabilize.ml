@@ -7,8 +7,27 @@ type analysis = {
   recovery_steps : int option;
   me1_violations : int;
   starving : Sim.Pid.t list;
+  tail_margin : int;
   recovered : bool;
 }
+
+(* The tail margin open intervals are judged against.  The mean wait
+   is taken over the waits served since the last fault, rounded up.
+   While the run is serving (some process entered Eating within its
+   last [max margin_floor mean] snapshots) the margin is
+   [margin_factor] mean waits, never below [margin_floor]; a run that
+   has served nothing since the fault, or has stopped serving, is
+   judged against [margin_floor] alone. *)
+let margin_floor = 300
+
+let margin_factor = 4
+
+let tail_margin ~len ~last_served ~waits ~wait_sum =
+  if waits = 0 then margin_floor
+  else
+    let mean = (wait_sum + waits - 1) / waits in
+    if len - last_served > max margin_floor mean then margin_floor
+    else max margin_floor (margin_factor * mean)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming analysis                                                  *)
@@ -22,15 +41,16 @@ module Online = struct
      start is just [max bad index + 1].  So the fold tracks the largest
      known-bad index, each process's current mode and the index its
      run of that mode started at (an open hungry/eating interval, and
-     the trailing hungry run), the eater count, and the post-fault
-     service round; the final record equals the whole-trace oracles'
+     the trailing hungry run), the eater count, the post-fault service
+     round, and what sets the tail margin: the count and sum of the
+     waits served since the last fault and the index of the latest
+     served wait.  The final record equals the whole-trace oracles'
      (test/oracle) on the same snapshot sequence, asserted over the
      protocol grid in the test suite.  Every per-process criterion
      reacts only to a mode change, so a snapshot that repeats the
      previous one's modes touches no process. *)
 
   type t = {
-    tail_margin : int;
     mutable len : int;  (** snapshots fed so far *)
     mutable n : int;
     mutable modes : View.mode array;  (** per process, at the latest snapshot *)
@@ -49,15 +69,21 @@ module Online = struct
     mutable base_time : int;
     mutable have_fault : bool;
     mutable me1_bad : int;  (** ME1-violating snapshots since [base] *)
+    mutable waits : int;
+        (** hungry intervals served since [base] that began at or
+            after it *)
+    mutable wait_sum : int;  (** their total length, in snapshots *)
+    mutable last_served : int;
+        (** the latest index at which a process moved from Hungry to
+            Eating, fault or not; -1 when none has *)
     (* service round since [base]: every process's first fresh entry *)
     mutable served : bool array;
     mutable remaining : int;
     mutable round_latency : int option;
   }
 
-  let create ?(tail_margin = 300) () =
-    { tail_margin;
-      len = 0;
+  let create () =
+    { len = 0;
       n = 0;
       modes = [||];
       since = [||];
@@ -69,6 +95,9 @@ module Online = struct
       base_time = 0;
       have_fault = false;
       me1_bad = 0;
+      waits = 0;
+      wait_sum = 0;
+      last_served = -1;
       served = [||];
       remaining = 0;
       round_latency = None }
@@ -88,6 +117,13 @@ module Online = struct
       t.last_bad <- idx - 1;
       t.suffix_time <- time;
       t.suffix_pending <- false
+    end;
+    if old = View.Hungry && m = View.Eating then begin
+      t.last_served <- idx;
+      if t.since.(j) >= t.base then begin
+        t.waits <- t.waits + 1;
+        t.wait_sum <- t.wait_sum + (idx - t.since.(j))
+      end
     end;
     t.modes.(j) <- m;
     t.since.(j) <- idx;
@@ -126,6 +162,8 @@ module Online = struct
       t.base_time <- time;
       t.have_fault <- true;
       t.me1_bad <- 0;
+      t.waits <- 0;
+      t.wait_sum <- 0;
       Array.fill t.served 0 t.n false;
       t.remaining <- t.n;
       t.round_latency <- None
@@ -154,15 +192,20 @@ module Online = struct
         recovery_steps = None;
         me1_violations = 0;
         starving = [];
+        tail_margin = margin_floor;
         recovered = false }
     else begin
       let len = t.len in
+      let margin =
+        tail_margin ~len ~last_served:t.last_served ~waits:t.waits
+          ~wait_sum:t.wait_sum
+      in
       (* an interval still open at the end is acceptable only within
          the tail margin; otherwise it marks bad up to [len - 1] *)
       let run_len j = len - t.since.(j) in
       let tail_bad =
         List.exists
-          (fun j -> t.modes.(j) <> View.Thinking && run_len j - 1 >= t.tail_margin)
+          (fun j -> t.modes.(j) <> View.Thinking && run_len j - 1 >= margin)
           (Sim.Pid.range t.n)
       in
       let last_bad = if tail_bad then len - 1 else t.last_bad in
@@ -180,7 +223,7 @@ module Online = struct
       in
       let starving =
         List.filter
-          (fun j -> t.modes.(j) = View.Hungry && run_len j >= t.tail_margin)
+          (fun j -> t.modes.(j) = View.Hungry && run_len j >= margin)
           (Sim.Pid.range t.n)
       in
       { trace_len = len;
@@ -189,6 +232,7 @@ module Online = struct
         recovery_steps;
         me1_violations = t.me1_bad;
         starving;
+        tail_margin = margin;
         recovered = converged_index <> None }
     end
 end

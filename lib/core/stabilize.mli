@@ -5,9 +5,22 @@
     initial state of A."  Over a run's snapshots we judge the suffix
     behaviourally: from the convergence point onward, mutual exclusion
     is never violated, every hungry process is served, and every eater
-    releases.  Obligations still open within [tail_margin] snapshots
-    of the run's end are treated as in-progress rather than failed,
-    since a finite run always truncates some computation.
+    releases.
+
+    A finite run always truncates some computation, so a process still
+    hungry (or eating) at the end is judged against the run's own
+    service.  The {e mean wait} is ⌈the mean⌉ of the hungry intervals
+    served (closed into Eating) since the last fault, counting only
+    those that began at or after it.  While the run is {e serving}
+    (some process entered Eating within its last [max 300 mean wait]
+    snapshots) the {e tail margin} is [max 300 (4 × mean wait)]
+    snapshots; otherwise, and while nothing has been served since the
+    fault, it is the floor, 300.  An interval still open at the end is
+    in progress while it is shorter than the margin, and starving or
+    stuck once it reaches it.  So a slow but healthy round (large [n],
+    a wrapper's extra traffic) lifts the margin with the waits it
+    actually served, while a deadlock, whether it wedges at the fault
+    or after some service, is judged as with a fixed 300.
 
     The product computes the analysis one way: {!Online}, a fold fed
     one view snapshot at a time, so a run needs no recorded trace
@@ -32,8 +45,13 @@ type analysis = {
   me1_violations : int;
       (** snapshots violating mutual exclusion after the last fault *)
   starving : Sim.Pid.t list;
-      (** processes whose final hungry interval exceeds [tail_margin]
-          without being served — deadlock/starvation witnesses *)
+      (** processes whose final hungry interval, still open at the
+          end, spans at least [tail_margin] snapshots —
+          deadlock/starvation witnesses *)
+  tail_margin : int;
+      (** the margin the open intervals were judged against:
+          [max 300 (4 × mean wait)] while the run is serving, else 300
+          (the rule above) *)
   recovered : bool;
       (** [converged_index] exists — the headline verdict *)
 }
@@ -42,8 +60,7 @@ module Online : sig
   type t
   (** Mutable accumulator — create one per run. *)
 
-  val create : ?tail_margin:int -> unit -> t
-  (** [tail_margin] defaults to 300 snapshots. *)
+  val create : unit -> t
 
   val feed : t -> time:int -> fault:bool -> repeat:bool -> View.t array -> unit
   (** [feed t ~time ~fault ~repeat views] consumes the next snapshot:

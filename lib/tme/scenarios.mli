@@ -109,7 +109,6 @@ val run :
   ?faults:fault_spec list ->
   ?record:bool ->
   ?streaming:bool ->
-  ?tail_margin:int ->
   ?passive:Sim.Pid.t list ->
   (module Graybox.Protocol.S) ->
   n:int -> seed:int -> steps:int -> result

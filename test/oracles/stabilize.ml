@@ -49,7 +49,36 @@ let resolution_ok modes ~len ~tail_margin j =
   close_interval None (len - 1);
   ok
 
-let analyse ?(tail_margin = 300) (tr : vtrace) =
+(* The tail margin.  The mean wait is ⌈the mean⌉ of every hungry
+   interval that begins at or after [base] and closes into Eating, in
+   snapshots.  The margin is max 300 (4 × mean) while some hungry
+   interval closed into Eating within the trace's last (max 300 mean)
+   snapshots, and 300 otherwise or when there is no such interval. *)
+let tail_margin modes ~len ~n ~base =
+  let waits = ref 0 and sum = ref 0 and last_served = ref (-1) in
+  for j = 0 to n - 1 do
+    let start = ref None in
+    for i = 0 to len - 1 do
+      match !start, modes i j with
+      | None, View.Hungry -> start := Some i
+      | Some s, View.Eating ->
+        last_served := max !last_served i;
+        if s >= base then begin
+          incr waits;
+          sum := !sum + (i - s)
+        end;
+        start := None
+      | Some _, View.Thinking -> start := None
+      | Some _, View.Hungry | None, (View.Thinking | View.Eating) -> ()
+    done
+  done;
+  if !waits = 0 then 300
+  else begin
+    let mean = (!sum + !waits - 1) / !waits in
+    if !last_served < len - max 300 mean then 300 else max 300 (4 * mean)
+  end
+
+let analyse (tr : vtrace) =
   let snaps = Array.of_list tr in
   let len = Array.length snaps in
   if len = 0 then
@@ -59,6 +88,7 @@ let analyse ?(tail_margin = 300) (tr : vtrace) =
       recovery_steps = None;
       me1_violations = 0;
       starving = [];
+      tail_margin = 300;
       recovered = false }
   else begin
     let n = Array.length snaps.(0).Sim.Trace.states in
@@ -80,6 +110,8 @@ let analyse ?(tail_margin = 300) (tr : vtrace) =
         snaps;
       !found
     in
+    let base = match last_fault_index with Some f -> f | None -> 0 in
+    let tail_margin = tail_margin modes ~len ~n ~base in
     let per_proc =
       Array.init n (fun j -> resolution_ok modes ~len ~tail_margin j)
     in
@@ -100,7 +132,6 @@ let analyse ?(tail_margin = 300) (tr : vtrace) =
        with Exit -> ());
       !idx
     in
-    let base = match last_fault_index with Some f -> f | None -> 0 in
     let converged_index =
       match converged_index with
       | Some i -> Some (max i base)
@@ -135,6 +166,7 @@ let analyse ?(tail_margin = 300) (tr : vtrace) =
       recovery_steps;
       me1_violations;
       starving;
+      tail_margin;
       recovered = converged_index <> None }
   end
 
@@ -171,8 +203,8 @@ let service_round_latency (tr : vtrace) ~after =
   end
 
 module Online = struct
-  let of_trace ?tail_margin (tr : vtrace) =
-    let t = Graybox.Stabilize.Online.create ?tail_margin () in
+  let of_trace (tr : vtrace) =
+    let t = Graybox.Stabilize.Online.create () in
     List.iter
       (fun (snap : (View.t, Msg.t) Sim.Trace.snapshot) ->
         let fault =

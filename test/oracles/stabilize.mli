@@ -5,9 +5,10 @@
     [Online.latency] equals {!service_round_latency} at
     [after = last fault index (or 0)], field for field. *)
 
-val analyse : ?tail_margin:int -> Graybox.Stabilize.vtrace -> Graybox.Stabilize.analysis
-(** [analyse ?tail_margin tr] computes the analysis.  [tail_margin]
-    defaults to 300 snapshots. *)
+val analyse : Graybox.Stabilize.vtrace -> Graybox.Stabilize.analysis
+(** [analyse tr] computes the analysis, open intervals judged against
+    the tail margin the trace's served waits set (the rule is stated
+    in {!Graybox.Stabilize}). *)
 
 val service_round_latency : Graybox.Stabilize.vtrace -> after:int -> int option
 (** [service_round_latency tr ~after] is the number of simulated steps
@@ -18,8 +19,7 @@ val service_round_latency : Graybox.Stabilize.vtrace -> after:int -> int option
     process never re-enters within the trace. *)
 
 module Online : sig
-  val of_trace :
-    ?tail_margin:int -> Graybox.Stabilize.vtrace -> Graybox.Stabilize.Online.t
+  val of_trace : Graybox.Stabilize.vtrace -> Graybox.Stabilize.Online.t
   (** Fold a recorded trace, every snapshot fed with [~repeat:false]:
       the fold's general O(n) path, against which the repeat path of a
       streamed run is checked. *)

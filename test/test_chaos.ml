@@ -429,6 +429,7 @@ let analysis ?(me1 = 0) ?(starving = []) ~recovered () =
     recovery_steps = (if recovered then Some 10 else None);
     me1_violations = me1;
     starving;
+    tail_margin = 300;
     recovered }
 
 let verdict = Alcotest.testable

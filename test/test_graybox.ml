@@ -315,11 +315,69 @@ let test_stabilize_clean_trace () =
   Alcotest.(check int) "no violations" 0 a.Stabilize.me1_violations
 
 let test_stabilize_detects_starvation () =
+  (* nothing is ever served, so the margin stays at its floor, 300 *)
   let stuck = two_views View.Hungry View.Thinking in
-  let tr = List.init 50 (fun i -> snap i stuck []) in
-  let a = Oracles.Stabilize.analyse ~tail_margin:10 tr in
+  let tr = List.init 400 (fun i -> snap i stuck []) in
+  let a = Oracles.Stabilize.analyse tr in
   Alcotest.(check bool) "not recovered" false a.Stabilize.recovered;
+  Alcotest.(check int) "floor margin" 300 a.Stabilize.tail_margin;
   Alcotest.(check (list int)) "process 0 starves" [ 0 ] a.Stabilize.starving
+
+let test_stabilize_margin_follows_service () =
+  (* p1 is served [cycles] times after waits of [wait] snapshots, then
+     thinks for [idle] snapshots; p0 stays hungry for the trace's last
+     [open_run].  The margin is 4 mean waits while some process entered
+     Eating within the last max 300 mean snapshots, else 300:
+     - waits of 100 served to the end: margin 400, so an open run of
+       350 is in progress and one of 450 starves;
+     - a fault 50 snapshots before the end: no wait served since it, so
+       300, and the run of 350 starves;
+     - the same waits, then 350 snapshots with no entry (a wedge after
+       service): 300, and the run of 350 starves;
+     - waits of 400 (margin 1600): 350 snapshots with no entry is less
+       than a mean wait, still serving, and an open run of 500 is in
+       progress; after 450 it is a wedge, and the run starves. *)
+  let trace ~wait ~cycles ~idle ~fault open_run =
+    let p1 =
+      List.concat
+        (List.init cycles (fun _ ->
+             List.init wait (fun _ -> View.Hungry) @ [ View.Eating; View.Thinking ]))
+      @ List.init idle (fun _ -> View.Thinking)
+    in
+    let len = List.length p1 in
+    List.mapi
+      (fun i m1 ->
+        let m0 = if i >= len - open_run then View.Hungry else View.Thinking in
+        if fault && i = len - 50 then
+          snap ~event:(Sim.Trace.Fault { label = "reset" }) i (two_views m0 m1) []
+        else snap i (two_views m0 m1) [])
+      p1
+  in
+  List.iter
+    (fun (wait, cycles, idle, fault, open_run, margin, starving) ->
+      let tr = trace ~wait ~cycles ~idle ~fault open_run in
+      let name =
+        Printf.sprintf "waits %d, idle %d, fault %b, open run %d" wait idle
+          fault open_run
+      in
+      List.iter
+        (fun (who, (a : Stabilize.analysis)) ->
+          let what = who ^ ": " ^ name in
+          Alcotest.(check int) (what ^ " margin") margin a.Stabilize.tail_margin;
+          Alcotest.(check bool) (what ^ " recovered")
+            (starving = []) a.Stabilize.recovered;
+          Alcotest.(check (list int)) (what ^ " starving")
+            starving a.Stabilize.starving)
+        [ ("analyse", Oracles.Stabilize.analyse tr);
+          ( "fold",
+            Stabilize.Online.analysis (Oracles.Stabilize.Online.of_trace tr) )
+        ])
+    [ (100, 10, 0, false, 350, 400, []);
+      (100, 10, 0, false, 450, 400, [ 0 ]);
+      (100, 10, 0, true, 350, 300, [ 0 ]);
+      (100, 10, 350, false, 350, 300, [ 0 ]);
+      (400, 3, 350, false, 500, 1600, []);
+      (400, 3, 450, false, 500, 300, [ 0 ]) ]
 
 let test_stabilize_recovery_after_fault () =
   let thinking = two_views View.Thinking View.Thinking in
@@ -332,7 +390,7 @@ let test_stabilize_recovery_after_fault () =
       snap 4 thinking [];
       snap 5 thinking [] ]
   in
-  let a = Oracles.Stabilize.analyse ~tail_margin:2 tr in
+  let a = Oracles.Stabilize.analyse tr in
   Alcotest.(check bool) "recovered" true a.Stabilize.recovered;
   Alcotest.(check (option int)) "fault at 1" (Some 1) a.Stabilize.last_fault_index;
   Alcotest.(check int) "violations counted" 2 a.Stabilize.me1_violations;
@@ -514,6 +572,8 @@ let () =
       ( "stabilize",
         [ Alcotest.test_case "clean trace" `Quick test_stabilize_clean_trace;
           Alcotest.test_case "starvation" `Quick test_stabilize_detects_starvation;
+          Alcotest.test_case "tail margin follows service" `Quick
+            test_stabilize_margin_follows_service;
           Alcotest.test_case "recovery" `Quick test_stabilize_recovery_after_fault;
           Alcotest.test_case "empty" `Quick test_stabilize_empty_trace;
           Alcotest.test_case "service round" `Quick test_service_round_latency;

@@ -51,10 +51,63 @@ let crash_plan =
 
 let seeds = List.init 10 (fun i -> i + 1)
 
+(* Large-n cells, fault-free and after a burst: their service rounds
+   outgrow the tail margin's floor, so the served waits lift the
+   margin above 300 and decide verdicts — a fold and an oracle that
+   stated the rule differently would disagree here. *)
+let large_n_cells =
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun (fname, faults) ->
+          List.concat_map
+            (fun pname ->
+              List.concat_map
+                (fun (wname, wrapper) ->
+                  List.map
+                    (fun seed ->
+                      ( Printf.sprintf "%s/%s/n=%d %s/seed %d" pname wname n
+                          fname seed,
+                        List.assoc pname protocols_under_test, wrapper, faults,
+                        n, seed ))
+                    [ 1; 2 ])
+                wrappers)
+            [ "ra"; "lamport" ])
+        [ ("fault-free", []); ("burst", S.burst ~at:1000) ])
+    [ 8; 12 ]
+
+(* Two cells, both under W'(8), where the time since the last CS entry
+   decides the margin.  lamport-unmod at n = 8 (seed 54, cut at 3,700
+   steps) wedges after serving 31 entries: nobody has been served for
+   longer than a mean wait, so the margin falls back to 300.  lamport
+   at n = 16 (seed 7, fault-free) serves slowly: its last entry is
+   more than 300 snapshots back but within a mean wait, so the margin
+   stays lifted. *)
+let serving_cells =
+  let proto name = List.assoc name protocols_under_test in
+  [ ( "lamport-unmod/W'(8)/n=8 wedge/seed 54",
+      proto "lamport-unmod",
+      Result.get_ok
+        (Chaos.Plan_gen.parse
+           "duplicate@1603/2 drop-requests@1828/1 drop-requests@2092-2120 \
+            reset@2177(p6)"),
+      8, 54, 3700, ( = ) 300 );
+    ( "lamport/W'(8)/n=16 fault-free/seed 7",
+      proto "lamport", [], 16, 7, 4000, ( < ) 300 ) ]
+
 let test_online_fold_equals_offline () =
   (* a recorded run's analysis and latency (the observer's
      Stabilize.Online) reproduce analyse and service_round_latency
      over its trace exactly, on every grid cell *)
+  let check cell (r : S.result) =
+    let a = Oracles.Stabilize.analyse r.S.vtrace in
+    Alcotest.(check bool) (cell ^ ": same analysis") true (a = r.S.analysis);
+    let after = Option.value a.Stz.last_fault_index ~default:0 in
+    Alcotest.(check (option int))
+      (cell ^ ": same latency")
+      (Oracles.Stabilize.service_round_latency r.S.vtrace ~after)
+      r.S.recovery_latency
+  in
   List.iter
     (fun (pname, proto) ->
       List.iter
@@ -64,21 +117,33 @@ let test_online_fold_equals_offline () =
               let faults =
                 if seed = List.hd seeds then crash_plan else plan_for seed
               in
-              let r =
-                S.run proto ~wrapper ~faults ~record:true ~n ~seed ~steps:horizon
-              in
-              let cell = Printf.sprintf "%s/%s/seed %d" pname wname seed in
-              let a = Oracles.Stabilize.analyse r.S.vtrace in
-              Alcotest.(check bool)
-                (cell ^ ": same analysis") true (a = r.S.analysis);
-              let after = Option.value a.Stz.last_fault_index ~default:0 in
-              Alcotest.(check (option int))
-                (cell ^ ": same latency")
-                (Oracles.Stabilize.service_round_latency r.S.vtrace ~after)
-                r.S.recovery_latency)
+              check
+                (Printf.sprintf "%s/%s/seed %d" pname wname seed)
+                (S.run proto ~wrapper ~faults ~record:true ~n ~seed
+                   ~steps:horizon))
             seeds)
         wrappers)
-    protocols_under_test
+    protocols_under_test;
+  let margins =
+    List.map
+      (fun (cell, proto, wrapper, faults, n, seed) ->
+        let r = S.run proto ~wrapper ~faults ~record:true ~n ~seed ~steps:4000 in
+        check cell r;
+        r.S.analysis.Stz.tail_margin)
+      large_n_cells
+  in
+  Alcotest.(check bool) "some served waits lift the margin above 300" true
+    (List.exists (fun m -> m > 300) margins);
+  List.iter
+    (fun (cell, proto, faults, n, seed, steps, margin_ok) ->
+      let r =
+        S.run proto ~wrapper:(S.wrapped ~delta:8 ()) ~faults ~record:true ~n
+          ~seed ~steps
+      in
+      check cell r;
+      Alcotest.(check bool) (cell ^ ": margin") true
+        (margin_ok r.S.analysis.Stz.tail_margin))
+    serving_cells
 
 (* The streaming path's inputs: a grid of protocols, wrapper modes and
    plans at n = 4, plus three more runs.  In the large one, 16 RA

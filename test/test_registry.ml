@@ -106,11 +106,14 @@ let test_partition_expectations () =
   (* partition expectations follow the role unless overridden —
      ra-lease-stale opts out of the Deadlocks gate: whether a lossy
      heal leaves it stuck or split-brained varies by seed, and its
-     teeth-check lives in the during-split (epoch-unsafe) gate *)
+     teeth-check lives in the during-split (epoch-unsafe) gate; central
+     opts out of both recovery gates: W is an Lspec wrapper, central's
+     coordinator is outside Lspec, and its wrapped runs wedge *)
   List.iter
     (fun (e : R.entry) ->
       let want =
-        if e.R.name = "ra-lease-stale" then R.Partition_observe
+        if e.R.name = "ra-lease-stale" || e.R.name = "central" then
+          R.Partition_observe
         else
           match e.R.role with
           | R.Reference -> R.Recovers_after_heal
@@ -122,6 +125,13 @@ let test_partition_expectations () =
         (R.partition_expectation_label want)
         (R.partition_expectation_label e.R.partition_expectation))
     entries;
+  let central = Option.get (R.find "central") in
+  Alcotest.(check (pair string string))
+    "central is observed, not gated"
+    ( R.expectation_label R.Observe,
+      R.partition_expectation_label R.Partition_observe )
+    ( R.expectation_label central.R.expectation,
+      R.partition_expectation_label central.R.partition_expectation );
   Alcotest.(check (list string)) "stable labels"
     [ "recovers-after-heal"; "deadlocks"; "observe" ]
     (List.map R.partition_expectation_label

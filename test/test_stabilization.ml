@@ -349,6 +349,84 @@ let test_partition_recovery () =
         true r.analysis.recovered)
     [ ra; lamport ]
 
+(* ------------------------------------------------------------------ *)
+(* Liveness: the tail margin scales with the run's own service         *)
+
+(* A fault-free service round outgrows any fixed margin as n grows;
+   the margin the served waits set must judge every one of these 400
+   runs recovered. *)
+let test_fault_free_grid_recovers () =
+  let flagged =
+    List.concat_map
+      (fun name ->
+        let e = Option.get (Graybox.Registry.find name) in
+        List.concat_map
+          (fun wrapper ->
+            List.concat_map
+              (fun n ->
+                List.filter_map
+                  (fun seed ->
+                    let r =
+                      Scenarios.run e.Graybox.Registry.proto ~n ~seed
+                        ~steps:4000 ~wrapper
+                    in
+                    if r.analysis.recovered then None
+                    else
+                      Some
+                        (Printf.sprintf "%s n=%d seed %d (wrapped %b)" name n
+                           seed (wrapper <> Graybox.Harness.Off)))
+                  (List.init 10 (fun i -> i + 1)))
+              [ 4; 8; 12; 16 ])
+          [ Graybox.Harness.Off; Scenarios.wrapped_entry e ~delta:8 ])
+      [ "ra"; "ra-gcl"; "lamport"; "ra-lease"; "ra-synth" ]
+  in
+  Alcotest.(check (list string)) "no fault-free run flagged" [] flagged
+
+(* ...and every starvation the repo knows to be real is still caught *)
+let test_real_starvation_flagged () =
+  let flagged ?(wrapper = Graybox.Harness.Off) ?(faults = []) ?(seed = 1) name
+      ~n ~steps ~starving =
+    let e = Option.get (Graybox.Registry.find name) in
+    let r =
+      Scenarios.run e.Graybox.Registry.proto ~n ~seed ~steps ~wrapper ~faults
+    in
+    let what = Printf.sprintf "%s n=%d seed %d" name n seed in
+    Alcotest.(check bool) (what ^ " not recovered") false r.analysis.recovered;
+    Alcotest.(check (list int)) (what ^ " starving") starving r.analysis.starving
+  in
+  let all n = List.init n Fun.id in
+  (* central's coordinator is starved by its own clients, whose waits
+     stay short: the mean wait keeps the margin far below p0's *)
+  flagged "central" ~n:8 ~steps:4000 ~starving:[ 0 ];
+  (* W, an Lspec wrapper, wedges central *)
+  flagged "central" ~n:4 ~steps:4000 ~starving:(all 4)
+    ~wrapper:(Scenarios.wrapped ~delta:8 ());
+  List.iter
+    (fun n ->
+      flagged "ra" ~n ~steps:8000 ~starving:(all n)
+        ~faults:[ Scenarios.Drop_requests_window { from_t = 800; until_t = 860 } ])
+    [ 8; 16 ];
+  flagged "lamport-unmod" ~n:8 ~steps:8000 ~starving:(all 8)
+    ~wrapper:(Scenarios.wrapped ~delta:8 ())
+    ~faults:
+      [ Scenarios.Split
+          { groups = [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ] ];
+            from_t = 1000;
+            until_t = 1400;
+            mode = Sim.Faults.Lossy } ];
+  (* a wedge after service: this plan serves 31 entries, the last near
+     snapshot 2,664, then none.  Cut at 3,700 steps every open wait is
+     shorter than the margin the served waits set (1,436), but nobody
+     has been served for a mean wait (359), so the margin is the floor
+     and all 8 starve: a deadlock *)
+  flagged "lamport-unmod" ~n:8 ~seed:54 ~steps:3700 ~starving:(all 8)
+    ~wrapper:(Scenarios.wrapped ~delta:8 ())
+    ~faults:
+      (Result.get_ok
+         (Chaos.Plan_gen.parse
+            "duplicate@1603/2 drop-requests@1828/1 drop-requests@2092-2120 \
+             reset@2177(p6)"))
+
 (* Random fault storms: the wrapped protocols always come back. *)
 let prop_random_storms proto pname =
   QCheck_alcotest.to_alcotest
@@ -418,5 +496,10 @@ let () =
           Alcotest.test_case "passive stays thinking" `Quick
             test_passive_process_never_requests;
           Alcotest.test_case "partition recovery" `Quick test_partition_recovery ] );
+      ( "liveness",
+        [ Alcotest.test_case "fault-free grid recovers (n 4-16)" `Quick
+            test_fault_free_grid_recovers;
+          Alcotest.test_case "real starvation still flagged" `Quick
+            test_real_starvation_flagged ] );
       ( "storms",
         [ prop_random_storms ra "ra"; prop_random_storms lamport "lamport" ] ) ]
