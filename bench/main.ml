@@ -188,6 +188,7 @@ let t3 () =
                [ "+W recovery"; "+W svc p50"; "+W svc p95"; "+W wrapper msgs" ])
            protos)
   in
+  let burst_at = 1000 in
   let rows =
     Pool.map ~jobs:!jobs
     (fun n ->
@@ -196,10 +197,9 @@ let t3 () =
         let runs =
           List.map
             (fun seed ->
-              (* recorded: the service times are read off the trace *)
-              Tme.Scenarios.run proto ~n ~seed ~steps ~record:true
+              Tme.Scenarios.run proto ~n ~seed ~steps
                 ~wrapper:(Tme.Scenarios.wrapped ~delta:4 ())
-                ~faults:(Tme.Scenarios.burst ~at:1000))
+                ~faults:(Tme.Scenarios.burst ~at:burst_at))
             seeds
         in
         let latency =
@@ -208,16 +208,18 @@ let t3 () =
         let wmsgs =
           Stats.mean_int (List.map (fun r -> r.Tme.Scenarios.wrapper_sends) runs)
         in
-        (* post-fault per-request service latencies, pooled over seeds *)
+        (* post-fault per-request service latencies, pooled over seeds:
+           an entry after the burst waited from when its process turned
+           hungry, or from the burst if it was hungry already *)
         let services =
           List.concat_map
             (fun r ->
-              let after =
-                Option.value ~default:0
-                  r.Tme.Scenarios.analysis.Graybox.Stabilize.last_fault_index
-              in
-              List.map float_of_int
-                (Graybox.Stabilize.service_times ~after r.Tme.Scenarios.vtrace))
+              List.filter_map
+                (fun (e : Graybox.Harness.entry_record) ->
+                  if e.entry_time <= burst_at then None
+                  else
+                    Some (float_of_int (e.entry_time - max e.entry_since burst_at)))
+                r.Tme.Scenarios.entry_log)
             runs
         in
         (latency, Stats.percentile 50. services, Stats.percentile 95. services, wmsgs)

@@ -36,16 +36,16 @@ let default_protocols = Registry.default_sweep ()
 
 let config ?(base_seed = 1) ?(seeds = 50) ?(budget = 6) ?(n = 4) ?(steps = 4000)
     ?(delta = 8) ?(protocols = default_protocols) ?(include_unwrapped = true)
-    ?(deadlock_canary = true) ?(shrink = true) ?(shrink_max_runs = 300)
-    ?(max_counterexamples = 3) ?(jobs = 1) ?(partitions = false) () =
+    ?(deadlock_canary = true) ?(shrink = true) ?(jobs = 1) ?(partitions = false)
+    () =
   if seeds <= 0 then invalid_arg "Campaign.config: need seeds > 0";
   if steps < 100 then invalid_arg "Campaign.config: need steps >= 100";
   if protocols = [] then invalid_arg "Campaign.config: need a protocol";
   if jobs < 1 then invalid_arg "Campaign.config: need jobs >= 1";
   if delta < 0 then invalid_arg "Campaign.config: need delta >= 0";
   { base_seed; seeds; budget; n; steps; delta; protocols; include_unwrapped;
-    deadlock_canary; shrink; shrink_max_runs; max_counterexamples; jobs;
-    partitions }
+    deadlock_canary; shrink; shrink_max_runs = 300; max_counterexamples = 3;
+    jobs; partitions }
 
 exception Unknown_protocol of string
 

@@ -40,8 +40,8 @@ type config = {
   include_unwrapped : bool;
   deadlock_canary : bool;
   shrink : bool;
-  shrink_max_runs : int;
-  max_counterexamples : int;
+  shrink_max_runs : int;  (** runs a shrink may spend: 300 *)
+  max_counterexamples : int;  (** failing rows shrunk: 3 *)
   jobs : int;
       (** worker domains for the sweep (and shrinking); the report is
           identical for every value ({!Stdext.Pool.map} preserves input
@@ -71,9 +71,8 @@ val default_protocols : string list
 val config :
   ?base_seed:int -> ?seeds:int -> ?budget:int -> ?n:int -> ?steps:int ->
   ?delta:int -> ?protocols:string list -> ?include_unwrapped:bool ->
-  ?deadlock_canary:bool -> ?shrink:bool -> ?shrink_max_runs:int ->
-  ?max_counterexamples:int -> ?jobs:int -> ?partitions:bool -> unit ->
-  config
+  ?deadlock_canary:bool -> ?shrink:bool -> ?jobs:int -> ?partitions:bool ->
+  unit -> config
 (** Defaults: seed 1, 50 seeds, budget 6, n = 4, 4000 steps, δ = 8,
     protocols [lamport; ra; lamport-unmod], unwrapped cells and the
     deadlock canary included, shrinking on (300 runs, 3 counterexamples),

@@ -197,7 +197,13 @@ let parse_spec tok =
       match (src, String.sub dst 1 (String.length dst - 1)) with
       | "*", dst -> Sim.Faults.Into (pid dst)
       | src, "*" -> Sim.Faults.From (pid src)
-      | src, dst -> Sim.Faults.Chan (pid src, pid dst))
+      | src, dst ->
+        let src = pid src and dst = pid dst in
+        (* no protocol sends to itself, so such a delay would delay
+           nothing and only fire as a fault *)
+        if src = dst then
+          bad "p%d->p%d is a self-channel, which carries nothing" src dst
+        else Sim.Faults.Chan (src, dst))
     | _ -> bad "not a channel: %s" s
   in
   let dist s =
@@ -208,9 +214,15 @@ let parse_spec tok =
       | lo, Some hi when num lo <= num hi -> Sim.Faults.Uniform (num lo, num hi)
       | _ -> bad "not a range LO-HI: %s" r)
     | _, _, Some m -> (
-      match cut '/' m with
-      | m, None -> Sim.Faults.Heavy_tail { mean = num m; cap = heavy_tail_cap }
-      | m, Some cap -> Sim.Faults.Heavy_tail { mean = num m; cap = num cap })
+      let mean, cap =
+        match cut '/' m with
+        | m, None -> (num m, heavy_tail_cap)
+        | m, Some cap -> (num m, num cap)
+      in
+      (* a mean of 0 would run as 1, a cap of 0 would delay nothing *)
+      if mean = 0 then bad "heavy-tail mean 0 (at least 1)"
+      else if cap = 0 then bad "heavy-tail cap 0 delays nothing"
+      else Sim.Faults.Heavy_tail { mean; cap })
     | _ -> bad "not a delay distribution: %s" s
   in
   let groups s =

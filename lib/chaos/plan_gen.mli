@@ -71,8 +71,11 @@ val parse : string -> (Tme.Scenarios.fault_spec list, string) result
     the shorthand for {!Tme.Scenarios.burst}.  A negative number, a
     zero count, an empty window (crash and split windows are
     half-open, the others include [U]), a pid that is not a number or
-    is in two split groups, and any other token that is not a label
-    are errors whose message names the token and the accepted form. *)
+    is in two split groups, a delay that names nothing (a self-channel
+    [pN->pN], which no protocol sends on; a heavy-tail mean or cap of
+    0), and any other token that is not a label are errors whose
+    message names the token (and, for a token that is not a label, the
+    accepted form). *)
 
 val check :
   n:int -> steps:int -> Tme.Scenarios.fault_spec list -> (unit, string) result

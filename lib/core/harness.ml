@@ -44,9 +44,11 @@ let params ?(wrapper = Off) ?(passive = []) ~n () =
    | On _ | Off -> ());
   { n; wrapper; passive }
 
-(** One CS entry, as recorded by the oracle for the FCFS monitor. *)
+(** One CS entry, as recorded by the oracle for the FCFS monitor and
+    the service times. *)
 type entry_record = {
   entry_time : int;  (** engine time of the entry step *)
+  entry_since : int;  (** engine time its process turned hungry *)
   entry_pid : Sim.Pid.t;
   entry_req : Timestamp.t;  (** the request this entry served *)
   entry_req_vc : Vector_clock.t;  (** causal stamp of that request *)

@@ -47,9 +47,11 @@ val params :
     @raise Invalid_argument on [n < 2], passive pids out of range, or
     a wrapper [delta < 0]. *)
 
-(** One CS entry, as recorded by the oracle for the FCFS monitor. *)
+(** One CS entry, as recorded by the oracle for the FCFS monitor and
+    the service times. *)
 type entry_record = {
   entry_time : int;  (** engine time of the entry step *)
+  entry_since : int;  (** engine time its process turned hungry *)
   entry_pid : Sim.Pid.t;
   entry_req : Clocks.Timestamp.t;  (** the request this entry served *)
   entry_req_vc : Clocks.Vector_clock.t;  (** causal stamp of that request *)

@@ -23,7 +23,7 @@ type entry = {
 }
 
 let entry ?(role = Reference) ?expectation ?partition_expectation
-    ?during_partition ?(delta = 8) ?(lspec_monitorable = true) ?wrapper_term
+    ?during_partition ?(lspec_monitorable = true) ?wrapper_term
     ?sweep_rank ~doc (module P : Protocol.S) =
   let expectation =
     match expectation with
@@ -74,7 +74,7 @@ let entry ?(role = Reference) ?expectation ?partition_expectation
     expectation;
     partition_expectation;
     during_partition;
-    default_delta = delta;
+    default_delta = 8;
     lspec_monitorable;
     por_safe;
     synthesizable;

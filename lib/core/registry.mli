@@ -92,7 +92,8 @@ type entry = {
   during_partition : during_partition;
       (** how the campaign's during-split cells are gated: the
           regime-epoch verdict expected while a partition is open *)
-  default_delta : int;  (** wrapper timeout for default sweeps *)
+  default_delta : int;
+      (** wrapper timeout for default sweeps: 8 for every entry *)
   lspec_monitorable : bool;
       (** the Lspec / TME_Spec monitors apply to this implementation's
           views (false for the central-coordinator baseline, whose
@@ -128,7 +129,6 @@ val entry :
   ?expectation:expectation ->
   ?partition_expectation:partition_expectation ->
   ?during_partition:during_partition ->
-  ?delta:int ->
   ?lspec_monitorable:bool ->
   ?wrapper_term:Wrapper.t ->
   ?sweep_rank:int ->
@@ -144,7 +144,7 @@ val entry :
     certified against wedges, not partitions); [during_partition]
     likewise ([Reference | Ablation | Synthesized -> Wedge] — the
     classical programs block on severed quorums — [Negative_control ->
-    Unsafe]); [delta = 8]; [lspec_monitorable = true];
+    Unsafe]); [lspec_monitorable = true];
     [wrapper_term] defaults to [None]; no sweep rank.  [por_safe] and
     [synthesizable] are derived, never set (see their fields). *)
 

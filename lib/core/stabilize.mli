@@ -84,9 +84,3 @@ module Online : sig
 end
 
 val pp : Format.formatter -> analysis -> unit
-
-val service_times : ?after:int -> vtrace -> int list
-(** [service_times ?after tr] lists the duration (in simulated steps)
-    of every completed hungry-to-eating interval that starts at or
-    after snapshot index [after] (default 0) — the per-request service
-    latencies, for percentile reporting. *)

@@ -7,7 +7,7 @@ let correction_targets ~spec =
   let reach = Tsys.reachable spec ~from:(Tsys.init_states spec) in
   List.filter (fun s -> reach.(s)) (List.init (Tsys.n_states spec) Fun.id)
 
-let synthesize ?(action_name = "correct") ?target a ~spec =
+let synthesize ?target a ~spec =
   match correction_targets ~spec, needs_correction a ~spec with
   | [], _ -> None (* nowhere legitimate to escape to *)
   | default :: _, corrected ->
@@ -15,7 +15,7 @@ let synthesize ?(action_name = "correct") ?target a ~spec =
     let edges = List.map (fun s -> (s, target)) corrected in
     let w =
       Actsys.create ~n:(Actsys.n_states a)
-        ~actions:[ (action_name, edges) ]
+        ~actions:[ ("correct", edges) ]
         ~init:(Actsys.init_states a) ()
     in
     (* The construction is sound only when the specification's

@@ -31,16 +31,13 @@ val correction_targets : spec:Tsys.t -> int list
 (** [correction_targets ~spec] lists sensible states to correct {e to}:
     the specification's initialized reachable states. *)
 
-val synthesize :
-  ?action_name:string -> ?target:int -> Actsys.t -> spec:Tsys.t ->
-  Actsys.t option
-(** [synthesize ?action_name ?target a ~spec] returns the wrapper
-    action system [w] (a single action, default name ["correct"],
-    sending every state of {!needs_correction} to [target], default:
-    the first correction target), or [None] when the spec has no
-    initialized reachable state to escape to.  Postcondition (verified
-    before returning, [assert]ed): [Actsys.box a w] is fairly
-    stabilizing to [spec]. *)
+val synthesize : ?target:int -> Actsys.t -> spec:Tsys.t -> Actsys.t option
+(** [synthesize ?target a ~spec] returns the wrapper action system [w]
+    (a single action named ["correct"], sending every state of
+    {!needs_correction} to [target], default: the first correction
+    target), or [None] when the spec has no initialized reachable
+    state to escape to.  Postcondition (verified before returning,
+    [assert]ed): [Actsys.box a w] is fairly stabilizing to [spec]. *)
 
 val is_minimal : Actsys.t -> spec:Tsys.t -> wrapper:Actsys.t -> bool
 (** [is_minimal a ~spec ~wrapper] checks that removing any single

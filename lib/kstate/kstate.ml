@@ -57,7 +57,20 @@ let run ?corrupt_at ~n ~k ~seed ~steps () =
     Run.create ~n ~seed ~init:(fun self ->
         { self; n; k; x = 0; pred_x = None; moves = 0 })
   in
-  let recorded = Run.recorder engine in
+  (* One fold over the step stream judges the run: the last fault's
+     index and time (Init's when none), and where the current run of
+     one-privilege snapshots started. *)
+  let idx = ref 0 and fault = ref (0, 0) and ones_since = ref None in
+  let last_privileges = ref 0 in
+  Run.add_observer engine (fun (s : (node, Node.msg) Sim.Observer.step) ->
+      let p =
+        privileges ~counters:(Array.map (fun node -> node.x) s.states) ~k
+      in
+      (match s.event with Sim.Trace.Fault _ -> fault := (!idx, s.time) | _ -> ());
+      if p <> 1 then ones_since := None
+      else if !ones_since = None then ones_since := Some (!idx, s.time);
+      last_privileges := p;
+      incr idx);
   let plan =
     match corrupt_at with
     | None -> []
@@ -68,35 +81,18 @@ let run ?corrupt_at ~n ~k ~seed ~steps () =
                f = (fun rng node -> { node with x = Rng.int rng node.k }) }) ]
   in
   Run.run ~plan ~steps engine;
-  let trace = recorded () in
-  let snaps = Array.of_list trace in
-  let len = Array.length snaps in
-  let privileges_of i =
-    privileges
-      ~counters:(Array.map (fun node -> node.x) snaps.(i).Sim.Trace.states)
-      ~k
-  in
-  let fault_index =
-    Option.value ~default:0 (Sim.Trace.last_fault_index trace)
-  in
-  let stabilized_at =
-    let idx = ref None in
-    (try
-       for i = len - 1 downto fault_index do
-         if privileges_of i = 1 then idx := Some i else raise Exit
-       done
-     with Exit -> ());
-    !idx
-  in
-  let recovery_steps =
-    match stabilized_at with
-    | Some s ->
-      Some (snaps.(s).Sim.Trace.time - snaps.(fault_index).Sim.Trace.time)
+  (* stabilized from the later of the fault and the start of the
+     final one-privilege run, if the run ends legitimate *)
+  let stable =
+    match !ones_since with
     | None -> None
+    | Some (i, time) ->
+      let fi, ftime = !fault in
+      Some (if i >= fi then (i, time - ftime) else (fi, 0))
   in
-  { stabilized_at;
-    recovery_steps;
-    privileges_at_end = (if len = 0 then 0 else privileges_of (len - 1));
+  { stabilized_at = Option.map fst stable;
+    recovery_steps = Option.map snd stable;
+    privileges_at_end = !last_privileges;
     moves =
       Array.fold_left (fun acc (node : node) -> acc + node.moves) 0
         (Run.states engine) }

@@ -1114,7 +1114,10 @@ module Search (P : Graybox.Protocol.S) = struct
     | _ when k <= 0 -> []
     | x :: tl -> x :: take (k - 1) tl
 
-  let everywhere_seeds ?(inflight = true) ~max_seeds ctx =
+  (* Seeds beyond the initial state, at most. *)
+  let max_seeds = 256
+
+  let everywhere_seeds ~inflight ctx =
     let n = ctx.n in
     let base = initial ctx in
     let corrupted =
@@ -1430,7 +1433,7 @@ module Search (P : Graybox.Protocol.S) = struct
     List.iter
       (fun (label, key) ->
         let si = Vec.length seed_labels in
-        if si >= 1 lsl 16 then invalid_arg "Mcheck: need max_seeds < 65536";
+        if si >= 1 lsl 16 then invalid_arg "Mcheck: need fewer than 65536 seeds";
         Vec.push seed_labels label;
         match
           Table.admit table key 0 (Array.length key) ~parent:si ~max_states
@@ -1785,10 +1788,9 @@ let check_me1 ?wrapper proto ~n ?jobs ?shards ?max_depth ?max_states
   check_invariant ?wrapper proto ~n ?jobs ?shards ?max_depth ?max_states
     ?mem_budget ?spill_dir ?por ~name:"ME1" me1
 
-let check_everywhere ?wrapper ?inflight (module P : Graybox.Protocol.S) ~n
-    ?(jobs = 1) ?shards ?(max_depth = 30) ?(max_states = 200_000)
-    ?(mem_budget = max_int) ?spill_dir ?(por = false) ?(max_seeds = 256) ~name
-    p =
+let check_everywhere ?wrapper (module P : Graybox.Protocol.S) ~n ?(jobs = 1)
+    ?shards ?(max_depth = 30) ?(max_states = 200_000) ?(mem_budget = max_int)
+    ?spill_dir ?(por = false) ~name p =
   let shards = match shards with Some s -> s | None -> min jobs 64 in
   let spill_dir =
     match spill_dir with Some d -> d | None -> default_spill_dir ()
@@ -1798,13 +1800,13 @@ let check_everywhere ?wrapper ?inflight (module P : Graybox.Protocol.S) ~n
   S.run ctx
     (S.make_workspace ctx ~shards ~mem_budget ~spill_dir)
     ~jobs ~max_depth ~max_states ~por ~name
-    ~seeds:(S.everywhere_seeds ?inflight ~max_seeds)
+    ~seeds:(S.everywhere_seeds ~inflight:true)
     p
 
-let check_me1_everywhere ?wrapper ?inflight proto ~n ?jobs ?shards ?max_depth
-    ?max_states ?mem_budget ?spill_dir ?por ?max_seeds () =
-  check_everywhere ?wrapper ?inflight proto ~n ?jobs ?shards ?max_depth
-    ?max_states ?mem_budget ?spill_dir ?por ?max_seeds ~name:"ME1" me1
+let check_me1_everywhere ?wrapper proto ~n ?jobs ?shards ?max_depth
+    ?max_states ?mem_budget ?spill_dir ?por () =
+  check_everywhere ?wrapper proto ~n ?jobs ?shards ?max_depth
+    ?max_states ?mem_budget ?spill_dir ?por ~name:"ME1" me1
 
 let replay ?wrapper (module P : Graybox.Protocol.S) ~n trace =
   let module S = Search (P) in
@@ -1865,7 +1867,7 @@ module Oracle = struct
 
   let checker (module P : Graybox.Protocol.S) ~n ?(jobs = 1) ?shards
       ?(safety_depth = 8) ?(recovery_depth = 14) ?(max_states = 200_000)
-      ?(mem_budget = max_int) ?spill_dir ?(max_seeds = 256) () =
+      ?(mem_budget = max_int) ?spill_dir () =
     let shards = match shards with Some s -> s | None -> min jobs 64 in
     let spill_dir =
       match spill_dir with Some d -> d | None -> default_spill_dir ()
@@ -1889,7 +1891,7 @@ module Oracle = struct
          statistically by the chaos campaign's wrapped-recover gates. *)
       match
         run ~max_depth:safety_depth ~name:"ME1"
-          ~seeds:(S.everywhere_seeds ~inflight:false ~max_seeds)
+          ~seeds:(S.everywhere_seeds ~inflight:false)
           me1
       with
       | Violation { trace; path; stats; _ } ->
@@ -1946,7 +1948,7 @@ module Oracle = struct
         sweep [ s ] legs
 
   let check proto ~n ?jobs ?shards ?safety_depth ?recovery_depth ?max_states
-      ?mem_budget ?spill_dir ?max_seeds wrapper =
+      ?mem_budget ?spill_dir wrapper =
     checker proto ~n ?jobs ?shards ?safety_depth ?recovery_depth ?max_states
-      ?mem_budget ?spill_dir ?max_seeds () wrapper
+      ?mem_budget ?spill_dir () wrapper
 end

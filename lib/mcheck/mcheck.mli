@@ -137,23 +137,22 @@ val check_invariant :
     invisible. *)
 
 val check_me1_everywhere :
-  ?wrapper:Graybox.Wrapper.t -> ?inflight:bool ->
+  ?wrapper:Graybox.Wrapper.t ->
   (module Graybox.Protocol.S) -> n:int -> ?jobs:int -> ?shards:int ->
   ?max_depth:int -> ?max_states:int -> ?mem_budget:int -> ?spill_dir:string ->
-  ?por:bool -> ?max_seeds:int -> unit -> Graybox.View.t array result
+  ?por:bool -> unit -> Graybox.View.t array result
 (** Like {!check_me1}, but the frontier is seeded with perturbed
     states — every {!Graybox.Protocol.S.perturb} corruption of every
-    process, plus (unless [~inflight:false]) single arbitrary
-    in-flight messages on every channel — capped at [max_seeds]
-    (default 256) seeds beyond the initial state.  This is the paper's
-    everywhere-exploration: a protocol that merely implements the spec
-    from Init generally fails it. *)
+    process, plus single arbitrary in-flight messages on every
+    channel — capped at 256 seeds beyond the initial state.  This is
+    the paper's everywhere-exploration: a protocol that merely
+    implements the spec from Init generally fails it. *)
 
 val check_everywhere :
-  ?wrapper:Graybox.Wrapper.t -> ?inflight:bool ->
+  ?wrapper:Graybox.Wrapper.t ->
   (module Graybox.Protocol.S) -> n:int -> ?jobs:int -> ?shards:int ->
   ?max_depth:int -> ?max_states:int -> ?mem_budget:int -> ?spill_dir:string ->
-  ?por:bool -> ?max_seeds:int -> name:string ->
+  ?por:bool -> name:string ->
   (Graybox.View.t array -> bool) -> Graybox.View.t array result
 (** Everywhere-mode {!check_invariant}. *)
 
@@ -224,7 +223,7 @@ module Oracle : sig
   val checker :
     (module Graybox.Protocol.S) -> n:int -> ?jobs:int -> ?shards:int ->
     ?safety_depth:int -> ?recovery_depth:int -> ?max_states:int ->
-    ?mem_budget:int -> ?spill_dir:string -> ?max_seeds:int -> unit ->
+    ?mem_budget:int -> ?spill_dir:string -> unit ->
     Graybox.Wrapper.t -> verdict
   (** [checker proto ~n ()] is a reusable oracle: applied to a
       candidate, it certifies or refutes it.  Defaults:
@@ -266,7 +265,7 @@ module Oracle : sig
   val check :
     (module Graybox.Protocol.S) -> n:int -> ?jobs:int -> ?shards:int ->
     ?safety_depth:int -> ?recovery_depth:int -> ?max_states:int ->
-    ?mem_budget:int -> ?spill_dir:string -> ?max_seeds:int ->
+    ?mem_budget:int -> ?spill_dir:string ->
     Graybox.Wrapper.t -> verdict
   (** [check proto ~n candidate] is the one-shot form, [checker proto
       ~n () candidate]. *)

@@ -65,31 +65,56 @@ let make_engine params ~seed =
         seq = 0 })
 
 (* hb soundness: a claimed same-epoch ordering between two stamps of
-   the same sender must follow that sender's true send order. *)
-let hb_sound_over trace =
-  let deliveries =
-    List.filter_map
-      (fun (snap : (node, gossip) Sim.Trace.snapshot) ->
-        match snap.event with
-        | Sim.Trace.Deliver { msg; _ } -> Some msg
-        | _ -> None)
-      trace
-  in
-  List.for_all
-    (fun (a : gossip) ->
+   the same sender must follow that sender's true send order.  Stamps
+   of different senders are never compared, and [Clock.hb] claims
+   nothing across epochs, so only pairs within one (sender, epoch)
+   bucket can fail. *)
+let hb_sound_over buckets =
+  Seq.for_all
+    (fun bucket ->
       List.for_all
-        (fun (b : gossip) ->
-          a.sender <> b.sender
-          ||
-          match Clock.hb a.stamp b.stamp with
-          | Some true -> a.sent_seq < b.sent_seq
-          | Some false | None -> true)
-        deliveries)
-    deliveries
+        (fun (a : gossip) ->
+          List.for_all
+            (fun (b : gossip) ->
+              match Clock.hb a.stamp b.stamp with
+              | Some true -> a.sent_seq < b.sent_seq
+              | Some false | None -> true)
+            bucket)
+        bucket)
+    (Hashtbl.to_seq_values buckets)
 
 let run ?corrupt_at params ~seed ~steps =
   let engine = make_engine params ~seed in
-  let recorded = Run.recorder engine in
+  (* One fold over the step stream judges the run.  A fault restarts
+     the search for the first snapshot in which every clock is well
+     formed again.  That is what the level-1 wrapper restores; epoch
+     skew between processes is normal operation (each reset starts a
+     reconciliation that rides on gossip), so demanding a common epoch
+     at an instant would reject healthy executions.  From that
+     snapshot on, the deliveries are kept for the hb-soundness check,
+     bucketed by (sender, epoch). *)
+  let fault_time = ref None and stable_time = ref None and resets = ref 0 in
+  let buckets = Hashtbl.create 64 in
+  Run.add_observer engine (fun (s : (node, gossip) Sim.Observer.step) ->
+      match s.event with
+      | Sim.Trace.Fault _ ->
+        fault_time := Some s.time;
+        stable_time := None;
+        Hashtbl.reset buckets
+      | event ->
+        (match event with
+         | Sim.Trace.Internal { label = "rvc-reset"; _ } -> incr resets
+         | _ -> ());
+        if
+          !stable_time = None
+          && Array.for_all (fun node -> Clock.well_formed node.clock) s.states
+        then stable_time := Some s.time;
+        match event, !stable_time with
+        | Sim.Trace.Deliver { msg; _ }, Some _ ->
+          let key = (msg.sender, msg.stamp.Clock.epoch) in
+          let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+          Hashtbl.replace buckets key (msg :: bucket)
+        | _ -> ());
   let plan =
     match corrupt_at with
     | None -> []
@@ -100,68 +125,20 @@ let run ?corrupt_at params ~seed ~steps =
                f = (fun rng node -> { node with clock = Clock.corrupt rng node.clock }) }) ]
   in
   Run.run ~plan ~steps engine;
-  let trace = recorded () in
-  let fault_index = Sim.Trace.last_fault_index trace in
-  let snaps = Array.of_list trace in
-  let stable_at =
-    (* first index at or after the fault where every clock is well
-       formed again.  That is what the level-1 wrapper restores; epoch
-       skew between processes is normal operation (each reset starts a
-       reconciliation that rides on gossip), so demanding a common
-       epoch at an instant would reject healthy executions. *)
-    let len = Array.length snaps in
-    let ok i =
-      Array.for_all
-        (fun node -> Clock.well_formed node.clock)
-        snaps.(i).Sim.Trace.states
-    in
-    let base = match fault_index with Some f -> f + 1 | None -> 0 in
-    let idx = ref None in
-    (try
-       for i = base to len - 1 do
-         if ok i then begin
-           idx := Some i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !idx
-  in
-  let recovery_steps =
-    match stable_at, fault_index with
-    | Some s, Some f when s >= f ->
-      Some (snaps.(s).Sim.Trace.time - snaps.(f).Sim.Trace.time)
-    | Some _, Some _ -> Some 0
-    | Some _, None -> Some 0
-    | None, _ -> None
-  in
-  let resets =
-    List.length
-      (List.filter
-         (fun (snap : (node, gossip) Sim.Trace.snapshot) ->
-           match snap.event with
-           | Sim.Trace.Internal { label = "rvc-reset"; _ } -> true
-           | _ -> false)
-         trace)
-  in
-  let final_epoch =
-    Array.fold_left
-      (fun acc node -> max acc (Clock.epoch node.clock))
-      0 (Run.states engine)
-  in
-  let hb_sound =
-    match stable_at with
-    | None -> true  (* nothing claimed *)
-    | Some s -> hb_sound_over (Sim.Trace.suffix_from trace s)
-  in
-  let ill_at_end =
-    Array.fold_left
-      (fun acc node -> if Clock.well_formed node.clock then acc else acc + 1)
-      0 (Run.states engine)
-  in
-  { recovered = stable_at <> None;
-    recovery_steps;
-    resets;
-    ill_at_end;
-    final_epoch;
-    hb_sound }
+  let final = Run.states engine in
+  { recovered = !stable_time <> None;
+    recovery_steps =
+      (match !stable_time, !fault_time with
+       | Some s, Some f -> Some (s - f)
+       | Some _, None -> Some 0
+       | None, _ -> None);
+    resets = !resets;
+    ill_at_end =
+      Array.fold_left
+        (fun acc node -> if Clock.well_formed node.clock then acc else acc + 1)
+        0 final;
+    final_epoch =
+      Array.fold_left (fun acc node -> max acc (Clock.epoch node.clock)) 0 final;
+    (* the buckets hold only post-recovery deliveries: an unrecovered
+       run claims nothing *)
+    hb_sound = hb_sound_over buckets }

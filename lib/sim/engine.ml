@@ -137,11 +137,9 @@ module Make (N : NODE) = struct
     Vec.push t.observers f;
     f { Observer.time = t.time; event = Trace.Init; states = t.states }
 
-  (* A snapshot captures the network's contents through its persistent
-     mirror, which costs only the channels written since the previous
-     snapshot; the channel lists materialize lazily if an analysis reads
-     them.  Recording is therefore O(n) (the states copy) per step
-     instead of O(channels). *)
+  (* A snapshot copies the states and the network's persistent channel
+     queues; the channel lists materialize lazily if an analysis reads
+     them. *)
   let recorder t =
     let rev = ref [] in
     add_observer t (fun (s : (N.state, N.msg) Observer.step) ->

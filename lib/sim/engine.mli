@@ -95,8 +95,10 @@ module Make (N : NODE) : sig
       per step it sees (a copy of the states and the network's
       contents, see {!Network.capture}) and returns the reader of the
       chronological trace so far.  Attach it right after {!create} to
-      record from [Init]; recording costs O(n) per step in time and
-      memory. *)
+      record from [Init]; recording costs O(n + occupied channels) per
+      step in time and memory, so it is for the readers that need the
+      trace itself (Lspec's clauses, the tests) at small n.  A verdict
+      is a fold: attach an observer instead. *)
 
   (** {2 Mutation} *)
 

@@ -20,12 +20,8 @@ end)
    or a delivery is one table lookup (plus an insertion or a removal
    when the channel fills or empties) and its queue cell.
 
-   Trace capture reads a persistent mirror of that table instead: the
-   first [capture] builds it, and from then on every write journals its
-   channel, so each later capture folds only the channels written since
-   the previous one into the mirror and keeps the resulting map value —
-   unaffected by anything done to the network afterwards.  A network
-   that is never captured (an unrecorded run) journals nothing.
+   Trace capture copies the table's queues: they are persistent, so the
+   copy is unaffected by anything done to the network afterwards.
 
    The index over the contents is ephemeral, updated in place:
    - [live_src], a Fenwick tree over sources counting each source's
@@ -53,13 +49,6 @@ type 'm t = {
   chans : ('m * int) Fqueue.t ref Itbl.t;
       (* (payload, ready step), keyed src * n + dst; nonempty channels
          only *)
-  mutable captured : bool; (* [capture] has run: writes are journaled *)
-  mutable mirror : ('m * int) Fqueue.t Imap.t;
-      (* the contents as of the last journal fold *)
-  mutable journal : int array;
-      (* the first [journal_len] entries: channels written since that
-         fold *)
-  mutable journal_len : int;
   live_src : Fenwick.t; (* per source: channels with a deliverable head *)
   rows : int array array;
       (* per source: bitset over destinations of those channels, [bits]
@@ -102,10 +91,6 @@ let create ~n =
   { n;
     now = 0;
     chans = Itbl.create 64;
-    captured = false;
-    mirror = Imap.empty;
-    journal = Array.make 16 0;
-    journal_len = 0;
     live_src = Fenwick.create n;
     rows = Array.make n [||];
     live_dst = Array.make n 0;
@@ -114,40 +99,6 @@ let create ~n =
 
 let chan t i =
   match Itbl.find t.chans i with c -> !c | exception Not_found -> Fqueue.empty
-
-(* Fold the journaled channels into the mirror.  Each entry reads the
-   channel's current contents, so order and repeats do not matter (a
-   repeat re-adds the same queue, which [Imap.add] turns into a no-op
-   returning the same map). *)
-let sync t =
-  let m = ref t.mirror in
-  for k = 0 to t.journal_len - 1 do
-    let i = t.journal.(k) in
-    m :=
-      match Itbl.find t.chans i with
-      | c -> Imap.add i !c !m
-      | exception Not_found -> Imap.remove i !m
-  done;
-  t.mirror <- !m;
-  t.journal_len <- 0
-
-(* Note a write to channel [i] for the next capture.  A full journal
-   that has outgrown the table (writes continuing long after the last
-   capture) is folded in early instead of growing, so it never holds
-   more than O(occupied channels) entries. *)
-let note_write t i =
-  if t.captured then begin
-    let len = t.journal_len in
-    if len = Array.length t.journal then
-      if len > (2 * Itbl.length t.chans) + 64 then sync t
-      else begin
-        let bigger = Array.make (2 * len) 0 in
-        Array.blit t.journal 0 bigger 0 len;
-        t.journal <- bigger
-      end;
-    t.journal.(t.journal_len) <- i;
-    t.journal_len <- t.journal_len + 1
-  end
 
 let set_live t ~src ~dst =
   let row =
@@ -186,7 +137,6 @@ let set_chan t i q =
   (if Fqueue.is_empty q then Itbl.remove t.chans i
    else
      match cell with Some c -> c := q | None -> Itbl.add t.chans i (ref q));
-  note_write t i;
   if before <> after then begin
     let src = i / t.n and dst = i mod t.n in
     (match before with
@@ -243,8 +193,7 @@ let send ?delay t ~src ~dst m =
    | exception Not_found ->
      Itbl.add t.chans i (ref (Fqueue.of_list [ (m, ready) ]));
      if ready <= t.now then set_live t ~src ~dst
-     else t.waiting <- Imap.add i () t.waiting);
-  note_write t i
+     else t.waiting <- Imap.add i () t.waiting)
 
 let deliver t ~src ~dst =
   let i = idx t ~src ~dst in
@@ -266,7 +215,6 @@ let deliver t ~src ~dst =
            t.waiting <- Imap.add i () t.waiting
          | _ -> ()
        end;
-       note_write t i;
        Some m
      | _ -> None (* head staged for a later step *))
 
@@ -386,18 +334,12 @@ let reorder_at t ~src ~dst ~pos =
 
 let flush_channel t ~src ~dst = set_chan t (idx t ~src ~dst) Fqueue.empty
 
-(* The first capture builds the mirror from the table; every later one
-   folds in the journal.  The mirror holds exactly the nonempty
-   channels, staged or not, in (src, dst) order. *)
+(* The queues are persistent, so copying the table's cells is the
+   whole snapshot; sorting them and building the lists waits for a
+   reader. *)
 let capture t =
-  if t.captured then sync t
-  else begin
-    t.mirror <- Itbl.fold (fun i c m -> Imap.add i !c m) t.chans Imap.empty;
-    t.captured <- true
-  end;
-  let n = t.n and chans = t.mirror in
+  let n = t.n in
+  let chans = Itbl.fold (fun i c acc -> (i, !c) :: acc) t.chans [] in
   lazy
-    (Imap.fold
-       (fun i q acc -> (i / n, i mod n, List.map fst (Fqueue.to_list q)) :: acc)
-       chans []
-    |> List.rev)
+    (List.sort (fun (i, _) (j, _) -> Int.compare i j) chans
+    |> List.map (fun (i, q) -> (i / n, i mod n, List.map fst (Fqueue.to_list q))))

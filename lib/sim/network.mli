@@ -16,12 +16,9 @@
     flush / split / delay) are defined here; {e when} they fire is
     decided by {!Faults}.
 
-    {b Trace capture.}  {!capture} keeps a persistent mirror of the
-    contents.  The first capture builds it from the table; after that
-    every write also notes its channel, and each capture folds the
-    channels written since the previous one into the mirror — on a
-    recorded run, O(log n) per channel a step touched.  A network that
-    is never captured pays nothing for it.
+    {b Trace capture.}  {!capture} copies the table's persistent
+    queues when a recorder asks, in O(occupied channels); a network
+    that is never captured pays nothing for it.
 
     {b Delivery-ready staging.}  Every message carries a ready step.
     Undelayed sends are ready immediately, so on fault-free runs the
@@ -154,8 +151,5 @@ val capture : 'm t -> (Pid.t * Pid.t * 'm list) list Lazy.t
     they are now — staged messages included, channels in (src, dst)
     order — computed on first force, and unaffected by anything done
     to [net] afterwards: how the engine's recorder takes trace
-    snapshots.
-    Taking it costs O(log n) per channel written since the previous
-    capture, which it folds into the mirror — so capturing after every
-    step adds O(log n) to each write — and nothing more; the first
-    capture costs O(occupied channels · log n). *)
+    snapshots.  Taking it copies one queue per nonempty channel; the
+    order and the lists are built on first force. *)

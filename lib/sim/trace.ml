@@ -51,26 +51,3 @@ let map_msgs f tr =
                (fun (src, dst, ms) -> (src, dst, List.map f ms))
                (Lazy.force snap.channels)) })
     tr
-
-let length = List.length
-
-let nth = List.nth
-
-let events tr = List.map (fun snap -> snap.event) tr
-
-let last_fault_index tr =
-  let _, found =
-    List.fold_left
-      (fun (i, found) snap ->
-        match snap.event with
-        | Fault _ -> (i + 1, Some i)
-        | Init | Deliver _ | Internal _ | Stutter -> (i + 1, found))
-      (0, None) tr
-  in
-  found
-
-let rec suffix_from tr i =
-  match tr with
-  | rest when i <= 0 -> rest
-  | [] -> []
-  | _ :: rest -> suffix_from rest (i - 1)

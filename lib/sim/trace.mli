@@ -19,10 +19,9 @@ type ('s, 'm) snapshot = {
   states : 's array;
   channels : (Pid.t * Pid.t * 'm list) list Lazy.t;
       (** materialized on first access: the engine's recorder keeps
-          the network's persistent capture mirror ({!Network.capture}),
-          brought up to date with just the channels written since the
-          previous snapshot, and the per-channel lists are built only
-          for analyses that read them (memoized thereafter) *)
+          a copy of the network's persistent channel queues
+          ({!Network.capture}), and the per-channel lists are built
+          only for analyses that read them (memoized thereafter) *)
 }
 
 type ('s, 'm) t = ('s, 'm) snapshot list
@@ -38,16 +37,3 @@ val map_states : ('s -> 'v) -> ('s, 'm) t -> ('v, 'm) t
 val map_msgs : ('m -> 'p) -> ('s, 'm) t -> ('s, 'p) t
 (** [map_msgs f tr] maps every message in events and channel snapshots,
     e.g. stripping oracle metadata from envelopes. *)
-
-val length : ('s, 'm) t -> int
-
-val nth : ('s, 'm) t -> int -> ('s, 'm) snapshot
-
-val events : ('s, 'm) t -> ('s, 'm) event list
-
-val last_fault_index : ('s, 'm) t -> int option
-(** [last_fault_index tr] is the index of the last [Fault] snapshot,
-    if any — stabilization is judged on the suffix after it. *)
-
-val suffix_from : ('s, 'm) t -> int -> ('s, 'm) t
-(** [suffix_from tr i] drops the first [i] snapshots. *)

@@ -1,23 +1,11 @@
-type align = Left | Right
-
 type row = Cells of string list | Sep
 
 type t = {
   headers : string list;
-  aligns : align list;
   mutable rows : row list; (* reversed *)
 }
 
-let default_aligns n =
-  List.init n (fun i -> if i = 0 then Left else Right)
-
-let create ?aligns headers =
-  let aligns =
-    match aligns with
-    | Some a -> a
-    | None -> default_aligns (List.length headers)
-  in
-  { headers; aligns; rows = [] }
+let create headers = { headers; rows = [] }
 
 let pad_to n filler cells =
   let len = List.length cells in
@@ -42,16 +30,14 @@ let render t =
   measure t.headers;
   List.iter (function Cells c -> measure c | Sep -> ()) rows;
   let buf = Buffer.create 1024 in
-  let aligns = pad_to ncols Right t.aligns in
+  (* the label column is left-aligned, the measurements right *)
   let emit_cells cells =
     List.iteri
       (fun i c ->
         let w = widths.(i) in
         let pad = String.make (w - String.length c) ' ' in
         if i > 0 then Buffer.add_string buf "  ";
-        (match List.nth aligns i with
-         | Left -> Buffer.add_string buf (c ^ pad)
-         | Right -> Buffer.add_string buf (pad ^ c)))
+        Buffer.add_string buf (if i = 0 then c ^ pad else pad ^ c))
       cells;
     Buffer.add_char buf '\n'
   in

@@ -4,14 +4,12 @@
     table; this module owns the formatting so every table in
     [bench/main.exe]'s output reads uniformly. *)
 
-type align = Left | Right
-
 type t
 
-val create : ?aligns:align list -> string list -> t
-(** [create ?aligns headers] starts a table.  [aligns] defaults to
-    [Left] for the first column and [Right] for the rest, the usual
-    layout for a label column followed by measurements. *)
+val create : string list -> t
+(** [create headers] starts a table.  The first column is
+    left-aligned and the rest right-aligned, the usual layout for a
+    label column followed by measurements. *)
 
 val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row.  Rows shorter than the header are
@@ -22,7 +20,7 @@ val add_sep : t -> unit
 
 val render : t -> string
 (** [render t] lays the table out with one space of padding, a header
-    rule, and the configured alignments. *)
+    rule, and the alignments of {!create}. *)
 
 val print : ?title:string -> t -> unit
 (** [print ?title t] writes the rendered table (preceded by an

@@ -140,39 +140,46 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = false) ?(streaming = true)
     let nodes0 = Run.Run.states engine in
     let views = Array.map Run.view nodes0 in
     let req_vcs = Array.map (fun (nd : Run.node) -> nd.Run.req_vc) nodes0 in
+    (* per process, the engine time it last turned hungry *)
+    let hungry_since = Array.make n 0 in
     (* whether the step being observed moved some process's mode: a
        snapshot that moved none is fed to the folds as a repeat *)
     let moved = ref false in
-    let refresh (nodes : Run.node array) p =
+    let refresh ~time (nodes : Run.node array) p =
       let before = views.(p).Graybox.View.mode in
       views.(p) <- Run.view nodes.(p);
       req_vcs.(p) <- nodes.(p).Run.req_vc;
-      if views.(p).Graybox.View.mode <> before then moved := true
+      let mode = views.(p).Graybox.View.mode in
+      if mode <> before then begin
+        moved := true;
+        if mode = Graybox.View.Hungry then hungry_since.(p) <- time
+      end
     in
     let on_step (s : (Run.node, Run.envelope) Sim.Observer.step) =
-      let nodes = s.Sim.Observer.states in
+      let nodes = s.Sim.Observer.states and time = s.Sim.Observer.time in
       moved := false;
       (match s.Sim.Observer.event with
        | Sim.Trace.Init ->
-         for p = 0 to n - 1 do refresh nodes p done;
+         for p = 0 to n - 1 do refresh ~time nodes p done;
          moved := true
-       | Sim.Trace.Deliver { dst; _ } -> refresh nodes dst
+       | Sim.Trace.Deliver { dst; _ } -> refresh ~time nodes dst
        | Sim.Trace.Internal { pid; label } ->
          if label = "enter-cs" then begin
            (* the arrays still hold the pre-step projection: the
               request this entry served *)
            let e =
-             { H.entry_time = s.Sim.Observer.time;
+             { H.entry_time = time;
+               entry_since = hungry_since.(pid);
                entry_pid = pid;
                entry_req = views.(pid).Graybox.View.req;
                entry_req_vc = req_vcs.(pid) }
            in
            entries := e :: !entries;
-           Graybox.Tme_spec.Epoch.feed_entry em ~time:s.Sim.Observer.time e
+           Graybox.Tme_spec.Epoch.feed_entry em ~time e
          end;
-         refresh nodes pid
+         refresh ~time nodes pid
        | Sim.Trace.Fault _ ->
-         for p = 0 to n - 1 do refresh nodes p done
+         for p = 0 to n - 1 do refresh ~time nodes p done
        | Sim.Trace.Stutter -> ());
       let fault, stutter =
         match s.Sim.Observer.event with
@@ -181,7 +188,7 @@ let run ?(wrapper = H.Off) ?(faults = []) ?(record = false) ?(streaming = true)
         | _ -> (false, false)
       in
       stuttering := stutter;
-      feed ~time:s.Sim.Observer.time ~fault ~repeat:(not !moved) views
+      feed ~time ~fault ~repeat:(not !moved) views
     in
     Run.Run.add_observer engine on_step
   end;

@@ -77,7 +77,8 @@ type result = {
       (** the view trace, kept only by a [~record:true] run (else
           empty) *)
   entry_log : Graybox.Harness.entry_record list;
-      (** the oracle's CS entries in run order *)
+      (** the oracle's CS entries in run order; with [entry_since]
+          they give the post-fault service times (bench T3) *)
   total_entries : int;
   analysis : Graybox.Stabilize.analysis;
       (** equal to the whole-trace oracle's analysis of the recorded
@@ -122,11 +123,11 @@ val run :
     with no pending recovery), feeding the rest of the horizon
     synthetically — [sim_steps] then reports how far the engine
     actually ran.  [~record:true] keeps the view trace (for
-    {!lspec_report}, {!Graybox.Stabilize.service_times} and the test
-    oracles) and runs the full horizon; every other field is the
-    same.  [~streaming:false] attaches no observer: a bare run whose
-    analysis and epoch report are empty and whose entry log is
-    empty — use it for throughput measurements only. *)
+    {!lspec_report} and the test oracles) and runs the full horizon;
+    every other field is the same.  [~streaming:false] attaches no
+    observer: a bare run whose analysis and epoch report are empty and
+    whose entry log is empty — use it for throughput measurements
+    only. *)
 
 val lspec_report : result -> Unityspec.Report.t
 (** Lspec clause verdicts over the scenario's recorded trace — only

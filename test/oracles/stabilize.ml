@@ -202,6 +202,32 @@ let service_round_latency (tr : vtrace) ~after =
     !answer
   end
 
+let service_times ?(after = 0) (tr : vtrace) =
+  let snaps = Array.of_list tr in
+  let len = Array.length snaps in
+  if len = 0 then []
+  else begin
+    let n = Array.length snaps.(0).Sim.Trace.states in
+    let samples = ref [] in
+    for j = 0 to n - 1 do
+      let start = ref None in
+      for i = 0 to len - 1 do
+        let mode = snaps.(i).Sim.Trace.states.(j).View.mode in
+        match !start, mode with
+        | None, View.Hungry -> if i >= after then start := Some i
+        | Some s, View.Eating ->
+          samples :=
+            (snaps.(i).Sim.Trace.time - snaps.(s).Sim.Trace.time) :: !samples;
+          start := None
+        | Some _, View.Thinking ->
+          (* interval aborted (fault reset the mode): not a service *)
+          start := None
+        | Some _, View.Hungry | None, (View.Thinking | View.Eating) -> ()
+      done
+    done;
+    List.rev !samples
+  end
+
 module Online = struct
   let of_trace (tr : vtrace) =
     let t = Graybox.Stabilize.Online.create () in

@@ -18,6 +18,15 @@ val service_round_latency : Graybox.Stabilize.vtrace -> after:int -> int option
     again, so it scales with contention and ring size.  [None] if some
     process never re-enters within the trace. *)
 
+val service_times : ?after:int -> Graybox.Stabilize.vtrace -> int list
+(** [service_times ?after tr] lists the duration (in simulated steps)
+    of every completed hungry-to-eating interval that starts at or
+    after snapshot index [after] (default 0) — the per-request service
+    latencies.  The product derives them from its entry stream instead
+    (bench T3: each entry after the last fault waited from when its
+    process turned hungry, or from the fault if that came later); the
+    two are held equal in the test suite. *)
+
 module Online : sig
   val of_trace : Graybox.Stabilize.vtrace -> Graybox.Stabilize.Online.t
   (** Fold a recorded trace, every snapshot fed with [~repeat:false]:

@@ -207,7 +207,18 @@ let test_parse_rejects () =
       "crash@5-10(p1"; "corrupt-state@5(px)"; "delay@5(p0->p1)";
       "delay@5(p0-p1,=3)"; "delay@5(*->*,=3)"; "delay@5(*,~u9)";
       "delay@5(*,~u9-3)"; "delay@5(*,exp3)"; "delay@5(*,~exp3/)";
-      "delay@5(*,~exp3/-40)"; "delay@5(*,~exp3/4/5)" ];
+      "delay@5(*,~exp3/-40)"; "delay@5(*,~exp3/4/5)";
+      (* labels that name nothing: a mean of 0 would run as 1, a cap of
+         0 delays nothing, and no protocol sends to itself *)
+      "delay@5(*,~exp0)"; "delay@5(*,~exp5/0)"; "delay@5(p0->p0,=1)" ];
+  List.iter
+    (fun s ->
+      match Plan_gen.parse s with
+      | Error msg ->
+        Alcotest.(check bool) (s ^ ": the message names the token") true
+          (String.starts_with ~prefix:(s ^ ": ") msg)
+      | Ok _ -> Alcotest.fail (s ^ " accepted"))
+    [ "delay@5(*,~exp0)"; "delay@5(*,~exp5/0)"; "delay@5(p0->p0,=1)" ];
   match Plan_gen.parse "flush@3 burst:1000" with
   | Error msg ->
     Alcotest.(check bool) "the message names the token and the form" true

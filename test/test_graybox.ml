@@ -185,14 +185,14 @@ let test_me3_causal_violation () =
   (* entry by 1 (request vc1) then entry by 0 whose request vc0 hb vc1:
      order respects causality only if vc0's entry came first *)
   let entries_ok : Harness.entry_record list =
-    [ { entry_time = 1; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc0 };
-      { entry_time = 2; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 } ]
+    [ { entry_time = 1; entry_since = 0; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc0 };
+      { entry_time = 2; entry_since = 0; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 } ]
   in
   Alcotest.(check bool) "causal order ok" true
     (Unityspec.Temporal.is_ok (Oracles.Tme_spec.me3 entries_ok));
   let entries_bad =
-    [ { Harness.entry_time = 1; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 };
-      { Harness.entry_time = 2; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc0 } ]
+    [ { Harness.entry_time = 1; entry_since = 0; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc1 };
+      { Harness.entry_time = 2; entry_since = 0; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc0 } ]
   in
   match Oracles.Tme_spec.me3 entries_bad with
   | Unityspec.Temporal.Violated _ -> ()
@@ -202,8 +202,8 @@ let test_me3_concurrent_requests_any_order () =
   let vc_a = Vector_clock.of_list [ 1; 0 ] in
   let vc_b = Vector_clock.of_list [ 0; 1 ] in
   let entries : Harness.entry_record list =
-    [ { entry_time = 1; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc_b };
-      { entry_time = 2; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc_a } ]
+    [ { entry_time = 1; entry_since = 0; entry_pid = 1; entry_req = ts 2 1; entry_req_vc = vc_b };
+      { entry_time = 2; entry_since = 0; entry_pid = 0; entry_req = ts 1 0; entry_req_vc = vc_a } ]
   in
   Alcotest.(check bool) "concurrent: any order fine" true
     (Unityspec.Temporal.is_ok (Oracles.Tme_spec.me3 entries))
@@ -474,9 +474,9 @@ let test_service_times () =
       snap 5 h []; snap 6 t [] ]
   in
   Alcotest.(check (list int)) "one completed service of 2 steps" [ 2 ]
-    (Stabilize.service_times tr);
+    (Oracles.Stabilize.service_times tr);
   Alcotest.(check (list int)) "after cutoff excludes it" []
-    (Stabilize.service_times ~after:4 tr)
+    (Oracles.Stabilize.service_times ~after:4 tr)
 
 (* ------------------------------------------------------------------ *)
 (* Harness                                                              *)

@@ -50,6 +50,44 @@ let test_recovers_from_corruption () =
       Alcotest.(check int) "single privilege" 1 o.Kstate.privileges_at_end)
     [ 1; 2; 3; 4; 5; 6 ]
 
+(* Every field of the outcome on a seed x configuration grid
+   ((n, k, corrupt_at, steps, seed): recoveries, a fault-free ring, a
+   run cut before it stabilizes, and a two-machine ring, which has one
+   privilege in every state, so it is legitimate across the fault and
+   counts as stabilized from the fault on) and on the million-step run of
+   [graybox-cli kstate --steps 1000000].  The values were computed by
+   recording each run and scanning the trace back from its end; the
+   fold must reproduce them exactly. *)
+let pinned_outcomes =
+  let o stabilized_at recovery_steps privileges_at_end moves =
+    { Kstate.stabilized_at; recovery_steps; privileges_at_end; moves }
+  in
+  [ ((4, 6, Some 500, 3000, 1), o (Some 516) (Some 15) 1 217);
+    ((4, 6, Some 500, 3000, 2), o (Some 512) (Some 11) 1 210);
+    ((4, 6, Some 500, 3000, 3), o (Some 512) (Some 11) 1 217);
+    ((5, 6, Some 100, 2000, 1), o (Some 186) (Some 85) 1 128);
+    ((5, 6, Some 100, 2000, 2), o (Some 163) (Some 62) 1 129);
+    ((5, 6, Some 100, 2000, 3), o (Some 158) (Some 57) 1 119);
+    ((3, 4, None, 1000, 1), o (Some 0) (Some 0) 1 102);
+    ((3, 4, None, 1000, 2), o (Some 0) (Some 0) 1 94);
+    ((3, 4, None, 1000, 3), o (Some 0) (Some 0) 1 103);
+    ((8, 9, Some 500, 600, 1), o (Some 550) (Some 49) 1 29);
+    ((8, 9, Some 500, 600, 2), o None None 2 37);
+    ((8, 9, Some 500, 600, 3), o (Some 575) (Some 74) 1 37);
+    ((2, 3, Some 300, 1000, 1), o (Some 301) (Some 0) 1 148);
+    ((2, 3, Some 300, 1000, 2), o (Some 301) (Some 0) 1 176);
+    ((2, 3, Some 300, 1000, 3), o (Some 301) (Some 0) 1 158);
+    ((4, 6, Some 500, 1000000, 1), o (Some 516) (Some 15) 1 72253) ]
+
+let test_outcomes_pinned () =
+  List.iter
+    (fun ((n, k, corrupt_at, steps, seed), want) ->
+      let got = Kstate.run ?corrupt_at ~n ~k ~seed ~steps () in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d k=%d steps=%d seed=%d" n k steps seed)
+        true (got = want))
+    pinned_outcomes
+
 let prop_recovers_from_random_corruption =
   qtest ~count:15 "K-state always stabilizes after corruption"
     QCheck2.Gen.(pair (1 -- 500) (100 -- 600))
@@ -65,4 +103,5 @@ let () =
           Alcotest.test_case "validates" `Quick test_run_validates;
           Alcotest.test_case "fault-free" `Quick test_fault_free_legitimate;
           Alcotest.test_case "recovers" `Quick test_recovers_from_corruption;
+          Alcotest.test_case "outcomes pinned" `Quick test_outcomes_pinned;
           prop_recovers_from_random_corruption ] ) ]

@@ -148,8 +148,8 @@ let test_online_fold_equals_offline () =
 (* The streaming path's inputs: a grid of protocols, wrapper modes and
    plans at n = 4, plus three more runs.  In the large one, 16 RA
    processes under W take a burst and then a lossy split, so the
-   recorded run reads every channel snapshot through the network's
-   capture mirror while the streaming run reads online observers and
+   recorded run captures every channel snapshot from the network's
+   channel table while the streaming run reads online observers and
    regime-epoch monitors.  In the wedged one, unwrapped RA loses the
    messages that cross a lossy split and deadlocks: the streaming run
    exits early just after the heal, and the folds take the remaining
@@ -407,6 +407,66 @@ let test_default_run_records_nothing () =
         H.Off,
         [ S.Drop_requests_window { from_t = 150; until_t = 210 } ] ) ]
 
+(* The post-fault service times (bench T3) come from the entry stream:
+   an entry after the last fault waited from when its process turned
+   hungry, or from the fault if that came later.  On the swept
+   references (the default sweep's, plus central), unwrapped and under
+   W'(4), after a burst, after a state corruption and with no fault,
+   at n = 2, 3 and 5, those waits equal the whole-trace oracle's
+   [service_times] from the last fault's index, as multisets. *)
+let test_entry_service_times () =
+  let refs =
+    List.filter
+      (fun (e : Graybox.Registry.entry) ->
+        e.Graybox.Registry.name = Tme.Central_me.name
+        || List.mem e.Graybox.Registry.name (Graybox.Registry.default_sweep ()))
+      (Graybox.Registry.all ~role:Graybox.Registry.Reference ())
+  in
+  Alcotest.(check (list string)) "swept references" [ "ra"; "lamport"; "central" ]
+    (List.map (fun (e : Graybox.Registry.entry) -> e.Graybox.Registry.name) refs);
+  let plans =
+    [ ("burst", S.burst ~at:1000);
+      ("corrupt-state", [ S.Corrupt_state { at = 700; procs = Sim.Faults.Any_proc } ]);
+      ("fault-free", []) ]
+  in
+  let samples = ref 0 in
+  List.iter
+    (fun (e : Graybox.Registry.entry) ->
+      List.iter
+        (fun (wname, wrapper) ->
+          List.iter
+            (fun (fname, faults) ->
+              List.iter
+                (fun (n, seed) ->
+                  let r =
+                    S.run e.Graybox.Registry.proto ~wrapper ~faults ~record:true ~n
+                      ~seed ~steps:3000
+                  in
+                  let after =
+                    Option.value ~default:0 r.S.analysis.Stz.last_fault_index
+                  in
+                  let base = (List.nth r.S.vtrace after).Sim.Trace.time in
+                  let waits =
+                    List.filter_map
+                      (fun (en : H.entry_record) ->
+                        if en.entry_time <= base then None
+                        else Some (en.entry_time - max en.entry_since base))
+                      r.S.entry_log
+                  in
+                  samples := !samples + List.length waits;
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s/%s/%s/n=%d/seed %d" e.Graybox.Registry.name
+                       wname fname n seed)
+                    (List.sort compare
+                       (Oracles.Stabilize.service_times ~after r.S.vtrace))
+                    (List.sort compare waits))
+                [ (2, 1); (3, 2); (5, 3) ])
+            plans)
+        [ ("off", H.Off); ("W'(4)", S.wrapped ~delta:4 ()) ])
+    refs;
+  Alcotest.(check bool) (Printf.sprintf "%d waits compared" !samples) true
+    (!samples > 1000)
+
 (* ------------------------------------------------------------------ *)
 (* Cached views                                                        *)
 
@@ -558,7 +618,9 @@ let () =
           Alcotest.test_case "every oracle == the observer (one run)" `Quick
             test_oracles_equal_observer;
           Alcotest.test_case "default run records nothing" `Quick
-            test_default_run_records_nothing ] );
+            test_default_run_records_nothing;
+          Alcotest.test_case "entry waits == service_times" `Quick
+            test_entry_service_times ] );
       ( "cached-view",
         [ Alcotest.test_case "never stale (registry x wrapper x seed)" `Quick
             test_cached_view_never_stale ] );

@@ -410,6 +410,7 @@ let feed_both i =
         (fun (pid, vc) ->
           let e =
             { Graybox.Harness.entry_time = !time;
+              entry_since = !time;
               entry_pid = pid;
               entry_req = Clocks.Timestamp.zero ~pid;
               entry_req_vc =

@@ -149,6 +149,51 @@ let test_system_deterministic () =
   in
   Alcotest.(check bool) "same outcome" true (run () = run ())
 
+(* Every field of the outcome on a seed x configuration grid
+   ((n, bound, wrapper, corrupt_at, steps, seed): wrapped recoveries,
+   a bound of 5 that resets constantly, an unwrapped run that never
+   recovers, a fault-free run, and two runs at bound 3 whose
+   hb-soundness check fails: a stamp sent before the fault and
+   delivered after recovery shares its (sender, epoch) with later
+   ones) and on the 100,000-step run of
+   [graybox-cli rvc --steps 100000].  The values were computed by
+   recording each run and judging the whole trace, with hb soundness
+   checked over every pair of post-recovery deliveries; the fold must
+   reproduce them exactly. *)
+let pinned_outcomes =
+  let o recovered recovery_steps resets ill_at_end final_epoch hb_sound =
+    { Rvc.System.recovered; recovery_steps; resets; ill_at_end; final_epoch;
+      hb_sound }
+  in
+  [ ((4, 60, true, Some 500, 4000, 1), o true (Some 1) 43 0 17 true);
+    ((4, 60, true, Some 500, 4000, 2), o true (Some 6) 37 0 17 true);
+    ((4, 60, true, Some 500, 4000, 3), o true (Some 23) 40 0 17 true);
+    ((3, 5, true, Some 200, 3000, 1), o true (Some 7) 266 0 123 true);
+    ((3, 5, true, Some 200, 3000, 2), o true (Some 27) 279 2 134 true);
+    ((3, 5, true, Some 200, 3000, 3), o true (Some 9) 273 0 123 true);
+    ((4, 40, false, Some 300, 3000, 1), o false None 0 4 1 true);
+    ((4, 40, false, Some 300, 3000, 2), o false None 0 4 1 true);
+    ((4, 40, false, Some 300, 3000, 3), o false None 0 4 1 true);
+    ((6, 20, true, None, 3000, 1), o true (Some 0) 84 0 24 true);
+    ((6, 20, true, None, 3000, 2), o true (Some 0) 91 0 24 true);
+    ((6, 20, true, None, 3000, 3), o true (Some 0) 83 0 24 true);
+    ((2, 3, true, Some 100, 3000, 1), o true (Some 2) 354 2 221 true);
+    ((2, 3, true, Some 100, 3000, 43), o true (Some 2) 362 1 218 false);
+    ((2, 3, true, Some 100, 3000, 49), o true (Some 1) 361 1 226 false);
+    ((4, 60, true, Some 500, 100000, 1), o true (Some 1) 1015 0 423 true) ]
+
+let test_system_outcomes_pinned () =
+  List.iter
+    (fun ((n, bound, wrapper, corrupt_at, steps, seed), want) ->
+      let got =
+        Rvc.System.run ?corrupt_at { Rvc.System.n; bound; wrapper } ~seed ~steps
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d bound=%d wrapper=%b steps=%d seed=%d" n bound
+           wrapper steps seed)
+        true (got = want))
+    pinned_outcomes
+
 let prop_system_storms_recover =
   qtest ~count:6 "wrapped RVC system recovers from random corruption"
     QCheck2.Gen.(pair (1 -- 500) (100 -- 800))
@@ -179,4 +224,5 @@ let () =
           Alcotest.test_case "overflow recycling" `Quick
             test_system_fault_free_overflow_recycles;
           Alcotest.test_case "deterministic" `Quick test_system_deterministic;
+          Alcotest.test_case "outcomes pinned" `Quick test_system_outcomes_pinned;
           prop_system_storms_recover ] ) ]

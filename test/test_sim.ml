@@ -76,10 +76,11 @@ let test_net_capture_survives_mutation () =
   Alcotest.(check (list (triple int int (list string)))) "capture intact"
     before (Lazy.force capture)
 
-(* The capture journal: a first capture after a nonempty history, many
-   writes to one channel between captures, and a gap long enough that
-   the journal is folded in before the next capture. *)
-let test_net_capture_journal () =
+(* Captures over a history: a first capture after a nonempty history,
+   many writes to one channel between captures, and a long churn of
+   writes before the next one; each keeps the contents of its
+   moment. *)
+let test_net_capture_history () =
   let net = of_sends 3 [ (0, 1, 1); (0, 1, 2); (2, 1, 3) ] in
   let first = Network.capture net in
   for m = 4 to 9 do
@@ -88,7 +89,6 @@ let test_net_capture_journal () =
   ignore (Network.deliver net ~src:0 ~dst:1);
   Network.flush_channel net ~src:2 ~dst:1;
   let second = Network.capture net in
-  (* these two writes are folded in early, by the churn behind them *)
   Network.send net ~src:1 ~dst:0 10;
   Network.flush_channel net ~src:0 ~dst:1;
   for m = 11 to 400 do
@@ -639,15 +639,11 @@ let test_trace_helpers () =
       snap 1 (Trace.Fault { label = "drop" }) [| 2 |];
       snap 2 Trace.Stutter [| 3 |] ]
   in
-  Alcotest.(check int) "length" 3 (Trace.length tr);
-  Alcotest.(check (option int)) "last fault" (Some 1) (Trace.last_fault_index tr);
-  Alcotest.(check int) "suffix" 2 (Trace.length (Trace.suffix_from tr 1));
   let mapped = Trace.map_states string_of_int tr in
-  Alcotest.(check string) "map_states" "2" (List.nth mapped 1).Trace.states.(0)
-
-let test_trace_no_fault () =
-  let tr = [ snap 0 Trace.Init [| 0 |] ] in
-  Alcotest.(check (option int)) "none" None (Trace.last_fault_index tr)
+  Alcotest.(check string) "map_states" "2" (List.nth mapped 1).Trace.states.(0);
+  Alcotest.(check bool) "events kept" true
+    (List.map (fun s -> s.Trace.event) mapped
+    = [ Trace.Init; Trace.Fault { label = "drop" }; Trace.Stutter ])
 
 let test_trace_map_msgs () =
   let tr =
@@ -739,7 +735,7 @@ let test_engine_trace_records () =
   let trace = E.recorder e in
   E.run ~steps:10 e;
   let tr = trace () in
-  Alcotest.(check int) "init + 10 steps" 11 (Trace.length tr);
+  Alcotest.(check int) "init + 10 steps" 11 (List.length tr);
   match tr with
   | { Trace.event = Trace.Init; time = 0; _ } :: _ -> ()
   | _ -> Alcotest.fail "first snapshot must be Init at time 0"
@@ -753,7 +749,7 @@ let test_engine_no_record () =
   let trace = E.recorder e in
   E.run ~steps:5 e;
   let tr = trace () in
-  Alcotest.(check int) "attachment + 5 steps" 6 (Trace.length tr);
+  Alcotest.(check int) "attachment + 5 steps" 6 (List.length tr);
   match tr with
   | { Trace.event = Trace.Init; time = 10; states; _ } :: _ ->
     Alcotest.(check bool) "Init of the state found" true (states = found)
@@ -1086,7 +1082,8 @@ let () =
           Alcotest.test_case "deliver empty" `Quick test_net_deliver_empty;
           Alcotest.test_case "persistence" `Quick
             test_net_capture_survives_mutation;
-          Alcotest.test_case "capture journal" `Quick test_net_capture_journal;
+          Alcotest.test_case "captures over a history" `Quick
+            test_net_capture_history;
           Alcotest.test_case "nonempty" `Quick test_net_nonempty;
           Alcotest.test_case "drop_at" `Quick test_net_drop_at;
           Alcotest.test_case "duplicate_at" `Quick test_net_duplicate_at;
@@ -1118,7 +1115,6 @@ let () =
           Alcotest.test_case "draw delay" `Quick test_faults_draw_delay ] );
       ( "trace",
         [ Alcotest.test_case "helpers" `Quick test_trace_helpers;
-          Alcotest.test_case "no fault" `Quick test_trace_no_fault;
           Alcotest.test_case "map_msgs" `Quick test_trace_map_msgs ] );
       ("metrics", [ Alcotest.test_case "counts" `Quick test_metrics_counts ]);
       ( "engine",
